@@ -2,10 +2,12 @@
 
 Global branch: the four subbands are serialized along four scan paths
 (progressive high-to-low frequency and spatially interleaved, each forward
-and reverse), passed through an input-conditioned diagonal linear recurrence
-(selective scan), mapped back to subband layout, summed, projected pointwise
-and reconstructed. Local branch: a nested transform/convolution stack on the
-channel-concatenated subbands. The two reconstructions are added.
+and reverse). One ``ops.selective_scan`` call runs the input-conditioned
+diagonal linear recurrences of all four paths (selective scan), with a
+hand-written backward. The outputs are mapped back to subband layout,
+summed, projected pointwise and reconstructed. Local branch: a nested
+transform/convolution stack on the channel-concatenated subbands. The two
+reconstructions are added.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import (concat, conv2d, exp, linear_recurrence, matmul, narrow, neg,
-                  reshape, softplus, take_rows, transpose, tsum)
+from .ops import SCAN_PARAMS, conv2d, reshape, selective_scan, take_rows, transpose, tsum
 from .sync import ParamBlock
 from .tensor import Tensor
 from .wavelet import SubbandSet, haar_iwt2d, haar_wt2d, subband_concat, subband_split
@@ -69,10 +70,9 @@ def _bands_to_rows(bands: SubbandSet) -> Tensor:
     return reshape(transpose(reshape(cat, (4, c, h2 * w2)), (0, 2, 1)), (4 * h2 * w2, c))
 
 
-def _rows_to_bands(rows: Tensor, band_shape: tuple[int, int, int]) -> SubbandSet:
+def _rows_to_cat(rows: Tensor, band_shape: tuple[int, int, int]) -> Tensor:
     c, h2, w2 = band_shape
-    cat = reshape(transpose(reshape(rows, (4, h2 * w2, c)), (0, 2, 1)), (4 * c, h2, w2))
-    return subband_split(cat)
+    return reshape(transpose(reshape(rows, (4, h2 * w2, c)), (0, 2, 1)), (4 * c, h2, w2))
 
 
 def progressive_scan(bands: SubbandSet, direction: str) -> ScanSequence:
@@ -89,7 +89,7 @@ def interleaved_scan(bands: SubbandSet, direction: str) -> ScanSequence:
 
 def inverse_scan(seq: ScanSequence) -> SubbandSet:
     inv = np.argsort(seq.order)
-    return _rows_to_bands(take_rows(seq.values, inv), seq.band_shape)
+    return subband_split(_rows_to_cat(take_rows(seq.values, inv), seq.band_shape))
 
 
 class SelectiveScan(ParamBlock):
@@ -122,33 +122,19 @@ class SelectiveScan(ParamBlock):
     def decay(self) -> np.ndarray:
         return -np.exp(self.log_decay.data)
 
-    def recurrence_terms(self, values: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """Decay factors, drive, and output gate for each token: (a, b, gate_out)."""
-        if values.data.ndim != 2 or values.data.shape[0] == 0:
-            raise ValueError(f"selective scan needs a nonempty LxC sequence, "
-                             f"got {values.data.shape}")
-        length, c = values.data.shape
-        n = self.state_dim
-        step = softplus(matmul(values, self.w_step) + self.b_step)        # L x C
-        gate_in = matmul(values, self.w_in) + self.b_in                   # L x N
-        gate_out = matmul(values, self.w_out) + self.b_out                # L x N
-        decay = neg(exp(self.log_decay))                                  # N
-        a = exp(reshape(step, (length, c, 1)) * reshape(decay, (1, 1, n)))
-        drive = reshape(step * values, (length, c, 1)) * reshape(gate_in, (length, 1, n))
-        return a, drive, gate_out
-
-    def read_out(self, states: Tensor, gate_out: Tensor, values: Tensor) -> Tensor:
-        length, c = values.data.shape
-        y = tsum(states * reshape(gate_out, (length, 1, self.state_dim)), axis=2)
-        return y + self.skip * values
+    @property
+    def scan_params(self) -> tuple[Tensor, ...]:
+        """The parameters in ``ops.SCAN_PARAMS`` order."""
+        return tuple(getattr(self, name) for name in SCAN_PARAMS)
 
     def __call__(self, values: Tensor) -> Tensor:
-        a, drive, gate_out = self.recurrence_terms(values)
-        return self.read_out(linear_recurrence(a, drive), gate_out, values)
+        y = selective_scan([values], [self.scan_params])
+        return reshape(y, y.data.shape[1:])
 
 
 _SCAN_PATHS = (("prog", "forward"), ("prog", "reverse"),
                ("inter", "forward"), ("inter", "reverse"))
+_ORDERS = {"prog": progressive_order, "inter": interleaved_order}
 
 
 class WaveletDenoiser(ParamBlock):
@@ -175,24 +161,17 @@ class WaveletDenoiser(ParamBlock):
         self.skip_bias = self._p(f"{prefix}.local.skip.bias", np.zeros((4 * c, 1, 1)))
 
     def scan_branch(self, bands: SubbandSet) -> Tensor:
-        # the four recurrences share one batched scan call (axis 1 = path)
-        seqs, terms = [], []
-        for ssm, (kind, direction) in zip(self.scans, _SCAN_PATHS):
-            seq = (progressive_scan if kind == "prog" else interleaved_scan)(bands, direction)
-            seqs.append(seq)
-            terms.append(ssm.recurrence_terms(seq.values))
-        length, c, n = terms[0][0].data.shape
-        unit = (length, 1, c, n)
-        a = concat([reshape(t[0], unit) for t in terms], axis=1)
-        drive = concat([reshape(t[1], unit) for t in terms], axis=1)
-        states = linear_recurrence(a, drive)
-        total = None
-        for i, (ssm, seq) in enumerate(zip(self.scans, seqs)):
-            h = reshape(narrow(states, 1, i, 1), (length, c, n))
-            y = ssm.read_out(h, terms[i][2], seq.values)
-            cat = subband_concat(inverse_scan(ScanSequence(y, seq.order, seq.band_shape)))
-            total = cat if total is None else total + cat
-        enhanced = conv2d(total, self.proj_kernel) + self.proj_bias
+        c, h2, w2 = bands.shape
+        rows = _bands_to_rows(bands)
+        orders = [_ORDERS[kind](h2, w2, direction) for kind, direction in _SCAN_PATHS]
+        ys = selective_scan([take_rows(rows, order) for order in orders],
+                            [ssm.scan_params for ssm in self.scans])      # P x L x C
+        # undo every path's order with one gather, then sum the paths
+        n_paths, length = len(orders), rows.data.shape[0]
+        back = np.concatenate([p * length + np.argsort(order) for p, order in enumerate(orders)])
+        unscanned = take_rows(reshape(ys, (n_paths * length, c)), back)
+        total = tsum(reshape(unscanned, (n_paths, length, c)), axis=0)
+        enhanced = conv2d(_rows_to_cat(total, (c, h2, w2)), self.proj_kernel) + self.proj_bias
         return haar_iwt2d(subband_split(enhanced))
 
     def conv_branch(self, bands: SubbandSet) -> Tensor:

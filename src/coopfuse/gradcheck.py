@@ -232,6 +232,30 @@ def registered_cases() -> dict[str, Callable[[int], tuple[Callable, Tensor]]]:
             return ops.tsum(ops.mul(h, h))
         return f, x
 
+    def selective_scan_case(probed: str):
+        """Two scan paths; the probe replaces `probed` (the tokens or one
+        parameter) of path seed % 2."""
+        def build(seed):
+            rng = np.random.default_rng(seed)
+            length, c, n = 5, 2, 3
+            shapes = {"w_step": (c, c), "b_step": (1, c), "w_in": (c, n), "b_in": (1, n),
+                      "w_out": (c, n), "b_out": (1, n), "skip": (1, c), "log_decay": (n,)}
+            xs = [rng.uniform(-1.5, 1.5, size=(length, c)) for _ in range(2)]
+            params = [[0.5 * rng.standard_normal(shapes[name]) for name in ops.SCAN_PARAMS]
+                      for _ in range(2)]
+            probe = seed % 2
+            k = ops.SCAN_PARAMS.index(probed) if probed != "x" else None
+            x = Tensor(xs[probe] if k is None else params[probe][k])
+
+            def f(t):
+                ts = [t if p == probe and k is None else Tensor(v) for p, v in enumerate(xs)]
+                ps = [[t if p == probe and j == k else Tensor(v) for j, v in enumerate(vals)]
+                      for p, vals in enumerate(params)]
+                y = ops.selective_scan(ts, ps)
+                return ops.tsum(ops.mul(y, y))
+            return f, x
+        return build
+
     cases = {
         "add": build_add,
         "sub": build_sub,
@@ -264,5 +288,8 @@ def registered_cases() -> dict[str, Callable[[int], tuple[Callable, Tensor]]]:
         "bce_with_logits": build_bce,
         "linear_recurrence": build_linear_recurrence,
         "linear_recurrence_decay": build_linear_recurrence_decay,
+        "selective_scan": selective_scan_case("x"),
     }
+    for name in ops.SCAN_PARAMS:
+        cases[f"selective_scan_{name}"] = selective_scan_case(name)
     return cases

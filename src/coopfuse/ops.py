@@ -40,6 +40,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _scatter_add(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sum values into a zero vector of `size` at flat `keys`, in C order.
+
+    Each slot accumulates its values in the order they appear, as
+    ``np.add.at`` over the same sequence would, so the result is bitwise
+    equal to it; ``np.bincount`` just does it in one pass.
+    """
+    return np.bincount(keys.ravel(), weights=values.ravel(), minlength=size)
+
+
 # ---------------------------------------------------------------------------
 # elementwise arithmetic (numpy broadcasting rules apply)
 # ---------------------------------------------------------------------------
@@ -394,9 +404,9 @@ def take_rows(a, idx: np.ndarray) -> Tensor:
     out = Tensor(a.data[idx], a.requires_grad)
 
     def bwd(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        a.accumulate_grad(full)
+        n, c = a.data.shape
+        keys = (idx % n)[..., None] * c + np.arange(c)
+        a.accumulate_grad(_scatter_add(keys, g, n * c).reshape(n, c))
 
     _record(out, bwd)
     return out
@@ -516,11 +526,11 @@ def bilinear_sample(x, coords) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            dx = np.zeros((c, h * w))
-            for flat, wt, valid in zip(flats, weights, masks):
-                contrib = (g * (wt * valid)).reshape(c, -1)
-                np.add.at(dx.T, flat, contrib.T)
-            x.accumulate_grad(dx.reshape(c, h, w))
+            # per channel, the four corners one after another
+            keys = np.arange(c)[:, None] * (h * w) + np.concatenate(flats)
+            contrib = np.concatenate([(g * (wt * valid)).reshape(c, -1)
+                                      for wt, valid in zip(weights, masks)], axis=1)
+            x.accumulate_grad(_scatter_add(keys, contrib, c * h * w).reshape(c, h, w))
         if coords.requires_grad:
             v00, v01, v10, v11 = corner_vals
             dy_dwr = -(1 - wc) * v00 - wc * v01 + (1 - wc) * v10 + wc * v11
@@ -562,6 +572,25 @@ def bce_with_logits(logits, targets) -> Tensor:
     return out
 
 
+def _scan_in_place(a: np.ndarray, h: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Turn h into h_t = a_t * h_{t-1} + h_t along axis 0, one step at a time.
+
+    With reverse=True it runs the adjoint h_t = a_{t+1} * h_{t+1} + h_t from
+    the end instead. The strict sequential order fixes the rounding.
+    """
+    tmp = np.empty_like(h[0])
+    av, hv = list(a), list(h)          # per-step views, made once
+    if reverse:
+        prev, steps = hv[-1], zip(av[:0:-1], hv[-2::-1])
+    else:
+        prev, steps = hv[0], zip(av[1:], hv[1:])
+    for at, ht in steps:
+        np.multiply(at, prev, tmp)
+        np.add(ht, tmp, ht)
+        prev = ht
+    return h
+
+
 @_diffop
 def linear_recurrence(a, b) -> Tensor:
     """Diagonal linear scan h_t = a_t * h_{t-1} + b_t over the leading axis, h_0 = 0."""
@@ -570,27 +599,96 @@ def linear_recurrence(a, b) -> Tensor:
         raise ValueError(f"linear_recurrence shape mismatch: {a.data.shape} vs {b.data.shape}")
     if a.data.shape[0] == 0:
         raise ValueError("linear_recurrence needs a nonempty sequence")
-    ad, bd = a.data, b.data
-    n = ad.shape[0]
-    h = np.empty_like(bd)
-    h[0] = bd[0]
-    for t in range(1, n):
-        np.multiply(ad[t], h[t - 1], out=h[t])
-        h[t] += bd[t]
+    ad = a.data
+    h = _scan_in_place(ad, b.data.copy())
     out = Tensor(h, a.requires_grad or b.requires_grad)
 
     def bwd(g):
-        gh = np.empty_like(g)
-        gh[n - 1] = g[n - 1]
-        for t in range(n - 2, -1, -1):
-            np.multiply(ad[t + 1], gh[t + 1], out=gh[t])
-            gh[t] += g[t]
+        gh = _scan_in_place(ad, g.copy(), reverse=True)
         if b.requires_grad:
             b.accumulate_grad(gh)
         if a.requires_grad:
             da = np.zeros_like(ad)
             np.multiply(gh[1:], h[:-1], out=da[1:])
             a.accumulate_grad(da)
+
+    _record(out, bwd)
+    return out
+
+
+SCAN_PARAMS = ("w_step", "b_step", "w_in", "b_in", "w_out", "b_out", "skip", "log_decay")
+
+
+@_diffop
+def selective_scan(xs, params) -> Tensor:
+    """P input-conditioned diagonal linear recurrences in one op; returns P x L x C.
+
+    xs holds P token sequences of shape L x C, and params[p] holds path p's
+    tensors in ``SCAN_PARAMS`` order: w_step C x C, b_step 1 x C, w_in and
+    w_out C x N, b_in and b_out 1 x N, skip 1 x C, log_decay N. Per token:
+    step = softplus(x w_step + b_step), gate_in = x w_in + b_in, gate_out =
+    x w_out + b_out and decay = -exp(log_decay); the C x N state follows
+    h_t = exp(step * decay) * h_{t-1} + (step * x_t) * gate_in, h_0 = 0, and
+    y_t = sum_n gate_out * h_t + skip * x_t.
+    """
+    xs = [as_tensor(x) for x in xs]
+    params = [[as_tensor(t) for t in ps] for ps in params]
+    if not xs or len(xs) != len(params) or any(len(ps) != len(SCAN_PARAMS) for ps in params):
+        raise ValueError(f"selective_scan needs one {len(SCAN_PARAMS)}-tuple of parameters "
+                         f"per sequence, got {len(xs)} sequences and {len(params)} tuples")
+    length, c = xs[0].data.shape if xs[0].data.ndim == 2 else (0, 0)
+    if length == 0 or any(t.data.shape != (length, c) for t in xs):
+        raise ValueError(f"selective scan needs nonempty LxC sequences of one shape, "
+                         f"got {[t.data.shape for t in xs]}")
+    x = np.stack([t.data for t in xs])                                    # P x L x C
+    w_step, b_step, w_in, b_in, w_out, b_out, skip, log_decay = (
+        np.stack([ps[k].data for ps in params]) for k in range(len(SCAN_PARAMS)))
+    n_paths, n = len(xs), log_decay.shape[1]
+    z = np.matmul(x, w_step) + b_step
+    step = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)              # softplus
+    gate_in = np.matmul(x, w_in) + b_in                                   # P x L x N
+    gate_out = np.matmul(x, w_out) + b_out
+    decay = -np.exp(log_decay)                                            # P x N
+    u = step * x
+    # the state arrays are time-major, L x P x C x N, so each step is one block
+    tm = (1, 0, 2)
+    state_shape = (length, n_paths, c, n)
+    a = np.multiply(step.transpose(tm)[..., None], decay[:, None, :],
+                    out=np.empty(state_shape))
+    np.exp(a, out=a)
+    h = np.multiply(u.transpose(tm)[..., None], gate_in.transpose(tm)[:, :, None, :],
+                    out=np.empty(state_shape))
+    _scan_in_place(a, h)
+    y = (h * gate_out.transpose(tm)[:, :, None, :]).sum(axis=3).transpose(tm) + skip * x
+    out = Tensor(y, any(t.requires_grad for t in (*xs, *(t for ps in params for t in ps))))
+
+    def bwd(g):
+        gt = g.transpose(tm)                                              # L x P x C
+        g_out = np.matmul(gt[:, :, None, :], h)[:, :, 0, :].transpose(tm)
+        gh = np.multiply(gt[..., None], gate_out.transpose(tm)[:, :, None, :])
+        _scan_in_place(a, gh, reverse=True)
+        g_in = np.matmul(u.transpose(tm)[:, :, None, :], gh)[:, :, 0, :].transpose(tm)
+        g_u = np.matmul(gh, gate_in.transpose(tm)[..., None])[..., 0].transpose(tm)
+        # gh becomes the gradient of the exponent step * decay
+        gh[0] = 0.0
+        np.multiply(gh[1:], h[:-1], out=gh[1:])
+        gh[1:] *= a[1:]
+        g_decay = np.einsum("lpcn,lpc->pn", gh, step.transpose(tm))
+        g_step = g_u * x + np.matmul(gh, decay[:, :, None])[..., 0].transpose(tm)
+        g_z = g_step * _sigmoid(z)
+        gx = g * skip + g_u * step
+        grads = {"skip": (g * x).sum(axis=1, keepdims=True), "log_decay": g_decay * decay}
+        for name, w, gw in (("step", w_step, g_z), ("in", w_in, g_in), ("out", w_out, g_out)):
+            gx += np.matmul(gw, w.transpose(0, 2, 1))
+            grads[f"w_{name}"] = np.matmul(x.transpose(0, 2, 1), gw)
+            grads[f"b_{name}"] = gw.sum(axis=1, keepdims=True)
+        for p, t in enumerate(xs):
+            if t.requires_grad:
+                t.accumulate_grad(gx[p])
+        for k, name in enumerate(SCAN_PARAMS):
+            for p, ps in enumerate(params):
+                if ps[k].requires_grad:
+                    ps[k].accumulate_grad(grads[name][p])
 
     _record(out, bwd)
     return out

@@ -89,6 +89,14 @@ class PipelineConfig:
             raise ConfigError(f"need at least the ego agent, got {self.n_agents}")
         if self.training.steps < 1:
             raise ConfigError(f"training steps must be >= 1, got {self.training.steps}")
+        if self.training.batch_scenes < 1:
+            raise ConfigError(f"batch_scenes must be >= 1, got {self.training.batch_scenes}")
+        if self.eval_scenarios < 1:
+            raise ConfigError(f"eval_scenarios must be >= 1, got {self.eval_scenarios}")
+        if self.eval_measure_ticks < 1:
+            raise ConfigError(f"eval_measure_ticks must be >= 1, got {self.eval_measure_ticks}")
+        if not self.cell_size > 0.0:
+            raise ConfigError(f"cell_size must be positive, got {self.cell_size}")
         try:
             ChannelConfig(**vars(self.channel))
         except ValueError as e:
@@ -123,7 +131,16 @@ class PipelineConfig:
 
     @staticmethod
     def from_json(doc: dict) -> "PipelineConfig":
+        """Read a config document; omitted keys, nested ones too, keep their defaults."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
         cfg = PipelineConfig()
+        for name in ("channel", "training"):
+            if not isinstance(doc.get(name, {}), dict):
+                raise ConfigError(f"{name} must be a JSON object, got {doc[name]!r}")
+        for name in ("stsync", "wtden", "adpsel"):
+            if not isinstance(doc.get(name, False), bool):
+                raise ConfigError(f"{name} must be a JSON boolean, got {doc[name]!r}")
         try:
             if "H" in doc:
                 cfg.height = int(doc["H"])
@@ -148,24 +165,21 @@ class PipelineConfig:
             for name in ("cell_size", "bounds_m", "fov_ego_m", "fov_collab_m"):
                 if name in doc:
                     setattr(cfg, name, float(doc[name]))
-            if "channel" in doc:
-                ch = doc["channel"]
-                cfg.channel = ChannelConfig(
-                    max_latency_ticks=int(ch.get("L_ticks", 3)),
-                    drop_p=float(ch.get("drop_p", 0.0)),
-                    loc_sigma=float(ch.get("loc_sigma", 0.0)),
-                    head_sigma=float(ch.get("head_sigma", 0.0)),
-                    seed=int(ch.get("seed", 0)))
-            if "training" in doc:
-                tr = doc["training"]
-                cfg.training = TrainSpec(
-                    steps=int(tr.get("steps", 500)),
-                    learning_rate=float(tr.get("learning_rate", 1e-3)),
-                    batch_scenes=int(tr.get("batch_scenes", 1)),
-                    seed=int(tr.get("seed", 0)))
+            ch, base = doc.get("channel", {}), cfg.channel
+            cfg.channel = ChannelConfig(
+                max_latency_ticks=int(ch.get("L_ticks", base.max_latency_ticks)),
+                drop_p=float(ch.get("drop_p", base.drop_p)),
+                loc_sigma=float(ch.get("loc_sigma", base.loc_sigma)),
+                head_sigma=float(ch.get("head_sigma", base.head_sigma)),
+                seed=int(ch.get("seed", base.seed)))
+            tr, spec = doc.get("training", {}), cfg.training
+            cfg.training = TrainSpec(
+                steps=int(tr.get("steps", spec.steps)),
+                learning_rate=float(tr.get("learning_rate", spec.learning_rate)),
+                batch_scenes=int(tr.get("batch_scenes", spec.batch_scenes)),
+                seed=int(tr.get("seed", spec.seed)))
             for name in ("stsync", "wtden", "adpsel"):
-                if name in doc:
-                    setattr(cfg, name, bool(doc[name]))
+                setattr(cfg, name, doc.get(name, getattr(cfg, name)))
         except (TypeError, ValueError) as e:
             raise ConfigError(f"malformed config: {e}") from e
         return cfg.validate()

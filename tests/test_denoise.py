@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from coopfuse import ops
-from coopfuse.denoise import (SelectiveScan, WaveletDenoiser,
+from coopfuse.denoise import (_SCAN_PATHS, ScanSequence, SelectiveScan, WaveletDenoiser,
                               interleaved_order, interleaved_scan, inverse_scan,
                               progressive_order, progressive_scan)
 from coopfuse.gradcheck import grad_check
-from coopfuse.tensor import Tensor
-from coopfuse.wavelet import SubbandSet, haar_iwt2d, subband_concat
+from coopfuse.tensor import Tape, Tensor
+from coopfuse.wavelet import SubbandSet, haar_iwt2d, subband_concat, subband_split
 from coopfuse.world import stream
 
 
@@ -141,6 +141,98 @@ class TestSelectiveScan:
         ssm = SelectiveScan(2, 2, stream(7, "s"), prefix="ssm")
         with pytest.raises(ValueError):
             ssm(Tensor(np.zeros((0, 2))))
+
+
+def composed_scan(ssm, values):
+    """The selective scan built from elementary tape ops: the recurrence
+    terms, ops.linear_recurrence over them, then the read-out."""
+    length, c = values.data.shape
+    n = ssm.state_dim
+    step = ops.softplus(ops.matmul(values, ssm.w_step) + ssm.b_step)
+    gate_in = ops.matmul(values, ssm.w_in) + ssm.b_in
+    gate_out = ops.matmul(values, ssm.w_out) + ssm.b_out
+    decay = ops.neg(ops.exp(ssm.log_decay))
+    a = ops.exp(ops.reshape(step, (length, c, 1)) * ops.reshape(decay, (1, 1, n)))
+    drive = ops.reshape(step * values, (length, c, 1)) * ops.reshape(gate_in, (length, 1, n))
+    states = ops.linear_recurrence(a, drive)
+    y = ops.tsum(states * ops.reshape(gate_out, (length, 1, n)), axis=2)
+    return y + ssm.skip * values
+
+
+def composed_scan_branch(den, bands):
+    """WaveletDenoiser.scan_branch path by path, on composed_scan."""
+    total = None
+    for ssm, (kind, direction) in zip(den.scans, _SCAN_PATHS):
+        seq = (progressive_scan if kind == "prog" else interleaved_scan)(bands, direction)
+        y = composed_scan(ssm, seq.values)
+        cat = subband_concat(inverse_scan(ScanSequence(y, seq.order, seq.band_shape)))
+        total = cat if total is None else total + cat
+    enhanced = ops.conv2d(total, den.proj_kernel) + den.proj_bias
+    return haar_iwt2d(subband_split(enhanced))
+
+
+def perturb_scans(scans, rng):
+    """Move every scan parameter off its init, w_step, w_out and b_out too."""
+    for ssm in scans:
+        for p in ssm.scan_params:
+            p.data = p.data + 0.3 * rng.standard_normal(p.data.shape)
+
+
+def run_with_grads(fn, inputs, weights):
+    """fn's output and the gradients of sum(output * weights) on every input."""
+    for t in inputs:
+        t.grad = None
+    with Tape() as tape:
+        y = fn()
+        loss = ops.tsum(ops.mul(y, Tensor(weights)))
+    tape.backward(loss)
+    return y.data, [t.grad for t in inputs]
+
+
+def assert_grads_close(got, want, rtol=1e-12):
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= rtol * np.max(np.abs(w))
+
+
+class TestFusedScan:
+    """ops.selective_scan against the scan composed from elementary ops."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_path_matches_composition(self, seed):
+        rng = np.random.default_rng(seed)
+        ssm = SelectiveScan(3, 5, stream(seed, "s"), prefix="ssm")
+        perturb_scans([ssm], rng)
+        x = Tensor(rng.normal(size=(40, 3)), requires_grad=True)
+        inputs = [x, *ssm.scan_params]
+        weights = rng.normal(size=(40, 3))
+        y, grads = run_with_grads(lambda: ssm(x), inputs, weights)
+        y_ref, grads_ref = run_with_grads(lambda: composed_scan(ssm, x), inputs, weights)
+        assert np.array_equal(y, y_ref)
+        assert_grads_close(grads, grads_ref)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scan_branch_matches_composition(self, seed):
+        rng = np.random.default_rng(seed)
+        den = WaveletDenoiser(3, 4, stream(seed, "d"))
+        perturb_scans(den.scans, rng)
+        bands = SubbandSet(*(Tensor(rng.normal(size=(3, 8, 8)), requires_grad=True)
+                             for _ in range(4)))
+        inputs = [*bands.bands(), *(p for ssm in den.scans for p in ssm.scan_params),
+                  den.proj_kernel, den.proj_bias]
+        weights = rng.normal(size=(3, 16, 16))
+        y, grads = run_with_grads(lambda: den.scan_branch(bands), inputs, weights)
+        y_ref, grads_ref = run_with_grads(lambda: composed_scan_branch(den, bands), inputs,
+                                          weights)
+        assert np.array_equal(y, y_ref)
+        assert_grads_close(grads, grads_ref)
+
+    def test_mismatched_inputs_rejected(self):
+        ssm = SelectiveScan(2, 2, stream(8, "s"), prefix="ssm")
+        with pytest.raises(ValueError):
+            ops.selective_scan([Tensor(np.zeros((4, 2))), Tensor(np.zeros((5, 2)))],
+                               [ssm.scan_params, ssm.scan_params])
+        with pytest.raises(ValueError):
+            ops.selective_scan([Tensor(np.zeros((4, 2)))], [ssm.scan_params[:-1]])
 
 
 class TestScanBranch:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coopfuse.pipeline import (ConfigError, MetricRecord, Pipeline,
-                               PipelineConfig, clean_reference, config_label,
+                               PipelineConfig, TrainSpec, clean_reference, config_label,
                                evaluate, occupancy_iou, run_pipeline, simulate)
 from coopfuse.sync import FeatureBuffer
 from coopfuse.tensor import Tensor
@@ -71,6 +71,35 @@ class TestConfig:
     def test_from_json_rejects_garbage(self):
         with pytest.raises(ConfigError):
             PipelineConfig.from_json({"H": "not-a-number"})
+
+    def test_omitted_channel_keys_keep_defaults(self):
+        cfg = PipelineConfig.from_json({"channel": {"L_ticks": 2}})
+        default = PipelineConfig().channel
+        assert cfg.channel == replace(default, max_latency_ticks=2)
+        assert cfg.channel.loc_sigma == 0.2
+
+    def test_omitted_training_keys_keep_defaults(self):
+        cfg = PipelineConfig.from_json({"training": {"steps": 3}})
+        assert cfg.training == replace(TrainSpec(), steps=3)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+    @pytest.mark.parametrize("name", ["stsync", "wtden", "adpsel"])
+    def test_stage_flags_must_be_json_booleans(self, name, value):
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_json({name: value})
+
+    @pytest.mark.parametrize("doc", [[], {"channel": 3}, {"training": "fast"}])
+    def test_non_object_sections_rejected(self, doc):
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"training": {"batch_scenes": 0}}, {"eval_measure_ticks": 0},
+        {"eval_scenarios": 0}, {"cell_size": 0.0}, {"cell_size": -0.5},
+    ])
+    def test_nonpositive_counts_and_cell_size_rejected(self, doc):
+        with pytest.raises(ConfigError):
+            PipelineConfig.from_json(doc)
 
     def test_config_label(self):
         assert config_label(PipelineConfig()) == "full"

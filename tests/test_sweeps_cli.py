@@ -249,6 +249,17 @@ class TestCli:
         assert r.returncode == 2
         assert "config error" in r.stderr
 
+    @pytest.mark.parametrize("doc", [
+        {"training": {"batch_scenes": 0}}, {"eval_measure_ticks": 0},
+        {"eval_scenarios": 0}, {"cell_size": 0.0}, {"wtden": "false"},
+    ])
+    def test_rejected_field_exit_code(self, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        r = self.run_cli("train", "--config", str(bad), "--out", str(tmp_path / "o"))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("config error") and "Traceback" not in r.stderr
+
     def test_divergence_exit_code(self, tmp_path):
         cfg = tiny_config()
         cfg.training = replace(cfg.training, steps=30, learning_rate=1e14)

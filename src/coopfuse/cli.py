@@ -9,13 +9,15 @@ All subcommands accept --seed to override the config seed. Outputs land in
 the --out directory: metrics.csv always; train additionally writes
 loss_curve.csv and params.catp; run writes trace.csv.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical divergence.
+Exit codes: 0 success, 2 configuration error, 3 numerical divergence (a
+nonfinite training loss or evaluation metric; no metrics.csv is written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -77,33 +79,38 @@ def main(argv=None) -> int:
             trace: list = []
             rec = evaluate(pipe, config_id=config_label(cfg), scenario=scenario,
                            trace_rows=trace)
-            write_metrics_csv(args.out / "metrics.csv",
-                              [metric_row(rec, cfg.channel, cfg.retention)])
+            rows = [metric_row(rec, cfg.channel, cfg.retention)]
             write_trace_csv(args.out / "trace.csv", trace)
-            print(f"iou={rec.occupancy_iou:.4f} mse={rec.mse_to_clean:.6f}")
+            summary = f"iou={rec.occupancy_iou:.4f} mse={rec.mse_to_clean:.6f}"
         elif args.command == "train":
             result = train(cfg)
             result.pipeline.save(args.out / "params.catp")
             write_loss_curve_csv(args.out / "loss_curve.csv", result.loss_curve)
             rec = evaluate(result.pipeline, config_id=config_label(cfg))
-            write_metrics_csv(args.out / "metrics.csv",
-                              [metric_row(rec, cfg.channel, cfg.retention)])
+            rows = [metric_row(rec, cfg.channel, cfg.retention)]
             first, last = result.loss_curve[0][1], result.loss_curve[-1][1]
-            print(f"trained {cfg.training.steps} steps: loss {first:.4f} -> {last:.4f}; "
-                  f"iou={rec.occupancy_iou:.4f}")
+            summary = (f"trained {cfg.training.steps} steps: loss {first:.4f} -> {last:.4f}; "
+                       f"iou={rec.occupancy_iou:.4f}")
         elif args.command == "ablate":
             _, rows = ablation_suite(cfg)
-            write_metrics_csv(args.out / "metrics.csv", rows)
-            print(f"wrote {len(rows)} ablation rows")
-        elif args.command == "sweep":
+            summary = f"wrote {len(rows)} ablation rows"
+        else:
             if args.axis == "latency":
                 _, rows = latency_sweep(cfg, [0, 1, 2, 3, 4, 5])
             elif args.axis == "retention":
                 _, rows = retention_sweep(cfg, list(DEFAULT_RETENTIONS))
             else:
                 _, rows = history_loss_sweep(cfg, [0.0, 0.2, 0.4, 0.6, 0.8])
-            write_metrics_csv(args.out / "metrics.csv", rows)
-            print(f"wrote {len(rows)} sweep rows")
+            summary = f"wrote {len(rows)} sweep rows"
+        for row in rows:
+            bad = [f"{m}={row[m]}" for m in ("occupancy_iou", "mse_to_clean")
+                   if not math.isfinite(row[m])]
+            if bad:
+                print(f"divergence: nonfinite metrics for {row['config_id']}: "
+                      f"{' '.join(bad)}", file=sys.stderr)
+                return 3
+        write_metrics_csv(args.out / "metrics.csv", rows)
+        print(summary)
     except DivergenceError as e:
         print(f"divergence: {e}", file=sys.stderr)
         return 3

@@ -1,12 +1,15 @@
 """End-to-end pipeline assembly, configuration, and metric evaluation.
 
 Per tick: every agent renders its local view, collaborators push features
-through the channel, the ego re-projects whatever has arrived (most recent
-packet per sender: lost packets are forward-filled by construction),
-integrates the stack, and runs the enabled stages: temporal sync over the
-feature buffer anchored to the fresh ego view, wavelet denoising, adaptive
+through the channel, and the ego pushes the tick's fused map into the
+feature buffer: the re-projection of whatever has arrived (most recent
+packet per sender: lost packets are forward-filled by construction) and
+its integration with the ego view. That map is computed only when a stage
+reads it; a map evicted from the buffer unread is never computed. At
+measured ticks the enabled stages run: temporal sync over the feature
+buffer anchored to the fresh ego view, wavelet denoising, adaptive
 selection, and a 1x1-conv occupancy decoder. Disabled stages pass their
-input through unchanged.
+input through unchanged (with stsync off, only the newest map is read).
 
 Metrics are desk-scale proxies: thresholded-occupancy IoU against the
 ego-frame ground truth, and the mean squared distance of the denoiser-stage
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -252,9 +256,7 @@ class Pipeline:
 @dataclass
 class StepOutput:
     tick: int
-    fused: Tensor
     denoised: Tensor
-    refined: Tensor
     logits: Tensor
     gt_occupancy: np.ndarray
     clean_reference: np.ndarray
@@ -290,43 +292,42 @@ def simulate(pipe: Pipeline, scenario: Scenario, measure,
             if cur is None or pkt.emit_tick > cur.emit_tick:
                 latest[pkt.sender] = pkt
 
-        parts = [reshape(feats[ego.id], (1, cfg.channels, cfg.height, cfg.width))]
-        for a in collaborators:
-            if a.id in latest:
-                pkt = latest[a.id]
-                warped = transform_to_ego(pkt.feature, pkt.reported_pose, ego.pose,
-                                          cfg.cell_size)
-                parts.append(reshape(warped, (1, cfg.channels, cfg.height, cfg.width)))
-        stack = parts[0] if len(parts) == 1 else concat(parts, axis=0)
-        fused = pipe.integrator(stack)
-        buffer.push(fused, tick)
+        # the buffer integrates this tick only if a stage reads it before eviction
+        views = [(latest[a.id].feature, latest[a.id].reported_pose)
+                 for a in collaborators if a.id in latest]
+        buffer.push(partial(fuse, pipe, feats[ego.id], views, ego.pose), tick)
 
         if measure(tick):
             synced = pipe.sync_stage(buffer, feats[ego.id])
             denoised = pipe.denoise_stage(synced)
-            refined = pipe.select_stage(denoised)
-            logits = pipe.decode(refined)
+            logits = pipe.decode(pipe.select_stage(denoised))
             gt = render_bev(scene, ego.pose, cfg.height, cfg.width, cfg.cell_size,
                             fov_m=None, channels=cfg.channels).data[0]
             outputs.append(StepOutput(
-                tick=tick, fused=fused, denoised=denoised, refined=refined,
-                logits=logits, gt_occupancy=gt,
+                tick=tick, denoised=denoised, logits=logits, gt_occupancy=gt,
                 clean_reference=clean_reference(pipe, scenario, feats)))
         scene = step_scene(scene)
     return outputs
 
 
+def fuse(pipe: Pipeline, ego_feature: Tensor, views, ego_pose) -> Tensor:
+    """Integrate the ego feature with collaborator (feature, sender pose) views."""
+    cfg = pipe.cfg
+    shape = (1, cfg.channels, cfg.height, cfg.width)
+    parts = [reshape(ego_feature, shape)]
+    for feature, pose in views:
+        warped = transform_to_ego(feature, pose, ego_pose, cfg.cell_size)
+        parts.append(reshape(warped, shape))
+    stack = parts[0] if len(parts) == 1 else concat(parts, axis=0)
+    return pipe.integrator(stack)
+
+
 def clean_reference(pipe: Pipeline, scenario: Scenario, feats) -> np.ndarray:
     """Perfect-channel integration of current-tick features with true poses."""
-    cfg = pipe.cfg
     ego = scenario.agents[0]
     with no_grad():
-        parts = [reshape(feats[ego.id], (1, cfg.channels, cfg.height, cfg.width))]
-        for a in scenario.agents[1:]:
-            warped = transform_to_ego(feats[a.id], a.pose, ego.pose, cfg.cell_size)
-            parts.append(reshape(warped, (1, cfg.channels, cfg.height, cfg.width)))
-        stack = parts[0] if len(parts) == 1 else concat(parts, axis=0)
-        return pipe.integrator(stack).data.copy()
+        views = [(feats[a.id], a.pose) for a in scenario.agents[1:]]
+        return fuse(pipe, feats[ego.id], views, ego.pose).data.copy()
 
 
 def occupancy_iou(logits: np.ndarray, gt: np.ndarray) -> float:

@@ -7,6 +7,7 @@ little-endian f64. All integers little-endian.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -34,9 +35,17 @@ def save_params(path, params: dict[str, Parameter]) -> None:
 
 
 def load_params(path) -> dict[str, np.ndarray]:
+    """Read a parameter file; a malformed or truncated one raises ValueError."""
     buf = Path(path).read_bytes()
     if buf[:4] != MAGIC:
         raise ValueError(f"bad parameter file magic {buf[:4]!r}, expected {MAGIC!r}")
+    try:
+        return _decode(buf)
+    except struct.error as e:
+        raise ValueError(f"truncated parameter file ({len(buf)} bytes): {e}") from e
+
+
+def _decode(buf: bytes) -> dict[str, np.ndarray]:
     version, count = struct.unpack_from("<II", buf, 4)
     if version != VERSION:
         raise ValueError(f"unsupported parameter file version {version}")
@@ -51,7 +60,10 @@ def load_params(path) -> dict[str, np.ndarray]:
         off += 1
         dims = struct.unpack_from(f"<{rank}I", buf, off) if rank else ()
         off += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
+        n = math.prod(dims)
+        if off + 8 * n > len(buf):
+            raise ValueError(f"truncated parameter file: {name!r} needs {8 * n} payload "
+                             f"bytes at offset {off}, file has {len(buf)}")
         arr = np.frombuffer(buf, dtype="<f8", count=n, offset=off).reshape(dims)
         off += 8 * n
         out[name] = arr.astype(np.float64)

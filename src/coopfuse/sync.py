@@ -13,6 +13,7 @@ feature by deformable cross-attention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -55,27 +56,58 @@ class ParamBlock:
         return dict(self.params)
 
 
+class LazyEntries:
+    """Indexable view of buffer entries that computes each one on first read.
+
+    An entry is a Tensor or a zero-argument callable returning one. Reading
+    a callable entry calls it once, under whatever tape is active at that
+    moment, and stores the Tensor in its place; an entry evicted before it
+    is read is never computed.
+    """
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: list):
+        self._items = items
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i: int) -> Tensor:
+        item = self._items[i]
+        if callable(item):
+            item = self._items[i] = item()
+        return item
+
+
 class FeatureBuffer:
-    """The K most recent fused features, oldest first, one tick apart."""
+    """The K most recent fused features, oldest first, one tick apart.
+
+    ``push`` takes the fused map itself or a zero-argument callable that
+    computes it; ``entries`` computes a callable entry the first time a
+    stage reads it (see ``LazyEntries``), so a tick's map costs nothing
+    unless some stage reads it before it is evicted.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"buffer capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.entries: list[Tensor] = []
+        self._items: list[Tensor | Callable[[], Tensor]] = []
+        self.entries = LazyEntries(self._items)
         self.ticks: list[int] = []
 
-    def push(self, feature: Tensor, tick: int) -> None:
+    def push(self, feature: Tensor | Callable[[], Tensor], tick: int) -> None:
         if self.ticks and tick != self.ticks[-1] + 1:
             raise ValueError(f"buffer ticks must advance by one: {self.ticks[-1]} -> {tick}")
-        self.entries.append(feature)
+        self._items.append(feature)
         self.ticks.append(tick)
-        if len(self.entries) > self.capacity:
-            self.entries.pop(0)
+        if len(self._items) > self.capacity:
+            self._items.pop(0)
             self.ticks.pop(0)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._items)
 
 
 @dataclass

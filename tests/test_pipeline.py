@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from coopfuse import pipeline as pipeline_module
 from coopfuse.pipeline import (ConfigError, MetricRecord, Pipeline,
                                PipelineConfig, TrainSpec, clean_reference, config_label,
                                evaluate, occupancy_iou, run_pipeline, simulate)
-from coopfuse.sync import FeatureBuffer
-from coopfuse.tensor import Tensor
+from coopfuse.sync import FeatureBuffer, Integrator
+from coopfuse.tensor import Tensor, active_tape
 from coopfuse.training import Adam, DivergenceError, train
 from coopfuse.world import ChannelConfig, make_scenario
 
@@ -220,6 +221,54 @@ class TestSimulate:
             assert emit == tick
             assert dropped in (0, 1)
             assert (arrive == -1) == (dropped == 1)
+
+
+class EagerBuffer(FeatureBuffer):
+    """Integrates every tick when it is pushed: the reference for lazy entries."""
+
+    def push(self, feature, tick):
+        super().push(feature() if callable(feature) else feature, tick)
+
+
+class TestLazyIntegration:
+    @pytest.mark.parametrize("stages", [(True, True, True), (False, False, False),
+                                        (True, False, False)])
+    def test_matches_eager_integration_bitwise(self, stages, monkeypatch):
+        st, wt, ad = stages
+
+        def run():
+            cfg = small_config(buffer_k=4, stsync=st, wtden=wt, adpsel=ad)
+            pipe = train(cfg).pipeline
+            scen = make_scenario(5, cfg.channel, ticks=8, n_agents=cfg.n_agents,
+                                 n_objects=cfg.n_objects, bounds=cfg.bounds_m,
+                                 fov_ego=cfg.fov_ego_m, fov_collab=cfg.fov_collab_m)
+            outs = simulate(pipe, scen, measure=lambda t: t >= 5)
+            return pipe.parameters(), outs
+
+        lazy_params, lazy_outs = run()
+        monkeypatch.setattr(pipeline_module, "FeatureBuffer", EagerBuffer)
+        eager_params, eager_outs = run()
+        for name, p in lazy_params.items():
+            assert np.array_equal(p.data, eager_params[name].data), name
+        assert len(lazy_outs) == len(eager_outs) == 3
+        for a, b in zip(lazy_outs, eager_outs):
+            assert np.array_equal(a.logits.data, b.logits.data)
+            assert np.array_equal(a.denoised.data, b.denoised.data)
+
+    def test_baseline_step_integrates_once_plus_clean_reference(self, monkeypatch):
+        calls = {"simulate": 0, "clean_reference": 0}
+        original = Integrator.__call__
+
+        def counting(self, stack):
+            # simulate integrates on the training tape; clean_reference under no_grad
+            calls["simulate" if active_tape() is not None else "clean_reference"] += 1
+            return original(self, stack)
+
+        monkeypatch.setattr(Integrator, "__call__", counting)
+        cfg = small_config(buffer_k=4, stsync=False, wtden=False, adpsel=False)
+        cfg.training = replace(cfg.training, steps=1)
+        train(cfg)
+        assert calls == {"simulate": 1, "clean_reference": 1}
 
 
 class TestOccupancyIoU:

@@ -269,3 +269,30 @@ class TestCli:
                          "--out", str(tmp_path / "o"))
         assert r.returncode == 3
         assert "divergence" in r.stderr
+
+    @pytest.mark.parametrize("keep", [8, 30])
+    def test_truncated_params_exit_code(self, tmp_path, keep):
+        cfg_path = self.write_config(tmp_path)
+        params = tmp_path / "p.catp"
+        Pipeline(tiny_config()).save(params)
+        params.write_bytes(params.read_bytes()[:keep])
+        r = self.run_cli("run", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                         "--params", str(params))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("config error") and len(r.stderr.splitlines()) == 1
+
+    def test_nonfinite_metric_exit_code(self, tmp_path):
+        cfg_path = self.write_config(tmp_path)
+        pipe = Pipeline(tiny_config())
+        pipe.integrator.bias.data[:] = np.nan
+        params = tmp_path / "p.catp"
+        pipe.save(params)
+        out = tmp_path / "o"
+        r = self.run_cli("run", "--config", str(cfg_path), "--out", str(out),
+                         "--params", str(params))
+        assert r.returncode == 3, r.stderr
+        # numpy may warn about the NaNs first; the CLI's own report is one line
+        last = r.stderr.splitlines()[-1]
+        assert last.startswith("divergence") and "mse_to_clean=nan" in last
+        assert "Traceback" not in r.stderr
+        assert not (out / "metrics.csv").exists()

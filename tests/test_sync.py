@@ -269,6 +269,28 @@ class TestBuffer:
         assert buf.ticks == [2, 3, 4]
         assert buf.entries[0] is grids[2]
 
+    def test_callable_entry_runs_once_on_first_read(self):
+        buf = FeatureBuffer(2)
+        calls = []
+
+        def make(i):
+            def entry():
+                calls.append(i)
+                return Tensor(np.full((1, 2, 2), float(i)))
+            return entry
+
+        for t in range(4):
+            buf.push(make(t), t)
+        assert calls == []                       # ticks 0 and 1 were evicted unread
+        first = buf.entries[-1]
+        assert calls == [3] and first.data[0, 0, 0] == 3.0
+        assert buf.entries[1] is first
+        assert calls == [3]
+        assert [e.data[0, 0, 0] for e in buf.entries] == [2.0, 3.0]
+        assert calls == [3, 2]
+        buf.push(make(4), 4)
+        assert buf.entries[0] is first and calls == [3, 2]
+
     def test_non_consecutive_tick_rejected(self):
         buf = FeatureBuffer(3)
         buf.push(Tensor(np.zeros((1, 2, 2))), 0)

@@ -10,7 +10,6 @@ coverage fails the gradient suite.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor, active_tape, as_tensor
 
@@ -432,9 +431,34 @@ def softmax(a, axis: int) -> Tensor:
     return out
 
 
+def _patches(xp: np.ndarray, k: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
+    """The (C*k*k) x (h_out*w_out) im2col matrix of a C-contiguous C x H x W array.
+
+    One strided view indexes every window tap in (c, ki, kj, i, j) order;
+    ``reshape`` copies it once into a C-contiguous matrix.
+    """
+    c, s1, s2 = xp.shape[0], xp.strides[1], xp.strides[2]
+    win = np.ndarray((c, k, k, h_out, w_out), xp.dtype, xp, 0,
+                     (xp.strides[0], s1, s2, s1 * stride, s2 * stride))
+    return win.reshape(c * k * k, h_out * w_out)
+
+
+def _zero_pad(a: np.ndarray, pad: int) -> np.ndarray:
+    """A C-contiguous copy of C x H x W `a` with `pad` zeros around the last two axes."""
+    c, h, w = a.shape
+    out = np.zeros((c, h + 2 * pad, w + 2 * pad))
+    out[:, pad:pad + h, pad:pad + w] = a
+    return out
+
+
 @_diffop
 def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
-    """2D cross-correlation of a C_in x H x W input with C_out x C_in x k x k weights."""
+    """2D cross-correlation of a C_in x H x W input with C_out x C_in x k x k weights.
+
+    The patch matrix is built from one strided view of the zero-padded
+    input (a plain reshape for a 1x1 kernel at stride 1) and multiplied by
+    the kernel matrix in one BLAS call.
+    """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.data.ndim != 3 or kernel.data.ndim != 4:
         raise ValueError(f"conv2d expects CxHxW input and OxIxkxk kernel, got "
@@ -451,11 +475,13 @@ def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     if stride < 1:
         raise ValueError(f"conv2d stride must be positive, got {stride}")
 
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    xp = _zero_pad(x.data, pad) if pad else np.ascontiguousarray(x.data)
     h_out = (h + 2 * pad - k) // stride + 1
     w_out = (w + 2 * pad - k) // stride + 1
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(c_in * k * k, h_out * w_out)
+    if k == 1 and stride == 1:
+        cols = xp.reshape(c_in, h_out * w_out)
+    else:
+        cols = _patches(xp, k, stride, h_out, w_out)
     wmat = kernel.data.reshape(c_out, c_in * k * k)
     out = Tensor((wmat @ cols).reshape(c_out, h_out, w_out),
                  x.requires_grad or kernel.requires_grad)
@@ -467,10 +493,7 @@ def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
         if x.requires_grad:
             if stride == 1:
                 # dx = correlation of g with the in/out-swapped, 180-rotated kernel
-                gp = np.pad(g, ((0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-                gwin = sliding_window_view(gp, (k, k), axis=(1, 2))
-                gcols = gwin.transpose(0, 3, 4, 1, 2).reshape(c_out * k * k,
-                                                              (h + 2 * pad) * (w + 2 * pad))
+                gcols = _patches(_zero_pad(g, k - 1), k, 1, h + 2 * pad, w + 2 * pad)
                 wrot = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
                 dxp = (wrot.reshape(c_in, c_out * k * k) @ gcols).reshape(xp.shape)
             else:
@@ -490,8 +513,10 @@ def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
 def bilinear_sample(x, coords) -> Tensor:
     """Sample a C x H x W grid at fractional (row, col) positions.
 
-    coords is 2 x H' x W'; positions outside [0,H-1] x [0,W-1] read zero.
-    Differentiable in the grid values and in the coordinates.
+    coords is 2 x H' x W'; positions outside [0,H-1] x [0,W-1] read zero,
+    and a NaN position reads NaN. The four corners of every position
+    come from one gather and are masked in one multiply. Differentiable in
+    the grid values and in the coordinates.
     """
     x, coords = as_tensor(x), as_tensor(coords)
     if x.data.ndim != 3:
@@ -499,40 +524,37 @@ def bilinear_sample(x, coords) -> Tensor:
     if coords.data.ndim != 3 or coords.data.shape[0] != 2:
         raise ValueError(f"bilinear_sample coords must be 2xHxW, got {coords.data.shape}")
     c, h, w = x.data.shape
-    r, cc = coords.data[0], coords.data[1]
-    r0 = np.floor(r).astype(np.intp)
-    c0 = np.floor(cc).astype(np.intp)
-    wr = r - r0
-    wc = cc - c0
-
-    rin0 = (r0 >= 0) & (r0 < h)
-    rin1 = (r0 >= -1) & (r0 < h - 1)
-    cin0 = (c0 >= 0) & (c0 < w)
-    cin1 = (c0 >= -1) & (c0 < w - 1)
-    masks = (rin0 & cin0, rin0 & cin1, rin1 & cin0, rin1 & cin1)
-    weights = ((1 - wr) * (1 - wc), (1 - wr) * wc, wr * (1 - wc), wr * wc)
-    r0c = r0.clip(0, h - 1)
-    c0c = c0.clip(0, w - 1)
-    r1c = (r0 + 1).clip(0, h - 1)
-    c1c = (c0 + 1).clip(0, w - 1)
-    flats = ((r0c * w + c0c).ravel(), (r0c * w + c1c).ravel(),
-             (r1c * w + c0c).ravel(), (r1c * w + c1c).ravel())
-    xf = x.data.reshape(c, h * w)
-    corner_vals = tuple(xf[:, f].reshape(c, *r.shape) * m
-                        for f, m in zip(flats, masks))
-    y = (corner_vals[0] * weights[0] + corner_vals[1] * weights[1]
-         + corner_vals[2] * weights[2] + corner_vals[3] * weights[3])
+    out_shape = coords.data.shape[1:]
+    with np.errstate(invalid="ignore"):         # NaN casts to an arbitrary index
+        lo = np.floor(coords.data).astype(np.intp)                    # (row, col) x H' x W'
+    frac = coords.data - lo
+    wr, wc = frac
+    # per axis, [lower, upper] x [row, col] x H' x W': the corner index, and
+    # the weight 1 - frac or frac
+    idx = np.stack([lo, lo + 1])
+    size = np.array([h, w])[:, None, None]
+    inside = (idx >= 0) & (idx < size)
+    np.minimum(np.maximum(idx, 0, out=idx), size - 1, out=idx)
+    axis_w = np.stack([1 - frac, frac])
+    # the four corners (r0,c0), (r0,c1), (r1,c0), (r1,c1) of every position
+    flat = (idx[:, None, 0] * w + idx[None, :, 1]).reshape(-1)
+    weights = (axis_w[:, None, 0] * axis_w[None, :, 1]).reshape(4, *out_shape)
+    # 1.0 or 0.0: multiplying by them is multiplying by the booleans
+    masks = (inside[:, None, 0] & inside[None, :, 1]).reshape(4, *out_shape).astype(float)
+    corners = np.take(x.data.reshape(c, h * w), flat, axis=1).reshape(c, 4, *out_shape)
+    corners *= masks
+    v00, v01, v10, v11 = (corners[:, i] for i in range(4))
+    y = (v00 * weights[0] + v01 * weights[1]
+         + v10 * weights[2] + v11 * weights[3])
     out = Tensor(y, x.requires_grad or coords.requires_grad)
 
     def bwd(g):
         if x.requires_grad:
             # per channel, the four corners one after another
-            keys = np.arange(c)[:, None] * (h * w) + np.concatenate(flats)
-            contrib = np.concatenate([(g * (wt * valid)).reshape(c, -1)
-                                      for wt, valid in zip(weights, masks)], axis=1)
+            keys = np.arange(c)[:, None] * (h * w) + flat
+            contrib = (g[:, None] * (weights * masks)).reshape(c, -1)
             x.accumulate_grad(_scatter_add(keys, contrib, c * h * w).reshape(c, h, w))
         if coords.requires_grad:
-            v00, v01, v10, v11 = corner_vals
             dy_dwr = -(1 - wc) * v00 - wc * v01 + (1 - wc) * v10 + wc * v11
             dy_dwc = -(1 - wr) * v00 + (1 - wr) * v01 - wr * v10 + wr * v11
             gr = (g * dy_dwr).sum(axis=0)
@@ -572,16 +594,21 @@ def bce_with_logits(logits, targets) -> Tensor:
     return out
 
 
-def _scan_in_place(a: np.ndarray, h: np.ndarray, reverse: bool = False) -> np.ndarray:
+def _scan_in_place(a: np.ndarray, h: np.ndarray, reverse: bool = False,
+                   carry: np.ndarray | None = None) -> np.ndarray:
     """Turn h into h_t = a_t * h_{t-1} + h_t along axis 0, one step at a time.
 
     With reverse=True it runs the adjoint h_t = a_{t+1} * h_{t+1} + h_t from
-    the end instead. The strict sequential order fixes the rounding.
+    the end instead. A forward `carry` is the state before h_0, so a long
+    sequence can be scanned block after block. The strict sequential order
+    fixes the rounding.
     """
     tmp = np.empty_like(h[0])
     av, hv = list(a), list(h)          # per-step views, made once
     if reverse:
         prev, steps = hv[-1], zip(av[:0:-1], hv[-2::-1])
+    elif carry is not None:
+        prev, steps = carry, zip(av, hv)
     else:
         prev, steps = hv[0], zip(av[1:], hv[1:])
     for at, ht in steps:
@@ -619,6 +646,9 @@ def linear_recurrence(a, b) -> Tensor:
 SCAN_PARAMS = ("w_step", "b_step", "w_in", "b_in", "w_out", "b_out", "skip", "log_decay")
 
 
+_SCAN_BLOCK = 64     # time steps per block of the selective_scan forward
+
+
 @_diffop
 def selective_scan(xs, params) -> Tensor:
     """P input-conditioned diagonal linear recurrences in one op; returns P x L x C.
@@ -630,6 +660,11 @@ def selective_scan(xs, params) -> Tensor:
     x w_out + b_out and decay = -exp(log_decay); the C x N state follows
     h_t = exp(step * decay) * h_{t-1} + (step * x_t) * gate_in, h_0 = 0, and
     y_t = sum_n gate_out * h_t + skip * x_t.
+
+    The forward builds, scans and reads out the state _SCAN_BLOCK time steps
+    at a time, carrying the last state across blocks. Only when a tape
+    records the op are the whole L x P x C x N exponent and state arrays
+    kept, for the backward; otherwise each block reuses scratch arrays.
     """
     xs = [as_tensor(x) for x in xs]
     params = [[as_tensor(t) for t in ps] for ps in params]
@@ -650,30 +685,45 @@ def selective_scan(xs, params) -> Tensor:
     gate_out = np.matmul(x, w_out) + b_out
     decay = -np.exp(log_decay)                                            # P x N
     u = step * x
-    # the state arrays are time-major, L x P x C x N, so each step is one block
+    requires_grad = any(t.requires_grad for t in (*xs, *(t for ps in params for t in ps)))
+    # the state arrays are time-major, L x P x C x N, so each step is one
+    # contiguous slab
     tm = (1, 0, 2)
-    state_shape = (length, n_paths, c, n)
-    a = np.multiply(step.transpose(tm)[..., None], decay[:, None, :],
-                    out=np.empty(state_shape))
-    np.exp(a, out=a)
-    h = np.multiply(u.transpose(tm)[..., None], gate_in.transpose(tm)[:, :, None, :],
-                    out=np.empty(state_shape))
-    _scan_in_place(a, h)
-    y = (h * gate_out.transpose(tm)[:, :, None, :]).sum(axis=3).transpose(tm) + skip * x
-    out = Tensor(y, any(t.requires_grad for t in (*xs, *(t for ps in params for t in ps))))
+    step_t, u_t = step.transpose(tm), u.transpose(tm)
+    gate_in_t, gate_out_t = gate_in.transpose(tm), gate_out.transpose(tm)
+    taped = requires_grad and active_tape() is not None
+    block = min(length, _SCAN_BLOCK)
+    a = np.empty((length if taped else block, n_paths, c, n))
+    h = np.empty_like(a)
+    prod = np.empty((block, n_paths, c, n))
+    readout = np.empty((length, n_paths, c))
+    carry = None
+    for t0 in range(0, length, _SCAN_BLOCK):
+        t1 = min(t0 + _SCAN_BLOCK, length)
+        blk = slice(t0, t1) if taped else slice(0, t1 - t0)
+        ab, hb = a[blk], h[blk]
+        np.multiply(step_t[t0:t1, :, :, None], decay[:, None, :], out=ab)
+        np.exp(ab, out=ab)
+        np.multiply(u_t[t0:t1, :, :, None], gate_in_t[t0:t1, :, None, :], out=hb)
+        _scan_in_place(ab, hb, carry=carry)
+        np.multiply(hb, gate_out_t[t0:t1, :, None, :], out=prod[:t1 - t0])
+        prod[:t1 - t0].sum(axis=3, out=readout[t0:t1])
+        carry = hb[-1] if taped else hb[-1].copy()
+    y = readout.transpose(tm) + skip * x
+    out = Tensor(y, requires_grad)
 
     def bwd(g):
         gt = g.transpose(tm)                                              # L x P x C
         g_out = np.matmul(gt[:, :, None, :], h)[:, :, 0, :].transpose(tm)
-        gh = np.multiply(gt[..., None], gate_out.transpose(tm)[:, :, None, :])
+        gh = np.multiply(gt[..., None], gate_out_t[:, :, None, :])
         _scan_in_place(a, gh, reverse=True)
-        g_in = np.matmul(u.transpose(tm)[:, :, None, :], gh)[:, :, 0, :].transpose(tm)
-        g_u = np.matmul(gh, gate_in.transpose(tm)[..., None])[..., 0].transpose(tm)
+        g_in = np.matmul(u_t[:, :, None, :], gh)[:, :, 0, :].transpose(tm)
+        g_u = np.matmul(gh, gate_in_t[..., None])[..., 0].transpose(tm)
         # gh becomes the gradient of the exponent step * decay
         gh[0] = 0.0
         np.multiply(gh[1:], h[:-1], out=gh[1:])
         gh[1:] *= a[1:]
-        g_decay = np.einsum("lpcn,lpc->pn", gh, step.transpose(tm))
+        g_decay = np.einsum("lpcn,lpc->pn", gh, step_t)
         g_step = g_u * x + np.matmul(gh, decay[:, :, None])[..., 0].transpose(tm)
         g_z = g_step * _sigmoid(z)
         gx = g * skip + g_u * step

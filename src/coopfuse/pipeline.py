@@ -135,13 +135,21 @@ class PipelineConfig:
 
     @staticmethod
     def from_json(doc: dict) -> "PipelineConfig":
-        """Read a config document; omitted keys, nested ones too, keep their defaults."""
+        """Read a config document; omitted keys, nested ones too, keep their defaults.
+
+        The accepted keys are those ``to_json`` writes, plus ``channel.seed``;
+        any other key is rejected.
+        """
         if not isinstance(doc, dict):
             raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
         cfg = PipelineConfig()
+        known = cfg.to_json()
+        known["channel"]["seed"] = cfg.channel.seed
+        _reject_unknown(doc, known, "config")
         for name in ("channel", "training"):
             if not isinstance(doc.get(name, {}), dict):
                 raise ConfigError(f"{name} must be a JSON object, got {doc[name]!r}")
+            _reject_unknown(doc.get(name, {}), known[name], name)
         for name in ("stsync", "wtden", "adpsel"):
             if not isinstance(doc.get(name, False), bool):
                 raise ConfigError(f"{name} must be a JSON boolean, got {doc[name]!r}")
@@ -189,6 +197,12 @@ class PipelineConfig:
         return cfg.validate()
 
 
+def _reject_unknown(doc: dict, known: dict, where: str) -> None:
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown {where} key {unknown[0]!r}")
+
+
 def load_config(path) -> PipelineConfig:
     return PipelineConfig.from_json(json.loads(Path(path).read_text()))
 
@@ -198,7 +212,6 @@ class MetricRecord:
     config_id: str
     mse_to_clean: float
     occupancy_iou: float
-    per_latency: dict[int, dict[str, float]] = field(default_factory=dict)
 
 
 class Pipeline:
@@ -367,11 +380,8 @@ def evaluate(pipe: Pipeline, channel: ChannelConfig | None = None,
             for o in outs:
                 ious.append(occupancy_iou(o.logits.data, o.gt_occupancy))
                 mses.append(float(np.mean((o.denoised.data - o.clean_reference) ** 2)))
-    iou = float(np.mean(ious))
-    mse = float(np.mean(mses))
-    return MetricRecord(config_id=config_id, mse_to_clean=mse, occupancy_iou=iou,
-                        per_latency={ch.max_latency_ticks:
-                                     {"occupancy_iou": iou, "mse_to_clean": mse}})
+    return MetricRecord(config_id=config_id, mse_to_clean=float(np.mean(mses)),
+                        occupancy_iou=float(np.mean(ious)))
 
 
 def run_pipeline(cfg: PipelineConfig, scenario: Scenario | None = None,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from coopfuse import ops
 from coopfuse.gradcheck import grad_check, registered_cases
@@ -154,6 +155,226 @@ class TestScatterBackward:
         got = grad_through(lambda t: ops.take_rows(t, np.array([1, 1])), np.ones((3, 2)),
                            np.ones((2, 2)))
         assert np.array_equal(got, [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
+
+
+def conv2d_im2col_reference(x, w, g, stride, pad):
+    """conv2d by np.pad + sliding_window_view im2col: output, dx and dw for output gradient g."""
+    c_in, h, wd = x.shape
+    c_out, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
+    h_out = (h + 2 * pad - k) // stride + 1
+    w_out = (wd + 2 * pad - k) // stride + 1
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    cols = win.transpose(0, 3, 4, 1, 2).reshape(c_in * k * k, h_out * w_out)
+    wmat = w.reshape(c_out, c_in * k * k)
+    y = (wmat @ cols).reshape(c_out, h_out, w_out)
+    gm = g.reshape(c_out, h_out * w_out)
+    dw = (gm @ cols.T).reshape(w.shape)
+    if stride == 1:
+        gp = np.pad(g, ((0, 0), (k - 1, k - 1), (k - 1, k - 1)))
+        gwin = sliding_window_view(gp, (k, k), axis=(1, 2))
+        gcols = gwin.transpose(0, 3, 4, 1, 2).reshape(c_out * k * k,
+                                                      (h + 2 * pad) * (wd + 2 * pad))
+        wrot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        dxp = (wrot.reshape(c_in, c_out * k * k) @ gcols).reshape(xp.shape)
+    else:
+        dcols = (wmat.T @ gm).reshape(c_in, k, k, h_out, w_out)
+        dxp = np.zeros_like(xp)
+        for ki in range(k):
+            for kj in range(k):
+                dxp[:, ki:ki + stride * h_out:stride,
+                    kj:kj + stride * w_out:stride] += dcols[:, ki, kj]
+    return y, (dxp[:, pad:pad + h, pad:pad + wd] if pad else dxp), dw
+
+
+def bilinear_sample_reference(x, coords, g):
+    """bilinear_sample by four separate corner gathers: output, dx and dcoords for g."""
+    c, h, w = x.shape
+    r, cc = coords
+    with np.errstate(invalid="ignore"):
+        r0, c0 = np.floor(r).astype(np.intp), np.floor(cc).astype(np.intp)
+    wr, wc = r - r0, cc - c0
+    rin0, rin1 = (r0 >= 0) & (r0 < h), (r0 >= -1) & (r0 < h - 1)
+    cin0, cin1 = (c0 >= 0) & (c0 < w), (c0 >= -1) & (c0 < w - 1)
+    masks = (rin0 & cin0, rin0 & cin1, rin1 & cin0, rin1 & cin1)
+    weights = ((1 - wr) * (1 - wc), (1 - wr) * wc, wr * (1 - wc), wr * wc)
+    r0c, c0c = r0.clip(0, h - 1), c0.clip(0, w - 1)
+    r1c, c1c = (r0 + 1).clip(0, h - 1), (c0 + 1).clip(0, w - 1)
+    flats = ((r0c * w + c0c).ravel(), (r0c * w + c1c).ravel(),
+             (r1c * w + c0c).ravel(), (r1c * w + c1c).ravel())
+    xf = x.reshape(c, h * w)
+    v00, v01, v10, v11 = (xf[:, f].reshape(c, *r.shape) * m for f, m in zip(flats, masks))
+    y = v00 * weights[0] + v01 * weights[1] + v10 * weights[2] + v11 * weights[3]
+    keys = np.arange(c)[:, None] * (h * w) + np.concatenate(flats)
+    contrib = np.concatenate([(g * (wt * valid)).reshape(c, -1)
+                              for wt, valid in zip(weights, masks)], axis=1)
+    dx = np.bincount(keys.ravel(), weights=contrib.ravel(), minlength=c * h * w)
+    dy_dwr = -(1 - wc) * v00 - wc * v01 + (1 - wc) * v10 + wc * v11
+    dy_dwc = -(1 - wr) * v00 + (1 - wr) * v01 - wr * v10 + wr * v11
+    dcoords = np.stack([(g * dy_dwr).sum(axis=0), (g * dy_dwc).sum(axis=0)])
+    return y, dx.reshape(c, h, w), dcoords
+
+
+def selective_scan_reference(xs, params, g):
+    """selective_scan on whole L x P x C x N state arrays, scanned step by step.
+
+    Returns the output, the gradient of every sequence and a dict of the
+    stacked parameter gradients, for output gradient g.
+    """
+    x = np.stack(xs)
+    w_step, b_step, w_in, b_in, w_out, b_out, skip, log_decay = (
+        np.stack([ps[k] for ps in params]) for k in range(len(ops.SCAN_PARAMS)))
+    z = np.matmul(x, w_step) + b_step
+    step = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
+    gate_in = np.matmul(x, w_in) + b_in
+    gate_out = np.matmul(x, w_out) + b_out
+    decay = -np.exp(log_decay)
+    u = step * x
+    tm = (1, 0, 2)
+    state_shape = (x.shape[1], x.shape[0], x.shape[2], decay.shape[1])      # L x P x C x N
+    a = np.exp(np.multiply(step.transpose(tm)[..., None], decay[:, None, :],
+                           out=np.empty(state_shape)))
+    h = np.multiply(u.transpose(tm)[..., None], gate_in.transpose(tm)[:, :, None, :],
+                    out=np.empty(state_shape))
+    for t in range(1, len(h)):
+        h[t] += a[t] * h[t - 1]
+    y = (h * gate_out.transpose(tm)[:, :, None, :]).sum(axis=3).transpose(tm) + skip * x
+
+    gt = g.transpose(tm)
+    g_out = np.matmul(gt[:, :, None, :], h)[:, :, 0, :].transpose(tm)
+    gh = gt[..., None] * gate_out.transpose(tm)[:, :, None, :]
+    for t in range(len(gh) - 2, -1, -1):
+        gh[t] += a[t + 1] * gh[t + 1]
+    g_in = np.matmul(u.transpose(tm)[:, :, None, :], gh)[:, :, 0, :].transpose(tm)
+    g_u = np.matmul(gh, gate_in.transpose(tm)[..., None])[..., 0].transpose(tm)
+    gh[0] = 0.0
+    np.multiply(gh[1:], h[:-1], out=gh[1:])
+    gh[1:] *= a[1:]
+    g_decay = np.einsum("lpcn,lpc->pn", gh, step.transpose(tm))
+    g_step = g_u * x + np.matmul(gh, decay[:, :, None])[..., 0].transpose(tm)
+    g_z = g_step * ops._sigmoid(z)
+    gx = g * skip + g_u * step
+    grads = {"skip": (g * x).sum(axis=1, keepdims=True), "log_decay": g_decay * decay}
+    for name, w, gw in (("step", w_step, g_z), ("in", w_in, g_in), ("out", w_out, g_out)):
+        gx += np.matmul(gw, w.transpose(0, 2, 1))
+        grads[f"w_{name}"] = np.matmul(x.transpose(0, 2, 1), gw)
+        grads[f"b_{name}"] = gw.sum(axis=1, keepdims=True)
+    return y, gx, grads
+
+
+def run_with_output_grad(op, inputs, g):
+    """op() on the tape: its output, and the gradient of each of inputs for output gradient g."""
+    with Tape() as tape:
+        out = op()
+        loss = ops.tsum(ops.mul(out, Tensor(g)))
+    tape.backward(loss)
+    return out.data, [t.grad for t in inputs]
+
+
+class TestKernelsMatchPreviousAlgorithms:
+    """conv2d, bilinear_sample and selective_scan give bitwise the values and
+    gradients of the algorithms they replaced."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1, 3])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_conv2d(self, k, pad, stride):
+        rng = np.random.default_rng(100 * k + 10 * pad + stride)
+        x = rng.normal(size=(3, 9, 13))
+        w = rng.normal(size=(4, 3, k, k))
+        h_out, w_out = (9 + 2 * pad - k) // stride + 1, (13 + 2 * pad - k) // stride + 1
+        g = rng.normal(size=(4, h_out, w_out))
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        y, (dx, dw) = run_with_output_grad(
+            lambda: ops.conv2d(xt, wt, stride=stride, pad=pad), [xt, wt], g)
+        y_ref, dx_ref, dw_ref = conv2d_im2col_reference(x, w, g, stride, pad)
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(dx, dx_ref)
+        assert np.array_equal(dw, dw_ref)
+
+    @pytest.mark.parametrize("k,pad", [(1, 0), (3, 1)])
+    def test_conv2d_non_contiguous_input(self, k, pad):
+        rng = np.random.default_rng(k)
+        x = rng.normal(size=(7, 6, 3)).transpose(2, 1, 0)       # 3 x 6 x 7, a strided view
+        w = rng.normal(size=(2, 3, k, k))
+        g = rng.normal(size=(2, 6, 7))
+        wt = Tensor(w, requires_grad=True)
+        y, (dw,) = run_with_output_grad(lambda: ops.conv2d(x, wt, pad=pad), [wt], g)
+        y_ref, _, dw_ref = conv2d_im2col_reference(x, w, g, 1, pad)
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(dw, dw_ref)
+
+    @pytest.mark.parametrize("lo,hi", [(-2.5, 8.5), (-1.0, 6.0), (-9.0, -1.01), (7.0, 20.0)])
+    def test_bilinear_sample(self, lo, hi):
+        # partly outside, at the edges, and wholly outside the 6 x 7 grid
+        rng = np.random.default_rng(int(abs(hi) * 100))
+        x = rng.normal(size=(3, 6, 7))
+        coords = rng.uniform(lo, hi, size=(2, 9, 10))
+        coords[:, 0, :4] = [[0.0, 5.0, 5.0, 2.0], [0.0, 6.0, 2.0, 6.0]]   # on grid points
+        g = rng.normal(size=(3, 9, 10))
+        xt, ct = Tensor(x, requires_grad=True), Tensor(coords, requires_grad=True)
+        y, (dx, dcoords) = run_with_output_grad(lambda: ops.bilinear_sample(xt, ct), [xt, ct], g)
+        y_ref, dx_ref, dcoords_ref = bilinear_sample_reference(x, coords, g)
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(dx, dx_ref)
+        assert np.array_equal(dcoords, dcoords_ref)
+
+    def test_bilinear_sample_nan_coords(self):
+        # read NaN, bitwise as before, and without a warning from the integer cast
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(2, 5, 5))
+        coords = rng.uniform(0.0, 4.0, size=(2, 4, 4))
+        coords[0, 0, 0], coords[1, 1, 2], coords[:, 3, 3] = np.nan, np.nan, np.nan
+        g = rng.normal(size=(2, 4, 4))
+        xt, ct = Tensor(x, requires_grad=True), Tensor(coords, requires_grad=True)
+        y, (dx, dcoords) = run_with_output_grad(lambda: ops.bilinear_sample(xt, ct), [xt, ct], g)
+        y_ref, dx_ref, dcoords_ref = bilinear_sample_reference(x, coords, g)
+        bad = np.isnan(coords).any(axis=0)
+        assert np.isnan(y[:, bad]).all() and np.isfinite(y[:, ~bad]).all()
+        assert np.array_equal(y, y_ref, equal_nan=True)
+        assert np.array_equal(dx, dx_ref, equal_nan=True)
+        assert np.array_equal(dcoords, dcoords_ref, equal_nan=True)
+
+    @staticmethod
+    def scan_inputs(length, seed, n_paths=2, c=3, n=5):
+        rng = np.random.default_rng(seed)
+        xs = [rng.uniform(-1.5, 1.5, size=(length, c)) for _ in range(n_paths)]
+        shapes = [(c, c), (1, c), (c, n), (1, n), (c, n), (1, n), (1, c), (n,)]
+        params = [[rng.normal(scale=0.5, size=s) for s in shapes] for _ in range(n_paths)]
+        return xs, params, rng.normal(size=(n_paths, length, c))
+
+    # around one block of the forward, and the length wtden scans at the desk grid
+    SCAN_LENGTHS = [1, ops._SCAN_BLOCK - 1, ops._SCAN_BLOCK, ops._SCAN_BLOCK + 1, 1024]
+
+    @pytest.mark.parametrize("length", SCAN_LENGTHS)
+    def test_selective_scan(self, length):
+        xs, params, g = self.scan_inputs(length, seed=length)
+        ts = [Tensor(x, requires_grad=True) for x in xs]
+        ps = [[Tensor(p, requires_grad=True) for p in path] for path in params]
+        y, grads = run_with_output_grad(lambda: ops.selective_scan(ts, ps),
+                                        [*ts, *(t for path in ps for t in path)], g)
+        y_ref, gx_ref, gp_ref = selective_scan_reference(xs, params, g)
+        assert np.array_equal(y, y_ref)
+        for p, gx in enumerate(grads[:len(ts)]):
+            assert np.array_equal(gx, gx_ref[p])
+        for i, gp in enumerate(grads[len(ts):]):
+            p, k = divmod(i, len(ops.SCAN_PARAMS))
+            assert np.array_equal(gp, gp_ref[ops.SCAN_PARAMS[k]][p]), ops.SCAN_PARAMS[k]
+
+    @pytest.mark.parametrize("length", SCAN_LENGTHS)
+    def test_selective_scan_untaped_forward_equals_taped(self, length):
+        xs, params, _ = self.scan_inputs(length, seed=7, n_paths=4)
+        ts = [Tensor(x, requires_grad=True) for x in xs]
+        ps = [[Tensor(p, requires_grad=True) for p in path] for path in params]
+        with Tape():
+            taped = ops.selective_scan(ts, ps).data
+        with no_grad():
+            untaped = ops.selective_scan(ts, ps).data
+        with Tape():
+            constant = ops.selective_scan(xs, params).data          # nothing requires grad
+        assert np.array_equal(untaped, taped)
+        assert np.array_equal(constant, taped)
+        assert np.array_equal(taped, selective_scan_reference(xs, params, np.zeros_like(taped))[0])
 
 
 class TestGlobalPool:

@@ -186,6 +186,24 @@ def registered_cases() -> dict[str, Callable[[int], tuple[Callable, Tensor]]]:
         return (lambda t: ops.tsum(ops.mul(ops.conv2d(inp, t, stride=2, pad=1),
                                            ops.conv2d(inp, t, stride=2, pad=1)))), x
 
+    def conv2d_taps_case(wrt: str):
+        """A channel-reducing stride-1 conv that takes conv2d's tap form,
+        k = 3 (3 output channels) or 7 (one) by seed; the probe is the input
+        or the kernel."""
+        def build(seed):
+            rng = np.random.default_rng(seed)
+            k, c_out = ((3, 3), (7, 1))[seed % 2]
+            inp = rng.uniform(-1.5, 1.5, size=(8, 5, 5))
+            ker = rng.uniform(-0.8, 0.8, size=(c_out, 8, k, k))
+            x = Tensor(inp if wrt == "input" else ker)
+
+            def f(t):
+                y = (ops.conv2d(t, ker, pad=k // 2) if wrt == "input"
+                     else ops.conv2d(inp, t, pad=k // 2))
+                return ops.tsum(ops.mul(y, y))
+            return f, x
+        return build
+
     def build_bilinear(seed):
         rng = np.random.default_rng(seed)
         h = w = 5
@@ -282,6 +300,8 @@ def registered_cases() -> dict[str, Callable[[int], tuple[Callable, Tensor]]]:
         "softmax": build_softmax,
         "conv2d": build_conv2d,
         "conv2d_kernel": build_conv2d_kernel,
+        "conv2d_taps": conv2d_taps_case("input"),
+        "conv2d_taps_kernel": conv2d_taps_case("kernel"),
         "bilinear_sample": build_bilinear,
         "bilinear_sample_coords": build_bilinear_coords,
         "global_pool": build_global_pool,

@@ -443,6 +443,18 @@ def _patches(xp: np.ndarray, k: int, stride: int, h_out: int, w_out: int) -> np.
     return win.reshape(c * k * k, h_out * w_out)
 
 
+def _tap_windows(z: np.ndarray, h_out: int, w_out: int) -> np.ndarray:
+    """The k x k x C_out x h_out x w_out view z[ki, kj, :, ki:ki+h_out, kj:kj+w_out]
+    of a C-contiguous k x k x C_out x Hp x Wp array.
+
+    Summed over its first two axes, it is the stride-1 convolution whose
+    per-tap products z holds; distinct taps never share an element.
+    """
+    s = z.strides
+    return np.ndarray((*z.shape[:3], h_out, w_out), z.dtype, z, 0,
+                      (s[0] + s[3], s[1] + s[4], s[2], s[3], s[4]))
+
+
 def _zero_pad(a: np.ndarray, pad: int) -> np.ndarray:
     """A C-contiguous copy of C x H x W `a` with `pad` zeros around the last two axes."""
     c, h, w = a.shape
@@ -455,9 +467,17 @@ def _zero_pad(a: np.ndarray, pad: int) -> np.ndarray:
 def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     """2D cross-correlation of a C_in x H x W input with C_out x C_in x k x k weights.
 
-    The patch matrix is built from one strided view of the zero-padded
-    input (a plain reshape for a 1x1 kernel at stride 1) and multiplied by
-    the kernel matrix in one BLAS call.
+    Two contractions, chosen from the shapes alone. By default (im2col) the
+    (C_in*k*k) x (H_out*W_out) patch matrix is built from one strided view
+    of the zero-padded input (a plain reshape for a 1x1 kernel at stride 1)
+    and multiplied by the kernel matrix in one BLAS call. At stride 1 with
+    k > 1, when C_out*Hp*Wp < C_in*H_out*W_out for the Hp x Wp padded input
+    (the per-tap product matrix is smaller than the patch matrix, as in a
+    channel-reducing conv), it accumulates kernel to rows instead: one BLAS
+    call multiplies the (k*k*C_out) x C_in tap matrix by the padded input,
+    and the output sums the k*k shifted windows of that product. Only the
+    tap form rounds differently from im2col, by about 1e-15 relative; every
+    other shape gives the im2col values bit for bit.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.data.ndim != 3 or kernel.data.ndim != 4:
@@ -476,8 +496,11 @@ def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
         raise ValueError(f"conv2d stride must be positive, got {stride}")
 
     xp = _zero_pad(x.data, pad) if pad else np.ascontiguousarray(x.data)
-    h_out = (h + 2 * pad - k) // stride + 1
-    w_out = (w + 2 * pad - k) // stride + 1
+    hp, wp = xp.shape[1:]
+    h_out = (hp - k) // stride + 1
+    w_out = (wp - k) // stride + 1
+    if stride == 1 and k > 1 and c_out * hp * wp < c_in * h_out * w_out:
+        return _conv2d_taps(x, kernel, xp, pad)
     if k == 1 and stride == 1:
         cols = xp.reshape(c_in, h_out * w_out)
     else:
@@ -493,7 +516,7 @@ def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
         if x.requires_grad:
             if stride == 1:
                 # dx = correlation of g with the in/out-swapped, 180-rotated kernel
-                gcols = _patches(_zero_pad(g, k - 1), k, 1, h + 2 * pad, w + 2 * pad)
+                gcols = _patches(_zero_pad(g, k - 1), k, 1, hp, wp)
                 wrot = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
                 dxp = (wrot.reshape(c_in, c_out * k * k) @ gcols).reshape(xp.shape)
             else:
@@ -509,14 +532,47 @@ def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
     return out
 
 
+def _conv2d_taps(x: Tensor, kernel: Tensor, xp: np.ndarray, pad: int) -> Tensor:
+    """Stride-1 conv2d by kernel-to-row accumulation on the padded input xp.
+
+    Z = W_taps @ Xpad holds every tap's product with the whole padded
+    input; the output sums the k*k shifted windows of Z. The backward
+    writes g into the same windows of a zero gZ, so that dW = gZ @ Xpad^T
+    and dXpad = W_taps^T @ gZ. No patch matrix is built or kept.
+    """
+    c_in, h, w = x.data.shape
+    c_out, _, k, _ = kernel.data.shape
+    hp, wp = xp.shape[1:]
+    h_out, w_out = hp - k + 1, wp - k + 1
+    rows = xp.reshape(c_in, hp * wp)
+    wtaps = kernel.data.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
+    z = (wtaps @ rows).reshape(k, k, c_out, hp, wp)
+    out = Tensor(_tap_windows(z, h_out, w_out).sum(axis=(0, 1)),
+                 x.requires_grad or kernel.requires_grad)
+
+    def bwd(g):
+        gz = np.zeros((k, k, c_out, hp, wp))
+        _tap_windows(gz, h_out, w_out)[...] = g
+        gz = gz.reshape(k * k * c_out, hp * wp)
+        if kernel.requires_grad:
+            dw = (gz @ rows.T).reshape(k, k, c_out, c_in)
+            kernel.accumulate_grad(dw.transpose(2, 3, 0, 1))
+        if x.requires_grad:
+            dxp = (wtaps.T @ gz).reshape(xp.shape)
+            x.accumulate_grad(dxp[:, pad:pad + h, pad:pad + w] if pad else dxp)
+
+    _record(out, bwd)
+    return out
+
+
 @_diffop
 def bilinear_sample(x, coords) -> Tensor:
     """Sample a C x H x W grid at fractional (row, col) positions.
 
     coords is 2 x H' x W'; positions outside [0,H-1] x [0,W-1] read zero,
-    and a NaN position reads NaN. The four corners of every position
-    come from one gather and are masked in one multiply. Differentiable in
-    the grid values and in the coordinates.
+    and a NaN or infinite position reads NaN. The four corners of every
+    position come from one gather and are masked in one multiply.
+    Differentiable in the grid values and in the coordinates.
     """
     x, coords = as_tensor(x), as_tensor(coords)
     if x.data.ndim != 3:
@@ -525,29 +581,33 @@ def bilinear_sample(x, coords) -> Tensor:
         raise ValueError(f"bilinear_sample coords must be 2xHxW, got {coords.data.shape}")
     c, h, w = x.data.shape
     out_shape = coords.data.shape[1:]
-    with np.errstate(invalid="ignore"):         # NaN casts to an arbitrary index
+    # a NaN position casts to an arbitrary index, and an infinite one meets a
+    # zero weight or mask as 0 * inf: either reads NaN, so the "invalid"
+    # warnings say nothing
+    with np.errstate(invalid="ignore"):
         lo = np.floor(coords.data).astype(np.intp)                    # (row, col) x H' x W'
-    frac = coords.data - lo
-    wr, wc = frac
-    # per axis, [lower, upper] x [row, col] x H' x W': the corner index, and
-    # the weight 1 - frac or frac
-    idx = np.stack([lo, lo + 1])
-    size = np.array([h, w])[:, None, None]
-    inside = (idx >= 0) & (idx < size)
-    np.minimum(np.maximum(idx, 0, out=idx), size - 1, out=idx)
-    axis_w = np.stack([1 - frac, frac])
-    # the four corners (r0,c0), (r0,c1), (r1,c0), (r1,c1) of every position
-    flat = (idx[:, None, 0] * w + idx[None, :, 1]).reshape(-1)
-    weights = (axis_w[:, None, 0] * axis_w[None, :, 1]).reshape(4, *out_shape)
-    # 1.0 or 0.0: multiplying by them is multiplying by the booleans
-    masks = (inside[:, None, 0] & inside[None, :, 1]).reshape(4, *out_shape).astype(float)
-    corners = np.take(x.data.reshape(c, h * w), flat, axis=1).reshape(c, 4, *out_shape)
-    corners *= masks
-    v00, v01, v10, v11 = (corners[:, i] for i in range(4))
-    y = (v00 * weights[0] + v01 * weights[1]
-         + v10 * weights[2] + v11 * weights[3])
+        frac = coords.data - lo
+        wr, wc = frac
+        # per axis, [lower, upper] x [row, col] x H' x W': the corner index, and
+        # the weight 1 - frac or frac
+        idx = np.stack([lo, lo + 1])
+        size = np.array([h, w])[:, None, None]
+        inside = (idx >= 0) & (idx < size)
+        np.minimum(np.maximum(idx, 0, out=idx), size - 1, out=idx)
+        axis_w = np.stack([1 - frac, frac])
+        # the four corners (r0,c0), (r0,c1), (r1,c0), (r1,c1) of every position
+        flat = (idx[:, None, 0] * w + idx[None, :, 1]).reshape(-1)
+        weights = (axis_w[:, None, 0] * axis_w[None, :, 1]).reshape(4, *out_shape)
+        # 1.0 or 0.0: multiplying by them is multiplying by the booleans
+        masks = (inside[:, None, 0] & inside[None, :, 1]).reshape(4, *out_shape).astype(float)
+        corners = np.take(x.data.reshape(c, h * w), flat, axis=1).reshape(c, 4, *out_shape)
+        corners *= masks
+        v00, v01, v10, v11 = (corners[:, i] for i in range(4))
+        y = (v00 * weights[0] + v01 * weights[1]
+             + v10 * weights[2] + v11 * weights[3])
     out = Tensor(y, x.requires_grad or coords.requires_grad)
 
+    @np.errstate(invalid="ignore")
     def bwd(g):
         if x.requires_grad:
             # per channel, the four corners one after another

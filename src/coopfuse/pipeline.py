@@ -79,6 +79,9 @@ class PipelineConfig:
         if self.height % 4 or self.width % 4:
             raise ConfigError(f"grid must be divisible by 4, got "
                               f"{self.height}x{self.width}")
+        if not self.scales or min(self.scales) < 1:
+            raise ConfigError(f"scales must be a nonempty list of values >= 1, "
+                              f"got {list(self.scales)}")
         for s in self.scales:
             if self.height % s or self.width % s:
                 raise ConfigError(f"scale {s} does not divide grid "
@@ -99,8 +102,15 @@ class PipelineConfig:
             raise ConfigError(f"eval_scenarios must be >= 1, got {self.eval_scenarios}")
         if self.eval_measure_ticks < 1:
             raise ConfigError(f"eval_measure_ticks must be >= 1, got {self.eval_measure_ticks}")
-        if not self.cell_size > 0.0:
-            raise ConfigError(f"cell_size must be positive, got {self.cell_size}")
+        for name, value in (("cell_size", self.cell_size), ("bounds_m", self.bounds_m),
+                            ("fov_ego_m", self.fov_ego_m),
+                            ("fov_collab_m", self.fov_collab_m)):
+            if not (np.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        # 0 is allowed: training then keeps the parameters as they are
+        lr = self.training.learning_rate
+        if not (np.isfinite(lr) and lr >= 0.0):
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {lr}")
         try:
             ChannelConfig(**vars(self.channel))
         except ValueError as e:

@@ -1,13 +1,20 @@
 """Shared fixtures: lazily trained desk-scale checkpoints, reused across tests."""
 
+import os
 import time
 from dataclasses import replace
 
 import pytest
 
-from coopfuse.pipeline import Pipeline, PipelineConfig, evaluate
-from coopfuse.training import train
-from coopfuse.world import ChannelConfig
+# numpy's BLAS gets one thread, before anything imports numpy (as in
+# perfbench/run.py): the small products here gain nothing from a second
+# OpenBLAS thread, which spins between calls and doubles the CPU time.
+# The CLI tests' subprocesses inherit the setting.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from coopfuse.pipeline import Pipeline, PipelineConfig, evaluate  # noqa: E402
+from coopfuse.training import train  # noqa: E402
+from coopfuse.world import ChannelConfig  # noqa: E402
 
 TOGGLES = {
     "full": (True, True, True),

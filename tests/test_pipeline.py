@@ -50,6 +50,8 @@ class TestConfig:
     @pytest.mark.parametrize("patch", [
         {"height": 30}, {"scales": (5,)}, {"retention": 0.0},
         {"retention": 1.5}, {"buffer_k": 0}, {"n_agents": 0}, {"channels": 0},
+        {"scales": (0,)}, {"scales": ()}, {"cell_size": np.inf}, {"bounds_m": 0.0},
+        {"fov_ego_m": -1.0}, {"fov_collab_m": np.nan},
     ])
     def test_bad_configs_rejected(self, patch):
         cfg = PipelineConfig()

@@ -253,13 +253,17 @@ class TestCli:
         {"training": {"batch_scenes": 0}}, {"eval_measure_ticks": 0},
         {"eval_scenarios": 0}, {"cell_size": 0.0}, {"wtden": "false"},
         {"L_tick": 2}, {"channel": {"L_tick": 2}}, {"training": {"step": 3}},
+        {"scales": [0]}, {"scales": []}, {"cell_size": float("inf")},
+        {"training": {"learning_rate": float("nan")}},
+        {"training": {"learning_rate": -1e-3}}, {"fov_ego_m": -1},
+        {"fov_collab_m": 0}, {"bounds_m": 0},
     ])
     def test_rejected_field_exit_code(self, tmp_path, doc):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(json.dumps(doc))          # inf and nan go out as Infinity and NaN
         r = self.run_cli("train", "--config", str(bad), "--out", str(tmp_path / "o"))
         assert r.returncode == 2, r.stderr
-        assert r.stderr.startswith("config error") and "Traceback" not in r.stderr
+        assert r.stderr.startswith("config error") and len(r.stderr.splitlines()) == 1
 
     def test_divergence_exit_code(self, tmp_path):
         cfg = tiny_config()

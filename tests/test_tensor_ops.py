@@ -6,8 +6,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from coopfuse import ops
 from coopfuse.gradcheck import grad_check, registered_cases
+from coopfuse.pipeline import PipelineConfig
 from coopfuse.serialize import assign_params, load_params, save_params
 from coopfuse.tensor import Parameter, Tape, Tensor, no_grad
+from coopfuse.training import train
 
 
 def conv2d_reference(x, w, stride=1, pad=0):
@@ -271,6 +273,42 @@ def run_with_output_grad(op, inputs, g):
     return out.data, [t.grad for t in inputs]
 
 
+@pytest.fixture
+def tap_calls(monkeypatch):
+    """The kernel shape of every conv2d call that takes the tap form."""
+    calls, taps = [], ops._conv2d_taps
+
+    def spy(x, kernel, *rest):
+        calls.append(kernel.data.shape)
+        return taps(x, kernel, *rest)
+    monkeypatch.setattr(ops, "_conv2d_taps", spy)
+    return calls
+
+
+def conv2d_longdouble_reference(x, w, g, pad):
+    """Stride-1 conv2d summed tap by tap in np.longdouble: output, dx and dw for g."""
+    x, w, g = (np.asarray(a, np.longdouble) for a in (x, w, g))
+    c_in, h, wd = x.shape
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    h_out, w_out = h + 2 * pad - k + 1, wd + 2 * pad - k + 1
+    y = np.zeros(g.shape, np.longdouble)
+    dw, dxp = np.zeros_like(w), np.zeros_like(xp)
+    for ki in range(k):
+        for kj in range(k):
+            win, tap = xp[:, ki:ki + h_out, kj:kj + w_out], w[:, :, ki, kj]
+            y += np.tensordot(tap, win, axes=1)
+            dw[:, :, ki, kj] = np.tensordot(g, win, axes=([1, 2], [1, 2]))
+            dxp[:, ki:ki + h_out, kj:kj + w_out] += np.tensordot(tap, g, axes=([0], [0]))
+    return y, dxp[:, pad:pad + h, pad:pad + wd], dw
+
+
+def assert_rel_close(got, want, rtol):
+    """Largest absolute error at most rtol times the largest reference magnitude."""
+    err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+    assert err <= rtol, f"relative error {float(err):.3e} > {rtol:.0e}"
+
+
 class TestKernelsMatchPreviousAlgorithms:
     """conv2d, bilinear_sample and selective_scan give bitwise the values and
     gradients of the algorithms they replaced."""
@@ -304,6 +342,21 @@ class TestKernelsMatchPreviousAlgorithms:
         assert np.array_equal(y, y_ref)
         assert np.array_equal(dw, dw_ref)
 
+    @pytest.mark.parametrize("c_out,k,pad", [(4, 3, 1), (3, 7, 3)])
+    def test_conv2d_non_contiguous_input_keeps_im2col(self, tap_calls, c_out, k, pad):
+        # C_out >= C_in never takes the tap form, so strided input stays bitwise
+        rng = np.random.default_rng(10 * k + c_out)
+        x = rng.normal(size=(7, 6, 3)).transpose(2, 1, 0)       # 3 x 6 x 7, a strided view
+        w = rng.normal(size=(c_out, 3, k, k))
+        g = rng.normal(size=(c_out, 6, 7))
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        y, (dx, dw) = run_with_output_grad(lambda: ops.conv2d(xt, wt, pad=pad), [xt, wt], g)
+        y_ref, dx_ref, dw_ref = conv2d_im2col_reference(x, w, g, 1, pad)
+        assert tap_calls == []
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(dx, dx_ref)
+        assert np.array_equal(dw, dw_ref)
+
     @pytest.mark.parametrize("lo,hi", [(-2.5, 8.5), (-1.0, 6.0), (-9.0, -1.01), (7.0, 20.0)])
     def test_bilinear_sample(self, lo, hi):
         # partly outside, at the edges, and wholly outside the 6 x 7 grid
@@ -330,6 +383,25 @@ class TestKernelsMatchPreviousAlgorithms:
         y, (dx, dcoords) = run_with_output_grad(lambda: ops.bilinear_sample(xt, ct), [xt, ct], g)
         y_ref, dx_ref, dcoords_ref = bilinear_sample_reference(x, coords, g)
         bad = np.isnan(coords).any(axis=0)
+        assert np.isnan(y[:, bad]).all() and np.isfinite(y[:, ~bad]).all()
+        assert np.array_equal(y, y_ref, equal_nan=True)
+        assert np.array_equal(dx, dx_ref, equal_nan=True)
+        assert np.array_equal(dcoords, dcoords_ref, equal_nan=True)
+
+    def test_bilinear_sample_infinite_coords(self):
+        # an infinite position reads NaN, without a warning from 0 * inf,
+        # also when the other coordinate is integral (a zero weight)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2, 5, 5))
+        coords = rng.uniform(0.0, 4.0, size=(2, 4, 4))
+        coords[0, 0, 0], coords[1, 1, 2], coords[:, 3, 3] = np.inf, -np.inf, np.inf
+        coords[:, 2, 1] = [2.0, -np.inf]
+        g = rng.normal(size=(2, 4, 4))
+        xt, ct = Tensor(x, requires_grad=True), Tensor(coords, requires_grad=True)
+        y, (dx, dcoords) = run_with_output_grad(lambda: ops.bilinear_sample(xt, ct), [xt, ct], g)
+        with np.errstate(invalid="ignore"):
+            y_ref, dx_ref, dcoords_ref = bilinear_sample_reference(x, coords, g)
+        bad = np.isinf(coords).any(axis=0)
         assert np.isnan(y[:, bad]).all() and np.isfinite(y[:, ~bad]).all()
         assert np.array_equal(y, y_ref, equal_nan=True)
         assert np.array_equal(dx, dx_ref, equal_nan=True)
@@ -375,6 +447,82 @@ class TestKernelsMatchPreviousAlgorithms:
         assert np.array_equal(untaped, taped)
         assert np.array_equal(constant, taped)
         assert np.array_equal(taped, selective_scan_reference(xs, params, np.zeros_like(taped))[0])
+
+
+class TestConv2dContractions:
+    """conv2d takes the tap form exactly where C_out*Hp*Wp < C_in*H_out*W_out
+    at stride 1 and k > 1; everywhere else it is bitwise the im2col algorithm."""
+
+    # (C_in, C_out, k, pad, H) on an H x (H+1) input: the desk model's
+    # integrator, stsync offset, gate and update offset; then one channel
+    # past the rule's boundary (3 * 4 * 5 < 11 * 2 * 3)
+    TAP_SHAPES = [(16, 8, 3, 1, 32), (16, 2, 3, 1, 32), (16, 1, 7, 3, 32),
+                  (8, 2, 3, 1, 32), (11, 3, 3, 1, 2)]
+    # (C_in, C_out, k, pad, stride, H): square and expanding convs, every 1x1
+    # (channel-reducing too), stride 2, and the boundary itself (3 * 4 * 5 ==
+    # 10 * 2 * 3), which keeps im2col
+    IM2COL_SHAPES = [(8, 8, 3, 1, 1, 32), (32, 32, 3, 1, 1, 16), (128, 128, 3, 1, 1, 8),
+                     (2, 3, 3, 1, 1, 9), (8, 12, 1, 0, 1, 32), (32, 32, 1, 0, 1, 16),
+                     (8, 1, 1, 0, 1, 32), (16, 2, 1, 0, 1, 32), (16, 1, 7, 3, 2, 32),
+                     (16, 2, 3, 1, 2, 32), (8, 8, 3, 1, 2, 16), (10, 3, 3, 1, 1, 2)]
+
+    @staticmethod
+    def conv_case(c_in, c_out, k, pad, stride, h, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(c_in, h, h + 1))
+        w = rng.normal(size=(c_out, c_in, k, k))
+        g = rng.normal(size=(c_out, (h + 2 * pad - k) // stride + 1,
+                             (h + 1 + 2 * pad - k) // stride + 1))
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        y, (dx, dw) = run_with_output_grad(
+            lambda: ops.conv2d(xt, wt, stride=stride, pad=pad), [xt, wt], g)
+        return (x, w, g), (y, dx, dw)
+
+    @pytest.mark.parametrize("c_in,c_out,k,pad,h", TAP_SHAPES)
+    def test_tap_shapes_match_longdouble_sum(self, tap_calls, c_in, c_out, k, pad, h):
+        (x, w, g), got = self.conv_case(c_in, c_out, k, pad, 1, h, seed=c_in + 7 * k)
+        assert tap_calls == [w.shape]
+        for have, want in zip(got, conv2d_longdouble_reference(x, w, g, pad)):
+            assert_rel_close(have, want, 1e-13)
+
+    @pytest.mark.parametrize("c_in,c_out,k,pad,stride,h", IM2COL_SHAPES)
+    def test_other_shapes_stay_im2col(self, tap_calls, c_in, c_out, k, pad, stride, h):
+        (x, w, g), got = self.conv_case(c_in, c_out, k, pad, stride, h, seed=c_out + k)
+        assert tap_calls == []
+        for have, want in zip(got, conv2d_im2col_reference(x, w, g, stride, pad)):
+            assert np.array_equal(have, want)
+
+    def test_non_contiguous_input_taps(self, tap_calls):
+        # bitwise the op on a contiguous copy, and within 1e-13 of the exact sum
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(7, 6, 4)).transpose(2, 1, 0)       # 4 x 6 x 7, a strided view
+        w = rng.normal(size=(1, 4, 3, 3))
+        g = rng.normal(size=(1, 6, 7))
+        runs = []
+        for data in (x, np.ascontiguousarray(x)):
+            xt, wt = Tensor(data, requires_grad=True), Tensor(w, requires_grad=True)
+            y, (dx, dw) = run_with_output_grad(lambda: ops.conv2d(xt, wt, pad=1), [xt, wt], g)
+            runs.append((y, dx, dw))
+        assert tap_calls == [w.shape, w.shape]
+        for strided, contiguous, exact in zip(*runs, conv2d_longdouble_reference(x, w, g, 1)):
+            assert np.array_equal(strided, contiguous)
+            assert_rel_close(strided, exact, 1e-13)
+
+    def test_gradcheck_cases_take_taps(self, tap_calls):
+        cases = registered_cases()
+        for seed in range(2):
+            for name in ("conv2d_taps", "conv2d_taps_kernel"):
+                fn, x = cases[name](seed)
+                fn(x)
+        assert [shape[2] for shape in tap_calls] == [3, 3, 7, 7]
+
+    def test_model_convs_that_take_taps(self, tap_calls):
+        # one taped desk training step: exactly the four channel-reducing convs
+        cfg = PipelineConfig()
+        cfg.training.steps = 1
+        train(cfg)
+        assert sorted(set(tap_calls)) == [(1, 16, 7, 7), (2, 8, 3, 3), (2, 16, 3, 3),
+                                          (8, 16, 3, 3)]
 
 
 class TestGlobalPool:

@@ -6,7 +6,7 @@ from .pipeline import (ConfigError, MetricRecord, Pipeline, PipelineConfig,
                        evaluate, run_pipeline)
 from .tensor import Parameter, Tape, Tensor, no_grad
 from .training import Adam, DivergenceError, TrainResult, train
-from .wavelet import SubbandSet, haar_iwt2d, haar_wt2d, subband_concat, subband_split
+from .wavelet import SubbandSet, haar_iwt2d, haar_wt2d
 from .world import (ChannelConfig, FeaturePacket, Pose2D, Scenario, Scene,
                     make_scenario, render_bev, step_scene, transform_to_ego)
 
@@ -15,8 +15,8 @@ __all__ = [
     "MetricRecord", "Parameter", "Pipeline", "PipelineConfig", "Pose2D",
     "Scenario", "Scene", "SubbandSet", "Tape", "Tensor", "TrainResult",
     "evaluate", "grad_check", "haar_iwt2d", "haar_wt2d", "make_scenario",
-    "no_grad", "render_bev", "run_pipeline", "step_scene", "subband_concat",
-    "subband_split", "train", "transform_to_ego",
+    "no_grad", "render_bev", "run_pipeline", "step_scene", "train",
+    "transform_to_ego",
 ]
 
 __version__ = "0.1.0"

@@ -1,38 +1,49 @@
 """Dual-branch wavelet-domain denoiser.
 
-Global branch: the four subbands are serialized along four scan paths
-(progressive high-to-low frequency and spatially interleaved, each forward
-and reverse). One ``ops.selective_scan`` call runs the input-conditioned
-diagonal linear recurrences of all four paths (selective scan), with a
-hand-written backward. The outputs are mapped back to subband layout,
-summed, projected pointwise and reconstructed. Local branch: a nested
-transform/convolution stack on the channel-concatenated subbands. The two
-reconstructions are added.
+One ``ops.haar2d`` analysis gives the 4C x H/2 x W/2 subband tensor (LL, LH,
+HL, HH channel blocks) that both branches read. Global branch: the subband
+tensor is laid out as token rows, one per (position, band), and serialized
+along four scan paths (progressive high-to-low frequency and spatially
+interleaved, each forward and reverse). One ``ops.selective_scan`` call runs
+the input-conditioned diagonal linear recurrences of all four paths
+(selective scan), with a hand-written backward. The outputs are put back in
+subband layout, summed, projected pointwise and reconstructed by
+``ops.ihaar2d``. Local branch: a nested transform/convolution stack on the
+subband tensor. The two reconstructions are added.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .ops import SCAN_PARAMS, conv2d, reshape, selective_scan, take_rows, transpose, tsum
-from .sync import ParamBlock
-from .tensor import Tensor
-from .wavelet import SubbandSet, haar_iwt2d, haar_wt2d, subband_concat, subband_split
+from .ops import (SCAN_PARAMS, conv2d, haar2d, ihaar2d, reshape, selective_scan,
+                  take_rows, transpose, tsum)
+from .tensor import ParamBlock, Tensor
 
 _ORDER_CACHE: dict[tuple, np.ndarray] = {}
 
-# band positions in the concatenation order LL, LH, HL, HH
+# band positions in the subband order LL, LH, HL, HH
 _PROGRESSIVE_BANDS = (3, 2, 1, 0)  # HH -> HL -> LH -> LL
+
+
+def subband_tokens(x: Tensor) -> Tensor:
+    """4C x h2 x w2 subbands -> (h2*w2*4) x C token rows; row 4*p + b holds
+    band b at raster position p."""
+    c4, h2, w2 = x.data.shape
+    return reshape(transpose(x, (1, 2, 0)), (h2 * w2 * 4, c4 // 4))
+
+
+def token_subbands(rows: Tensor, h2: int, w2: int) -> Tensor:
+    """The inverse of ``subband_tokens``."""
+    return transpose(reshape(rows, (h2, w2, -1)), (2, 0, 1))
 
 
 def progressive_order(h2: int, w2: int, direction: str) -> np.ndarray:
     """Token order visiting whole subbands from high to low frequency."""
     key = ("prog", h2, w2, direction)
     if key not in _ORDER_CACHE:
-        n = h2 * w2
-        fwd = np.concatenate([b * n + np.arange(n) for b in _PROGRESSIVE_BANDS])
+        pos = 4 * np.arange(h2 * w2)
+        fwd = np.concatenate([pos + b for b in _PROGRESSIVE_BANDS])
         _ORDER_CACHE[key] = _directed(fwd, direction)
     return _ORDER_CACHE[key]
 
@@ -41,9 +52,7 @@ def interleaved_order(h2: int, w2: int, direction: str) -> np.ndarray:
     """Token order emitting (LL, LH, HL, HH) at each raster position."""
     key = ("inter", h2, w2, direction)
     if key not in _ORDER_CACHE:
-        n = h2 * w2
-        fwd = (np.arange(4)[None, :] * n + np.arange(n)[:, None]).ravel()
-        _ORDER_CACHE[key] = _directed(fwd, direction)
+        _ORDER_CACHE[key] = _directed(np.arange(4 * h2 * w2), direction)
     return _ORDER_CACHE[key]
 
 
@@ -53,43 +62,6 @@ def _directed(fwd: np.ndarray, direction: str) -> np.ndarray:
     if direction == "reverse":
         return fwd[::-1].copy()
     raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")
-
-
-@dataclass
-class ScanSequence:
-    """Per-channel token sequence plus the bijection that produced it."""
-
-    values: Tensor            # L x C
-    order: np.ndarray         # L flat subband coordinates, a permutation
-    band_shape: tuple[int, int, int]   # (C, H/2, W/2)
-
-
-def _bands_to_rows(bands: SubbandSet) -> Tensor:
-    c, h2, w2 = bands.shape
-    cat = subband_concat(bands)                       # 4C x h2 x w2
-    return reshape(transpose(reshape(cat, (4, c, h2 * w2)), (0, 2, 1)), (4 * h2 * w2, c))
-
-
-def _rows_to_cat(rows: Tensor, band_shape: tuple[int, int, int]) -> Tensor:
-    c, h2, w2 = band_shape
-    return reshape(transpose(reshape(rows, (4, h2 * w2, c)), (0, 2, 1)), (4 * c, h2, w2))
-
-
-def progressive_scan(bands: SubbandSet, direction: str) -> ScanSequence:
-    c, h2, w2 = bands.shape
-    order = progressive_order(h2, w2, direction)
-    return ScanSequence(take_rows(_bands_to_rows(bands), order), order, (c, h2, w2))
-
-
-def interleaved_scan(bands: SubbandSet, direction: str) -> ScanSequence:
-    c, h2, w2 = bands.shape
-    order = interleaved_order(h2, w2, direction)
-    return ScanSequence(take_rows(_bands_to_rows(bands), order), order, (c, h2, w2))
-
-
-def inverse_scan(seq: ScanSequence) -> SubbandSet:
-    inv = np.argsort(seq.order)
-    return subband_split(_rows_to_cat(take_rows(seq.values, inv), seq.band_shape))
 
 
 class SelectiveScan(ParamBlock):
@@ -160,34 +132,30 @@ class WaveletDenoiser(ParamBlock):
                                    np.zeros((4 * c, 4 * c, 3, 3)))
         self.skip_bias = self._p(f"{prefix}.local.skip.bias", np.zeros((4 * c, 1, 1)))
 
-    def scan_branch(self, bands: SubbandSet) -> Tensor:
-        c, h2, w2 = bands.shape
-        rows = _bands_to_rows(bands)
+    def scan_branch(self, f_wt: Tensor) -> Tensor:
+        """4C x h2 x w2 subbands -> C x 2h2 x 2w2 reconstruction of the scanned bands."""
+        _, h2, w2 = f_wt.data.shape
+        rows = subband_tokens(f_wt)
         orders = [_ORDERS[kind](h2, w2, direction) for kind, direction in _SCAN_PATHS]
         ys = selective_scan([take_rows(rows, order) for order in orders],
                             [ssm.scan_params for ssm in self.scans])      # P x L x C
         # undo every path's order with one gather, then sum the paths
         n_paths, length = len(orders), rows.data.shape[0]
         back = np.concatenate([p * length + np.argsort(order) for p, order in enumerate(orders)])
-        unscanned = take_rows(reshape(ys, (n_paths * length, c)), back)
-        total = tsum(reshape(unscanned, (n_paths, length, c)), axis=0)
-        enhanced = conv2d(_rows_to_cat(total, (c, h2, w2)), self.proj_kernel) + self.proj_bias
-        return haar_iwt2d(subband_split(enhanced))
+        unscanned = take_rows(reshape(ys, (n_paths * length, -1)), back)
+        total = tsum(reshape(unscanned, (n_paths, length, -1)), axis=0)
+        enhanced = conv2d(token_subbands(total, h2, w2), self.proj_kernel) + self.proj_bias
+        return ihaar2d(enhanced)
 
-    def conv_branch(self, bands: SubbandSet) -> Tensor:
-        c, h2, w2 = bands.shape
-        if h2 % 2 or w2 % 2:
-            raise ValueError(f"local branch needs even subband dims, got {h2}x{w2}")
-        f_wt = subband_concat(bands)                                      # 4C x h2 x w2
-        inner = subband_concat(haar_wt2d(f_wt))                           # 16C x h2/2 x w2/2
-        inner = conv2d(inner, self.inner_kernel, pad=1) + self.inner_bias
-        inner = haar_iwt2d(subband_split(inner))                          # 4C x h2 x w2
+    def conv_branch(self, f_wt: Tensor) -> Tensor:
+        """4C x h2 x w2 subbands -> C x 2h2 x 2w2: ihaar2d(ihaar2d(conv(haar2d(f))) + skip(f))."""
+        inner = conv2d(haar2d(f_wt), self.inner_kernel, pad=1) + self.inner_bias
         skip = conv2d(f_wt, self.skip_kernel, pad=1) + self.skip_bias
-        return haar_iwt2d(subband_split(inner + skip))                    # C x H x W
+        return ihaar2d(ihaar2d(inner) + skip)
 
     def __call__(self, feature: Tensor) -> Tensor:
         _, h, w = feature.data.shape
         if h % 4 or w % 4:
             raise ValueError(f"denoiser needs H, W divisible by 4, got {h}x{w}")
-        bands = haar_wt2d(feature)
-        return self.scan_branch(bands) + self.conv_branch(bands)
+        f_wt = haar2d(feature)
+        return self.scan_branch(f_wt) + self.conv_branch(f_wt)

@@ -156,10 +156,15 @@ def registered_cases() -> dict[str, Callable[[int], tuple[Callable, Tensor]]]:
         x = Tensor(rng.uniform(-1.5, 1.5, size=(3, 4)))
         return (lambda t: ops.tsum(ops.mul(ops.index_axis(t, 0, 1), ops.index_axis(t, 0, 1)))), x
 
-    def build_pad2d(seed):
-        rng = np.random.default_rng(seed)
-        x = Tensor(rng.uniform(-1.5, 1.5, size=(2, 3, 3)))
-        return (lambda t: ops.tsum(ops.mul(ops.pad2d(t, 1), ops.pad2d(t, 1)))), x
+    def haar_case(op, shape):
+        """A weighted square sum of the op's output, so the four subbands (or
+        the four block entries) get different gradients."""
+        def build(seed):
+            rng = np.random.default_rng(seed)
+            x = Tensor(rng.uniform(-1.5, 1.5, size=shape))
+            w = rng.uniform(0.5, 1.5, size=op(x).data.shape)
+            return (lambda t: ops.tsum(ops.mul(ops.mul(op(t), op(t)), w))), x
+        return build
 
     def build_take_rows(seed):
         rng = np.random.default_rng(seed)
@@ -295,7 +300,8 @@ def registered_cases() -> dict[str, Callable[[int], tuple[Callable, Tensor]]]:
         "concat": build_concat,
         "narrow": build_narrow,
         "index_axis": build_index_axis,
-        "pad2d": build_pad2d,
+        "haar2d": haar_case(ops.haar2d, (2, 4, 6)),
+        "ihaar2d": haar_case(ops.ihaar2d, (8, 2, 3)),
         "take_rows": build_take_rows,
         "softmax": build_softmax,
         "conv2d": build_conv2d,

@@ -377,23 +377,6 @@ def index_axis(a, axis: int, i: int) -> Tensor:
 
 
 @_diffop
-def pad2d(a, pad: int) -> Tensor:
-    """Zero-pad the last two axes by `pad` on every side."""
-    a = as_tensor(a)
-    if pad == 0:
-        return a
-    width = [(0, 0)] * (a.data.ndim - 2) + [(pad, pad), (pad, pad)]
-    out = Tensor(np.pad(a.data, width), a.requires_grad)
-
-    def bwd(g):
-        sl = (Ellipsis, slice(pad, -pad), slice(pad, -pad))
-        a.accumulate_grad(g[sl])
-
-    _record(out, bwd)
-    return out
-
-
-@_diffop
 def take_rows(a, idx: np.ndarray) -> Tensor:
     """Gather rows of a rank-2 tensor. Duplicate indices accumulate on backward."""
     a = as_tensor(a)
@@ -406,6 +389,71 @@ def take_rows(a, idx: np.ndarray) -> Tensor:
         n, c = a.data.shape
         keys = (idx % n)[..., None] * c + np.arange(c)
         a.accumulate_grad(_scatter_add(keys, g, n * c).reshape(n, c))
+
+    _record(out, bwd)
+    return out
+
+
+def _butterfly(p, q, r, s):
+    """The 4-point Haar map [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1],
+    [1, -1, -1, 1]] / 2, each output summed left to right: ((p + q) + r) + s."""
+    u, v = p + q, p - q
+    return (u + r + s) * 0.5, (v + r - s) * 0.5, (u - r - s) * 0.5, (v - r + s) * 0.5
+
+
+def _butterfly_reversed(p, q, r, s):
+    """The same map summed right to left, the order in which the Haar transform
+    composed from elementwise tape ops accumulates its gradients."""
+    u, v = s + r, r - s
+    return (u + q + p) * 0.5, (v - q + p) * 0.5, (q - u + p) * 0.5, (s - r - q + p) * 0.5
+
+
+def _haar_analysis(x: np.ndarray, combine=_butterfly) -> np.ndarray:
+    """C x H x W -> 4C x H/2 x W/2: each 2x2 block [[a, b], [c, d]] to LL, LH, HL, HH."""
+    return np.concatenate(combine(x[:, 0::2, 0::2], x[:, 0::2, 1::2],
+                                  x[:, 1::2, 0::2], x[:, 1::2, 1::2]))
+
+
+def _haar_synthesis(y: np.ndarray, combine=_butterfly) -> np.ndarray:
+    """4C x h x w -> C x 2h x 2w: the LL, LH, HL, HH channel blocks to a, b, c, d."""
+    c4, h, w = y.shape
+    x = np.empty((c4 // 4, 2 * h, 2 * w))
+    x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2] = \
+        combine(*np.split(y, 4))
+    return x
+
+
+@_diffop
+def haar2d(x) -> Tensor:
+    """Single-level orthonormal 2D Haar analysis, C x H x W -> 4C x H/2 x W/2, with
+    the LL, LH, HL and HH subbands of all C channels stacked in that order.
+
+    The map is symmetric and orthonormal, so the backward is the synthesis;
+    it adds the terms in reverse order, so the gradients are bitwise those
+    of the transform composed from elementwise ops.
+    """
+    x = as_tensor(x)
+    if x.data.ndim != 3 or x.data.shape[1] % 2 or x.data.shape[2] % 2:
+        raise ValueError(f"haar2d needs a C x H x W input with even H and W, got {x.data.shape}")
+    out = Tensor(_haar_analysis(x.data), x.requires_grad)
+
+    def bwd(g):
+        x.accumulate_grad(_haar_synthesis(g, _butterfly_reversed))
+
+    _record(out, bwd)
+    return out
+
+
+@_diffop
+def ihaar2d(y) -> Tensor:
+    """Haar synthesis, the exact inverse of ``haar2d``: 4C x h x w -> C x 2h x 2w."""
+    y = as_tensor(y)
+    if y.data.ndim != 3 or y.data.shape[0] % 4:
+        raise ValueError(f"ihaar2d needs a 4C x h x w input, got {y.data.shape}")
+    out = Tensor(_haar_synthesis(y.data), y.requires_grad)
+
+    def bwd(g):
+        y.accumulate_grad(_haar_analysis(g, _butterfly_reversed))
 
     _record(out, bwd)
     return out

@@ -20,6 +20,7 @@ features with true poses, same weights).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -165,46 +166,53 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be a JSON boolean, got {doc[name]!r}")
         try:
             if "H" in doc:
-                cfg.height = int(doc["H"])
+                cfg.height = _as_int(doc["H"], "H")
             if "W" in doc:
-                cfg.width = int(doc["W"])
+                cfg.width = _as_int(doc["W"], "W")
             if "C" in doc:
-                cfg.channels = int(doc["C"])
+                cfg.channels = _as_int(doc["C"], "C")
             if "K" in doc:
-                cfg.buffer_k = int(doc["K"])
+                cfg.buffer_k = _as_int(doc["K"], "K")
             if "scales" in doc:
-                cfg.scales = tuple(int(s) for s in doc["scales"])
+                cfg.scales = tuple(_as_int(s, "scales") for s in doc["scales"])
             if "k" in doc:
                 cfg.retention = float(doc["k"])
-            for name, attr in (("ssm_state_dim", "ssm_state_dim"),
-                               ("anchor_points", "anchor_points"),
-                               ("n_agents", "n_agents"), ("n_objects", "n_objects"),
-                               ("eval_scenarios", "eval_scenarios"),
-                               ("eval_measure_ticks", "eval_measure_ticks"),
-                               ("seed", "seed")):
+            for name in ("ssm_state_dim", "anchor_points", "n_agents", "n_objects",
+                         "eval_scenarios", "eval_measure_ticks", "seed"):
                 if name in doc:
-                    setattr(cfg, attr, int(doc[name]))
+                    setattr(cfg, name, _as_int(doc[name], name))
             for name in ("cell_size", "bounds_m", "fov_ego_m", "fov_collab_m"):
                 if name in doc:
                     setattr(cfg, name, float(doc[name]))
             ch, base = doc.get("channel", {}), cfg.channel
             cfg.channel = ChannelConfig(
-                max_latency_ticks=int(ch.get("L_ticks", base.max_latency_ticks)),
+                max_latency_ticks=_as_int(ch.get("L_ticks", base.max_latency_ticks),
+                                          "channel.L_ticks"),
                 drop_p=float(ch.get("drop_p", base.drop_p)),
                 loc_sigma=float(ch.get("loc_sigma", base.loc_sigma)),
                 head_sigma=float(ch.get("head_sigma", base.head_sigma)),
-                seed=int(ch.get("seed", base.seed)))
+                seed=_as_int(ch.get("seed", base.seed), "channel.seed"))
             tr, spec = doc.get("training", {}), cfg.training
             cfg.training = TrainSpec(
-                steps=int(tr.get("steps", spec.steps)),
+                steps=_as_int(tr.get("steps", spec.steps), "training.steps"),
                 learning_rate=float(tr.get("learning_rate", spec.learning_rate)),
-                batch_scenes=int(tr.get("batch_scenes", spec.batch_scenes)),
-                seed=int(tr.get("seed", spec.seed)))
+                batch_scenes=_as_int(tr.get("batch_scenes", spec.batch_scenes),
+                                     "training.batch_scenes"),
+                seed=_as_int(tr.get("seed", spec.seed), "training.seed"))
             for name in ("stsync", "wtden", "adpsel"):
                 setattr(cfg, name, doc.get(name, getattr(cfg, name)))
         except (TypeError, ValueError) as e:
             raise ConfigError(f"malformed config: {e}") from e
         return cfg.validate()
+
+
+def _as_int(value, name: str) -> int:
+    """`value` as an int: an integral float such as 8.0 reads as 8; a boolean
+    or a non-integral number is rejected."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _reject_unknown(doc: dict, known: dict, where: str) -> None:

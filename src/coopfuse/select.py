@@ -19,8 +19,8 @@ import numpy as np
 
 from .ops import (concat, conv2d, elu_plus_one, global_pool, index_axis,
                   matmul, relu, reshape, softmax, take_rows, transpose, tsum)
-from .sync import ParamBlock, identity_kernel
-from .tensor import Tensor
+from .sync import identity_kernel
+from .tensor import ParamBlock, Tensor
 
 
 class BlockGrid:

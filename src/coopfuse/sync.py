@@ -19,7 +19,7 @@ import numpy as np
 
 from .ops import (bilinear_sample, concat, conv2d, global_pool, index_axis,
                   matmul, narrow, relu, reshape, sigmoid, softmax)
-from .tensor import Parameter, Tensor
+from .tensor import ParamBlock, Parameter, Tensor
 
 _GRID_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
@@ -39,21 +39,6 @@ def identity_kernel(c: int, k: int = 3) -> np.ndarray:
     for i in range(c):
         ker[i, i, k // 2, k // 2] = 1.0
     return ker
-
-
-class ParamBlock:
-    """Base for parameterized blocks: owns a flat name -> Parameter dict."""
-
-    def __init__(self):
-        self.params: dict[str, Parameter] = {}
-
-    def _p(self, name: str, data) -> Parameter:
-        p = Parameter(np.asarray(data, dtype=np.float64), name)
-        self.params[name] = p
-        return p
-
-    def parameters(self) -> dict[str, Parameter]:
-        return dict(self.params)
 
 
 class LazyEntries:

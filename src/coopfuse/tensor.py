@@ -95,6 +95,21 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
+class ParamBlock:
+    """Base for parameterized blocks: owns a flat name -> Parameter dict."""
+
+    def __init__(self):
+        self.params: dict[str, Parameter] = {}
+
+    def _p(self, name: str, data) -> Parameter:
+        p = Parameter(np.asarray(data, dtype=np.float64), name)
+        self.params[name] = p
+        return p
+
+    def parameters(self) -> dict[str, Parameter]:
+        return dict(self.params)
+
+
 class Tape:
     """Ordered record of executed operations for one forward pass."""
 

@@ -1,4 +1,4 @@
-"""Orthonormal single-level 2D Haar analysis/synthesis.
+"""Orthonormal single-level 2D Haar analysis/synthesis, one subband per Tensor.
 
 For each non-overlapping 2x2 block [[a, b], [c, d]] per channel:
 
@@ -6,14 +6,18 @@ For each non-overlapping 2x2 block [[a, b], [c, d]] per channel:
     hl = (a + b - c - d) / 2      hh = (a - b - c + d) / 2
 
 The transform matrix is symmetric orthogonal, so synthesis applies the
-same combination to the subbands and energy is preserved exactly.
+same combination to the subbands and energy is preserved exactly. The
+arithmetic lives in the tape ops ``ops.haar2d`` and ``ops.ihaar2d``, which
+keep the four subbands stacked as one 4C-channel tensor; this module splits
+that tensor into a ``SubbandSet`` and back, for callers that want the bands
+by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ops import concat, index_axis, narrow, reshape, scale
+from .ops import concat, haar2d, ihaar2d, narrow
 from .tensor import Tensor
 
 
@@ -31,59 +35,15 @@ class SubbandSet:
         if len(shapes) != 1:
             raise ValueError(f"subband shapes differ: {sorted(shapes)}")
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.ll.data.shape
-
     def bands(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         return (self.ll, self.lh, self.hl, self.hh)
 
 
 def haar_wt2d(x: Tensor) -> SubbandSet:
-    c, h, w = x.data.shape
-    if h % 2 or w % 2:
-        raise ValueError(f"haar_wt2d needs even spatial dims, got H={h}, W={w}")
-    r = reshape(x, (c, h // 2, 2, w // 2, 2))
-    even_col = index_axis(r, 4, 0)
-    odd_col = index_axis(r, 4, 1)
-    a = index_axis(even_col, 2, 0)
-    b = index_axis(odd_col, 2, 0)
-    cc = index_axis(even_col, 2, 1)
-    d = index_axis(odd_col, 2, 1)
-    return SubbandSet(
-        ll=scale(a + b + cc + d, 0.5),
-        lh=scale(a - b + cc - d, 0.5),
-        hl=scale(a + b - cc - d, 0.5),
-        hh=scale(a - b - cc + d, 0.5),
-    )
+    stacked = haar2d(x)
+    c = stacked.data.shape[0] // 4
+    return SubbandSet(*(narrow(stacked, 0, i * c, c) for i in range(4)))
 
 
 def haar_iwt2d(bands: SubbandSet) -> Tensor:
-    ll, lh, hl, hh = bands.bands()
-    c, h2, w2 = ll.data.shape
-    a = scale(ll + lh + hl + hh, 0.5)
-    b = scale(ll - lh + hl - hh, 0.5)
-    cc = scale(ll + lh - hl - hh, 0.5)
-    d = scale(ll - lh - hl + hh, 0.5)
-    col5 = (c, h2, 1, w2, 1)
-    top = concat([reshape(a, col5), reshape(b, col5)], axis=4)
-    bot = concat([reshape(cc, col5), reshape(d, col5)], axis=4)
-    return reshape(concat([top, bot], axis=2), (c, 2 * h2, 2 * w2))
-
-
-def subband_concat(bands: SubbandSet) -> Tensor:
-    """Channel-stack the subbands in the fixed order LL, LH, HL, HH."""
-    return concat(list(bands.bands()), axis=0)
-
-
-def subband_split(x: Tensor) -> SubbandSet:
-    c4 = x.data.shape[0]
-    if c4 % 4:
-        raise ValueError(f"subband_split needs 4k channels, got {c4}")
-    c = c4 // 4
-    return SubbandSet(
-        ll=narrow(x, 0, 0, c),
-        lh=narrow(x, 0, c, c),
-        hl=narrow(x, 0, 2 * c, c),
-        hh=narrow(x, 0, 3 * c, c),
-    )
+    return ihaar2d(concat(list(bands.bands()), axis=0))

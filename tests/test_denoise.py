@@ -6,61 +6,63 @@ import numpy as np
 import pytest
 
 from coopfuse import ops
-from coopfuse.denoise import (_SCAN_PATHS, ScanSequence, SelectiveScan, WaveletDenoiser,
-                              interleaved_order, interleaved_scan, inverse_scan,
-                              progressive_order, progressive_scan)
+from coopfuse.denoise import (_SCAN_PATHS, SelectiveScan, WaveletDenoiser, interleaved_order,
+                              progressive_order, subband_tokens, token_subbands)
 from coopfuse.gradcheck import grad_check
 from coopfuse.tensor import Tape, Tensor
-from coopfuse.wavelet import SubbandSet, haar_iwt2d, subband_concat, subband_split
 from coopfuse.world import stream
 
 
 def random_bands(seed, c=2, h2=4, w2=4):
+    """A random 4C x h2 x w2 subband tensor."""
     rng = np.random.default_rng(seed)
-    return SubbandSet(*(Tensor(rng.normal(size=(c, h2, w2))) for _ in range(4)))
+    return Tensor(rng.normal(size=(4 * c, h2, w2)))
 
 
 def tagged_bands(c=1, h2=2, w2=2):
     """Each element value encodes (band, position) for order inspection."""
-    bands = []
-    for b in range(4):
-        vals = b * 100 + np.arange(h2 * w2, dtype=float).reshape(1, h2, w2)
-        bands.append(Tensor(np.tile(vals, (c, 1, 1))))
-    return SubbandSet(*bands)
+    vals = 100 * np.arange(4.0)[:, None] + np.arange(h2 * w2, dtype=float)
+    return Tensor(np.repeat(vals.reshape(4, 1, h2, w2), c, axis=1).reshape(4 * c, h2, w2))
+
+
+def scan_tokens(bands, order_fn, direction):
+    """The token sequence of one scan path, as scan_branch gathers it."""
+    _, h2, w2 = bands.data.shape
+    return ops.take_rows(subband_tokens(bands), order_fn(h2, w2, direction))
 
 
 class TestScanOrders:
     def test_progressive_starts_at_hh_origin(self):
-        seq = progressive_scan(tagged_bands(), "forward")
-        assert seq.values.data[0, 0] == 300.0        # HH(0,0)
+        seq = scan_tokens(tagged_bands(), progressive_order, "forward")
+        assert seq.data[0, 0] == 300.0        # HH(0,0)
         # whole-band order: HH block, then HL, LH, LL
-        first_per_quarter = seq.values.data[::4, 0][: 4]
-        assert list(seq.values.data[[0, 4, 8, 12], 0]) == [300.0, 200.0, 100.0, 0.0]
+        assert list(seq.data[[0, 4, 8, 12], 0]) == [300.0, 200.0, 100.0, 0.0]
 
     def test_interleaved_first_four_tokens(self):
-        seq = interleaved_scan(tagged_bands(), "forward")
-        assert list(seq.values.data[:4, 0]) == [0.0, 100.0, 200.0, 300.0]
+        seq = scan_tokens(tagged_bands(), interleaved_order, "forward")
+        assert list(seq.data[:4, 0]) == [0.0, 100.0, 200.0, 300.0]
 
     def test_sequence_length(self):
-        seq = interleaved_scan(random_bands(0, c=3, h2=4, w2=8), "forward")
-        assert seq.values.data.shape == (4 * 4 * 8, 3)
+        seq = scan_tokens(random_bands(0, c=3, h2=4, w2=8), interleaved_order, "forward")
+        assert seq.data.shape == (4 * 4 * 8, 3)
 
     def test_reverse_is_exact_reversal(self):
-        fwd = progressive_scan(tagged_bands(), "forward")
-        rev = progressive_scan(tagged_bands(), "reverse")
-        assert np.array_equal(rev.values.data, fwd.values.data[::-1])
-        fwd_i = interleaved_scan(tagged_bands(), "forward")
-        rev_i = interleaved_scan(tagged_bands(), "reverse")
-        assert np.array_equal(rev_i.values.data, fwd_i.values.data[::-1])
+        for order_fn in (progressive_order, interleaved_order):
+            fwd = scan_tokens(tagged_bands(c=2), order_fn, "forward")
+            rev = scan_tokens(tagged_bands(c=2), order_fn, "reverse")
+            assert np.array_equal(rev.data, fwd.data[::-1])
 
-    @pytest.mark.parametrize("scan_fn", [progressive_scan, interleaved_scan])
+    @pytest.mark.parametrize("order_fn", [progressive_order, interleaved_order],
+                             ids=["progressive_scan", "interleaved_scan"])
     @pytest.mark.parametrize("direction", ["forward", "reverse"])
-    def test_bitwise_roundtrip(self, scan_fn, direction):
+    def test_bitwise_roundtrip(self, order_fn, direction):
         for seed in range(25):
             bands = random_bands(seed)
-            back = inverse_scan(scan_fn(bands, direction))
-            for u, v in zip(bands.bands(), back.bands()):
-                assert np.array_equal(u.data, v.data)
+            _, h2, w2 = bands.data.shape
+            order = order_fn(h2, w2, direction)
+            seq = ops.take_rows(subband_tokens(bands), order)
+            back = token_subbands(ops.take_rows(seq, np.argsort(order)), h2, w2)
+            assert np.array_equal(back.data, bands.data)
 
     def test_orders_are_permutations(self):
         for order_fn in (progressive_order, interleaved_order):
@@ -161,14 +163,16 @@ def composed_scan(ssm, values):
 
 def composed_scan_branch(den, bands):
     """WaveletDenoiser.scan_branch path by path, on composed_scan."""
+    _, h2, w2 = bands.data.shape
+    rows = subband_tokens(bands)
     total = None
     for ssm, (kind, direction) in zip(den.scans, _SCAN_PATHS):
-        seq = (progressive_scan if kind == "prog" else interleaved_scan)(bands, direction)
-        y = composed_scan(ssm, seq.values)
-        cat = subband_concat(inverse_scan(ScanSequence(y, seq.order, seq.band_shape)))
-        total = cat if total is None else total + cat
+        order = (progressive_order if kind == "prog" else interleaved_order)(h2, w2, direction)
+        y = composed_scan(ssm, ops.take_rows(rows, order))
+        back = token_subbands(ops.take_rows(y, np.argsort(order)), h2, w2)
+        total = back if total is None else total + back
     enhanced = ops.conv2d(total, den.proj_kernel) + den.proj_bias
-    return haar_iwt2d(subband_split(enhanced))
+    return ops.ihaar2d(enhanced)
 
 
 def perturb_scans(scans, rng):
@@ -215,9 +219,8 @@ class TestFusedScan:
         rng = np.random.default_rng(seed)
         den = WaveletDenoiser(3, 4, stream(seed, "d"))
         perturb_scans(den.scans, rng)
-        bands = SubbandSet(*(Tensor(rng.normal(size=(3, 8, 8)), requires_grad=True)
-                             for _ in range(4)))
-        inputs = [*bands.bands(), *(p for ssm in den.scans for p in ssm.scan_params),
+        bands = Tensor(rng.normal(size=(12, 8, 8)), requires_grad=True)
+        inputs = [bands, *(p for ssm in den.scans for p in ssm.scan_params),
                   den.proj_kernel, den.proj_bias]
         weights = rng.normal(size=(3, 16, 16))
         y, grads = run_with_grads(lambda: den.scan_branch(bands), inputs, weights)
@@ -238,8 +241,7 @@ class TestFusedScan:
 class TestScanBranch:
     def test_zero_bands_zero_output(self):
         den = WaveletDenoiser(2, 4, stream(0, "d"))
-        z = Tensor(np.zeros((2, 4, 4)))
-        out = den.scan_branch(SubbandSet(z, z, z, z))
+        out = den.scan_branch(Tensor(np.zeros((8, 4, 4))))
         assert np.max(np.abs(out.data)) < 1e-12
 
     def test_identity_paths_and_quarter_projection(self):
@@ -251,7 +253,7 @@ class TestScanBranch:
         den.proj_bias.data = np.zeros_like(den.proj_bias.data)
         bands = random_bands(11, c=c, h2=4, w2=4)
         out = den.scan_branch(bands)
-        want = haar_iwt2d(bands)
+        want = ops.ihaar2d(bands)
         assert np.max(np.abs(out.data - want.data)) < 1e-12
 
     def test_output_shape(self):
@@ -275,8 +277,7 @@ class TestConvBranch:
 
     def test_zero_bands_zero_output(self):
         den = WaveletDenoiser(2, 4, stream(3, "d"))
-        z = Tensor(np.zeros((2, 4, 4)))
-        assert np.max(np.abs(den.conv_branch(SubbandSet(z, z, z, z)).data)) < 1e-12
+        assert np.max(np.abs(den.conv_branch(Tensor(np.zeros((8, 4, 4)))).data)) < 1e-12
 
     def test_identity_convs_collapse_to_double(self):
         c = 2
@@ -286,9 +287,7 @@ class TestConvBranch:
         out = den.conv_branch(bands)
         # inner path reconstructs F_wt exactly, skip adds another F_wt:
         # the outer synthesis then sees 2 * F_wt
-        doubled = subband_concat(bands).data * 2.0
-        from coopfuse.wavelet import subband_split
-        want = haar_iwt2d(subband_split(Tensor(doubled)))
+        want = ops.ihaar2d(Tensor(bands.data * 2.0))
         assert np.max(np.abs(out.data - want.data)) < 1e-12
 
     def test_shape(self):
@@ -319,6 +318,13 @@ class TestDenoiserForward:
         x = rng.normal(size=(c, 8, 8))
         out = den(Tensor(x))
         assert np.max(np.abs(out.data - 3.0 * x)) < 1e-11
+
+    def test_one_call_records_at_most_30(self):
+        den = WaveletDenoiser(2, 4, stream(11, "d"))
+        x = Tensor(np.random.default_rng(18).normal(size=(2, 8, 8)), requires_grad=True)
+        with Tape() as tape:
+            den(x)
+        assert len(tape) <= 30
 
     def test_indivisible_dims_rejected(self):
         den = WaveletDenoiser(2, 4, stream(9, "d"))

@@ -91,6 +91,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig.from_json({"H": "not-a-number"})
 
+    def test_integral_floats_read_as_ints(self):
+        cfg = PipelineConfig.from_json({"C": 8.0, "channel": {"L_ticks": 2.0},
+                                        "training": {"batch_scenes": 1.0}})
+        assert (cfg.channels, cfg.channel.max_latency_ticks, cfg.training.batch_scenes) == (8, 2, 1)
+        assert isinstance(cfg.channels, int)
+
     def test_omitted_channel_keys_keep_defaults(self):
         cfg = PipelineConfig.from_json({"channel": {"L_ticks": 2}})
         default = PipelineConfig().channel

@@ -256,7 +256,9 @@ class TestCli:
         {"scales": [0]}, {"scales": []}, {"cell_size": float("inf")},
         {"training": {"learning_rate": float("nan")}},
         {"training": {"learning_rate": -1e-3}}, {"fov_ego_m": -1},
-        {"fov_collab_m": 0}, {"bounds_m": 0},
+        {"fov_collab_m": 0}, {"bounds_m": 0}, {"H": 32.5}, {"K": 2.9},
+        {"channel": {"L_ticks": 2.7}}, {"C": True}, {"scales": [2, 4.5]},
+        {"training": {"steps": False}},
     ])
     def test_rejected_field_exit_code(self, tmp_path, doc):
         bad = tmp_path / "bad.json"

@@ -16,13 +16,11 @@ nonfinite training loss or evaluation metric; no metrics.csv is written).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
-from .pipeline import (ConfigError, Pipeline, PipelineConfig, config_label,
-                       evaluate, load_config)
+from .pipeline import Pipeline, PipelineConfig, config_label, evaluate, load_config
 from .sweeps import (ablation_suite, history_loss_sweep, latency_sweep,
                      metric_row, retention_sweep, write_loss_curve_csv,
                      write_metrics_csv, write_trace_csv, DEFAULT_RETENTIONS)
@@ -72,10 +70,11 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         args.out.mkdir(parents=True, exist_ok=True)
         if args.command == "run":
+            scenario = (cfg.check_scenario(load_scenario(args.scenario))
+                        if args.scenario else None)
             pipe = Pipeline(cfg)
             if args.params:
                 pipe.load(args.params)
-            scenario = load_scenario(args.scenario) if args.scenario else None
             trace: list = []
             rec = evaluate(pipe, config_id=config_label(cfg), scenario=scenario,
                            trace_rows=trace)
@@ -114,7 +113,7 @@ def main(argv=None) -> int:
     except DivergenceError as e:
         print(f"divergence: {e}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:      # ConfigError and JSONDecodeError are ValueErrors
         print(f"config error: {e}", file=sys.stderr)
         return 2
     return 0

@@ -20,8 +20,7 @@ features with true poses, same weights).
 from __future__ import annotations
 
 import json
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -30,195 +29,81 @@ import numpy as np
 from .denoise import WaveletDenoiser
 from .ops import concat, conv2d, reshape
 from .select import FeatureSelector
+from .schema import ConfigError, check, entry, read, write
 from .serialize import assign_params, load_params, save_params
 from .sync import FeatureBuffer, Integrator, TemporalSync
 from .tensor import Parameter, Tensor, no_grad
-from .world import (Channel, ChannelConfig, Scenario, make_scenario,
+from .world import (LIMIT_M, Channel, ChannelConfig, Scenario, make_scenario,
                     perturb_pose, render_bev, step_scene, stream,
                     transform_to_ego)
 
 
-class ConfigError(ValueError):
-    """Raised for invalid pipeline configuration (CLI exit code 2)."""
-
-
 @dataclass
 class TrainSpec:
-    steps: int = 500
-    learning_rate: float = 1e-3
-    batch_scenes: int = 1
-    seed: int = 0
+    steps: int = entry("steps", 500, ge=1)
+    learning_rate: float = entry("learning_rate", 1e-3, ge=0.0)   # 0 keeps the parameters
+    batch_scenes: int = entry("batch_scenes", 1, ge=1)
+    seed: int = entry("seed", 0)
 
 
 @dataclass
 class PipelineConfig:
-    height: int = 32
-    width: int = 32
-    channels: int = 8
-    buffer_k: int = 4
-    scales: tuple[int, ...] = (4, 8)
-    retention: float = 0.3
-    ssm_state_dim: int = 16
-    anchor_points: int = 4
-    cell_size: float = 0.75
-    n_agents: int = 3
-    n_objects: int = 5
-    bounds_m: float = 9.0
-    fov_ego_m: float = 8.0
-    fov_collab_m: float = 9.0
-    eval_scenarios: int = 6
-    eval_measure_ticks: int = 8
-    channel: ChannelConfig = field(default_factory=lambda: ChannelConfig(
+    height: int = entry("H", 32, ge=4)
+    width: int = entry("W", 32, ge=4)
+    channels: int = entry("C", 8, ge=2)       # occupancy plus positional channels
+    buffer_k: int = entry("K", 4, ge=1)
+    scales: tuple[int, ...] = entry("scales", (4, 8), ge=1)
+    retention: float = entry("k", 0.3, gt=0.0, le=1.0)
+    ssm_state_dim: int = entry("ssm_state_dim", 16, ge=1)
+    anchor_points: int = entry("anchor_points", 4, ge=1)
+    cell_size: float = entry("cell_size", 0.75, ge=1 / LIMIT_M)
+    n_agents: int = entry("n_agents", 3, ge=1)
+    n_objects: int = entry("n_objects", 5, ge=0)
+    bounds_m: float = entry("bounds_m", 9.0, gt=0.0, le=LIMIT_M)
+    fov_ego_m: float = entry("fov_ego_m", 8.0, gt=0.0)
+    fov_collab_m: float = entry("fov_collab_m", 9.0, gt=0.0)
+    eval_scenarios: int = entry("eval_scenarios", 6, ge=1)
+    eval_measure_ticks: int = entry("eval_measure_ticks", 8, ge=1)
+    channel: ChannelConfig = entry("channel", default_factory=lambda: ChannelConfig(
         max_latency_ticks=3, drop_p=0.0, loc_sigma=0.2, head_sigma=0.2 * np.pi / 18))
-    training: TrainSpec = field(default_factory=TrainSpec)
-    stsync: bool = True
-    wtden: bool = True
-    adpsel: bool = True
-    seed: int = 0
+    training: TrainSpec = entry("training", default_factory=TrainSpec)
+    stsync: bool = entry("stsync", True)
+    wtden: bool = entry("wtden", True)
+    adpsel: bool = entry("adpsel", True)
+    seed: int = entry("seed", 0)
 
     def validate(self) -> "PipelineConfig":
+        """Check every field against its table entry, then the rules that tie fields together."""
+        check(self, "config")
         if self.height % 4 or self.width % 4:
             raise ConfigError(f"grid must be divisible by 4, got "
                               f"{self.height}x{self.width}")
-        if not self.scales or min(self.scales) < 1:
-            raise ConfigError(f"scales must be a nonempty list of values >= 1, "
-                              f"got {list(self.scales)}")
         for s in self.scales:
             if self.height % s or self.width % s:
                 raise ConfigError(f"scale {s} does not divide grid "
                                   f"{self.height}x{self.width}")
-        if not 0.0 < self.retention <= 1.0:
-            raise ConfigError(f"retention must lie in (0, 1], got {self.retention}")
-        if self.buffer_k < 1:
-            raise ConfigError(f"buffer capacity must be >= 1, got {self.buffer_k}")
-        if self.channels < 1:
-            raise ConfigError(f"channels must be >= 1, got {self.channels}")
-        if self.n_agents < 1:
-            raise ConfigError(f"need at least the ego agent, got {self.n_agents}")
-        if self.training.steps < 1:
-            raise ConfigError(f"training steps must be >= 1, got {self.training.steps}")
-        if self.training.batch_scenes < 1:
-            raise ConfigError(f"batch_scenes must be >= 1, got {self.training.batch_scenes}")
-        if self.eval_scenarios < 1:
-            raise ConfigError(f"eval_scenarios must be >= 1, got {self.eval_scenarios}")
-        if self.eval_measure_ticks < 1:
-            raise ConfigError(f"eval_measure_ticks must be >= 1, got {self.eval_measure_ticks}")
-        for name, value in (("cell_size", self.cell_size), ("bounds_m", self.bounds_m),
-                            ("fov_ego_m", self.fov_ego_m),
-                            ("fov_collab_m", self.fov_collab_m)):
-            if not (np.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
-        # 0 is allowed: training then keeps the parameters as they are
-        lr = self.training.learning_rate
-        if not (np.isfinite(lr) and lr >= 0.0):
-            raise ConfigError(f"learning_rate must be finite and >= 0, got {lr}")
-        try:
-            ChannelConfig(**vars(self.channel))
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
         return self
+
+    def check_scenario(self, scenario: Scenario) -> Scenario:
+        """Check `scenario`'s fields, and that it measures a tick after the warm-up."""
+        check(scenario, "scenario")
+        warm = self.warmup_ticks_for(scenario.channel)
+        if scenario.ticks <= warm:
+            raise ConfigError(f"ticks must exceed K + channel.L_ticks = {warm}, "
+                              f"got {scenario.ticks}")
+        return scenario
 
     def warmup_ticks_for(self, channel: ChannelConfig | None = None) -> int:
         ch = channel if channel is not None else self.channel
         return self.buffer_k + ch.max_latency_ticks
 
     def to_json(self) -> dict:
-        return {
-            "H": self.height, "W": self.width, "C": self.channels,
-            "K": self.buffer_k, "scales": list(self.scales), "k": self.retention,
-            "ssm_state_dim": self.ssm_state_dim, "anchor_points": self.anchor_points,
-            "cell_size": self.cell_size, "n_agents": self.n_agents,
-            "n_objects": self.n_objects, "bounds_m": self.bounds_m,
-            "fov_ego_m": self.fov_ego_m, "fov_collab_m": self.fov_collab_m,
-            "eval_scenarios": self.eval_scenarios,
-            "eval_measure_ticks": self.eval_measure_ticks,
-            "channel": {"L_ticks": self.channel.max_latency_ticks,
-                        "drop_p": self.channel.drop_p,
-                        "loc_sigma": self.channel.loc_sigma,
-                        "head_sigma": self.channel.head_sigma},
-            "training": {"steps": self.training.steps,
-                         "learning_rate": self.training.learning_rate,
-                         "batch_scenes": self.training.batch_scenes,
-                         "seed": self.training.seed},
-            "stsync": self.stsync, "wtden": self.wtden, "adpsel": self.adpsel,
-            "seed": self.seed,
-        }
+        return write(self)
 
     @staticmethod
-    def from_json(doc: dict) -> "PipelineConfig":
-        """Read a config document; omitted keys, nested ones too, keep their defaults.
-
-        The accepted keys are those ``to_json`` writes, plus ``channel.seed``;
-        any other key is rejected.
-        """
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-        cfg = PipelineConfig()
-        known = cfg.to_json()
-        known["channel"]["seed"] = cfg.channel.seed
-        _reject_unknown(doc, known, "config")
-        for name in ("channel", "training"):
-            if not isinstance(doc.get(name, {}), dict):
-                raise ConfigError(f"{name} must be a JSON object, got {doc[name]!r}")
-            _reject_unknown(doc.get(name, {}), known[name], name)
-        for name in ("stsync", "wtden", "adpsel"):
-            if not isinstance(doc.get(name, False), bool):
-                raise ConfigError(f"{name} must be a JSON boolean, got {doc[name]!r}")
-        try:
-            if "H" in doc:
-                cfg.height = _as_int(doc["H"], "H")
-            if "W" in doc:
-                cfg.width = _as_int(doc["W"], "W")
-            if "C" in doc:
-                cfg.channels = _as_int(doc["C"], "C")
-            if "K" in doc:
-                cfg.buffer_k = _as_int(doc["K"], "K")
-            if "scales" in doc:
-                cfg.scales = tuple(_as_int(s, "scales") for s in doc["scales"])
-            if "k" in doc:
-                cfg.retention = float(doc["k"])
-            for name in ("ssm_state_dim", "anchor_points", "n_agents", "n_objects",
-                         "eval_scenarios", "eval_measure_ticks", "seed"):
-                if name in doc:
-                    setattr(cfg, name, _as_int(doc[name], name))
-            for name in ("cell_size", "bounds_m", "fov_ego_m", "fov_collab_m"):
-                if name in doc:
-                    setattr(cfg, name, float(doc[name]))
-            ch, base = doc.get("channel", {}), cfg.channel
-            cfg.channel = ChannelConfig(
-                max_latency_ticks=_as_int(ch.get("L_ticks", base.max_latency_ticks),
-                                          "channel.L_ticks"),
-                drop_p=float(ch.get("drop_p", base.drop_p)),
-                loc_sigma=float(ch.get("loc_sigma", base.loc_sigma)),
-                head_sigma=float(ch.get("head_sigma", base.head_sigma)),
-                seed=_as_int(ch.get("seed", base.seed), "channel.seed"))
-            tr, spec = doc.get("training", {}), cfg.training
-            cfg.training = TrainSpec(
-                steps=_as_int(tr.get("steps", spec.steps), "training.steps"),
-                learning_rate=float(tr.get("learning_rate", spec.learning_rate)),
-                batch_scenes=_as_int(tr.get("batch_scenes", spec.batch_scenes),
-                                     "training.batch_scenes"),
-                seed=_as_int(tr.get("seed", spec.seed), "training.seed"))
-            for name in ("stsync", "wtden", "adpsel"):
-                setattr(cfg, name, doc.get(name, getattr(cfg, name)))
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"malformed config: {e}") from e
-        return cfg.validate()
-
-
-def _as_int(value, name: str) -> int:
-    """`value` as an int: an integral float such as 8.0 reads as 8; a boolean
-    or a non-integral number is rejected."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
-                                       or isinstance(value, float) and value.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _reject_unknown(doc: dict, known: dict, where: str) -> None:
-    unknown = [key for key in doc if key not in known]
-    if unknown:
-        raise ConfigError(f"unknown {where} key {unknown[0]!r}")
+    def from_json(doc) -> "PipelineConfig":
+        """Read a config document; omitted keys, nested ones too, keep their defaults."""
+        return read(PipelineConfig, doc, "config", PipelineConfig()).validate()
 
 
 def load_config(path) -> PipelineConfig:
@@ -382,7 +267,7 @@ def evaluate(pipe: Pipeline, channel: ChannelConfig | None = None,
     ch = channel if channel is not None else cfg.channel
     ticks = cfg.warmup_ticks_for(ch) + cfg.eval_measure_ticks
     if scenario is not None:
-        scenarios = [scenario]
+        scenarios = [cfg.check_scenario(scenario)]
     else:
         scenarios = [make_scenario(eval_scenario_seed(cfg, i), ch, ticks,
                                    n_agents=cfg.n_agents, n_objects=cfg.n_objects,

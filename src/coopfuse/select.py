@@ -162,15 +162,16 @@ class SplitAttention(ParamBlock):
         hidden = max(1, c // 2)
         self.w1 = self._p(f"{prefix}.w1", 0.1 * rng.standard_normal((c, hidden)))
         self.b1 = self._p(f"{prefix}.b1", np.zeros((1, hidden)))
+        # no output bias: a shift shared by every scale's logits cancels in the
+        # softmax over scales, so it would get a zero gradient
         self.w2 = self._p(f"{prefix}.w2", 0.1 * rng.standard_normal((hidden, c)))
-        self.b2 = self._p(f"{prefix}.b2", np.zeros((1, c)))
 
     def weights(self, scale_outputs: list[Tensor]) -> Tensor:
         logits = []
         for f in scale_outputs:
             pooled = reshape(global_pool(global_pool(f, 2, "avg"), 1, "avg"), (1, -1))
             z = relu(matmul(pooled, self.w1) + self.b1)
-            logits.append(matmul(z, self.w2) + self.b2)
+            logits.append(matmul(z, self.w2))
         return softmax(concat(logits, axis=0), axis=0)       # n_scales x C
 
     def __call__(self, scale_outputs: list[Tensor]) -> Tensor:

@@ -87,13 +87,11 @@ def latency_sweep(cfg: PipelineConfig, l_values: list[int],
                   ) -> tuple[list[MetricRecord], list[dict]]:
     """Evaluate one trained model across maximum latencies, pose noise fixed."""
     cfg.validate()
-    if any(l < 0 for l in l_values):
-        raise ValueError(f"latency values must be non-negative, got {l_values}")
+    channels = [replace(cfg.channel, max_latency_ticks=int(l)) for l in l_values]
     if pipe is None:
         pipe = train(cfg).pipeline
     records, rows = [], []
-    for l_ticks in l_values:
-        ch = replace(cfg.channel, max_latency_ticks=int(l_ticks))
+    for l_ticks, ch in zip(l_values, channels):
         rec = evaluate(pipe, channel=ch, config_id=f"L={l_ticks}")
         records.append(rec)
         rows.append(metric_row(rec, ch, cfg.retention))
@@ -106,12 +104,9 @@ DEFAULT_RETENTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 def retention_sweep(cfg: PipelineConfig, k_values: list[float] = DEFAULT_RETENTIONS
                     ) -> tuple[list[MetricRecord], list[dict]]:
     """Train and evaluate one model per retention ratio, seeds shared."""
-    cfg.validate()
-    if any(not 0.0 < k <= 1.0 for k in k_values):
-        raise ValueError(f"retention values must lie in (0, 1], got {k_values}")
+    subs = [replace(cfg, retention=float(k)).validate() for k in k_values]
     records, rows = [], []
-    for k in k_values:
-        sub = replace(cfg, retention=float(k))
+    for k, sub in zip(k_values, subs):
         result = train(sub)
         rec = evaluate(result.pipeline, config_id=f"k={k}")
         records.append(rec)

@@ -15,12 +15,13 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .ops import bilinear_sample
+from .schema import ConfigError, check, entry, parse, read, write
 from .tensor import Tensor
 
 
@@ -36,11 +37,18 @@ def stream(seed: int, label: str) -> np.random.Generator:
                                                          zlib.crc32(label.encode())]))
 
 
+# Positions, velocities and pose noise stay within LIMIT_M meters and a grid
+# cell is at least 1 / LIMIT_M meters: far past any desk-scale scene, and it
+# keeps the frame transforms' products finite (grid coordinates near 1e154
+# overflow them).
+LIMIT_M = 1e6
+
+
 @dataclass(frozen=True)
 class Pose2D:
-    x: float
-    y: float
-    heading: float
+    x: float = entry("x", ge=-LIMIT_M, le=LIMIT_M)
+    y: float = entry("y", ge=-LIMIT_M, le=LIMIT_M)
+    heading: float = entry("heading")
 
     def __post_init__(self):
         object.__setattr__(self, "heading", wrap_angle(self.heading))
@@ -185,19 +193,14 @@ def transform_to_ego(feature: Tensor, sender: Pose2D, ego: Pose2D,
 
 @dataclass
 class ChannelConfig:
-    max_latency_ticks: int = 3
-    drop_p: float = 0.0
-    loc_sigma: float = 0.0
-    head_sigma: float = 0.0
-    seed: int = 0
+    max_latency_ticks: int = entry("L_ticks", 3, ge=0)
+    drop_p: float = entry("drop_p", 0.0, ge=0.0, le=1.0)
+    loc_sigma: float = entry("loc_sigma", 0.0, ge=0.0, le=LIMIT_M)
+    head_sigma: float = entry("head_sigma", 0.0, ge=0.0)
+    seed: int = 0               # not a document key: a scenario's channel takes its seed
 
     def __post_init__(self):
-        if self.max_latency_ticks < 0:
-            raise ValueError(f"max latency must be >= 0, got {self.max_latency_ticks}")
-        if not 0.0 <= self.drop_p <= 1.0:
-            raise ValueError(f"drop probability must lie in [0, 1], got {self.drop_p}")
-        if self.loc_sigma < 0 or self.head_sigma < 0:
-            raise ValueError("noise sigmas must be non-negative")
+        check(self, "channel", "channel.")
 
 
 @dataclass
@@ -235,75 +238,64 @@ class Channel:
         return sorted(ready, key=lambda p: (p.arrive_tick, p.sender))
 
 
-def channel_deliver(packets: list[FeaturePacket], cfg: ChannelConfig, now: int,
-                    rng: np.random.Generator) -> list[FeaturePacket]:
-    """One-shot form: assign fates to a packet batch, return what has arrived."""
-    delivered = []
-    for pkt in packets:
-        dropped = bool(rng.random() < cfg.drop_p)
-        latency = int(rng.integers(0, cfg.max_latency_ticks + 1))
-        arrive = -1 if dropped else pkt.emit_tick + latency
-        out = replace(pkt, arrive_tick=arrive, dropped=dropped)
-        if not dropped and arrive <= now:
-            delivered.append(out)
-    return sorted(delivered, key=lambda p: (p.arrive_tick, p.sender))
-
-
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
 
 @dataclass
 class AgentSpec:
-    id: str
-    pose: Pose2D
-    fov_m: float
+    id: str = entry("id")
+    pose: Pose2D = entry("pose")
+    fov_m: float = entry("fov_m", gt=0.0)
+
+
+@dataclass(frozen=True)
+class _SceneObject:
+    """One row of a scenario document's `objects`."""
+    x: float = entry("x", ge=-LIMIT_M, le=LIMIT_M)
+    y: float = entry("y", ge=-LIMIT_M, le=LIMIT_M)
+    w: float = entry("w", gt=0.0)
+    h: float = entry("h", gt=0.0)
+    vx: float = entry("vx", ge=-LIMIT_M, le=LIMIT_M)
+    vy: float = entry("vy", ge=-LIMIT_M, le=LIMIT_M)
+
+
+def _read_scene(doc: dict) -> Scene:
+    """A scenario document's `objects`, which may be empty, and `bounds_m`."""
+    rows = doc.get("objects")
+    objects = [] if rows == [] else parse(list[_SceneObject], rows, "objects")
+    bounds = parse(float, doc.get("bounds_m", 10.0), "bounds_m", gt=0.0, le=LIMIT_M)
+    return Scene(objects=[astuple(o) for o in objects], bounds=bounds, seed=0)
+
+
+def _write_scene(scene: Scene) -> dict:
+    return {"objects": write([_SceneObject(*o) for o in scene.objects]),
+            "bounds_m": scene.bounds}
 
 
 @dataclass
 class Scenario:
-    seed: int
-    ticks: int
-    agents: list[AgentSpec]      # ego first
-    scene: Scene
-    channel: ChannelConfig
+    seed: int = entry("seed")
+    ticks: int = entry("ticks", ge=1)
+    agents: list[AgentSpec] = entry("agents")      # ego first
+    scene: Scene = field(metadata={"keys": ("objects", "bounds_m"), "read": _read_scene,
+                                   "write": _write_scene})
+    channel: ChannelConfig = entry("channel")
+
+    def __post_init__(self):
+        ids = [a.id for a in self.agents]
+        if len(set(ids)) < len(ids):
+            raise ConfigError(f"agent ids must be unique, got {ids}")
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "ticks": self.ticks,
-            "agents": [{"id": a.id,
-                        "pose": {"x": a.pose.x, "y": a.pose.y, "heading": a.pose.heading},
-                        "fov_m": a.fov_m} for a in self.agents],
-            "objects": [{"x": o[0], "y": o[1], "w": o[2], "h": o[3],
-                         "vx": o[4], "vy": o[5]} for o in self.scene.objects],
-            "bounds_m": self.scene.bounds,
-            "channel": {"L_ticks": self.channel.max_latency_ticks,
-                        "drop_p": self.channel.drop_p,
-                        "loc_sigma": self.channel.loc_sigma,
-                        "head_sigma": self.channel.head_sigma},
-        }
+        return write(self)
 
     @staticmethod
-    def from_json(doc: dict) -> "Scenario":
-        ch = doc["channel"]
-        objects = np.array([[o["x"], o["y"], o["w"], o["h"], o["vx"], o["vy"]]
-                            for o in doc["objects"]]).reshape(-1, 6)
-        return Scenario(
-            seed=int(doc["seed"]),
-            ticks=int(doc["ticks"]),
-            agents=[AgentSpec(id=a["id"],
-                              pose=Pose2D(a["pose"]["x"], a["pose"]["y"],
-                                          a["pose"]["heading"]),
-                              fov_m=float(a["fov_m"])) for a in doc["agents"]],
-            scene=Scene(objects=objects, bounds=float(doc.get("bounds_m", 10.0)),
-                        seed=int(doc["seed"])),
-            channel=ChannelConfig(max_latency_ticks=int(ch["L_ticks"]),
-                                  drop_p=float(ch["drop_p"]),
-                                  loc_sigma=float(ch["loc_sigma"]),
-                                  head_sigma=float(ch["head_sigma"]),
-                                  seed=int(doc["seed"])),
-        )
+    def from_json(doc) -> "Scenario":
+        """Read a scenario document; every key but `bounds_m` is required."""
+        scenario = read(Scenario, doc, "scenario")
+        scenario.scene.seed = scenario.channel.seed = scenario.seed
+        return scenario
 
 
 def load_scenario(path) -> Scenario:

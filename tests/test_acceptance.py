@@ -22,8 +22,7 @@ from coopfuse.select import BlockGrid, propagate_mask, score_blocks, topk_select
 from coopfuse.sync import FeatureBuffer, TemporalSync
 from coopfuse.tensor import Tensor
 from coopfuse.wavelet import haar_iwt2d, haar_wt2d
-from coopfuse.world import (ChannelConfig, FeaturePacket, Pose2D, channel_deliver,
-                            stream, transform_to_ego)
+from coopfuse.world import Channel, ChannelConfig, Pose2D, stream, transform_to_ego
 
 CHI2_99_DF5 = 15.086
 NOISE_02 = ChannelConfig(3, 0.0, 0.2, 0.2 * np.pi / 18)
@@ -191,12 +190,12 @@ def test_05_convex_gate_bound():
 
 
 def test_06_channel_statistics():
-    cfg = ChannelConfig(max_latency_ticks=5, drop_p=0.3)
+    channel = Channel(ChannelConfig(max_latency_ticks=5, drop_p=0.3))
+    channel.rng = stream(123, "stats")
     f = Tensor(np.zeros((1, 4, 4)))
-    packets = [FeaturePacket(feature=f, sender=f"s{i % 4}", emit_tick=0,
-                             arrive_tick=-1, reported_pose=Pose2D(0, 0, 0))
-               for i in range(10000)]
-    out = channel_deliver(packets, cfg, now=10, rng=stream(123, "stats"))
+    for i in range(10000):
+        channel.send(f"s{i % 4}", f, Pose2D(0, 0, 0), 0)
+    out = channel.deliver(10)
     drop_rate = 1.0 - len(out) / 10000.0
     lat = np.array([p.arrive_tick - p.emit_tick for p in out])
     observed = np.bincount(lat, minlength=6)

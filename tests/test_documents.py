@@ -1,0 +1,157 @@
+"""Config and scenario documents from outside the program: every document
+either works or raises one one-line ConfigError."""
+
+import copy
+import json
+import math
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coopfuse.pipeline import ConfigError, Pipeline, PipelineConfig, evaluate
+from coopfuse.world import ChannelConfig, Scenario, make_scenario
+
+README = Path(__file__).parents[1] / "README.md"
+
+# values of every JSON type, some valid for a given key and most not
+ODD = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(),
+                st.floats(), st.lists(st.integers(-2, 9), max_size=3),
+                st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+def near(default):
+    """Documents or values of `default`'s JSON type, in and out of its bounds."""
+    if isinstance(default, dict):
+        return st.fixed_dictionaries({}, optional={k: near(v) for k, v in default.items()})
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.one_of(st.integers(-2, 2 * default + 4), st.integers(-2, 40).map(float))
+    if isinstance(default, float):
+        return st.floats(-0.5, 2 * default + 1)
+    return st.lists(st.integers(-1, 16), max_size=3)
+
+
+DEFAULT = PipelineConfig().to_json()
+KEYS = [(k,) for k in DEFAULT] + [(k, sub) for k, v in DEFAULT.items()
+                                  if isinstance(v, dict) for sub in v]
+
+
+@st.composite
+def config_documents(draw):
+    """A subset of the config keys, and sometimes one key (perhaps an unknown
+    one) set to a value of any JSON type."""
+    doc = draw(near(DEFAULT))
+    if draw(st.booleans()):
+        *parents, last = draw(st.sampled_from(KEYS + [("extra",), ("channel", "extra")]))
+        node = doc
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[last] = draw(ODD)
+    return doc
+
+
+def one_line(error: ConfigError) -> bool:
+    return len(str(error).splitlines()) == 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(doc=config_documents())
+def test_config_document_round_trips_or_is_rejected(doc):
+    try:
+        cfg = PipelineConfig.from_json(doc)
+    except ConfigError as e:
+        assert one_line(e), str(e)
+        return
+    out = cfg.to_json()
+    json.dumps(out, allow_nan=False)                  # every number is finite
+    assert leaf_types(out) == leaf_types(DEFAULT)
+    assert PipelineConfig.from_json(out).to_json() == out
+
+
+def leaf_types(doc: dict) -> dict:
+    return {k: leaf_types(v) if isinstance(v, dict) else type(v) for k, v in doc.items()}
+
+
+TINY = Pipeline(PipelineConfig(height=16, width=16, channels=4, buffer_k=2, scales=(4,),
+                               ssm_state_dim=4, n_objects=2,
+                               channel=ChannelConfig(1, 0.0, 0.1, 0.02)))
+BASE = make_scenario(11, TINY.cfg.channel, ticks=8, n_agents=3, n_objects=2).to_json()
+DELETE = object()
+
+
+def paths(node, prefix=()):
+    """(path, value) for every key and index path in `node`, containers included."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,), child
+        yield from paths(child, prefix + (key,))
+
+
+PATHS = sorted(paths(BASE), key=repr) + [(("extra",), None), (("bounds_m",), 10.0),
+                                         (("agents", 0, "extra"), None)]
+VALUES = st.one_of(st.integers(-2, 12), st.floats(), st.floats(-20, 20), st.booleans(),
+                   st.none(), st.sampled_from(["ego", "c1", ""]), st.just(DELETE),
+                   st.just([]), st.lists(st.integers(0, 3), max_size=2),
+                   st.dictionaries(st.sampled_from(["x", "id"]), st.integers(0, 3),
+                                   max_size=2))
+
+
+def nearby(value):
+    """Values of the same JSON type as `value`, most of them valid."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return st.just(copy.deepcopy(value))
+    if isinstance(value, int):
+        return st.integers(max(0, value - 2), value + 4)
+    if isinstance(value, float):
+        return st.floats(value - 4.0, value + 4.0)
+    return st.sampled_from(["ego", "c1", "c2", "c9"])
+
+
+@st.composite
+def scenario_documents(draw):
+    """The base scenario with up to three keys, indices or containers replaced
+    or deleted."""
+    doc = copy.deepcopy(BASE)
+    for _ in range(draw(st.integers(0, 3))):
+        (*parents, last), base_value = draw(st.sampled_from(PATHS))
+        node = doc
+        for key in parents:
+            try:
+                node = node[key]
+            except (KeyError, IndexError, TypeError):
+                break
+        else:
+            value = draw(st.one_of(nearby(base_value), VALUES))
+            if isinstance(node, dict) and isinstance(last, str):
+                node.pop(last, None) if value is DELETE else node.update({last: value})
+            elif isinstance(node, list) and isinstance(last, int) and last < len(node):
+                node[last] = None if value is DELETE else value
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(doc=scenario_documents())
+def test_scenario_document_evaluates_or_is_rejected(doc):
+    try:
+        scenario = Scenario.from_json(doc)
+        rec = evaluate(TINY, scenario=scenario)
+    except ConfigError as e:
+        assert one_line(e), str(e)
+        return
+    assert math.isfinite(rec.occupancy_iou) and math.isfinite(rec.mse_to_clean)
+
+
+def test_readme_config_block_lists_every_key():
+    text = README.read_text().split("## Configuration", 1)[1]
+    doc = json.loads(text.split("```json", 1)[1].split("```", 1)[0])
+    PipelineConfig.from_json(doc)
+
+    def keys(d, prefix=""):
+        nested = {k for key, v in d.items() if isinstance(v, dict)
+                  for k in keys(v, f"{prefix}{key}.")}
+        return {prefix + key for key in d} | nested
+
+    assert keys(doc) == keys(PipelineConfig().to_json())

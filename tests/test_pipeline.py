@@ -51,7 +51,7 @@ class TestConfig:
         {"height": 30}, {"scales": (5,)}, {"retention": 0.0},
         {"retention": 1.5}, {"buffer_k": 0}, {"n_agents": 0}, {"channels": 0},
         {"scales": (0,)}, {"scales": ()}, {"cell_size": np.inf}, {"bounds_m": 0.0},
-        {"fov_ego_m": -1.0}, {"fov_collab_m": np.nan},
+        {"fov_ego_m": -1.0}, {"fov_collab_m": np.nan}, {"channels": 1},
     ])
     def test_bad_configs_rejected(self, patch):
         cfg = PipelineConfig()
@@ -78,14 +78,11 @@ class TestConfig:
     @pytest.mark.parametrize("doc,key", [
         ({"L_tick": 2}, "L_tick"), ({"channel": {"L_tick": 2}}, "L_tick"),
         ({"training": {"step": 3}}, "step"), ({"H": 32, "stages": True}, "stages"),
-        ({"seed": 1, "channel": {"seed": 2, "sigma": 0.1}}, "sigma"),
+        ({"seed": 1, "channel": {"drop_p": 0.2, "sigma": 0.1}}, "sigma"),
     ])
     def test_unknown_keys_rejected(self, doc, key):
         with pytest.raises(ConfigError, match=repr(key)):
             PipelineConfig.from_json(doc)
-
-    def test_channel_seed_accepted(self):
-        assert PipelineConfig.from_json({"channel": {"seed": 5}}).channel.seed == 5
 
     def test_from_json_rejects_garbage(self):
         with pytest.raises(ConfigError):

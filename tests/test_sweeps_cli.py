@@ -166,6 +166,23 @@ class TestCsvSchema:
                 assert str(have) == want, col
 
 
+# Edits to a valid scenario document (3 agents, 4 objects, 6 ticks under
+# tiny_config's K=2 and L_ticks=1), each of which makes it invalid.
+SCENARIO_DEFECTS = {
+    "no_agents": lambda d: d.update(agents=[]),
+    "integer_agent_id": lambda d: d["agents"][1].update(id=7),
+    "non_object_agent": lambda d: d["agents"].__setitem__(1, "c1"),
+    "duplicate_agent_ids": lambda d: d["agents"][2].update(id=d["agents"][1]["id"]),
+    "nan_pose": lambda d: d["agents"][0]["pose"].update(x=float("nan")),
+    "negative_fov": lambda d: d["agents"][1].update(fov_m=-1.0),
+    "no_measured_tick": lambda d: d.update(ticks=3),
+    "boolean_ticks": lambda d: d.update(ticks=True),
+    "fractional_ticks": lambda d: d.update(ticks=12.7),
+    "unknown_key": lambda d: d.update(speed=1.0),
+    "infinite_velocity": lambda d: d["objects"][0].update(vx=float("inf")),
+}
+
+
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run([sys.executable, "-m", "coopfuse.cli", *args],
@@ -258,12 +275,26 @@ class TestCli:
         {"training": {"learning_rate": -1e-3}}, {"fov_ego_m": -1},
         {"fov_collab_m": 0}, {"bounds_m": 0}, {"H": 32.5}, {"K": 2.9},
         {"channel": {"L_ticks": 2.7}}, {"C": True}, {"scales": [2, 4.5]},
-        {"training": {"steps": False}},
+        {"training": {"steps": False}}, {"k": True}, {"channel": {"loc_sigma": float("inf")}},
+        {"channel": {"seed": 5}}, {"scales": 4}, {"cell_size": 1e-300},
     ])
     def test_rejected_field_exit_code(self, tmp_path, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))          # inf and nan go out as Infinity and NaN
         r = self.run_cli("train", "--config", str(bad), "--out", str(tmp_path / "o"))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("config error") and len(r.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("defect", sorted(SCENARIO_DEFECTS))
+    def test_rejected_scenario_exit_code(self, tmp_path, defect):
+        from coopfuse.world import make_scenario
+        doc = make_scenario(11, tiny_config().channel, ticks=6, n_agents=3,
+                            n_objects=4).to_json()
+        SCENARIO_DEFECTS[defect](doc)
+        scen_path = tmp_path / "scenario.json"
+        scen_path.write_text(json.dumps(doc))
+        r = self.run_cli("run", "--config", str(self.write_config(tmp_path)),
+                         "--scenario", str(scen_path), "--out", str(tmp_path / "o"))
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("config error") and len(r.stderr.splitlines()) == 1
 

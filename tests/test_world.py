@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from coopfuse.tensor import Tensor
-from coopfuse.world import (Channel, ChannelConfig, FeaturePacket, Pose2D,
-                            Scenario, Scene, channel_deliver, make_scene,
+from coopfuse.world import (Channel, ChannelConfig, Pose2D,
+                            Scenario, Scene, make_scene,
                             make_scenario, perturb_pose, render_bev, step_scene,
                             stream, transform_to_ego, wrap_angle)
 
@@ -160,27 +160,30 @@ class TestTransform:
 
 
 class TestChannel:
-    def _packets(self, n):
+    def _deliver(self, cfg, n, now, rng):
+        """Send n packets at tick 0 through a Channel drawing from rng; return
+        those that have arrived by tick `now`."""
+        ch = Channel(cfg)
+        ch.rng = rng
         f = Tensor(np.zeros((1, 4, 4)))
-        return [FeaturePacket(feature=f, sender=f"s{i % 3}", emit_tick=0,
-                              arrive_tick=-1, reported_pose=Pose2D(0, 0, 0))
-                for i in range(n)]
+        for i in range(n):
+            ch.send(f"s{i % 3}", f, Pose2D(0, 0, 0), 0)
+        return ch.deliver(now)
 
     def test_instant_lossless_channel(self):
         cfg = ChannelConfig(max_latency_ticks=0, drop_p=0.0)
-        out = channel_deliver(self._packets(20), cfg, now=0, rng=stream(0, "c"))
+        out = self._deliver(cfg, 20, now=0, rng=stream(0, "c"))
         assert len(out) == 20
         assert all(p.arrive_tick == 0 for p in out)
 
     def test_total_loss(self):
         cfg = ChannelConfig(max_latency_ticks=2, drop_p=1.0)
-        out = channel_deliver(self._packets(50), cfg, now=100, rng=stream(1, "c"))
+        out = self._deliver(cfg, 50, now=100, rng=stream(1, "c"))
         assert out == []
 
     def test_latency_uniform_and_drop_rate(self):
         cfg = ChannelConfig(max_latency_ticks=5, drop_p=0.3)
-        packets = self._packets(10000)
-        out = channel_deliver(packets, cfg, now=10, rng=stream(2, "c"))
+        out = self._deliver(cfg, 10000, now=10, rng=stream(2, "c"))
         drop_rate = 1.0 - len(out) / 10000.0
         assert abs(drop_rate - 0.3) < 0.02
         lat = np.array([p.arrive_tick - p.emit_tick for p in out])

@@ -2,8 +2,7 @@
 
 from . import ops  # noqa: F401  (attaches Tensor operator sugar)
 from .gradcheck import grad_check
-from .pipeline import (ConfigError, MetricRecord, Pipeline, PipelineConfig,
-                       evaluate, run_pipeline)
+from .pipeline import ConfigError, MetricRecord, Pipeline, PipelineConfig, evaluate
 from .tensor import Parameter, Tape, Tensor, no_grad
 from .training import Adam, DivergenceError, TrainResult, train
 from .wavelet import SubbandSet, haar_iwt2d, haar_wt2d
@@ -15,8 +14,7 @@ __all__ = [
     "MetricRecord", "Parameter", "Pipeline", "PipelineConfig", "Pose2D",
     "Scenario", "Scene", "SubbandSet", "Tape", "Tensor", "TrainResult",
     "evaluate", "grad_check", "haar_iwt2d", "haar_wt2d", "make_scenario",
-    "no_grad", "render_bev", "run_pipeline", "step_scene", "train",
-    "transform_to_ego",
+    "no_grad", "render_bev", "step_scene", "train", "transform_to_ego",
 ]
 
 __version__ = "0.1.0"

@@ -18,12 +18,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .pipeline import Pipeline, PipelineConfig, config_label, evaluate, load_config
-from .sweeps import (ablation_suite, history_loss_sweep, latency_sweep,
-                     metric_row, retention_sweep, write_loss_curve_csv,
-                     write_metrics_csv, write_trace_csv, DEFAULT_RETENTIONS)
+from .sweeps import (ABLATION_COMBOS, channel_sweep, latency_sweep, metric_row,
+                     variant_sweep, write_loss_curve_csv, write_metrics_csv,
+                     write_trace_csv)
 from .training import DivergenceError, train
 from .world import load_scenario
 
@@ -91,15 +92,18 @@ def main(argv=None) -> int:
             summary = (f"trained {cfg.training.steps} steps: loss {first:.4f} -> {last:.4f}; "
                        f"iou={rec.occupancy_iou:.4f}")
         elif args.command == "ablate":
-            _, rows = ablation_suite(cfg)
+            _, rows = variant_sweep([(label, replace(cfg, stsync=st, wtden=wt, adpsel=ad))
+                                     for label, st, wt, ad in ABLATION_COMBOS])
             summary = f"wrote {len(rows)} ablation rows"
         else:
             if args.axis == "latency":
                 _, rows = latency_sweep(cfg, [0, 1, 2, 3, 4, 5])
             elif args.axis == "retention":
-                _, rows = retention_sweep(cfg, list(DEFAULT_RETENTIONS))
+                _, rows = variant_sweep([(f"k={k}", replace(cfg, retention=k))
+                                         for k in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)])
             else:
-                _, rows = history_loss_sweep(cfg, [0.0, 0.2, 0.4, 0.6, 0.8])
+                _, rows = channel_sweep(cfg, [(f"drop={p}", replace(cfg.channel, drop_p=p))
+                                              for p in (0.0, 0.2, 0.4, 0.6, 0.8)])
             summary = f"wrote {len(rows)} sweep rows"
         for row in rows:
             bad = [f"{m}={row[m]}" for m in ("occupancy_iou", "mse_to_clean")

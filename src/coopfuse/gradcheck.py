@@ -114,17 +114,6 @@ def registered_cases() -> dict[str, Callable[[int], tuple[Callable, Tensor]]]:
         x = Tensor(base)
         return (lambda t: ops.tsum(ops.mul(ops.max_reduce(t, 1), ops.max_reduce(t, 1)))), x
 
-    def build_global_pool(seed):
-        rng = np.random.default_rng(seed)
-        base = rng.permutation(24).reshape(2, 3, 4) * 0.12 - 1.4
-        x = Tensor(base)
-
-        def f(t):
-            mx = ops.global_pool(t, 0, "max")
-            av = ops.global_pool(t, 0, "avg")
-            return ops.tsum(ops.mul(ops.add(mx, av), ops.add(mx, av)))
-        return f, x
-
     def build_reshape(seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.uniform(-1.5, 1.5, size=(3, 4)))
@@ -181,18 +170,17 @@ def registered_cases() -> dict[str, Callable[[int], tuple[Callable, Tensor]]]:
         rng = np.random.default_rng(seed)
         k = rng.uniform(-0.8, 0.8, size=(3, 2, 3, 3))
         x = Tensor(rng.uniform(-1.5, 1.5, size=(2, 5, 5)))
-        return (lambda t: ops.tsum(ops.mul(ops.conv2d(t, k, stride=1, pad=1),
-                                           ops.conv2d(t, k, stride=1, pad=1)))), x
+        return (lambda t: ops.tsum(ops.mul(ops.conv2d(t, k, pad=1), ops.conv2d(t, k, pad=1)))), x
 
     def build_conv2d_kernel(seed):
         rng = np.random.default_rng(seed)
         inp = rng.uniform(-1.5, 1.5, size=(2, 5, 5))
         x = Tensor(rng.uniform(-0.8, 0.8, size=(3, 2, 3, 3)))
-        return (lambda t: ops.tsum(ops.mul(ops.conv2d(inp, t, stride=2, pad=1),
-                                           ops.conv2d(inp, t, stride=2, pad=1)))), x
+        return (lambda t: ops.tsum(ops.mul(ops.conv2d(inp, t, pad=1),
+                                           ops.conv2d(inp, t, pad=1)))), x
 
     def conv2d_taps_case(wrt: str):
-        """A channel-reducing stride-1 conv that takes conv2d's tap form,
+        """A channel-reducing conv that takes conv2d's tap form,
         k = 3 (3 output channels) or 7 (one) by seed; the probe is the input
         or the kernel."""
         def build(seed):
@@ -310,7 +298,6 @@ def registered_cases() -> dict[str, Callable[[int], tuple[Callable, Tensor]]]:
         "conv2d_taps_kernel": conv2d_taps_case("kernel"),
         "bilinear_sample": build_bilinear,
         "bilinear_sample_coords": build_bilinear_coords,
-        "global_pool": build_global_pool,
         "bce_with_logits": build_bce,
         "linear_recurrence": build_linear_recurrence,
         "linear_recurrence_decay": build_linear_recurrence_decay,

@@ -479,15 +479,14 @@ def softmax(a, axis: int) -> Tensor:
     return out
 
 
-def _patches(xp: np.ndarray, k: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
+def _patches(xp: np.ndarray, k: int, h_out: int, w_out: int) -> np.ndarray:
     """The (C*k*k) x (h_out*w_out) im2col matrix of a C-contiguous C x H x W array.
 
     One strided view indexes every window tap in (c, ki, kj, i, j) order;
     ``reshape`` copies it once into a C-contiguous matrix.
     """
     c, s1, s2 = xp.shape[0], xp.strides[1], xp.strides[2]
-    win = np.ndarray((c, k, k, h_out, w_out), xp.dtype, xp, 0,
-                     (xp.strides[0], s1, s2, s1 * stride, s2 * stride))
+    win = np.ndarray((c, k, k, h_out, w_out), xp.dtype, xp, 0, (xp.strides[0], s1, s2, s1, s2))
     return win.reshape(c * k * k, h_out * w_out)
 
 
@@ -495,8 +494,8 @@ def _tap_windows(z: np.ndarray, h_out: int, w_out: int) -> np.ndarray:
     """The k x k x C_out x h_out x w_out view z[ki, kj, :, ki:ki+h_out, kj:kj+w_out]
     of a C-contiguous k x k x C_out x Hp x Wp array.
 
-    Summed over its first two axes, it is the stride-1 convolution whose
-    per-tap products z holds; distinct taps never share an element.
+    Summed over its first two axes, it is the convolution whose per-tap
+    products z holds; distinct taps never share an element.
     """
     s = z.strides
     return np.ndarray((*z.shape[:3], h_out, w_out), z.dtype, z, 0,
@@ -512,15 +511,15 @@ def _zero_pad(a: np.ndarray, pad: int) -> np.ndarray:
 
 
 @_diffop
-def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
+def conv2d(x, kernel, pad: int = 0) -> Tensor:
     """2D cross-correlation of a C_in x H x W input with C_out x C_in x k x k weights.
 
     Two contractions, chosen from the shapes alone. By default (im2col) the
     (C_in*k*k) x (H_out*W_out) patch matrix is built from one strided view
-    of the zero-padded input (a plain reshape for a 1x1 kernel at stride 1)
-    and multiplied by the kernel matrix in one BLAS call. At stride 1 with
-    k > 1, when C_out*Hp*Wp < C_in*H_out*W_out for the Hp x Wp padded input
-    (the per-tap product matrix is smaller than the patch matrix, as in a
+    of the zero-padded input (a plain reshape for a 1x1 kernel) and
+    multiplied by the kernel matrix in one BLAS call. With k > 1, when
+    C_out*Hp*Wp < C_in*H_out*W_out for the Hp x Wp padded input (the
+    per-tap product matrix is smaller than the patch matrix, as in a
     channel-reducing conv), it accumulates kernel to rows instead: one BLAS
     call multiplies the (k*k*C_out) x C_in tap matrix by the padded input,
     and the output sums the k*k shifted windows of that product. Only the
@@ -540,40 +539,25 @@ def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
                          f"(C_in={c_in}) but kernel has shape {kernel.data.shape} (C_in={kc_in})")
     if h + 2 * pad < k or w + 2 * pad < k:
         raise ValueError(f"conv2d spatial extent too small: input {h}x{w}, pad {pad}, kernel {k}")
-    if stride < 1:
-        raise ValueError(f"conv2d stride must be positive, got {stride}")
 
     xp = _zero_pad(x.data, pad) if pad else np.ascontiguousarray(x.data)
     hp, wp = xp.shape[1:]
-    h_out = (hp - k) // stride + 1
-    w_out = (wp - k) // stride + 1
-    if stride == 1 and k > 1 and c_out * hp * wp < c_in * h_out * w_out:
+    h_out, w_out = hp - k + 1, wp - k + 1
+    if k > 1 and c_out * hp * wp < c_in * h_out * w_out:
         return _conv2d_taps(x, kernel, xp, pad)
-    if k == 1 and stride == 1:
-        cols = xp.reshape(c_in, h_out * w_out)
-    else:
-        cols = _patches(xp, k, stride, h_out, w_out)
-    wmat = kernel.data.reshape(c_out, c_in * k * k)
-    out = Tensor((wmat @ cols).reshape(c_out, h_out, w_out),
+    cols = xp.reshape(c_in, hp * wp) if k == 1 else _patches(xp, k, h_out, w_out)
+    out = Tensor((kernel.data.reshape(c_out, c_in * k * k) @ cols).reshape(c_out, h_out, w_out),
                  x.requires_grad or kernel.requires_grad)
 
     def bwd(g):
-        gm = g.reshape(c_out, h_out * w_out)
         if kernel.requires_grad:
+            gm = g.reshape(c_out, h_out * w_out)
             kernel.accumulate_grad((gm @ cols.T).reshape(kernel.data.shape))
         if x.requires_grad:
-            if stride == 1:
-                # dx = correlation of g with the in/out-swapped, 180-rotated kernel
-                gcols = _patches(_zero_pad(g, k - 1), k, 1, hp, wp)
-                wrot = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                dxp = (wrot.reshape(c_in, c_out * k * k) @ gcols).reshape(xp.shape)
-            else:
-                dcols = (wmat.T @ gm).reshape(c_in, k, k, h_out, w_out)
-                dxp = np.zeros_like(xp)
-                for ki in range(k):
-                    for kj in range(k):
-                        dxp[:, ki:ki + stride * h_out:stride,
-                            kj:kj + stride * w_out:stride] += dcols[:, ki, kj]
+            # dx = correlation of g with the in/out-swapped, 180-rotated kernel
+            gcols = _patches(_zero_pad(g, k - 1), k, hp, wp)
+            wrot = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            dxp = (wrot.reshape(c_in, c_out * k * k) @ gcols).reshape(xp.shape)
             x.accumulate_grad(dxp[:, pad:pad + h, pad:pad + w] if pad else dxp)
 
     _record(out, bwd)
@@ -581,7 +565,7 @@ def conv2d(x, kernel, stride: int = 1, pad: int = 0) -> Tensor:
 
 
 def _conv2d_taps(x: Tensor, kernel: Tensor, xp: np.ndarray, pad: int) -> Tensor:
-    """Stride-1 conv2d by kernel-to-row accumulation on the padded input xp.
+    """conv2d by kernel-to-row accumulation on the padded input xp.
 
     Z = W_taps @ Xpad holds every tap's product with the whole padded
     input; the output sums the k*k shifted windows of Z. The backward
@@ -671,19 +655,6 @@ def bilinear_sample(x, coords) -> Tensor:
 
     _record(out, bwd)
     return out
-
-
-@_diffop
-def global_pool(x, axis: int, mode: str) -> Tensor:
-    """Reduce one axis by max or arithmetic mean, removing it."""
-    x = as_tensor(x)
-    if x.data.shape[axis] == 0:
-        raise ValueError(f"global_pool over empty axis {axis} of shape {x.data.shape}")
-    if mode == "max":
-        return max_reduce(x, axis)
-    if mode == "avg":
-        return tmean(x, axis=axis)
-    raise ValueError(f"global_pool mode must be 'max' or 'avg', got {mode!r}")
 
 
 @_diffop

@@ -287,17 +287,6 @@ def evaluate(pipe: Pipeline, channel: ChannelConfig | None = None,
                         occupancy_iou=float(np.mean(ious)))
 
 
-def run_pipeline(cfg: PipelineConfig, scenario: Scenario | None = None,
-                 pipe: Pipeline | None = None,
-                 trace_rows: list | None = None) -> MetricRecord:
-    """Evaluate one configuration (fresh parameters unless a pipeline is given)."""
-    cfg.validate()
-    if pipe is None:
-        pipe = Pipeline(cfg)
-    return evaluate(pipe, config_id=config_label(cfg), scenario=scenario,
-                    trace_rows=trace_rows)
-
-
 def config_label(cfg: PipelineConfig) -> str:
     if cfg.stsync and cfg.wtden and cfg.adpsel:
         return "full"

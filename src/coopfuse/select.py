@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import (concat, conv2d, elu_plus_one, global_pool, index_axis,
-                  matmul, relu, reshape, softmax, take_rows, transpose, tsum)
+from .ops import (concat, conv2d, elu_plus_one, index_axis, matmul, relu, reshape,
+                  softmax, take_rows, tmean, transpose, tsum)
 from .sync import identity_kernel
 from .tensor import ParamBlock, Tensor
 
@@ -76,7 +76,7 @@ def score_blocks(feature: np.ndarray, grid: BlockGrid, eligibility: np.ndarray,
 
 
 def topk_select(scores: np.ndarray, k: float, grid: BlockGrid) -> SelectionMask:
-    """Retain the ceil(k * n_eligible) best-scoring eligible windows.
+    """Retain the ceil(k * n_eligible) best-scoring eligible windows, at least one.
 
     Ties break toward the lower flat block index.
     """
@@ -87,7 +87,7 @@ def topk_select(scores: np.ndarray, k: float, grid: BlockGrid) -> SelectionMask:
     n_eligible = int(eligible.sum())
     if n_eligible == 0:
         raise ValueError("no eligible blocks to select from")
-    retained = min(n_eligible, int(math.ceil(k * n_eligible - 1e-9)))
+    retained = min(n_eligible, max(1, math.ceil(k * n_eligible - 1e-9)))
     order = np.argsort(-scores, kind="stable")
     chosen = order[:retained]
     block_mask = np.zeros(grid.n_blocks)
@@ -169,7 +169,7 @@ class SplitAttention(ParamBlock):
     def weights(self, scale_outputs: list[Tensor]) -> Tensor:
         logits = []
         for f in scale_outputs:
-            pooled = reshape(global_pool(global_pool(f, 2, "avg"), 1, "avg"), (1, -1))
+            pooled = reshape(tmean(tmean(f, axis=2), axis=1), (1, -1))
             z = relu(matmul(pooled, self.w1) + self.b1)
             logits.append(matmul(z, self.w2))
         return softmax(concat(logits, axis=0), axis=0)       # n_scales x C
@@ -206,26 +206,22 @@ class FeatureSelector(ParamBlock):
         for sub in (self.attention, self.bottleneck, self.split):
             self.params.update(sub.params)
 
-    def __call__(self, feature: Tensor, scales=None, k: float = None) -> Tensor:
-        scales = self.scales if scales is None else tuple(scales)
-        k = self.retention if k is None else float(k)
-        if not 0.0 < k <= 1.0:
-            raise ValueError(f"retention fraction must lie in (0, 1], got {k}")
+    def __call__(self, feature: Tensor) -> Tensor:
         c, h, w = feature.data.shape
-        for s in scales:
+        for s in self.scales:
             if h % s or w % s:
                 raise ValueError(f"scale {s} does not divide grid {h}x{w}")
         eligibility = np.ones((h, w))
         flat = transpose(reshape(feature, (c, h * w)), (1, 0))       # HW x C
         outputs = []
-        for s in scales:
+        for s in self.scales:
             grid = BlockGrid(h, w, s)
             scores = score_blocks(feature.data, grid, eligibility,
                                   self.score_weight.data, float(self.score_bias.data[0]))
             if not np.any(np.isfinite(scores)):
                 outputs.append(feature)   # nothing eligible: passthrough
                 continue
-            selection = topk_select(scores, k, grid)
+            selection = topk_select(scores, self.retention, grid)
             sel_idx = np.flatnonzero(selection.pixel_mask.reshape(-1) > 0.5)
             un_idx = np.flatnonzero(selection.pixel_mask.reshape(-1) <= 0.5)
             enhanced = self.attention(take_rows(flat, sel_idx))

@@ -1,8 +1,11 @@
-"""Ablation and robustness sweep drivers with a stable CSV schema.
+"""Sweep drivers with a stable CSV schema.
 
-Every row carries the evaluation channel settings alongside the metrics so
-sweep outputs are self-describing. Sweep points share scenario seeds, so
-rows within one sweep differ only in the swept quantity.
+``variant_sweep`` trains and evaluates one model per config variant (the
+stage ablation, the retention sweep); ``channel_sweep`` evaluates one model
+along a channel axis (latency, packet drop). Every row carries the
+evaluation channel settings alongside the metrics so sweep outputs are
+self-describing. Sweep points share scenario seeds, so rows within one
+sweep differ only in the swept quantity.
 """
 
 from __future__ import annotations
@@ -69,64 +72,36 @@ def write_loss_curve_csv(path, curve: list[tuple[int, float, float, float]]) -> 
             writer.writerow((step, repr(loss), repr(bce), repr(aux)))
 
 
-def ablation_suite(cfg: PipelineConfig) -> tuple[list[MetricRecord], list[dict]]:
-    """Train and evaluate the seven stage-toggle combinations under shared seeds."""
-    cfg.validate()
+def variant_sweep(variants: list[tuple[str, PipelineConfig]]
+                  ) -> tuple[list[MetricRecord], list[dict]]:
+    """Train and evaluate one model per (label, config) variant, seeds shared."""
+    for _, sub in variants:
+        sub.validate()
     records, rows = [], []
-    for label, st, wt, ad in ABLATION_COMBOS:
-        sub = replace(cfg, stsync=st, wtden=wt, adpsel=ad)
-        result = train(sub)
-        rec = evaluate(result.pipeline, config_id=label)
+    for label, sub in variants:
+        rec = evaluate(train(sub).pipeline, config_id=label)
         records.append(rec)
-        rows.append(metric_row(rec, cfg.channel, cfg.retention))
+        rows.append(metric_row(rec, sub.channel, sub.retention))
     return records, rows
 
 
-def latency_sweep(cfg: PipelineConfig, l_values: list[int],
+def channel_sweep(cfg: PipelineConfig, points: list[tuple[str, ChannelConfig]],
                   pipe: Pipeline | None = None
                   ) -> tuple[list[MetricRecord], list[dict]]:
-    """Evaluate one trained model across maximum latencies, pose noise fixed."""
+    """Evaluate one model (trained from cfg unless given) at each (label, channel) point."""
     cfg.validate()
-    channels = [replace(cfg.channel, max_latency_ticks=int(l)) for l in l_values]
     if pipe is None:
         pipe = train(cfg).pipeline
     records, rows = [], []
-    for l_ticks, ch in zip(l_values, channels):
-        rec = evaluate(pipe, channel=ch, config_id=f"L={l_ticks}")
+    for label, ch in points:
+        rec = evaluate(pipe, channel=ch, config_id=label)
         records.append(rec)
         rows.append(metric_row(rec, ch, cfg.retention))
     return records, rows
 
 
-DEFAULT_RETENTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
-
-
-def retention_sweep(cfg: PipelineConfig, k_values: list[float] = DEFAULT_RETENTIONS
-                    ) -> tuple[list[MetricRecord], list[dict]]:
-    """Train and evaluate one model per retention ratio, seeds shared."""
-    subs = [replace(cfg, retention=float(k)).validate() for k in k_values]
-    records, rows = [], []
-    for k, sub in zip(k_values, subs):
-        result = train(sub)
-        rec = evaluate(result.pipeline, config_id=f"k={k}")
-        records.append(rec)
-        rows.append(metric_row(rec, cfg.channel, float(k)))
-    return records, rows
-
-
-def history_loss_sweep(cfg: PipelineConfig, drop_rates: list[float],
-                       pipe: Pipeline | None = None
-                       ) -> tuple[list[MetricRecord], list[dict]]:
-    """Evaluate one trained model under increasing packet-drop rates."""
-    cfg.validate()
-    if any(not 0.0 <= r < 1.0 for r in drop_rates):
-        raise ValueError(f"drop rates must lie in [0, 1), got {drop_rates}")
-    if pipe is None:
-        pipe = train(cfg).pipeline
-    records, rows = [], []
-    for rate in drop_rates:
-        ch = replace(cfg.channel, drop_p=float(rate))
-        rec = evaluate(pipe, channel=ch, config_id=f"drop={rate}")
-        records.append(rec)
-        rows.append(metric_row(rec, ch, cfg.retention))
-    return records, rows
+def latency_sweep(cfg: PipelineConfig, l_values: list[int], pipe: Pipeline | None = None
+                  ) -> tuple[list[MetricRecord], list[dict]]:
+    """``channel_sweep`` over maximum latencies, pose noise fixed."""
+    return channel_sweep(cfg, [(f"L={l}", replace(cfg.channel, max_latency_ticks=int(l)))
+                               for l in l_values], pipe)

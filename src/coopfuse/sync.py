@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .ops import (bilinear_sample, concat, conv2d, global_pool, index_axis,
-                  matmul, narrow, relu, reshape, sigmoid, softmax)
+from .ops import (bilinear_sample, concat, conv2d, index_axis, matmul, max_reduce,
+                  narrow, relu, reshape, sigmoid, softmax, tmean)
 from .tensor import ParamBlock, Parameter, Tensor
 
 _GRID_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -122,16 +122,20 @@ class Integrator(ParamBlock):
     def __call__(self, stack: Tensor) -> Tensor:
         if stack.data.ndim != 4 or stack.data.shape[0] < 1:
             raise ValueError(f"integrator needs a nonempty NxCxHxW stack, got {stack.data.shape}")
-        mx = global_pool(stack, 0, "max")
-        av = global_pool(stack, 0, "avg")
+        mx = max_reduce(stack, 0)
+        av = tmean(stack, axis=0)
         return conv2d(concat([mx, av], axis=0), self.kernel, pad=1) + self.bias
+
+
+# channel reduction of the gate's pooled perceptron (2C -> 2C / 4 -> C)
+GATE_REDUCTION = 4
 
 
 class TemporalSync(ParamBlock):
     """Recurrent rollout over the feature buffer plus ego anchoring."""
 
     def __init__(self, c: int, rng: np.random.Generator, n_anchor_points: int = 4,
-                 gate_reduction: int = 4, prefix: str = "sync"):
+                 prefix: str = "sync"):
         super().__init__()
         self.c = c
         self.m = n_anchor_points
@@ -146,7 +150,7 @@ class TemporalSync(ParamBlock):
         self.update_offset_bias = self._p(f"{prefix}.update.offset.bias", np.zeros((2, 1, 1)))
         self.update_warp_kernel = self._p(f"{prefix}.update.warp.kernel", identity_kernel(c))
         self.update_warp_bias = self._p(f"{prefix}.update.warp.bias", np.zeros((c, 1, 1)))
-        hidden = max(1, (2 * c) // gate_reduction)
+        hidden = max(1, (2 * c) // GATE_REDUCTION)
         self.gate_spatial_kernel = self._p(f"{prefix}.gate.spatial.kernel",
                                            np.zeros((1, 2 * c, 7, 7)))
         # positive bias starts the gate trusting the freshest warped entry
@@ -185,7 +189,7 @@ class TemporalSync(ParamBlock):
             raise ValueError(f"gate inputs differ: {hidden.data.shape} vs {warped.data.shape}")
         x = concat([hidden, warped], axis=0)
         spatial = conv2d(x, self.gate_spatial_kernel, pad=3) + self.gate_spatial_bias
-        pooled = global_pool(global_pool(x, 2, "avg"), 1, "avg")
+        pooled = tmean(tmean(x, axis=2), axis=1)
         z = relu(matmul(reshape(pooled, (1, -1)), self.gate_w1) + self.gate_b1)
         chan = reshape(matmul(z, self.gate_w2) + self.gate_b2, (self.c, 1, 1))
         alpha = sigmoid(spatial + chan)

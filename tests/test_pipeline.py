@@ -9,7 +9,7 @@ import pytest
 from coopfuse import pipeline as pipeline_module
 from coopfuse.pipeline import (ConfigError, MetricRecord, Pipeline,
                                PipelineConfig, TrainSpec, clean_reference, config_label,
-                               evaluate, occupancy_iou, run_pipeline, simulate)
+                               evaluate, occupancy_iou, simulate)
 from coopfuse.sync import FeatureBuffer, Integrator
 from coopfuse.tensor import Tensor, active_tape
 from coopfuse.training import Adam, DivergenceError, train
@@ -195,8 +195,8 @@ class TestRunPipeline:
 
     def test_fixed_seed_bit_identical(self):
         cfg = small_config()
-        a = run_pipeline(cfg)
-        b = run_pipeline(cfg)
+        a = evaluate(Pipeline(cfg))
+        b = evaluate(Pipeline(cfg))
         assert a.occupancy_iou == b.occupancy_iou
         assert a.mse_to_clean == b.mse_to_clean
 
@@ -204,10 +204,10 @@ class TestRunPipeline:
         cfg = small_config()
         cfg.retention = 2.0
         with pytest.raises(ConfigError):
-            run_pipeline(cfg)
+            evaluate(Pipeline(cfg))
 
     def test_metric_record_fields(self):
-        rec = run_pipeline(small_config())
+        rec = evaluate(Pipeline(small_config()))
         assert isinstance(rec, MetricRecord)
         assert 0.0 <= rec.occupancy_iou <= 1.0
         assert rec.mse_to_clean >= 0.0

@@ -89,12 +89,12 @@ class TestTopK:
     def test_retained_count_formula(self):
         grid = BlockGrid(16, 16, 2)      # 64 blocks
         rng = np.random.default_rng(3)
-        for k, n_inelig in [(0.3, 0), (0.1, 4), (0.62, 10), (1.0, 3)]:
+        for k, n_inelig in [(0.3, 0), (0.1, 4), (0.62, 10), (1.0, 3), (1e-300, 5)]:
             scores = rng.normal(size=64)
             scores[rng.choice(64, size=n_inelig, replace=False)] = -np.inf
             sel = topk_select(scores, k, grid)
             n_elig = 64 - n_inelig
-            assert sel.retained_count == int(np.ceil(k * n_elig - 1e-9))
+            assert sel.retained_count == max(1, int(np.ceil(k * n_elig - 1e-9)))
 
     def test_no_eligible_blocks_rejected(self):
         grid = BlockGrid(4, 4, 2)

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from coopfuse.pipeline import Pipeline, PipelineConfig, evaluate
-from coopfuse.sweeps import (ABLATION_COMBOS, METRICS_COLUMNS, ablation_suite,
-                             history_loss_sweep, latency_sweep, metric_row,
-                             retention_sweep)
+from coopfuse.sweeps import (ABLATION_COMBOS, METRICS_COLUMNS, channel_sweep,
+                             latency_sweep, metric_row, variant_sweep)
 from coopfuse.training import train
 from coopfuse.world import ChannelConfig
 
@@ -37,15 +36,28 @@ def read_csv(path):
         return list(csv.reader(f))
 
 
+def ablation_variants(cfg):
+    return [(label, replace(cfg, stsync=st, wtden=wt, adpsel=ad))
+            for label, st, wt, ad in ABLATION_COMBOS]
+
+
+def retention_variants(cfg, k_values):
+    return [(f"k={k}", replace(cfg, retention=k)) for k in k_values]
+
+
+def drop_points(cfg, rates):
+    return [(f"drop={p}", replace(cfg.channel, drop_p=p)) for p in rates]
+
+
 class TestAblationSuite:
     def test_seven_rows_with_expected_labels(self):
-        records, rows = ablation_suite(tiny_config())
+        records, rows = variant_sweep(ablation_variants(tiny_config()))
         assert len(records) == len(rows) == 7
         assert [r.config_id for r in records] == [c[0] for c in ABLATION_COMBOS]
 
     def test_baseline_row_matches_direct_run(self):
         cfg = tiny_config()
-        records, _ = ablation_suite(cfg)
+        records, _ = variant_sweep(ablation_variants(cfg))
         base_cfg = tiny_config(stsync=False, wtden=False, adpsel=False)
         direct = evaluate(train(base_cfg).pipeline, config_id="baseline")
         assert records[0].occupancy_iou == direct.occupancy_iou
@@ -76,33 +88,37 @@ class TestLatencySweep:
 class TestRetentionSweep:
     def test_six_default_rows(self):
         cfg = tiny_config()
-        records, rows = retention_sweep(cfg)
+        k_values = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        records, rows = variant_sweep(retention_variants(cfg, k_values))
         assert len(rows) == 6
-        assert [row["retention_k"] for row in rows] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        assert [row["retention_k"] for row in rows] == k_values
+        assert [r.config_id for r in records] == [f"k={k}" for k in k_values]
 
     def test_boundary_k_one_runs(self):
         cfg = tiny_config()
-        records, _ = retention_sweep(cfg, [1.0])
+        records, _ = variant_sweep(retention_variants(cfg, [1.0]))
         assert records[0].occupancy_iou >= 0.0
 
     def test_out_of_range_k_rejected(self):
         with pytest.raises(ValueError):
-            retention_sweep(tiny_config(), [0.0])
+            variant_sweep(retention_variants(tiny_config(), [0.0]))
 
 
 class TestHistoryLossSweep:
     def test_rows_and_consistency_at_zero(self):
         cfg = tiny_config()
         pipe = train(cfg).pipeline
-        records, rows = history_loss_sweep(cfg, [0.0, 0.5], pipe=pipe)
+        records, rows = channel_sweep(cfg, drop_points(cfg, [0.0, 0.5]), pipe=pipe)
         assert len(rows) == 2
         direct = evaluate(pipe, channel=replace(cfg.channel, drop_p=0.0),
                           config_id="x")
         assert records[0].occupancy_iou == direct.occupancy_iou
 
     def test_rate_bounds(self):
-        with pytest.raises(ValueError):
-            history_loss_sweep(tiny_config(), [1.0])
+        # ChannelConfig's table bounds drop_p to [0, 1]; 1.0 is a valid point
+        for rate in (1.5, -0.1):
+            with pytest.raises(ValueError):
+                drop_points(tiny_config(), [rate])
 
 
 def pinned_analytic_baseline(cfg):
@@ -139,7 +155,7 @@ class TestTrendOracles:
                              eval_scenarios=8)
         cfg.channel = ChannelConfig(1, 0.0, 0.0, 0.0)
         pipe = pinned_analytic_baseline(cfg)
-        _, rows = history_loss_sweep(cfg, [0.0, 0.3, 0.6, 0.9], pipe=pipe)
+        _, rows = channel_sweep(cfg, drop_points(cfg, [0.0, 0.3, 0.6, 0.9]), pipe=pipe)
         ious = [r["occupancy_iou"] for r in rows]
         assert all(ious[i + 1] <= ious[i] + 1e-9 for i in range(len(ious) - 1)), ious
 
@@ -248,16 +264,35 @@ class TestCli:
         out = tmp_path / "out"
         r = self.run_cli("ablate", "--config", str(cfg_path), "--out", str(out))
         assert r.returncode == 0, r.stderr
-        assert len(read_csv(out / "metrics.csv")) == 8
+        rows = read_csv(out / "metrics.csv")
+        assert len(rows) == 8
+        assert [row[0] for row in rows[1:]] == [c[0] for c in ABLATION_COMBOS]
 
     def test_sweep_axes(self, tmp_path):
+        # each axis's config_id labels and its swept column, as metrics.csv spells them
         cfg_path = self.write_config(tmp_path)
-        for axis, n_rows in (("latency", 6), ("drop", 5)):
+        for axis, prefix, column, values in (
+                ("latency", "L", "L_ticks", ["0", "1", "2", "3", "4", "5"]),
+                ("retention", "k", "retention_k", ["0.1", "0.2", "0.3", "0.4", "0.5", "0.6"]),
+                ("drop", "drop", "drop_p", ["0.0", "0.2", "0.4", "0.6", "0.8"])):
             out = tmp_path / axis
             r = self.run_cli("sweep", "--axis", axis, "--config", str(cfg_path),
                              "--out", str(out))
             assert r.returncode == 0, r.stderr
-            assert len(read_csv(out / "metrics.csv")) == n_rows + 1
+            header, *rows = read_csv(out / "metrics.csv")
+            assert [row[0] for row in rows] == [f"{prefix}={v}" for v in values]
+            assert [row[header.index(column)] for row in rows] == values
+
+    def test_tiny_retention_keeps_one_window(self, tmp_path):
+        # ceil(k * n_eligible) is 0 for k = 1e-300; the selector keeps one window
+        cfg_path = self.write_config(tmp_path, retention=1e-300)
+        out = tmp_path / "out"
+        r = self.run_cli("run", "--config", str(cfg_path), "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        header, row = read_csv(out / "metrics.csv")
+        assert row[header.index("retention_k")] == "1e-300"
+        assert all(np.isfinite(float(row[header.index(m)]))
+                   for m in ("occupancy_iou", "mse_to_clean"))
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -44,7 +44,7 @@ class TestIntegrator:
         out = integ(stack_tensors([g]))
         # max and avg of a singleton both equal the lone agent; the collapsing
         # conv then sees two identical streams
-        mx = ops.global_pool(stack_tensors([g]), 0, "max")
+        mx = ops.max_reduce(stack_tensors([g]), 0)
         assert np.array_equal(mx.data, g.data)
         assert out.data.shape == (C, H, W)
 

@@ -12,13 +12,13 @@ from coopfuse.tensor import Parameter, Tape, Tensor, no_grad
 from coopfuse.training import train
 
 
-def conv2d_reference(x, w, stride=1, pad=0):
+def conv2d_reference(x, w, pad=0):
     """Direct six-nested-loop convolution, the oracle conv2d is checked against."""
     c_in, h, wdt = x.shape
     c_out, _, k, _ = w.shape
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    h_out = (h + 2 * pad - k) // stride + 1
-    w_out = (wdt + 2 * pad - k) // stride + 1
+    h_out = h + 2 * pad - k + 1
+    w_out = wdt + 2 * pad - k + 1
     out = np.zeros((c_out, h_out, w_out))
     for o in range(c_out):
         for i in range(h_out):
@@ -27,7 +27,7 @@ def conv2d_reference(x, w, stride=1, pad=0):
                 for c in range(c_in):
                     for ki in range(k):
                         for kj in range(k):
-                            acc += w[o, c, ki, kj] * xp[c, i * stride + ki, j * stride + kj]
+                            acc += w[o, c, ki, kj] * xp[c, i + ki, j + kj]
                 out[o, i, j] = acc
     return out
 
@@ -47,13 +47,14 @@ class TestConv2d:
         out = ops.conv2d(Tensor(x), Tensor(k))
         assert np.array_equal(out.data, x)
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (2, 0)])
-    def test_matches_loop_oracle(self, stride, pad):
-        rng = np.random.default_rng(42 + stride * 10 + pad)
+    # each id's leading 1 is the stride these cases were written for
+    @pytest.mark.parametrize("pad", [0, 1], ids=["1-0", "1-1"])
+    def test_matches_loop_oracle(self, pad):
+        rng = np.random.default_rng(52 + pad)
         x = rng.normal(size=(2, 5, 5))
         w = rng.normal(size=(3, 2, 3, 3))
-        got = ops.conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad).data
-        want = conv2d_reference(x, w, stride=stride, pad=pad)
+        got = ops.conv2d(Tensor(x), Tensor(w), pad=pad).data
+        want = conv2d_reference(x, w, pad=pad)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -71,9 +72,8 @@ class TestConv2d:
             ops.conv2d(Tensor(np.ones((1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))))
 
     def test_output_shape_formula(self):
-        out = ops.conv2d(Tensor(np.ones((1, 10, 8))), Tensor(np.ones((1, 1, 3, 3))),
-                         stride=2, pad=1)
-        assert out.data.shape == (1, 5, 4)
+        out = ops.conv2d(Tensor(np.ones((1, 10, 8))), Tensor(np.ones((1, 1, 5, 5))), pad=1)
+        assert out.data.shape == (1, 8, 6)
 
 
 class TestBilinearSample:
@@ -159,33 +159,24 @@ class TestScatterBackward:
         assert np.array_equal(got, [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
 
 
-def conv2d_im2col_reference(x, w, g, stride, pad):
+def conv2d_im2col_reference(x, w, g, pad):
     """conv2d by np.pad + sliding_window_view im2col: output, dx and dw for output gradient g."""
     c_in, h, wd = x.shape
     c_out, _, k, _ = w.shape
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
-    h_out = (h + 2 * pad - k) // stride + 1
-    w_out = (wd + 2 * pad - k) // stride + 1
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    h_out = h + 2 * pad - k + 1
+    w_out = wd + 2 * pad - k + 1
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))
     cols = win.transpose(0, 3, 4, 1, 2).reshape(c_in * k * k, h_out * w_out)
     wmat = w.reshape(c_out, c_in * k * k)
     y = (wmat @ cols).reshape(c_out, h_out, w_out)
     gm = g.reshape(c_out, h_out * w_out)
     dw = (gm @ cols.T).reshape(w.shape)
-    if stride == 1:
-        gp = np.pad(g, ((0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-        gwin = sliding_window_view(gp, (k, k), axis=(1, 2))
-        gcols = gwin.transpose(0, 3, 4, 1, 2).reshape(c_out * k * k,
-                                                      (h + 2 * pad) * (wd + 2 * pad))
-        wrot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        dxp = (wrot.reshape(c_in, c_out * k * k) @ gcols).reshape(xp.shape)
-    else:
-        dcols = (wmat.T @ gm).reshape(c_in, k, k, h_out, w_out)
-        dxp = np.zeros_like(xp)
-        for ki in range(k):
-            for kj in range(k):
-                dxp[:, ki:ki + stride * h_out:stride,
-                    kj:kj + stride * w_out:stride] += dcols[:, ki, kj]
+    gp = np.pad(g, ((0, 0), (k - 1, k - 1), (k - 1, k - 1)))
+    gwin = sliding_window_view(gp, (k, k), axis=(1, 2))
+    gcols = gwin.transpose(0, 3, 4, 1, 2).reshape(c_out * k * k, (h + 2 * pad) * (wd + 2 * pad))
+    wrot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    dxp = (wrot.reshape(c_in, c_out * k * k) @ gcols).reshape(xp.shape)
     return y, (dxp[:, pad:pad + h, pad:pad + wd] if pad else dxp), dw
 
 
@@ -313,19 +304,17 @@ class TestKernelsMatchPreviousAlgorithms:
     """conv2d, bilinear_sample and selective_scan give bitwise the values and
     gradients of the algorithms they replaced."""
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("pad", [0, 1, 3])
-    @pytest.mark.parametrize("k", [1, 3, 7])
-    def test_conv2d(self, k, pad, stride):
-        rng = np.random.default_rng(100 * k + 10 * pad + stride)
+    # each id's trailing 1 is the stride these cases were written for
+    @pytest.mark.parametrize("k,pad", [pytest.param(k, pad, id=f"{k}-{pad}-1")
+                                       for k in (1, 3, 7) for pad in (0, 1, 3)])
+    def test_conv2d(self, k, pad):
+        rng = np.random.default_rng(100 * k + 10 * pad + 1)
         x = rng.normal(size=(3, 9, 13))
         w = rng.normal(size=(4, 3, k, k))
-        h_out, w_out = (9 + 2 * pad - k) // stride + 1, (13 + 2 * pad - k) // stride + 1
-        g = rng.normal(size=(4, h_out, w_out))
+        g = rng.normal(size=(4, 9 + 2 * pad - k + 1, 13 + 2 * pad - k + 1))
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        y, (dx, dw) = run_with_output_grad(
-            lambda: ops.conv2d(xt, wt, stride=stride, pad=pad), [xt, wt], g)
-        y_ref, dx_ref, dw_ref = conv2d_im2col_reference(x, w, g, stride, pad)
+        y, (dx, dw) = run_with_output_grad(lambda: ops.conv2d(xt, wt, pad=pad), [xt, wt], g)
+        y_ref, dx_ref, dw_ref = conv2d_im2col_reference(x, w, g, pad)
         assert np.array_equal(y, y_ref)
         assert np.array_equal(dx, dx_ref)
         assert np.array_equal(dw, dw_ref)
@@ -338,7 +327,7 @@ class TestKernelsMatchPreviousAlgorithms:
         g = rng.normal(size=(2, 6, 7))
         wt = Tensor(w, requires_grad=True)
         y, (dw,) = run_with_output_grad(lambda: ops.conv2d(x, wt, pad=pad), [wt], g)
-        y_ref, _, dw_ref = conv2d_im2col_reference(x, w, g, 1, pad)
+        y_ref, _, dw_ref = conv2d_im2col_reference(x, w, g, pad)
         assert np.array_equal(y, y_ref)
         assert np.array_equal(dw, dw_ref)
 
@@ -351,7 +340,7 @@ class TestKernelsMatchPreviousAlgorithms:
         g = rng.normal(size=(c_out, 6, 7))
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
         y, (dx, dw) = run_with_output_grad(lambda: ops.conv2d(xt, wt, pad=pad), [xt, wt], g)
-        y_ref, dx_ref, dw_ref = conv2d_im2col_reference(x, w, g, 1, pad)
+        y_ref, dx_ref, dw_ref = conv2d_im2col_reference(x, w, g, pad)
         assert tap_calls == []
         assert np.array_equal(y, y_ref)
         assert np.array_equal(dx, dx_ref)
@@ -451,45 +440,44 @@ class TestKernelsMatchPreviousAlgorithms:
 
 class TestConv2dContractions:
     """conv2d takes the tap form exactly where C_out*Hp*Wp < C_in*H_out*W_out
-    at stride 1 and k > 1; everywhere else it is bitwise the im2col algorithm."""
+    and k > 1; everywhere else it is bitwise the im2col algorithm."""
 
     # (C_in, C_out, k, pad, H) on an H x (H+1) input: the desk model's
     # integrator, stsync offset, gate and update offset; then one channel
     # past the rule's boundary (3 * 4 * 5 < 11 * 2 * 3)
     TAP_SHAPES = [(16, 8, 3, 1, 32), (16, 2, 3, 1, 32), (16, 1, 7, 3, 32),
                   (8, 2, 3, 1, 32), (11, 3, 3, 1, 2)]
-    # (C_in, C_out, k, pad, stride, H): square and expanding convs, every 1x1
-    # (channel-reducing too), stride 2, and the boundary itself (3 * 4 * 5 ==
-    # 10 * 2 * 3), which keeps im2col
-    IM2COL_SHAPES = [(8, 8, 3, 1, 1, 32), (32, 32, 3, 1, 1, 16), (128, 128, 3, 1, 1, 8),
-                     (2, 3, 3, 1, 1, 9), (8, 12, 1, 0, 1, 32), (32, 32, 1, 0, 1, 16),
-                     (8, 1, 1, 0, 1, 32), (16, 2, 1, 0, 1, 32), (16, 1, 7, 3, 2, 32),
-                     (16, 2, 3, 1, 2, 32), (8, 8, 3, 1, 2, 16), (10, 3, 3, 1, 1, 2)]
+    # (C_in, C_out, k, pad, H): square and expanding convs, every 1x1
+    # (channel-reducing too), and the boundary itself (3 * 4 * 5 == 10 * 2 * 3),
+    # which keeps im2col; each id's fifth field is the stride these cases
+    # were written for
+    IM2COL_SHAPES = [pytest.param(*shape, id="-".join(map(str, (*shape[:4], 1, shape[4]))))
+                     for shape in [(8, 8, 3, 1, 32), (32, 32, 3, 1, 16), (128, 128, 3, 1, 8),
+                                   (2, 3, 3, 1, 9), (8, 12, 1, 0, 32), (32, 32, 1, 0, 16),
+                                   (8, 1, 1, 0, 32), (16, 2, 1, 0, 32), (10, 3, 3, 1, 2)]]
 
     @staticmethod
-    def conv_case(c_in, c_out, k, pad, stride, h, seed):
+    def conv_case(c_in, c_out, k, pad, h, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(c_in, h, h + 1))
         w = rng.normal(size=(c_out, c_in, k, k))
-        g = rng.normal(size=(c_out, (h + 2 * pad - k) // stride + 1,
-                             (h + 1 + 2 * pad - k) // stride + 1))
+        g = rng.normal(size=(c_out, h + 2 * pad - k + 1, h + 2 + 2 * pad - k))
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        y, (dx, dw) = run_with_output_grad(
-            lambda: ops.conv2d(xt, wt, stride=stride, pad=pad), [xt, wt], g)
+        y, (dx, dw) = run_with_output_grad(lambda: ops.conv2d(xt, wt, pad=pad), [xt, wt], g)
         return (x, w, g), (y, dx, dw)
 
     @pytest.mark.parametrize("c_in,c_out,k,pad,h", TAP_SHAPES)
     def test_tap_shapes_match_longdouble_sum(self, tap_calls, c_in, c_out, k, pad, h):
-        (x, w, g), got = self.conv_case(c_in, c_out, k, pad, 1, h, seed=c_in + 7 * k)
+        (x, w, g), got = self.conv_case(c_in, c_out, k, pad, h, seed=c_in + 7 * k)
         assert tap_calls == [w.shape]
         for have, want in zip(got, conv2d_longdouble_reference(x, w, g, pad)):
             assert_rel_close(have, want, 1e-13)
 
-    @pytest.mark.parametrize("c_in,c_out,k,pad,stride,h", IM2COL_SHAPES)
-    def test_other_shapes_stay_im2col(self, tap_calls, c_in, c_out, k, pad, stride, h):
-        (x, w, g), got = self.conv_case(c_in, c_out, k, pad, stride, h, seed=c_out + k)
+    @pytest.mark.parametrize("c_in,c_out,k,pad,h", IM2COL_SHAPES)
+    def test_other_shapes_stay_im2col(self, tap_calls, c_in, c_out, k, pad, h):
+        (x, w, g), got = self.conv_case(c_in, c_out, k, pad, h, seed=c_out + k)
         assert tap_calls == []
-        for have, want in zip(got, conv2d_im2col_reference(x, w, g, stride, pad)):
+        for have, want in zip(got, conv2d_im2col_reference(x, w, g, pad)):
             assert np.array_equal(have, want)
 
     def test_non_contiguous_input_taps(self, tap_calls):
@@ -526,33 +514,35 @@ class TestConv2dContractions:
 
 
 class TestGlobalPool:
+    """Max and mean pooling over one axis, as the integrator and the gates
+    pool: ``max_reduce`` and ``tmean``."""
+
     def test_singleton_axis_both_modes(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(1, 3, 4, 4))
-        for mode in ("max", "avg"):
-            out = ops.global_pool(Tensor(x), 0, mode)
+        for out in (ops.max_reduce(Tensor(x), 0), ops.tmean(Tensor(x), axis=0)):
             assert np.array_equal(out.data, x[0])
 
     def test_two_element_reduction(self):
         x = Tensor(np.array([[1.0, 3.0], [5.0, -1.0]]))
-        assert np.array_equal(ops.global_pool(x, 0, "max").data, [5.0, 3.0])
-        assert np.array_equal(ops.global_pool(x, 0, "avg").data, [3.0, 1.0])
+        assert np.array_equal(ops.max_reduce(x, 0).data, [5.0, 3.0])
+        assert np.array_equal(ops.tmean(x, axis=0).data, [3.0, 1.0])
 
     def test_avg_matches_summation_oracle(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 2, 3, 3))
-        got = ops.global_pool(Tensor(x), 0, "avg").data
+        got = ops.tmean(Tensor(x), axis=0).data
         want = sum(x[i] for i in range(4)) / 4.0
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
-            ops.global_pool(Tensor(np.ones((0, 3))), 0, "max")
+            ops.max_reduce(Tensor(np.ones((0, 3))), 0)
 
     def test_max_grad_ties_to_lowest_index(self):
         x = Tensor(np.array([[2.0, 2.0, 1.0]]), requires_grad=True)
         with Tape() as tape:
-            y = ops.tsum(ops.global_pool(x, 1, "max"))
+            y = ops.tsum(ops.max_reduce(x, 1))
         tape.backward(y)
         assert np.array_equal(x.grad, [[1.0, 0.0, 0.0]])
 
@@ -650,7 +640,7 @@ class TestDeterminismAndFiniteness:
         results = [
             ops.exp(x), ops.sigmoid(x), ops.softplus(x), ops.relu(x),
             ops.elu_plus_one(x), ops.softmax(x, 0),
-            ops.global_pool(x, 0, "max"), ops.tmean(x),
+            ops.max_reduce(x, 0), ops.tmean(x),
         ]
         for r in results:
             assert np.all(np.isfinite(r.data))

@@ -21,6 +21,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .pipeline import Pipeline, PipelineConfig, config_label, evaluate, load_config
 from .sweeps import (ABLATION_COMBOS, channel_sweep, latency_sweep, metric_row,
                      variant_sweep, write_loss_curve_csv, write_metrics_csv,
@@ -65,6 +67,8 @@ def _load_config(args) -> PipelineConfig:
     return cfg
 
 
+# overflow and NaN show up as a nonfinite loss or metric, reported in one line
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:

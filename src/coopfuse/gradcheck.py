@@ -244,25 +244,22 @@ def registered_cases() -> dict[str, Callable[[int], tuple[Callable, Tensor]]]:
         return f, x
 
     def selective_scan_case(probed: str):
-        """Two scan paths; the probe replaces `probed` (the tokens or one
-        parameter) of path seed % 2."""
+        """Two scan paths; the probe is the 2 x L x C tokens or one stacked parameter."""
         def build(seed):
             rng = np.random.default_rng(seed)
             length, c, n = 5, 2, 3
             shapes = {"w_step": (c, c), "b_step": (1, c), "w_in": (c, n), "b_in": (1, n),
                       "w_out": (c, n), "b_out": (1, n), "skip": (1, c), "log_decay": (n,)}
-            xs = [rng.uniform(-1.5, 1.5, size=(length, c)) for _ in range(2)]
-            params = [[0.5 * rng.standard_normal(shapes[name]) for name in ops.SCAN_PARAMS]
-                      for _ in range(2)]
-            probe = seed % 2
+            xs = rng.uniform(-1.5, 1.5, size=(2, length, c))
+            per_path = [[0.5 * rng.standard_normal(shapes[name]) for name in ops.SCAN_PARAMS]
+                        for _ in range(2)]
+            params = [np.stack(t) for t in zip(*per_path)]
             k = ops.SCAN_PARAMS.index(probed) if probed != "x" else None
-            x = Tensor(xs[probe] if k is None else params[probe][k])
+            x = Tensor(xs if k is None else params[k])
 
             def f(t):
-                ts = [t if p == probe and k is None else Tensor(v) for p, v in enumerate(xs)]
-                ps = [[t if p == probe and j == k else Tensor(v) for j, v in enumerate(vals)]
-                      for p, vals in enumerate(params)]
-                y = ops.selective_scan(ts, ps)
+                y = ops.selective_scan(t if k is None else xs,
+                                       [t if j == k else v for j, v in enumerate(params)])
                 return ops.tsum(ops.mul(y, y))
             return f, x
         return build

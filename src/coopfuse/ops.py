@@ -729,12 +729,13 @@ _SCAN_BLOCK = 64     # time steps per block of the selective_scan forward
 
 
 @_diffop
-def selective_scan(xs, params) -> Tensor:
+def selective_scan(x, params) -> Tensor:
     """P input-conditioned diagonal linear recurrences in one op; returns P x L x C.
 
-    xs holds P token sequences of shape L x C, and params[p] holds path p's
-    tensors in ``SCAN_PARAMS`` order: w_step C x C, b_step 1 x C, w_in and
-    w_out C x N, b_in and b_out 1 x N, skip 1 x C, log_decay N. Per token:
+    x holds P token sequences of shape L x C, and params the scan tensors in
+    ``SCAN_PARAMS`` order, each with a leading path axis P: w_step P x C x C,
+    b_step P x 1 x C, w_in and w_out P x C x N, b_in and b_out P x 1 x N,
+    skip P x 1 x C, log_decay P x N. Per path and token:
     step = softplus(x w_step + b_step), gate_in = x w_in + b_in, gate_out =
     x w_out + b_out and decay = -exp(log_decay); the C x N state follows
     h_t = exp(step * decay) * h_{t-1} + (step * x_t) * gate_in, h_0 = 0, and
@@ -745,26 +746,24 @@ def selective_scan(xs, params) -> Tensor:
     records the op are the whole L x P x C x N exponent and state arrays
     kept, for the backward; otherwise each block reuses scratch arrays.
     """
-    xs = [as_tensor(x) for x in xs]
-    params = [[as_tensor(t) for t in ps] for ps in params]
-    if not xs or len(xs) != len(params) or any(len(ps) != len(SCAN_PARAMS) for ps in params):
-        raise ValueError(f"selective_scan needs one {len(SCAN_PARAMS)}-tuple of parameters "
-                         f"per sequence, got {len(xs)} sequences and {len(params)} tuples")
-    length, c = xs[0].data.shape if xs[0].data.ndim == 2 else (0, 0)
-    if length == 0 or any(t.data.shape != (length, c) for t in xs):
-        raise ValueError(f"selective scan needs nonempty LxC sequences of one shape, "
-                         f"got {[t.data.shape for t in xs]}")
-    x = np.stack([t.data for t in xs])                                    # P x L x C
-    w_step, b_step, w_in, b_in, w_out, b_out, skip, log_decay = (
-        np.stack([ps[k].data for ps in params]) for k in range(len(SCAN_PARAMS)))
-    n_paths, n = len(xs), log_decay.shape[1]
+    xt, params = as_tensor(x), [as_tensor(t) for t in params]
+    n_paths, length, c = xt.data.shape if xt.data.ndim == 3 else (0, 0, 0)
+    n = params[-1].data.shape[-1] if params and params[-1].data.ndim else 0
+    shapes = [(n_paths, c, c), (n_paths, 1, c), (n_paths, c, n), (n_paths, 1, n),
+              (n_paths, c, n), (n_paths, 1, n), (n_paths, 1, c), (n_paths, n)]
+    if length == 0 or [t.data.shape for t in params] != shapes:
+        raise ValueError(f"selective_scan needs a nonempty P x L x C sequence and the "
+                         f"{len(SCAN_PARAMS)} tensors {SCAN_PARAMS} shaped {shapes}, got "
+                         f"{xt.data.shape} and {[t.data.shape for t in params]}")
+    x = xt.data
+    w_step, b_step, w_in, b_in, w_out, b_out, skip, log_decay = (t.data for t in params)
     z = np.matmul(x, w_step) + b_step
     step = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)              # softplus
     gate_in = np.matmul(x, w_in) + b_in                                   # P x L x N
     gate_out = np.matmul(x, w_out) + b_out
     decay = -np.exp(log_decay)                                            # P x N
     u = step * x
-    requires_grad = any(t.requires_grad for t in (*xs, *(t for ps in params for t in ps)))
+    requires_grad = xt.requires_grad or any(t.requires_grad for t in params)
     # the state arrays are time-major, L x P x C x N, so each step is one
     # contiguous slab
     tm = (1, 0, 2)
@@ -811,13 +810,11 @@ def selective_scan(xs, params) -> Tensor:
             gx += np.matmul(gw, w.transpose(0, 2, 1))
             grads[f"w_{name}"] = np.matmul(x.transpose(0, 2, 1), gw)
             grads[f"b_{name}"] = gw.sum(axis=1, keepdims=True)
-        for p, t in enumerate(xs):
+        if xt.requires_grad:
+            xt.accumulate_grad(gx)
+        for name, t in zip(SCAN_PARAMS, params):
             if t.requires_grad:
-                t.accumulate_grad(gx[p])
-        for k, name in enumerate(SCAN_PARAMS):
-            for p, ps in enumerate(params):
-                if ps[k].requires_grad:
-                    ps[k].accumulate_grad(grads[name][p])
+                t.accumulate_grad(grads[name])
 
     _record(out, bwd)
     return out

@@ -20,6 +20,7 @@ features with true poses, same weights).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -247,6 +248,9 @@ def clean_reference(pipe: Pipeline, scenario: Scenario, feats) -> np.ndarray:
 
 
 def occupancy_iou(logits: np.ndarray, gt: np.ndarray) -> float:
+    """IoU of the positive logits with the occupied cells; NaN if any logit is nonfinite."""
+    if not np.isfinite(logits).all():
+        return math.nan
     pred = logits.reshape(gt.shape) > 0.0
     truth = gt > 0.5
     union = np.logical_or(pred, truth).sum()

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import (concat, conv2d, elu_plus_one, index_axis, matmul, relu, reshape,
-                  softmax, take_rows, tmean, transpose, tsum)
+from .ops import (concat, conv2d, elu_plus_one, matmul, relu, reshape, softmax,
+                  take_rows, tmean, transpose, tsum)
 from .sync import identity_kernel
 from .tensor import ParamBlock, Tensor
 
@@ -136,15 +136,19 @@ class LinearAttention(ParamBlock):
         return tokens + gate * (num / den)
 
 
+# hidden width of the inverted bottleneck, in multiples of C
+IB_RATIO = 4
+
+
 class InvertedBottleneck(ParamBlock):
     """Per-token expand-nonlinearity-project with residual; no cross-token mixing."""
 
-    def __init__(self, c: int, rng: np.random.Generator, ratio: int = 4, prefix: str = "ib"):
+    def __init__(self, c: int, rng: np.random.Generator, prefix: str = "ib"):
         super().__init__()
         s = 0.5 / math.sqrt(c)
-        self.w1 = self._p(f"{prefix}.w1", s * rng.standard_normal((c, ratio * c)))
-        self.b1 = self._p(f"{prefix}.b1", np.zeros((1, ratio * c)))
-        self.w2 = self._p(f"{prefix}.w2", np.zeros((ratio * c, c)))
+        self.w1 = self._p(f"{prefix}.w1", s * rng.standard_normal((c, IB_RATIO * c)))
+        self.b1 = self._p(f"{prefix}.b1", np.zeros((1, IB_RATIO * c)))
+        self.w2 = self._p(f"{prefix}.w2", np.zeros((IB_RATIO * c, c)))
         self.b2 = self._p(f"{prefix}.b2", np.zeros((1, c)))
 
     def __call__(self, tokens: Tensor) -> Tensor:
@@ -166,43 +170,37 @@ class SplitAttention(ParamBlock):
         # softmax over scales, so it would get a zero gradient
         self.w2 = self._p(f"{prefix}.w2", 0.1 * rng.standard_normal((hidden, c)))
 
-    def weights(self, scale_outputs: list[Tensor]) -> Tensor:
-        logits = []
-        for f in scale_outputs:
-            pooled = reshape(tmean(tmean(f, axis=2), axis=1), (1, -1))
-            z = relu(matmul(pooled, self.w1) + self.b1)
-            logits.append(matmul(z, self.w2))
-        return softmax(concat(logits, axis=0), axis=0)       # n_scales x C
+    def weights(self, stacked: Tensor) -> Tensor:
+        """S x C softmax weights over the scales of an S x C x H x W stack."""
+        z = relu(matmul(tmean(stacked, axis=(2, 3)), self.w1) + self.b1)
+        return softmax(matmul(z, self.w2), axis=0)
 
     def __call__(self, scale_outputs: list[Tensor]) -> Tensor:
-        w = self.weights(scale_outputs)
-        c = scale_outputs[0].data.shape[0]
-        out = None
-        for i, f in enumerate(scale_outputs):
-            term = reshape(index_axis(w, 0, i), (c, 1, 1)) * f
-            out = term if out is None else out + term
-        return out
+        c, h, w = scale_outputs[0].data.shape
+        stacked = reshape(concat(scale_outputs, axis=0), (-1, c, h, w))
+        weights = reshape(self.weights(stacked), (-1, c, 1, 1))
+        return tsum(weights * stacked, axis=0)
 
 
 class FeatureSelector(ParamBlock):
     """Multi-scale top-k routing with cross-scale mask propagation."""
 
     def __init__(self, c: int, scales: tuple[int, ...], retention: float,
-                 rng: np.random.Generator, prefix: str = "select"):
+                 rng: np.random.Generator):
         super().__init__()
         self.c = c
         self.scales = tuple(scales)
         self.retention = float(retention)
         # the scorer never receives gradient through the binary mask, so it
         # starts as channel-mean saliency rather than noise
-        self.score_weight = self._p(f"{prefix}.score.weight", np.full(c, 1.0 / c))
-        self.score_bias = self._p(f"{prefix}.score.bias", np.zeros(1))
-        self.attention = LinearAttention(c, rng, prefix=f"{prefix}.attn")
-        self.bottleneck = InvertedBottleneck(c, rng, prefix=f"{prefix}.ib")
+        self.score_weight = self._p("select.score.weight", np.full(c, 1.0 / c))
+        self.score_bias = self._p("select.score.bias", np.zeros(1))
+        self.attention = LinearAttention(c, rng, prefix="select.attn")
+        self.bottleneck = InvertedBottleneck(c, rng, prefix="select.ib")
         agg = identity_kernel(c) + 0.01 * rng.standard_normal((c, c, 3, 3))
-        self.agg_kernel = self._p(f"{prefix}.agg.kernel", agg)
-        self.agg_bias = self._p(f"{prefix}.agg.bias", np.zeros((c, 1, 1)))
-        self.split = SplitAttention(c, rng, prefix=f"{prefix}.split")
+        self.agg_kernel = self._p("select.agg.kernel", agg)
+        self.agg_bias = self._p("select.agg.bias", np.zeros((c, 1, 1)))
+        self.split = SplitAttention(c, rng, prefix="select.split")
         for sub in (self.attention, self.bottleneck, self.split):
             self.params.update(sub.params)
 

@@ -35,7 +35,7 @@ def save_params(path, params: dict[str, Parameter]) -> None:
 
 
 def load_params(path) -> dict[str, np.ndarray]:
-    """Read a parameter file; a malformed or truncated one raises ValueError."""
+    """Read a parameter file; a malformed, truncated or nonfinite one raises ValueError."""
     buf = Path(path).read_bytes()
     if buf[:4] != MAGIC:
         raise ValueError(f"bad parameter file magic {buf[:4]!r}, expected {MAGIC!r}")
@@ -65,6 +65,8 @@ def _decode(buf: bytes) -> dict[str, np.ndarray]:
             raise ValueError(f"truncated parameter file: {name!r} needs {8 * n} payload "
                              f"bytes at offset {off}, file has {len(buf)}")
         arr = np.frombuffer(buf, dtype="<f8", count=n, offset=off).reshape(dims)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"nonfinite value in parameter {name!r}")
         off += 8 * n
         out[name] = arr.astype(np.float64)
     if off != len(buf):

@@ -12,32 +12,29 @@ feature by deformable cross-attention.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .ops import (bilinear_sample, concat, conv2d, index_axis, matmul, max_reduce,
-                  narrow, relu, reshape, sigmoid, softmax, tmean)
+from .ops import (bilinear_sample, concat, conv2d, matmul, max_reduce, narrow, relu,
+                  reshape, sigmoid, softmax, tmean, transpose, tsum)
 from .tensor import ParamBlock, Parameter, Tensor
 
-_GRID_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def base_grid(h: int, w: int) -> np.ndarray:
     """Integer (row, col) sampling grid, shape 2 x h x w."""
-    key = (h, w)
-    if key not in _GRID_CACHE:
-        rr, cc = np.meshgrid(np.arange(h, dtype=np.float64),
-                             np.arange(w, dtype=np.float64), indexing="ij")
-        _GRID_CACHE[key] = np.stack([rr, cc])
-    return _GRID_CACHE[key]
+    rr, cc = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+    return np.stack([rr, cc])
 
 
-def identity_kernel(c: int, k: int = 3) -> np.ndarray:
-    ker = np.zeros((c, c, k, k))
+def identity_kernel(c: int) -> np.ndarray:
+    """The c -> c 3x3 kernel that copies every channel."""
+    ker = np.zeros((c, c, 3, 3))
     for i in range(c):
-        ker[i, i, k // 2, k // 2] = 1.0
+        ker[i, i, 1, 1] = 1.0
     return ker
 
 
@@ -109,15 +106,15 @@ class Integrator(ParamBlock):
     Initialized near the stream-averaging identity.
     """
 
-    def __init__(self, c: int, rng: np.random.Generator, prefix: str = "integrate"):
+    def __init__(self, c: int, rng: np.random.Generator):
         super().__init__()
         ker = np.zeros((c, 2 * c, 3, 3))
         for i in range(c):
             ker[i, i, 1, 1] = 0.5
             ker[i, c + i, 1, 1] = 0.5
         ker += 0.01 * rng.standard_normal(ker.shape)
-        self.kernel = self._p(f"{prefix}.kernel", ker)
-        self.bias = self._p(f"{prefix}.bias", np.zeros((c, 1, 1)))
+        self.kernel = self._p("integrate.kernel", ker)
+        self.bias = self._p("integrate.bias", np.zeros((c, 1, 1)))
 
     def __call__(self, stack: Tensor) -> Tensor:
         if stack.data.ndim != 4 or stack.data.shape[0] < 1:
@@ -134,36 +131,31 @@ GATE_REDUCTION = 4
 class TemporalSync(ParamBlock):
     """Recurrent rollout over the feature buffer plus ego anchoring."""
 
-    def __init__(self, c: int, rng: np.random.Generator, n_anchor_points: int = 4,
-                 prefix: str = "sync"):
+    def __init__(self, c: int, rng: np.random.Generator, n_anchor_points: int = 4):
         super().__init__()
         self.c = c
         self.m = n_anchor_points
         # offset predictors start at zero so the rollout starts as a fixed
         # point on constant buffers; warp convs start at the exact identity
-        self.offset_kernel = self._p(f"{prefix}.offset.kernel", np.zeros((2, 2 * c, 3, 3)))
-        self.offset_bias = self._p(f"{prefix}.offset.bias", np.zeros((2, 1, 1)))
-        self.warp_kernel = self._p(f"{prefix}.warp.kernel", identity_kernel(c))
-        self.warp_bias = self._p(f"{prefix}.warp.bias", np.zeros((c, 1, 1)))
-        self.update_offset_kernel = self._p(f"{prefix}.update.offset.kernel",
-                                            np.zeros((2, c, 3, 3)))
-        self.update_offset_bias = self._p(f"{prefix}.update.offset.bias", np.zeros((2, 1, 1)))
-        self.update_warp_kernel = self._p(f"{prefix}.update.warp.kernel", identity_kernel(c))
-        self.update_warp_bias = self._p(f"{prefix}.update.warp.bias", np.zeros((c, 1, 1)))
+        self.offset_kernel = self._p("sync.offset.kernel", np.zeros((2, 2 * c, 3, 3)))
+        self.offset_bias = self._p("sync.offset.bias", np.zeros((2, 1, 1)))
+        self.warp_kernel = self._p("sync.warp.kernel", identity_kernel(c))
+        self.warp_bias = self._p("sync.warp.bias", np.zeros((c, 1, 1)))
+        self.update_offset_kernel = self._p("sync.update.offset.kernel", np.zeros((2, c, 3, 3)))
+        self.update_offset_bias = self._p("sync.update.offset.bias", np.zeros((2, 1, 1)))
+        self.update_warp_kernel = self._p("sync.update.warp.kernel", identity_kernel(c))
+        self.update_warp_bias = self._p("sync.update.warp.bias", np.zeros((c, 1, 1)))
         hidden = max(1, (2 * c) // GATE_REDUCTION)
-        self.gate_spatial_kernel = self._p(f"{prefix}.gate.spatial.kernel",
-                                           np.zeros((1, 2 * c, 7, 7)))
+        self.gate_spatial_kernel = self._p("sync.gate.spatial.kernel", np.zeros((1, 2 * c, 7, 7)))
         # positive bias starts the gate trusting the freshest warped entry
         # (alpha ~ 0.88) instead of smearing the whole buffer history
-        self.gate_spatial_bias = self._p(f"{prefix}.gate.spatial.bias",
-                                         np.full((1, 1, 1), 2.0))
-        self.gate_w1 = self._p(f"{prefix}.gate.w1", np.zeros((2 * c, hidden)))
-        self.gate_b1 = self._p(f"{prefix}.gate.b1", np.zeros((1, hidden)))
-        self.gate_w2 = self._p(f"{prefix}.gate.w2", np.zeros((hidden, c)))
-        self.gate_b2 = self._p(f"{prefix}.gate.b2", np.zeros((1, c)))
-        self.anchor_kernel = self._p(f"{prefix}.anchor.kernel",
-                                     np.zeros((3 * self.m, c, 1, 1)))
-        self.anchor_bias = self._p(f"{prefix}.anchor.bias", np.zeros((3 * self.m, 1, 1)))
+        self.gate_spatial_bias = self._p("sync.gate.spatial.bias", np.full((1, 1, 1), 2.0))
+        self.gate_w1 = self._p("sync.gate.w1", np.zeros((2 * c, hidden)))
+        self.gate_b1 = self._p("sync.gate.b1", np.zeros((1, hidden)))
+        self.gate_w2 = self._p("sync.gate.w2", np.zeros((hidden, c)))
+        self.gate_b2 = self._p("sync.gate.b2", np.zeros((1, c)))
+        self.anchor_kernel = self._p("sync.anchor.kernel", np.zeros((3 * self.m, c, 1, 1)))
+        self.anchor_bias = self._p("sync.anchor.bias", np.zeros((3 * self.m, 1, 1)))
 
     # -- sub-operations ----------------------------------------------------
 
@@ -189,7 +181,7 @@ class TemporalSync(ParamBlock):
             raise ValueError(f"gate inputs differ: {hidden.data.shape} vs {warped.data.shape}")
         x = concat([hidden, warped], axis=0)
         spatial = conv2d(x, self.gate_spatial_kernel, pad=3) + self.gate_spatial_bias
-        pooled = tmean(tmean(x, axis=2), axis=1)
+        pooled = tmean(x, axis=(1, 2))
         z = relu(matmul(reshape(pooled, (1, -1)), self.gate_w1) + self.gate_b1)
         chan = reshape(matmul(z, self.gate_w2) + self.gate_b2, (self.c, 1, 1))
         alpha = sigmoid(spatial + chan)
@@ -222,18 +214,15 @@ class TemporalSync(ParamBlock):
         if predicted.data.shape != ego.data.shape:
             raise ValueError(f"anchor inputs differ: {predicted.data.shape} vs "
                              f"{ego.data.shape}")
-        _, h, w = predicted.data.shape
+        c, h, w = predicted.data.shape
+        m = self.m
         fields = conv2d(predicted, self.anchor_kernel) + self.anchor_bias
-        logits = narrow(fields, 0, 2 * self.m, self.m)
-        weights = softmax(logits, axis=0)
-        grid = Tensor(base_grid(h, w))
-        out = predicted
-        for m in range(self.m):
-            off = narrow(fields, 0, 2 * m, 2)
-            val = bilinear_sample(ego, grid + off)
-            w_m = reshape(index_axis(weights, 0, m), (1, h, w))
-            out = out + w_m * val
-        return out
+        # the M (row, col) offset pairs -> 2 x M*h x w coordinates, point m in rows m*h..
+        offsets = transpose(reshape(narrow(fields, 0, 0, 2 * m), (m, 2, h, w)), (1, 0, 2, 3))
+        coords = reshape(offsets, (2, m * h, w)) + np.tile(base_grid(h, w), (1, m, 1))
+        sampled = reshape(bilinear_sample(ego, coords), (c, m, h, w))
+        weights = reshape(softmax(narrow(fields, 0, 2 * m, m), axis=0), (1, m, h, w))
+        return predicted + tsum(weights * sampled, axis=1)
 
     def __call__(self, buffer: FeatureBuffer, ego: Tensor) -> Tensor:
         return self.anchor(self.rollout(buffer), ego)

@@ -34,28 +34,26 @@ class DivergenceError(RuntimeError):
 class Adam:
     """First-order adaptive-moment optimizer with bias correction."""
 
-    def __init__(self, params: dict[str, Parameter], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Parameter], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - self.BETA1 ** self.t
+        b2c = 1.0 - self.BETA2 ** self.t
         for name, p in self.params.items():
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            update = (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.eps)
+            self.m[name] = self.BETA1 * self.m[name] + (1.0 - self.BETA1) * g
+            self.v[name] = self.BETA2 * self.v[name] + (1.0 - self.BETA2) * g * g
+            update = (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.EPS)
             p.data = p.data - self.lr * update
             p.grad = None
 

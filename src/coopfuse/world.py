@@ -12,6 +12,7 @@ reported pose. One simulation tick corresponds to 100 ms.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import zlib
@@ -81,14 +82,17 @@ def step_scene(scene: Scene) -> Scene:
     return Scene(objects=obj, bounds=scene.bounds, seed=scene.seed)
 
 
-def make_scene(seed: int, n_objects: int = 5, bounds: float = 9.0,
-               speed_range: tuple[float, float] = (1.2, 2.2),
-               extent_range: tuple[float, float] = (1.8, 3.0)) -> Scene:
+# object speeds (m/tick) and box extents (m) are drawn uniformly from these
+SPEED_RANGE = (1.2, 2.2)
+EXTENT_RANGE = (1.8, 3.0)
+
+
+def make_scene(seed: int, n_objects: int = 5, bounds: float = 9.0) -> Scene:
     rng = stream(seed, "scene")
     pos = rng.uniform(-0.8 * bounds, 0.8 * bounds, size=(n_objects, 2))
-    ext = rng.uniform(*extent_range, size=(n_objects, 2))
+    ext = rng.uniform(*EXTENT_RANGE, size=(n_objects, 2))
     ang = rng.uniform(-math.pi, math.pi, size=n_objects)
-    spd = rng.uniform(*speed_range, size=n_objects)
+    spd = rng.uniform(*SPEED_RANGE, size=n_objects)
     vel = np.stack([spd * np.cos(ang), spd * np.sin(ang)], axis=1)
     return Scene(objects=np.hstack([pos, ext, vel]), bounds=bounds, seed=seed)
 
@@ -97,35 +101,27 @@ def make_scene(seed: int, n_objects: int = 5, bounds: float = 9.0,
 # rendering
 # ---------------------------------------------------------------------------
 
-_COORD_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
-_CELL_CACHE: dict[tuple[int, int, float], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def coordinate_channels(h: int, w: int, n: int) -> np.ndarray:
     """n fixed sinusoidal positional channels over the grid."""
-    key = (h, w, n)
-    if key not in _COORD_CACHE:
-        rr, cc = np.meshgrid(np.arange(h) / h, np.arange(w) / w, indexing="ij")
-        planes = []
-        freq = 1
-        while len(planes) < n:
-            for p in (np.sin(2 * math.pi * freq * rr), np.cos(2 * math.pi * freq * rr),
-                      np.sin(2 * math.pi * freq * cc), np.cos(2 * math.pi * freq * cc)):
-                planes.append(p)
-            freq += 1
-        _COORD_CACHE[key] = np.stack(planes[:n])
-    return _COORD_CACHE[key]
+    rr, cc = np.meshgrid(np.arange(h) / h, np.arange(w) / w, indexing="ij")
+    planes = []
+    freq = 1
+    while len(planes) < n:
+        for p in (np.sin(2 * math.pi * freq * rr), np.cos(2 * math.pi * freq * rr),
+                  np.sin(2 * math.pi * freq * cc), np.cos(2 * math.pi * freq * cc)):
+            planes.append(p)
+        freq += 1
+    return np.stack(planes[:n])
 
 
+@functools.cache
 def _cell_centers(h: int, w: int, cell_size: float) -> tuple[np.ndarray, np.ndarray]:
     """Local-frame metric coordinates of every cell center."""
-    key = (h, w, cell_size)
-    if key not in _CELL_CACHE:
-        rows = (np.arange(h) - (h - 1) / 2.0) * cell_size
-        cols = (np.arange(w) - (w - 1) / 2.0) * cell_size
-        ys, xs = np.meshgrid(rows, cols, indexing="ij")
-        _CELL_CACHE[key] = (xs, ys)
-    return _CELL_CACHE[key]
+    rows = (np.arange(h) - (h - 1) / 2.0) * cell_size
+    cols = (np.arange(w) - (w - 1) / 2.0) * cell_size
+    ys, xs = np.meshgrid(rows, cols, indexing="ij")
+    return xs, ys
 
 
 def render_bev(scene: Scene, pose: Pose2D, h: int, w: int, cell_size: float,

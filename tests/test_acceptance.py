@@ -79,9 +79,10 @@ def _wtden_case(seed):
     den = WaveletDenoiser(2, 3, stream(seed, "gd"))
     den.inner_kernel.data += 0.05 * rng.standard_normal(den.inner_kernel.data.shape)
     den.skip_kernel.data += 0.05 * rng.standard_normal(den.skip_kernel.data.shape)
-    for s in den.scans:
-        s.w_out.data = 0.3 * rng.standard_normal(s.w_out.data.shape)
-        s.b_out.data = 0.3 * rng.standard_normal(s.b_out.data.shape)
+    w_out, b_out = (den.params[f"denoise.ssm.{name}"] for name in ("w_out", "b_out"))
+    for p in range(len(w_out.data)):      # per scan path, as when each path had its own block
+        w_out.data[p] = 0.3 * rng.standard_normal(w_out.data[p].shape)
+        b_out.data[p] = 0.3 * rng.standard_normal(b_out.data[p].shape)
     x = Tensor(rng.uniform(-1.2, 1.2, size=(2, 8, 8)))
     return (lambda t: ops.tsum(den(t))), x
 

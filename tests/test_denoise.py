@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coopfuse import ops
-from coopfuse.denoise import (_SCAN_PATHS, SelectiveScan, WaveletDenoiser, interleaved_order,
+from coopfuse.denoise import (_SCAN_PATHS, WaveletDenoiser, interleaved_order,
                               progressive_order, subband_tokens, token_subbands)
 from coopfuse.gradcheck import grad_check
 from coopfuse.tensor import Tape, Tensor
@@ -75,23 +75,38 @@ class TestScanOrders:
             progressive_order(2, 2, "sideways")
 
 
+def one_path(c, n, seed):
+    """A denoiser's initial scan parameters of its first path (P = 1), as
+    requires-grad tensors; w_in holds the first C*N normals of the stream."""
+    den = WaveletDenoiser(c, n, stream(seed, "s"))
+    return {name: Tensor(t.data[:1].copy(), requires_grad=True)
+            for name, t in zip(ops.SCAN_PARAMS, den.scan_params)}
+
+
+def scan(ssm, values):
+    """One path's L x C scan output: ops.selective_scan on a 1 x L x C sequence."""
+    length, c = values.data.shape
+    y = ops.selective_scan(ops.reshape(values, (1, length, c)), list(ssm.values()))
+    return ops.reshape(y, (length, c))
+
+
 class TestSelectiveScan:
     def pinned(self, c=2, n=1, step=1.0, gate_in=1.0, gate_out=1.0, skip=0.0,
                decay=1.0, seed=0):
-        ssm = SelectiveScan(c, n, stream(seed, "s"), prefix="ssm")
-        ssm.w_step.data = np.zeros((c, c))
-        ssm.b_step.data = np.full((1, c), math.log(math.expm1(step)))  # softplus^-1
-        ssm.w_in.data = np.zeros((c, n))
-        ssm.b_in.data = np.full((1, n), gate_in)
-        ssm.w_out.data = np.zeros((c, n))
-        ssm.b_out.data = np.full((1, n), gate_out)
-        ssm.skip.data = np.full((1, c), skip)
-        ssm.log_decay.data = np.full(n, math.log(decay))
+        ssm = one_path(c, n, seed)
+        ssm["w_step"].data = np.zeros((1, c, c))
+        ssm["b_step"].data = np.full((1, 1, c), math.log(math.expm1(step)))  # softplus^-1
+        ssm["w_in"].data = np.zeros((1, c, n))
+        ssm["b_in"].data = np.full((1, 1, n), gate_in)
+        ssm["w_out"].data = np.zeros((1, c, n))
+        ssm["b_out"].data = np.full((1, 1, n), gate_out)
+        ssm["skip"].data = np.full((1, 1, c), skip)
+        ssm["log_decay"].data = np.full((1, n), math.log(decay))
         return ssm
 
     def test_zero_sequence_zero_output(self):
-        ssm = SelectiveScan(3, 4, stream(1, "s"), prefix="ssm")
-        out = ssm(Tensor(np.zeros((10, 3))))
+        ssm = one_path(3, 4, 1)
+        out = scan(ssm, Tensor(np.zeros((10, 3))))
         assert np.array_equal(out.data, np.zeros((10, 3)))
 
     def test_infinite_decay_is_memoryless(self):
@@ -99,7 +114,7 @@ class TestSelectiveScan:
                           decay=1e9)
         rng = np.random.default_rng(2)
         x = rng.normal(size=(12, 2))
-        out = ssm(Tensor(x)).data
+        out = scan(ssm, Tensor(x)).data
         # exp(step * -1e9) = 0: h_t = step*gate_in*x_t, y = gate_out*h + skip*x
         expected = (1.0 * 0.7 * x) * 0.5 + 0.25 * x
         assert np.max(np.abs(out - expected)) < 1e-12
@@ -108,57 +123,64 @@ class TestSelectiveScan:
         # step=1, gates=1, skip=0, decay=-1: h1 = x1, y1 = x1
         ssm = self.pinned(step=1.0, gate_in=1.0, gate_out=1.0, skip=0.0, decay=1.0)
         x = np.array([[0.37, -1.2]])
-        out = ssm(Tensor(x)).data
+        out = scan(ssm, Tensor(x)).data
         assert np.max(np.abs(out - x)) < 1e-12
 
     def test_default_init_is_per_token_identity(self):
-        ssm = SelectiveScan(3, 8, stream(3, "s"), prefix="ssm")
+        ssm = one_path(3, 8, 3)
         rng = np.random.default_rng(3)
         x = rng.normal(size=(20, 3))
-        assert np.max(np.abs(ssm(Tensor(x)).data - x)) < 1e-12
+        assert np.max(np.abs(scan(ssm, Tensor(x)).data - x)) < 1e-12
 
     def test_pinned_gates_linear(self):
         ssm = self.pinned(step=0.8, gate_in=1.0, gate_out=1.0, skip=0.5, decay=2.0)
         rng = np.random.default_rng(4)
         x, y = rng.normal(size=(15, 2)), rng.normal(size=(15, 2))
         a, b = 1.3, -0.7
-        lhs = ssm(Tensor(a * x + b * y)).data
-        rhs = a * ssm(Tensor(x)).data + b * ssm(Tensor(y)).data
+        lhs = scan(ssm, Tensor(a * x + b * y)).data
+        rhs = a * scan(ssm, Tensor(x)).data + b * scan(ssm, Tensor(y)).data
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_forward_reverse_symmetry_memoryless(self):
         ssm = self.pinned(step=1.0, gate_in=0.4, gate_out=1.0, skip=0.3, decay=1e9)
         rng = np.random.default_rng(5)
         x = rng.normal(size=(9, 2))
-        fwd = ssm(Tensor(x)).data
-        rev = ssm(Tensor(x[::-1].copy())).data
+        fwd = scan(ssm, Tensor(x)).data
+        rev = scan(ssm, Tensor(x[::-1].copy())).data
         assert np.max(np.abs(rev - fwd[::-1])) < 1e-12
 
     def test_decay_stays_negative(self):
-        ssm = SelectiveScan(2, 6, stream(6, "s"), prefix="ssm")
-        assert np.all(ssm.decay < 0)
-        assert np.allclose(ssm.decay, -np.arange(1, 7))
+        decay = -np.exp(one_path(2, 6, 6)["log_decay"].data[0])
+        assert np.all(decay < 0)
+        assert np.allclose(decay, -np.arange(1, 7))
 
     def test_empty_sequence_rejected(self):
-        ssm = SelectiveScan(2, 2, stream(7, "s"), prefix="ssm")
+        ssm = one_path(2, 2, 7)
         with pytest.raises(ValueError):
-            ssm(Tensor(np.zeros((0, 2))))
+            scan(ssm, Tensor(np.zeros((0, 2))))
 
 
-def composed_scan(ssm, values):
-    """The selective scan built from elementary tape ops: the recurrence
-    terms, ops.linear_recurrence over them, then the read-out."""
+def composed_scan(ssm, values, p=0):
+    """Path p of the selective scan built from elementary tape ops: the
+    recurrence terms, ops.linear_recurrence over them, then the read-out."""
     length, c = values.data.shape
-    n = ssm.state_dim
-    step = ops.softplus(ops.matmul(values, ssm.w_step) + ssm.b_step)
-    gate_in = ops.matmul(values, ssm.w_in) + ssm.b_in
-    gate_out = ops.matmul(values, ssm.w_out) + ssm.b_out
-    decay = ops.neg(ops.exp(ssm.log_decay))
+    w_step, b_step, w_in, b_in, w_out, b_out, skip, log_decay = (
+        ops.index_axis(t, 0, p) for t in ssm.values())
+    n = log_decay.data.shape[0]
+    step = ops.softplus(ops.matmul(values, w_step) + b_step)
+    gate_in = ops.matmul(values, w_in) + b_in
+    gate_out = ops.matmul(values, w_out) + b_out
+    decay = ops.neg(ops.exp(log_decay))
     a = ops.exp(ops.reshape(step, (length, c, 1)) * ops.reshape(decay, (1, 1, n)))
     drive = ops.reshape(step * values, (length, c, 1)) * ops.reshape(gate_in, (length, 1, n))
     states = ops.linear_recurrence(a, drive)
     y = ops.tsum(states * ops.reshape(gate_out, (length, 1, n)), axis=2)
-    return y + ssm.skip * values
+    return y + skip * values
+
+
+def denoiser_scan(den):
+    """The denoiser's stacked scan parameters by SCAN_PARAMS name."""
+    return dict(zip(ops.SCAN_PARAMS, den.scan_params))
 
 
 def composed_scan_branch(den, bands):
@@ -166,20 +188,20 @@ def composed_scan_branch(den, bands):
     _, h2, w2 = bands.data.shape
     rows = subband_tokens(bands)
     total = None
-    for ssm, (kind, direction) in zip(den.scans, _SCAN_PATHS):
+    for p, (kind, direction) in enumerate(_SCAN_PATHS):
         order = (progressive_order if kind == "prog" else interleaved_order)(h2, w2, direction)
-        y = composed_scan(ssm, ops.take_rows(rows, order))
+        y = composed_scan(denoiser_scan(den), ops.take_rows(rows, order), p)
         back = token_subbands(ops.take_rows(y, np.argsort(order)), h2, w2)
         total = back if total is None else total + back
     enhanced = ops.conv2d(total, den.proj_kernel) + den.proj_bias
     return ops.ihaar2d(enhanced)
 
 
-def perturb_scans(scans, rng):
-    """Move every scan parameter off its init, w_step, w_out and b_out too."""
-    for ssm in scans:
-        for p in ssm.scan_params:
-            p.data = p.data + 0.3 * rng.standard_normal(p.data.shape)
+def perturb_scans(params, rng):
+    """Move every path's scan parameters off their init, w_step, w_out and b_out too."""
+    for p in range(len(params[0].data)):
+        for t in params:
+            t.data[p] = t.data[p] + 0.3 * rng.standard_normal(t.data[p].shape)
 
 
 def run_with_grads(fn, inputs, weights):
@@ -204,12 +226,12 @@ class TestFusedScan:
     @pytest.mark.parametrize("seed", range(4))
     def test_single_path_matches_composition(self, seed):
         rng = np.random.default_rng(seed)
-        ssm = SelectiveScan(3, 5, stream(seed, "s"), prefix="ssm")
-        perturb_scans([ssm], rng)
+        ssm = one_path(3, 5, seed)
+        perturb_scans(list(ssm.values()), rng)
         x = Tensor(rng.normal(size=(40, 3)), requires_grad=True)
-        inputs = [x, *ssm.scan_params]
+        inputs = [x, *ssm.values()]
         weights = rng.normal(size=(40, 3))
-        y, grads = run_with_grads(lambda: ssm(x), inputs, weights)
+        y, grads = run_with_grads(lambda: scan(ssm, x), inputs, weights)
         y_ref, grads_ref = run_with_grads(lambda: composed_scan(ssm, x), inputs, weights)
         assert np.array_equal(y, y_ref)
         assert_grads_close(grads, grads_ref)
@@ -218,10 +240,9 @@ class TestFusedScan:
     def test_scan_branch_matches_composition(self, seed):
         rng = np.random.default_rng(seed)
         den = WaveletDenoiser(3, 4, stream(seed, "d"))
-        perturb_scans(den.scans, rng)
+        perturb_scans(den.scan_params, rng)
         bands = Tensor(rng.normal(size=(12, 8, 8)), requires_grad=True)
-        inputs = [bands, *(p for ssm in den.scans for p in ssm.scan_params),
-                  den.proj_kernel, den.proj_bias]
+        inputs = [bands, *den.scan_params, den.proj_kernel, den.proj_bias]
         weights = rng.normal(size=(3, 16, 16))
         y, grads = run_with_grads(lambda: den.scan_branch(bands), inputs, weights)
         y_ref, grads_ref = run_with_grads(lambda: composed_scan_branch(den, bands), inputs,
@@ -230,12 +251,11 @@ class TestFusedScan:
         assert_grads_close(grads, grads_ref)
 
     def test_mismatched_inputs_rejected(self):
-        ssm = SelectiveScan(2, 2, stream(8, "s"), prefix="ssm")
+        params = list(one_path(2, 2, 8).values())
         with pytest.raises(ValueError):
-            ops.selective_scan([Tensor(np.zeros((4, 2))), Tensor(np.zeros((5, 2)))],
-                               [ssm.scan_params, ssm.scan_params])
+            ops.selective_scan(Tensor(np.zeros((2, 4, 2))), params)    # two paths, one set
         with pytest.raises(ValueError):
-            ops.selective_scan([Tensor(np.zeros((4, 2)))], [ssm.scan_params[:-1]])
+            ops.selective_scan(Tensor(np.zeros((1, 4, 2))), params[:-1])
 
 
 class TestScanBranch:
@@ -337,9 +357,10 @@ class TestDenoiserForward:
         # move off the zero-init plateau so the check exercises real paths
         den.inner_kernel.data += 0.05 * rng.standard_normal(den.inner_kernel.data.shape)
         den.skip_kernel.data += 0.05 * rng.standard_normal(den.skip_kernel.data.shape)
-        for s in den.scans:
-            s.w_out.data = 0.3 * rng.standard_normal(s.w_out.data.shape)
-            s.b_out.data = 0.3 * rng.standard_normal(s.b_out.data.shape)
+        ssm = denoiser_scan(den)
+        for p in range(len(ssm["w_out"].data)):
+            ssm["w_out"].data[p] = 0.3 * rng.standard_normal(ssm["w_out"].data[p].shape)
+            ssm["b_out"].data[p] = 0.3 * rng.standard_normal(ssm["b_out"].data[p].shape)
         x = Tensor(rng.uniform(-1.2, 1.2, size=(2, 8, 8)))
         err = grad_check(lambda t: ops.tsum(den(t)), x, eps=1e-4)
         assert err < 1e-4

@@ -6,12 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coopfuse import pipeline as pipeline_module
+from coopfuse import pipeline as pipeline_module, training as training_module
 from coopfuse.pipeline import (ConfigError, MetricRecord, Pipeline,
                                PipelineConfig, TrainSpec, clean_reference, config_label,
                                evaluate, occupancy_iou, simulate)
 from coopfuse.sync import FeatureBuffer, Integrator
-from coopfuse.tensor import Tensor, active_tape
+from coopfuse.tensor import Tape, Tensor, active_tape
 from coopfuse.training import Adam, DivergenceError, train
 from coopfuse.world import ChannelConfig, make_scenario
 
@@ -308,6 +308,12 @@ class TestOccupancyIoU:
         gt[:, 0] = 1.0              # truth is two cells, one shared
         assert occupancy_iou(logits, gt) == pytest.approx(1.0 / 3.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_logit_is_nan(self, bad):
+        logits = np.full((4, 4), -1.0)
+        logits[2, 1] = bad
+        assert np.isnan(occupancy_iou(logits, np.zeros((4, 4))))
+
 
 class TestTraining:
     def test_single_step_changes_parameters(self):
@@ -369,3 +375,19 @@ class TestAdam:
         opt = Adam({"p": p}, lr=0.1)
         opt.step()
         assert np.array_equal(p.data, np.zeros(3))
+
+
+class TestRecordBudget:
+    def test_desk_training_step(self, monkeypatch):
+        """One training step of the desk config with every stage on stays within
+        225 tape records; a per-point anchor, a per-scale split attention and a
+        gather per scan path make 261."""
+        lengths = []
+
+        class CountingTape(Tape):
+            def backward(self, root):
+                lengths.append(len(self))
+                super().backward(root)
+        monkeypatch.setattr(training_module, "Tape", CountingTape)
+        train(PipelineConfig(training=TrainSpec(steps=1)))
+        assert len(lengths) == 1 and lengths[0] <= 225, lengths

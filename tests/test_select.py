@@ -9,7 +9,7 @@ from coopfuse.select import (BlockGrid, FeatureSelector, InvertedBottleneck,
                              LinearAttention, SplitAttention, propagate_mask,
                              score_blocks, topk_select)
 from coopfuse.sync import identity_kernel
-from coopfuse.tensor import Tensor
+from coopfuse.tensor import Tape, Tensor
 from coopfuse.world import stream
 
 
@@ -231,8 +231,8 @@ class TestSelectorForward:
     def test_split_attention_weights_convex(self):
         sp = SplitAttention(4, stream(3, "sp"))
         rng = np.random.default_rng(10)
-        outs = [Tensor(rng.normal(size=(4, 8, 8))) for _ in range(3)]
-        w = sp.weights(outs).data
+        stacked = Tensor(rng.normal(size=(3, 4, 8, 8)))      # three 4 x 8 x 8 scale outputs
+        w = sp.weights(stacked).data
         assert w.shape == (3, 4)
         assert np.all(w >= 0.0)
         assert np.max(np.abs(w.sum(axis=0) - 1.0)) < 1e-9
@@ -251,6 +251,50 @@ class TestSelectorForward:
         x = Tensor(rng.uniform(-1.2, 1.2, size=(c, 8, 8)))
         err = grad_check(lambda t: ops.tsum(sel(t)), x, eps=1e-4)
         assert err < 1e-4
+
+
+def split_attention_loop(sp, scale_outputs):
+    """SplitAttention one scale at a time: pool and score each output, softmax
+    the stacked logits over scales, then add up the weighted outputs."""
+    c = scale_outputs[0].data.shape[0]
+    logits = []
+    for f in scale_outputs:
+        pooled = ops.reshape(ops.tmean(ops.tmean(f, axis=2), axis=1), (1, -1))
+        z = ops.relu(ops.matmul(pooled, sp.w1) + sp.b1)
+        logits.append(ops.matmul(z, sp.w2))
+    w = ops.softmax(ops.concat(logits, axis=0), axis=0)
+    out = None
+    for i, f in enumerate(scale_outputs):
+        term = ops.reshape(ops.index_axis(w, 0, i), (c, 1, 1)) * f
+        out = term if out is None else out + term
+    return out
+
+
+class TestSplitAttentionMatchesLoop:
+    @pytest.mark.parametrize("n_scales", [1, 2, 3])
+    def test_outputs_and_gradients(self, n_scales):
+        rng = np.random.default_rng(50 + n_scales)
+        sp = SplitAttention(4, stream(n_scales, "sp"))
+        sp.b1.data = 0.1 * rng.normal(size=sp.b1.data.shape)
+        outs = [Tensor(rng.normal(size=(4, 8, 6)), requires_grad=True) for _ in range(n_scales)]
+        inputs = [*outs, sp.w1, sp.b1, sp.w2]
+        g = rng.normal(size=(4, 8, 6))
+        results = []
+        for fn in (sp, lambda fs: split_attention_loop(sp, fs)):
+            for t in inputs:
+                t.grad = None
+            with Tape() as tape:
+                out = fn(outs)
+                loss = ops.tsum(ops.mul(out, Tensor(g)))
+            tape.backward(loss)
+            results.append([out.data, *(t.grad for t in inputs)])
+        names = ["out", *(f"f{i}" for i in range(n_scales)), "w1", "b1", "w2"]
+        got, want = (dict(zip(names, r)) for r in results)
+        for name in names:
+            # b1 shifts every scale's hidden units alike, so the softmax over
+            # scales leaves it a gradient of rounding noise: measure it on w1's
+            scale = np.max(np.abs(want["w1" if name == "b1" else name]))
+            assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
 
 
 class TestMaskAlgebraProperties:

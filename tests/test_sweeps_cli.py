@@ -357,7 +357,8 @@ class TestCli:
     def test_nonfinite_metric_exit_code(self, tmp_path):
         cfg_path = self.write_config(tmp_path)
         pipe = Pipeline(tiny_config())
-        pipe.integrator.bias.data[:] = np.nan
+        # finite, so the checkpoint loads, but the integrated maps overflow
+        pipe.integrator.bias.data[:] = 1e308
         params = tmp_path / "p.catp"
         pipe.save(params)
         out = tmp_path / "o"
@@ -366,4 +367,33 @@ class TestCli:
         assert r.returncode == 3, r.stderr
         assert len(r.stderr.splitlines()) == 1, r.stderr
         assert r.stderr.startswith("divergence") and "mse_to_clean=nan" in r.stderr
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("name", ["decoder.bias", "select.split.b1"])
+    def test_nonfinite_params_exit_code(self, tmp_path, name):
+        cfg_path = self.write_config(tmp_path)
+        pipe = Pipeline(tiny_config())
+        pipe.parameters()[name].data.reshape(-1)[0] = np.nan
+        params = tmp_path / "p.catp"
+        pipe.save(params)
+        out = tmp_path / "o"
+        r = self.run_cli("run", "--config", str(cfg_path), "--out", str(out),
+                         "--params", str(params))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("config error") and len(r.stderr.splitlines()) == 1
+        assert repr(name) in r.stderr
+        assert not (out / "metrics.csv").exists()
+
+    def test_overflowing_logits_exit_code(self, tmp_path):
+        cfg_path = self.write_config(tmp_path)
+        pipe = Pipeline(tiny_config())
+        pipe.selector.agg_bias.data[:] = 1e308       # finite, but the decoder's logits are not
+        params = tmp_path / "p.catp"
+        pipe.save(params)
+        out = tmp_path / "o"
+        r = self.run_cli("run", "--config", str(cfg_path), "--out", str(out),
+                         "--params", str(params))
+        assert r.returncode == 3, r.stderr
+        assert len(r.stderr.splitlines()) == 1, r.stderr
+        assert r.stderr.startswith("divergence") and "occupancy_iou=nan" in r.stderr
         assert not (out / "metrics.csv").exists()

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from coopfuse import ops
+from coopfuse import ops, sync as sync_module
 from coopfuse.gradcheck import grad_check
-from coopfuse.sync import FeatureBuffer, Integrator, TemporalSync, identity_kernel
-from coopfuse.tensor import Tensor
+from coopfuse.sync import FeatureBuffer, Integrator, TemporalSync, base_grid, identity_kernel
+from coopfuse.tensor import Tape, Tensor
 from coopfuse.world import stream
 
 C, H, W = 4, 8, 8
@@ -257,6 +257,57 @@ class TestAnchor:
         ego = Tensor(rng.normal(size=(C, H, W)))
         out = sync.anchor(pred, ego)
         assert np.max(np.abs(out.data - (pred.data + ego.data))) < 1e-12
+
+
+def anchor_loop(sync, predicted, ego):
+    """TemporalSync.anchor one sampling point at a time: a bilinear_sample per
+    point, weighted by its softmax slice and added to the running output."""
+    _, h, w = predicted.data.shape
+    fields = ops.conv2d(predicted, sync.anchor_kernel) + sync.anchor_bias
+    weights = ops.softmax(ops.narrow(fields, 0, 2 * sync.m, sync.m), axis=0)
+    grid = Tensor(base_grid(h, w))
+    out = predicted
+    for m in range(sync.m):
+        val = ops.bilinear_sample(ego, grid + ops.narrow(fields, 0, 2 * m, 2))
+        out = out + ops.reshape(ops.index_axis(weights, 0, m), (1, h, w)) * val
+    return out
+
+
+class TestAnchorMatchesLoop:
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_outputs_and_gradients(self, m):
+        rng = np.random.default_rng(40 + m)
+        sync = make_sync(7, m=m)
+        # offsets of a few cells, so points land between cells and off the grid
+        sync.anchor_kernel.data = 2.0 * rng.normal(size=sync.anchor_kernel.data.shape)
+        sync.anchor_bias.data = rng.normal(size=sync.anchor_bias.data.shape)
+        pred = Tensor(rng.normal(size=(C, H, W)), requires_grad=True)
+        ego = Tensor(rng.normal(size=(C, H, W)), requires_grad=True)
+        inputs = [pred, ego, sync.anchor_kernel, sync.anchor_bias]
+        g = rng.normal(size=(C, H, W))
+        results = []
+        for fn in (sync.anchor, lambda p, e: anchor_loop(sync, p, e)):
+            for t in inputs:
+                t.grad = None
+            with Tape() as tape:
+                out = fn(pred, ego)
+                loss = ops.tsum(ops.mul(out, Tensor(g)))
+            tape.backward(loss)
+            results.append([out.data, *(t.grad for t in inputs)])
+        for got, want in zip(*results):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_one_sampling_call(self, monkeypatch):
+        calls = []
+
+        def counting(x, coords):
+            calls.append(coords.data.shape)
+            return ops.bilinear_sample(x, coords)
+        monkeypatch.setattr(sync_module, "bilinear_sample", counting)
+        rng = np.random.default_rng(43)
+        sync = make_sync(8, m=4)
+        sync.anchor(Tensor(rng.normal(size=(C, H, W))), Tensor(rng.normal(size=(C, H, W))))
+        assert calls == [(2, 4 * H, W)]
 
 
 class TestBuffer:

@@ -208,15 +208,13 @@ def bilinear_sample_reference(x, coords, g):
     return y, dx.reshape(c, h, w), dcoords
 
 
-def selective_scan_reference(xs, params, g):
+def selective_scan_reference(x, params, g):
     """selective_scan on whole L x P x C x N state arrays, scanned step by step.
 
-    Returns the output, the gradient of every sequence and a dict of the
-    stacked parameter gradients, for output gradient g.
+    Returns the output, the gradient of the P x L x C sequences and a dict of
+    the stacked parameter gradients, for output gradient g.
     """
-    x = np.stack(xs)
-    w_step, b_step, w_in, b_in, w_out, b_out, skip, log_decay = (
-        np.stack([ps[k] for ps in params]) for k in range(len(ops.SCAN_PARAMS)))
+    w_step, b_step, w_in, b_in, w_out, b_out, skip, log_decay = params
     z = np.matmul(x, w_step) + b_step
     step = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
     gate_in = np.matmul(x, w_in) + b_in
@@ -398,44 +396,42 @@ class TestKernelsMatchPreviousAlgorithms:
 
     @staticmethod
     def scan_inputs(length, seed, n_paths=2, c=3, n=5):
+        """P x L x C sequences, the 8 stacked parameters and an output gradient."""
         rng = np.random.default_rng(seed)
-        xs = [rng.uniform(-1.5, 1.5, size=(length, c)) for _ in range(n_paths)]
+        x = np.stack([rng.uniform(-1.5, 1.5, size=(length, c)) for _ in range(n_paths)])
         shapes = [(c, c), (1, c), (c, n), (1, n), (c, n), (1, n), (1, c), (n,)]
-        params = [[rng.normal(scale=0.5, size=s) for s in shapes] for _ in range(n_paths)]
-        return xs, params, rng.normal(size=(n_paths, length, c))
+        per_path = [[rng.normal(scale=0.5, size=s) for s in shapes] for _ in range(n_paths)]
+        return x, [np.stack(t) for t in zip(*per_path)], rng.normal(size=(n_paths, length, c))
 
     # around one block of the forward, and the length wtden scans at the desk grid
     SCAN_LENGTHS = [1, ops._SCAN_BLOCK - 1, ops._SCAN_BLOCK, ops._SCAN_BLOCK + 1, 1024]
 
     @pytest.mark.parametrize("length", SCAN_LENGTHS)
     def test_selective_scan(self, length):
-        xs, params, g = self.scan_inputs(length, seed=length)
-        ts = [Tensor(x, requires_grad=True) for x in xs]
-        ps = [[Tensor(p, requires_grad=True) for p in path] for path in params]
-        y, grads = run_with_output_grad(lambda: ops.selective_scan(ts, ps),
-                                        [*ts, *(t for path in ps for t in path)], g)
-        y_ref, gx_ref, gp_ref = selective_scan_reference(xs, params, g)
+        x, params, g = self.scan_inputs(length, seed=length)
+        t = Tensor(x, requires_grad=True)
+        ps = [Tensor(p, requires_grad=True) for p in params]
+        y, grads = run_with_output_grad(lambda: ops.selective_scan(t, ps), [t, *ps], g)
+        y_ref, gx_ref, gp_ref = selective_scan_reference(x, params, g)
         assert np.array_equal(y, y_ref)
-        for p, gx in enumerate(grads[:len(ts)]):
-            assert np.array_equal(gx, gx_ref[p])
-        for i, gp in enumerate(grads[len(ts):]):
-            p, k = divmod(i, len(ops.SCAN_PARAMS))
-            assert np.array_equal(gp, gp_ref[ops.SCAN_PARAMS[k]][p]), ops.SCAN_PARAMS[k]
+        assert np.array_equal(grads[0], gx_ref)
+        for name, gp in zip(ops.SCAN_PARAMS, grads[1:]):
+            assert np.array_equal(gp, gp_ref[name]), name
 
     @pytest.mark.parametrize("length", SCAN_LENGTHS)
     def test_selective_scan_untaped_forward_equals_taped(self, length):
-        xs, params, _ = self.scan_inputs(length, seed=7, n_paths=4)
-        ts = [Tensor(x, requires_grad=True) for x in xs]
-        ps = [[Tensor(p, requires_grad=True) for p in path] for path in params]
+        x, params, _ = self.scan_inputs(length, seed=7, n_paths=4)
+        t = Tensor(x, requires_grad=True)
+        ps = [Tensor(p, requires_grad=True) for p in params]
         with Tape():
-            taped = ops.selective_scan(ts, ps).data
+            taped = ops.selective_scan(t, ps).data
         with no_grad():
-            untaped = ops.selective_scan(ts, ps).data
+            untaped = ops.selective_scan(t, ps).data
         with Tape():
-            constant = ops.selective_scan(xs, params).data          # nothing requires grad
+            constant = ops.selective_scan(x, params).data          # nothing requires grad
         assert np.array_equal(untaped, taped)
         assert np.array_equal(constant, taped)
-        assert np.array_equal(taped, selective_scan_reference(xs, params, np.zeros_like(taped))[0])
+        assert np.array_equal(taped, selective_scan_reference(x, params, np.zeros_like(taped))[0])
 
 
 class TestConv2dContractions:

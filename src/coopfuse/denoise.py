@@ -107,13 +107,13 @@ class WaveletDenoiser(ParamBlock):
         # undo every path's order with one gather, then sum the paths
         unscanned = take_rows(reshape(ys, (-1, self.c)), back)
         total = tsum(reshape(unscanned, ys.data.shape), axis=0)
-        enhanced = conv2d(token_subbands(total, h2, w2), self.proj_kernel) + self.proj_bias
+        enhanced = conv2d(token_subbands(total, h2, w2), self.proj_kernel, self.proj_bias)
         return ihaar2d(enhanced)
 
     def conv_branch(self, f_wt: Tensor) -> Tensor:
         """4C x h2 x w2 subbands -> C x 2h2 x 2w2: ihaar2d(ihaar2d(conv(haar2d(f))) + skip(f))."""
-        inner = conv2d(haar2d(f_wt), self.inner_kernel, pad=1) + self.inner_bias
-        skip = conv2d(f_wt, self.skip_kernel, pad=1) + self.skip_bias
+        inner = conv2d(haar2d(f_wt), self.inner_kernel, self.inner_bias, pad=1)
+        skip = conv2d(f_wt, self.skip_kernel, self.skip_bias, pad=1)
         return ihaar2d(ihaar2d(inner) + skip)
 
     def __call__(self, feature: Tensor) -> Tensor:

@@ -113,46 +113,9 @@ def div(a, b) -> Tensor:
     return out
 
 
-@_diffop
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(-a.data, a.requires_grad)
-
-    def bwd(g):
-        a.accumulate_grad(-g)
-
-    _record(out, bwd)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # elementwise nonlinearities
 # ---------------------------------------------------------------------------
-
-@_diffop
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.exp(a.data)
-    out = Tensor(y, a.requires_grad)
-
-    def bwd(g):
-        a.accumulate_grad(g * y)
-
-    _record(out, bwd)
-    return out
-
-
-@_diffop
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.log(a.data), a.requires_grad)
-
-    def bwd(g):
-        a.accumulate_grad(g / a.data)
-
-    _record(out, bwd)
-    return out
-
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # two-sided form avoids overflow in exp
@@ -172,20 +135,6 @@ def sigmoid(a) -> Tensor:
 
     def bwd(g):
         a.accumulate_grad(g * y * (1.0 - y))
-
-    _record(out, bwd)
-    return out
-
-
-@_diffop
-def softplus(a) -> Tensor:
-    a = as_tensor(a)
-    x = a.data
-    y = np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
-    out = Tensor(y, a.requires_grad)
-
-    def bwd(g):
-        a.accumulate_grad(g * _sigmoid(x))
 
     _record(out, bwd)
     return out
@@ -276,13 +225,24 @@ def max_reduce(a, axis: int) -> Tensor:
 
 
 @_diffop
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
+    """a @ b for rank-2 operands, plus an optional 1 x N row bias in the same record."""
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError(f"matmul expects rank-2 operands, got {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
+    y = a.data @ b.data
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.data.shape != (1, y.shape[1]):
+            raise ValueError(f"matmul bias must have shape {(1, y.shape[1])}, got "
+                             f"{bias.data.shape}")
+        y += bias.data
+    out = Tensor(y, a.requires_grad or b.requires_grad
+                 or (bias is not None and bias.requires_grad))
 
     def bwd(g):
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
         if a.requires_grad:
             a.accumulate_grad(g @ b.data.T)
         if b.requires_grad:
@@ -353,23 +313,6 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     def bwd(g):
         full = np.zeros_like(a.data)
         full[sl] = g
-        a.accumulate_grad(full)
-
-    _record(out, bwd)
-    return out
-
-
-@_diffop
-def index_axis(a, axis: int, i: int) -> Tensor:
-    """Select one index along an axis, removing that axis."""
-    a = as_tensor(a)
-    out = Tensor(np.take(a.data, i, axis=axis), a.requires_grad)
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        sl = [slice(None)] * a.data.ndim
-        sl[axis] = i
-        full[tuple(sl)] = g
         a.accumulate_grad(full)
 
     _record(out, bwd)
@@ -511,8 +454,9 @@ def _zero_pad(a: np.ndarray, pad: int) -> np.ndarray:
 
 
 @_diffop
-def conv2d(x, kernel, pad: int = 0) -> Tensor:
-    """2D cross-correlation of a C_in x H x W input with C_out x C_in x k x k weights.
+def conv2d(x, kernel, bias, pad: int = 0) -> Tensor:
+    """2D cross-correlation of a C_in x H x W input with C_out x C_in x k x k
+    weights, plus a C_out x 1 x 1 bias added to the product in the same record.
 
     Two contractions, chosen from the shapes alone. By default (im2col) the
     (C_in*k*k) x (H_out*W_out) patch matrix is built from one strided view
@@ -539,17 +483,23 @@ def conv2d(x, kernel, pad: int = 0) -> Tensor:
                          f"(C_in={c_in}) but kernel has shape {kernel.data.shape} (C_in={kc_in})")
     if h + 2 * pad < k or w + 2 * pad < k:
         raise ValueError(f"conv2d spatial extent too small: input {h}x{w}, pad {pad}, kernel {k}")
+    bias = as_tensor(bias)
+    if bias.data.shape != (c_out, 1, 1):
+        raise ValueError(f"conv2d bias must have shape {(c_out, 1, 1)}, got {bias.data.shape}")
 
     xp = _zero_pad(x.data, pad) if pad else np.ascontiguousarray(x.data)
     hp, wp = xp.shape[1:]
     h_out, w_out = hp - k + 1, wp - k + 1
     if k > 1 and c_out * hp * wp < c_in * h_out * w_out:
-        return _conv2d_taps(x, kernel, xp, pad)
+        return _conv2d_taps(x, kernel, bias, xp, pad)
     cols = xp.reshape(c_in, hp * wp) if k == 1 else _patches(xp, k, h_out, w_out)
-    out = Tensor((kernel.data.reshape(c_out, c_in * k * k) @ cols).reshape(c_out, h_out, w_out),
-                 x.requires_grad or kernel.requires_grad)
+    y = (kernel.data.reshape(c_out, c_in * k * k) @ cols).reshape(c_out, h_out, w_out)
+    y += bias.data
+    out = Tensor(y, x.requires_grad or kernel.requires_grad or bias.requires_grad)
 
     def bwd(g):
+        if bias.requires_grad:
+            bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
         if kernel.requires_grad:
             gm = g.reshape(c_out, h_out * w_out)
             kernel.accumulate_grad((gm @ cols.T).reshape(kernel.data.shape))
@@ -564,7 +514,7 @@ def conv2d(x, kernel, pad: int = 0) -> Tensor:
     return out
 
 
-def _conv2d_taps(x: Tensor, kernel: Tensor, xp: np.ndarray, pad: int) -> Tensor:
+def _conv2d_taps(x: Tensor, kernel: Tensor, bias: Tensor, xp: np.ndarray, pad: int) -> Tensor:
     """conv2d by kernel-to-row accumulation on the padded input xp.
 
     Z = W_taps @ Xpad holds every tap's product with the whole padded
@@ -579,10 +529,13 @@ def _conv2d_taps(x: Tensor, kernel: Tensor, xp: np.ndarray, pad: int) -> Tensor:
     rows = xp.reshape(c_in, hp * wp)
     wtaps = kernel.data.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
     z = (wtaps @ rows).reshape(k, k, c_out, hp, wp)
-    out = Tensor(_tap_windows(z, h_out, w_out).sum(axis=(0, 1)),
-                 x.requires_grad or kernel.requires_grad)
+    y = _tap_windows(z, h_out, w_out).sum(axis=(0, 1))
+    y += bias.data
+    out = Tensor(y, x.requires_grad or kernel.requires_grad or bias.requires_grad)
 
     def bwd(g):
+        if bias.requires_grad:
+            bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
         gz = np.zeros((k, k, c_out, hp, wp))
         _tap_windows(gz, h_out, w_out)[...] = g
         gz = gz.reshape(k * k * c_out, hp * wp)
@@ -832,7 +785,6 @@ Tensor.__mul__ = lambda self, o: mul(self, o)
 Tensor.__rmul__ = lambda self, o: mul(o, self)
 Tensor.__truediv__ = lambda self, o: div(self, o)
 Tensor.__rtruediv__ = lambda self, o: div(o, self)
-Tensor.__neg__ = lambda self: neg(self)
 Tensor.__matmul__ = lambda self, o: matmul(self, o)
 Tensor.reshape = lambda self, shape: reshape(self, shape)
 Tensor.sum = lambda self, axis=None, keepdims=False: tsum(self, axis, keepdims)

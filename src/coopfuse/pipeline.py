@@ -161,7 +161,7 @@ class Pipeline:
         return self.selector(x) if self.cfg.adpsel else x
 
     def decode(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.decoder_kernel) + self.decoder_bias
+        return conv2d(x, self.decoder_kernel, self.decoder_bias)
 
     def save(self, path) -> None:
         save_params(path, self.parameters())

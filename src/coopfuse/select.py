@@ -113,14 +113,14 @@ class LinearAttention(ParamBlock):
     where the gate is a plain linear map (zero weights give the identity).
     """
 
-    def __init__(self, c: int, rng: np.random.Generator, prefix: str):
+    def __init__(self, c: int, rng: np.random.Generator):
         super().__init__()
         s = 0.5 / math.sqrt(c)
-        self.wq = self._p(f"{prefix}.wq", s * rng.standard_normal((c, c)))
-        self.wk = self._p(f"{prefix}.wk", s * rng.standard_normal((c, c)))
-        self.wv = self._p(f"{prefix}.wv", s * rng.standard_normal((c, c)))
-        self.wg = self._p(f"{prefix}.wg", np.zeros((c, c)))
-        self.bg = self._p(f"{prefix}.bg", np.zeros((1, c)))
+        self.wq = self._p("select.attn.wq", s * rng.standard_normal((c, c)))
+        self.wk = self._p("select.attn.wk", s * rng.standard_normal((c, c)))
+        self.wv = self._p("select.attn.wv", s * rng.standard_normal((c, c)))
+        self.wg = self._p("select.attn.wg", np.zeros((c, c)))
+        self.bg = self._p("select.attn.bg", np.zeros((1, c)))
 
     def __call__(self, tokens: Tensor) -> Tensor:
         if tokens.data.ndim != 2 or tokens.data.shape[0] == 0:
@@ -132,7 +132,7 @@ class LinearAttention(ParamBlock):
         kv = matmul(transpose(fk, (1, 0)), v)                    # C x C
         num = matmul(fq, kv)                                     # T x C
         den = matmul(fq, transpose(tsum(fk, axis=0, keepdims=True), (1, 0)))  # T x 1
-        gate = matmul(tokens, self.wg) + self.bg
+        gate = matmul(tokens, self.wg, self.bg)
         return tokens + gate * (num / den)
 
 
@@ -143,36 +143,38 @@ IB_RATIO = 4
 class InvertedBottleneck(ParamBlock):
     """Per-token expand-nonlinearity-project with residual; no cross-token mixing."""
 
-    def __init__(self, c: int, rng: np.random.Generator, prefix: str = "ib"):
+    def __init__(self, c: int, rng: np.random.Generator):
         super().__init__()
         s = 0.5 / math.sqrt(c)
-        self.w1 = self._p(f"{prefix}.w1", s * rng.standard_normal((c, IB_RATIO * c)))
-        self.b1 = self._p(f"{prefix}.b1", np.zeros((1, IB_RATIO * c)))
-        self.w2 = self._p(f"{prefix}.w2", np.zeros((IB_RATIO * c, c)))
-        self.b2 = self._p(f"{prefix}.b2", np.zeros((1, c)))
+        self.w1 = self._p("select.ib.w1", s * rng.standard_normal((c, IB_RATIO * c)))
+        self.b1 = self._p("select.ib.b1", np.zeros((1, IB_RATIO * c)))
+        self.w2 = self._p("select.ib.w2", np.zeros((IB_RATIO * c, c)))
+        self.b2 = self._p("select.ib.b2", np.zeros((1, c)))
 
     def __call__(self, tokens: Tensor) -> Tensor:
         if tokens.data.shape[0] == 0:
             return tokens
-        hidden = relu(matmul(tokens, self.w1) + self.b1)
+        hidden = relu(matmul(tokens, self.w1, self.b1))
+        # b2 stays a separate add: this sums (tokens + product) + b2, and
+        # folding b2 into the matmul would round tokens + (product + b2)
         return tokens + matmul(hidden, self.w2) + self.b2
 
 
 class SplitAttention(ParamBlock):
     """Per-channel softmax weighting across scale outputs, shared perceptron."""
 
-    def __init__(self, c: int, rng: np.random.Generator, prefix: str = "split"):
+    def __init__(self, c: int, rng: np.random.Generator):
         super().__init__()
         hidden = max(1, c // 2)
-        self.w1 = self._p(f"{prefix}.w1", 0.1 * rng.standard_normal((c, hidden)))
-        self.b1 = self._p(f"{prefix}.b1", np.zeros((1, hidden)))
+        self.w1 = self._p("select.split.w1", 0.1 * rng.standard_normal((c, hidden)))
+        self.b1 = self._p("select.split.b1", np.zeros((1, hidden)))
         # no output bias: a shift shared by every scale's logits cancels in the
         # softmax over scales, so it would get a zero gradient
-        self.w2 = self._p(f"{prefix}.w2", 0.1 * rng.standard_normal((hidden, c)))
+        self.w2 = self._p("select.split.w2", 0.1 * rng.standard_normal((hidden, c)))
 
     def weights(self, stacked: Tensor) -> Tensor:
         """S x C softmax weights over the scales of an S x C x H x W stack."""
-        z = relu(matmul(tmean(stacked, axis=(2, 3)), self.w1) + self.b1)
+        z = relu(matmul(tmean(stacked, axis=(2, 3)), self.w1, self.b1))
         return softmax(matmul(z, self.w2), axis=0)
 
     def __call__(self, scale_outputs: list[Tensor]) -> Tensor:
@@ -195,12 +197,12 @@ class FeatureSelector(ParamBlock):
         # starts as channel-mean saliency rather than noise
         self.score_weight = self._p("select.score.weight", np.full(c, 1.0 / c))
         self.score_bias = self._p("select.score.bias", np.zeros(1))
-        self.attention = LinearAttention(c, rng, prefix="select.attn")
-        self.bottleneck = InvertedBottleneck(c, rng, prefix="select.ib")
+        self.attention = LinearAttention(c, rng)
+        self.bottleneck = InvertedBottleneck(c, rng)
         agg = identity_kernel(c) + 0.01 * rng.standard_normal((c, c, 3, 3))
         self.agg_kernel = self._p("select.agg.kernel", agg)
         self.agg_bias = self._p("select.agg.bias", np.zeros((c, 1, 1)))
-        self.split = SplitAttention(c, rng, prefix="select.split")
+        self.split = SplitAttention(c, rng)
         for sub in (self.attention, self.bottleneck, self.split):
             self.params.update(sub.params)
 
@@ -230,6 +232,6 @@ class FeatureSelector(ParamBlock):
                 rows = enhanced
             inv = np.argsort(np.concatenate([sel_idx, un_idx]))
             restored = reshape(transpose(take_rows(rows, inv), (1, 0)), (c, h, w))
-            outputs.append(conv2d(restored, self.agg_kernel, pad=1) + self.agg_bias)
+            outputs.append(conv2d(restored, self.agg_kernel, self.agg_bias, pad=1))
             eligibility = propagate_mask(eligibility, selection)
         return self.split(outputs)

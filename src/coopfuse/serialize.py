@@ -35,7 +35,8 @@ def save_params(path, params: dict[str, Parameter]) -> None:
 
 
 def load_params(path) -> dict[str, np.ndarray]:
-    """Read a parameter file; a malformed, truncated or nonfinite one raises ValueError."""
+    """Read a parameter file; a malformed, truncated or nonfinite file, or one that
+    names a parameter twice, raises ValueError."""
     buf = Path(path).read_bytes()
     if buf[:4] != MAGIC:
         raise ValueError(f"bad parameter file magic {buf[:4]!r}, expected {MAGIC!r}")
@@ -55,6 +56,8 @@ def _decode(buf: bytes) -> dict[str, np.ndarray]:
         (nlen,) = struct.unpack_from("<H", buf, off)
         off += 2
         name = buf[off:off + nlen].decode("utf-8")
+        if name in out:
+            raise ValueError(f"parameter {name!r} appears twice in the parameter file")
         off += nlen
         (rank,) = struct.unpack_from("<B", buf, off)
         off += 1

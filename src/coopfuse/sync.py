@@ -121,7 +121,7 @@ class Integrator(ParamBlock):
             raise ValueError(f"integrator needs a nonempty NxCxHxW stack, got {stack.data.shape}")
         mx = max_reduce(stack, 0)
         av = tmean(stack, axis=0)
-        return conv2d(concat([mx, av], axis=0), self.kernel, pad=1) + self.bias
+        return conv2d(concat([mx, av], axis=0), self.kernel, self.bias, pad=1)
 
 
 # channel reduction of the gate's pooled perceptron (2C -> 2C / 4 -> C)
@@ -164,14 +164,14 @@ class TemporalSync(ParamBlock):
             raise ValueError(f"offset inputs differ: {b_prev2.data.shape} vs "
                              f"{b_prev1.data.shape}")
         x = concat([b_prev2, b_prev1], axis=0)
-        return conv2d(x, self.offset_kernel, pad=1) + self.offset_bias
+        return conv2d(x, self.offset_kernel, self.offset_bias, pad=1)
 
     def _warp(self, feature: Tensor, offsets: Tensor, kernel: Parameter,
               bias: Parameter) -> Tensor:
         _, h, w = feature.data.shape
         coords = Tensor(base_grid(h, w)) + offsets
         sampled = bilinear_sample(feature, coords)
-        return conv2d(sampled, kernel, pad=1) + bias
+        return conv2d(sampled, kernel, bias, pad=1)
 
     def deform_warp(self, feature: Tensor, offsets: Tensor) -> Tensor:
         return self._warp(feature, offsets, self.warp_kernel, self.warp_bias)
@@ -180,16 +180,16 @@ class TemporalSync(ParamBlock):
         if hidden.data.shape != warped.data.shape:
             raise ValueError(f"gate inputs differ: {hidden.data.shape} vs {warped.data.shape}")
         x = concat([hidden, warped], axis=0)
-        spatial = conv2d(x, self.gate_spatial_kernel, pad=3) + self.gate_spatial_bias
+        spatial = conv2d(x, self.gate_spatial_kernel, self.gate_spatial_bias, pad=3)
         pooled = tmean(x, axis=(1, 2))
-        z = relu(matmul(reshape(pooled, (1, -1)), self.gate_w1) + self.gate_b1)
-        chan = reshape(matmul(z, self.gate_w2) + self.gate_b2, (self.c, 1, 1))
+        z = relu(matmul(reshape(pooled, (1, -1)), self.gate_w1, self.gate_b1))
+        chan = reshape(matmul(z, self.gate_w2, self.gate_b2), (self.c, 1, 1))
         alpha = sigmoid(spatial + chan)
         fused = (1.0 - alpha) * hidden + alpha * warped
         return GateOutput(alpha=alpha, fused=fused)
 
     def update(self, state: Tensor) -> Tensor:
-        offs = conv2d(state, self.update_offset_kernel, pad=1) + self.update_offset_bias
+        offs = conv2d(state, self.update_offset_kernel, self.update_offset_bias, pad=1)
         return self._warp(state, offs, self.update_warp_kernel, self.update_warp_bias)
 
     # -- module forwards ---------------------------------------------------
@@ -216,7 +216,7 @@ class TemporalSync(ParamBlock):
                              f"{ego.data.shape}")
         c, h, w = predicted.data.shape
         m = self.m
-        fields = conv2d(predicted, self.anchor_kernel) + self.anchor_bias
+        fields = conv2d(predicted, self.anchor_kernel, self.anchor_bias)
         # the M (row, col) offset pairs -> 2 x M*h x w coordinates, point m in rows m*h..
         offsets = transpose(reshape(narrow(fields, 0, 0, 2 * m), (m, 2, h, w)), (1, 0, 2, 3))
         coords = reshape(offsets, (2, m * h, w)) + np.tile(base_grid(h, w), (1, m, 1))

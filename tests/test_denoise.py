@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from composed_ops import exp, index_axis, neg, softplus
 from coopfuse import ops
 from coopfuse.denoise import (_SCAN_PATHS, WaveletDenoiser, interleaved_order,
                               progressive_order, subband_tokens, token_subbands)
@@ -165,13 +166,13 @@ def composed_scan(ssm, values, p=0):
     recurrence terms, ops.linear_recurrence over them, then the read-out."""
     length, c = values.data.shape
     w_step, b_step, w_in, b_in, w_out, b_out, skip, log_decay = (
-        ops.index_axis(t, 0, p) for t in ssm.values())
+        index_axis(t, 0, p) for t in ssm.values())
     n = log_decay.data.shape[0]
-    step = ops.softplus(ops.matmul(values, w_step) + b_step)
+    step = softplus(ops.matmul(values, w_step) + b_step)
     gate_in = ops.matmul(values, w_in) + b_in
     gate_out = ops.matmul(values, w_out) + b_out
-    decay = ops.neg(ops.exp(log_decay))
-    a = ops.exp(ops.reshape(step, (length, c, 1)) * ops.reshape(decay, (1, 1, n)))
+    decay = neg(exp(log_decay))
+    a = exp(ops.reshape(step, (length, c, 1)) * ops.reshape(decay, (1, 1, n)))
     drive = ops.reshape(step * values, (length, c, 1)) * ops.reshape(gate_in, (length, 1, n))
     states = ops.linear_recurrence(a, drive)
     y = ops.tsum(states * ops.reshape(gate_out, (length, 1, n)), axis=2)
@@ -193,7 +194,7 @@ def composed_scan_branch(den, bands):
         y = composed_scan(denoiser_scan(den), ops.take_rows(rows, order), p)
         back = token_subbands(ops.take_rows(y, np.argsort(order)), h2, w2)
         total = back if total is None else total + back
-    enhanced = ops.conv2d(total, den.proj_kernel) + den.proj_bias
+    enhanced = ops.conv2d(total, den.proj_kernel, den.proj_bias)
     return ops.ihaar2d(enhanced)
 
 

@@ -378,10 +378,9 @@ class TestAdam:
 
 
 class TestRecordBudget:
-    def test_desk_training_step(self, monkeypatch):
-        """One training step of the desk config with every stage on stays within
-        225 tape records; a per-point anchor, a per-scale split attention and a
-        gather per scan path make 261."""
+    @staticmethod
+    def records_per_step(monkeypatch, **stages):
+        """The tape length of one training step of the desk config."""
         lengths = []
 
         class CountingTape(Tape):
@@ -389,5 +388,18 @@ class TestRecordBudget:
                 lengths.append(len(self))
                 super().backward(root)
         monkeypatch.setattr(training_module, "Tape", CountingTape)
-        train(PipelineConfig(training=TrainSpec(steps=1)))
-        assert len(lengths) == 1 and lengths[0] <= 225, lengths
+        train(PipelineConfig(training=TrainSpec(steps=1), **stages))
+        assert len(lengths) == 1, lengths
+        return lengths[0]
+
+    def test_desk_training_step(self, monkeypatch):
+        """One training step with every stage on stays within 185 tape records;
+        a bias added in its own record after each conv2d and perceptron
+        matmul makes 220."""
+        assert self.records_per_step(monkeypatch) <= 185
+
+    def test_desk_baseline_step(self, monkeypatch):
+        """With every stage off, the integrator's and the decoder's conv each
+        take their bias in one record: at most 9 records, 11 with separate adds."""
+        assert self.records_per_step(monkeypatch, stsync=False, wtden=False,
+                                     adpsel=False) <= 9

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from composed_ops import index_axis
 from coopfuse import ops
 from coopfuse.gradcheck import grad_check
 from coopfuse.select import (BlockGrid, FeatureSelector, InvertedBottleneck,
@@ -133,7 +134,7 @@ class TestPropagateMask:
 class TestLinearAttention:
     def test_single_token(self):
         c = 3
-        att = LinearAttention(c, stream(0, "a"), prefix="a")
+        att = LinearAttention(c, stream(0, "a"))
         rng = np.random.default_rng(4)
         att.wg.data = rng.normal(size=(c, c))
         x = rng.normal(size=(1, c))
@@ -143,14 +144,14 @@ class TestLinearAttention:
         assert np.max(np.abs(out - (x + gate * v))) < 1e-12
 
     def test_identical_tokens_identical_outputs(self):
-        att = LinearAttention(3, stream(1, "a"), prefix="a")
+        att = LinearAttention(3, stream(1, "a"))
         x = np.tile(np.array([[0.4, -0.2, 1.1]]), (5, 1))
         out = att(Tensor(x)).data
         assert np.allclose(out, out[0])
 
     def test_uniform_kernel_two_token_mean(self):
         c = 2
-        att = LinearAttention(c, stream(2, "a"), prefix="a")
+        att = LinearAttention(c, stream(2, "a"))
         att.wq.data = np.zeros((c, c))     # feature map of 0 is 1: uniform scores
         att.wk.data = np.zeros((c, c))
         att.wv.data = np.eye(c)            # value projection pinned to identity
@@ -162,13 +163,13 @@ class TestLinearAttention:
         assert np.max(np.abs(out - (x + mean))) < 1e-12
 
     def test_zero_gate_is_identity(self):
-        att = LinearAttention(4, stream(3, "a"), prefix="a")
+        att = LinearAttention(4, stream(3, "a"))
         rng = np.random.default_rng(5)
         x = rng.normal(size=(7, 4))
         assert np.array_equal(att(Tensor(x)).data, x)
 
     def test_empty_tokens_rejected(self):
-        att = LinearAttention(2, stream(4, "a"), prefix="a")
+        att = LinearAttention(2, stream(4, "a"))
         with pytest.raises(ValueError):
             att(Tensor(np.zeros((0, 2))))
 
@@ -260,12 +261,12 @@ def split_attention_loop(sp, scale_outputs):
     logits = []
     for f in scale_outputs:
         pooled = ops.reshape(ops.tmean(ops.tmean(f, axis=2), axis=1), (1, -1))
-        z = ops.relu(ops.matmul(pooled, sp.w1) + sp.b1)
+        z = ops.relu(ops.matmul(pooled, sp.w1, sp.b1))
         logits.append(ops.matmul(z, sp.w2))
     w = ops.softmax(ops.concat(logits, axis=0), axis=0)
     out = None
     for i, f in enumerate(scale_outputs):
-        term = ops.reshape(ops.index_axis(w, 0, i), (c, 1, 1)) * f
+        term = ops.reshape(index_axis(w, 0, i), (c, 1, 1)) * f
         out = term if out is None else out + term
     return out
 

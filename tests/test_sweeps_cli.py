@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 from coopfuse.pipeline import Pipeline, PipelineConfig, evaluate
+from coopfuse.serialize import save_params
 from coopfuse.sweeps import (ABLATION_COMBOS, METRICS_COLUMNS, channel_sweep,
                              latency_sweep, metric_row, variant_sweep)
+from coopfuse.tensor import Parameter
 from coopfuse.training import train
 from coopfuse.world import ChannelConfig
 
@@ -382,6 +385,23 @@ class TestCli:
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("config error") and len(r.stderr.splitlines()) == 1
         assert repr(name) in r.stderr
+        assert not (out / "metrics.csv").exists()
+
+    def test_duplicate_params_exit_code(self, tmp_path):
+        # the model's parameters, then a second decoder.bias record
+        cfg_path = self.write_config(tmp_path)
+        params, extra = tmp_path / "p.catp", tmp_path / "extra.catp"
+        Pipeline(tiny_config()).save(params)
+        save_params(extra, {"decoder.bias": Parameter(np.full((1, 1, 1), 50.0), "decoder.bias")})
+        raw = bytearray(params.read_bytes())
+        struct.pack_into("<I", raw, 8, struct.unpack_from("<I", raw, 8)[0] + 1)
+        params.write_bytes(bytes(raw) + extra.read_bytes()[12:])
+        out = tmp_path / "o"
+        r = self.run_cli("run", "--config", str(cfg_path), "--out", str(out),
+                         "--params", str(params))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("config error") and len(r.stderr.splitlines()) == 1
+        assert repr("decoder.bias") in r.stderr
         assert not (out / "metrics.csv").exists()
 
     def test_overflowing_logits_exit_code(self, tmp_path):

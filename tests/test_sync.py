@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from composed_ops import index_axis
 from coopfuse import ops, sync as sync_module
 from coopfuse.gradcheck import grad_check
 from coopfuse.sync import FeatureBuffer, Integrator, TemporalSync, base_grid, identity_kernel
@@ -263,13 +264,13 @@ def anchor_loop(sync, predicted, ego):
     """TemporalSync.anchor one sampling point at a time: a bilinear_sample per
     point, weighted by its softmax slice and added to the running output."""
     _, h, w = predicted.data.shape
-    fields = ops.conv2d(predicted, sync.anchor_kernel) + sync.anchor_bias
+    fields = ops.conv2d(predicted, sync.anchor_kernel, sync.anchor_bias)
     weights = ops.softmax(ops.narrow(fields, 0, 2 * sync.m, sync.m), axis=0)
     grid = Tensor(base_grid(h, w))
     out = predicted
     for m in range(sync.m):
         val = ops.bilinear_sample(ego, grid + ops.narrow(fields, 0, 2 * m, 2))
-        out = out + ops.reshape(ops.index_axis(weights, 0, m), (1, h, w)) * val
+        out = out + ops.reshape(index_axis(weights, 0, m), (1, h, w)) * val
     return out
 
 

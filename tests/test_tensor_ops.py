@@ -1,9 +1,14 @@
 """Core tensor library: op semantics, gradients, serialization."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from composed_ops import CASES as COMPOSED_CASES
+from composed_ops import exp, softplus
 from coopfuse import ops
 from coopfuse.gradcheck import grad_check, registered_cases
 from coopfuse.pipeline import PipelineConfig
@@ -12,8 +17,8 @@ from coopfuse.tensor import Parameter, Tape, Tensor, no_grad
 from coopfuse.training import train
 
 
-def conv2d_reference(x, w, pad=0):
-    """Direct six-nested-loop convolution, the oracle conv2d is checked against."""
+def conv2d_reference(x, w, b, pad=0):
+    """Direct six-nested-loop convolution plus bias, the oracle conv2d is checked against."""
     c_in, h, wdt = x.shape
     c_out, _, k, _ = w.shape
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
@@ -23,7 +28,7 @@ def conv2d_reference(x, w, pad=0):
     for o in range(c_out):
         for i in range(h_out):
             for j in range(w_out):
-                acc = 0.0
+                acc = b[o, 0, 0]
                 for c in range(c_in):
                     for ki in range(k):
                         for kj in range(k):
@@ -34,7 +39,8 @@ def conv2d_reference(x, w, pad=0):
 
 class TestConv2d:
     def test_sum_of_ones(self):
-        out = ops.conv2d(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 1, 3, 3))))
+        out = ops.conv2d(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 1, 3, 3))),
+                         np.zeros((1, 1, 1)))
         assert out.data.shape == (1, 1, 1)
         assert out.data[0, 0, 0] == 9.0
 
@@ -44,7 +50,7 @@ class TestConv2d:
         k = np.zeros((3, 3, 1, 1))
         for c in range(3):
             k[c, c, 0, 0] = 1.0
-        out = ops.conv2d(Tensor(x), Tensor(k))
+        out = ops.conv2d(Tensor(x), Tensor(k), np.zeros((3, 1, 1)))
         assert np.array_equal(out.data, x)
 
     # each id's leading 1 is the stride these cases were written for
@@ -53,27 +59,40 @@ class TestConv2d:
         rng = np.random.default_rng(52 + pad)
         x = rng.normal(size=(2, 5, 5))
         w = rng.normal(size=(3, 2, 3, 3))
-        got = ops.conv2d(Tensor(x), Tensor(w), pad=pad).data
-        want = conv2d_reference(x, w, pad=pad)
+        b = rng.normal(size=(3, 1, 1))
+        got = ops.conv2d(Tensor(x), Tensor(w), b, pad=pad).data
+        want = conv2d_reference(x, w, b, pad=pad)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_channel_mismatch_names_both_shapes(self):
         with pytest.raises(ValueError) as e:
-            ops.conv2d(Tensor(np.ones((2, 5, 5))), Tensor(np.ones((3, 4, 3, 3))))
+            ops.conv2d(Tensor(np.ones((2, 5, 5))), Tensor(np.ones((3, 4, 3, 3))),
+                       np.zeros((3, 1, 1)))
         assert "(2, 5, 5)" in str(e.value) and "(3, 4, 3, 3)" in str(e.value)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
-            ops.conv2d(Tensor(np.ones((1, 5, 5))), Tensor(np.ones((1, 1, 2, 2))))
+            ops.conv2d(Tensor(np.ones((1, 5, 5))), Tensor(np.ones((1, 1, 2, 2))),
+                       np.zeros((1, 1, 1)))
 
     def test_too_small_input_rejected(self):
         with pytest.raises(ValueError):
-            ops.conv2d(Tensor(np.ones((1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))))
+            ops.conv2d(Tensor(np.ones((1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))),
+                       np.zeros((1, 1, 1)))
 
     def test_output_shape_formula(self):
-        out = ops.conv2d(Tensor(np.ones((1, 10, 8))), Tensor(np.ones((1, 1, 5, 5))), pad=1)
+        out = ops.conv2d(Tensor(np.ones((1, 10, 8))), Tensor(np.ones((1, 1, 5, 5))),
+                         np.zeros((1, 1, 1)), pad=1)
         assert out.data.shape == (1, 8, 6)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 1), (1, 1, 1), (2, 1, 2), (1, 2)])
+    def test_bad_bias_shape_rejected(self, shape):
+        # conv2d takes a C_out x 1 x 1 bias, matmul a 1 x N row bias
+        with pytest.raises(ValueError, match="bias must have shape"):
+            ops.conv2d(Tensor(np.ones((1, 5, 5))), Tensor(np.ones((2, 1, 3, 3))), np.zeros(shape))
+        with pytest.raises(ValueError, match="bias must have shape"):
+            ops.matmul(np.ones((3, 4)), np.ones((4, 3)), np.zeros(shape))
 
 
 class TestBilinearSample:
@@ -159,8 +178,9 @@ class TestScatterBackward:
         assert np.array_equal(got, [[0.0, 0.0], [2.0, 2.0], [0.0, 0.0]])
 
 
-def conv2d_im2col_reference(x, w, g, pad):
-    """conv2d by np.pad + sliding_window_view im2col: output, dx and dw for output gradient g."""
+def conv2d_im2col_reference(x, w, b, g, pad):
+    """conv2d by np.pad + sliding_window_view im2col, plus bias: output, dx, dw
+    and db for output gradient g."""
     c_in, h, wd = x.shape
     c_out, _, k, _ = w.shape
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
@@ -169,7 +189,7 @@ def conv2d_im2col_reference(x, w, g, pad):
     win = sliding_window_view(xp, (k, k), axis=(1, 2))
     cols = win.transpose(0, 3, 4, 1, 2).reshape(c_in * k * k, h_out * w_out)
     wmat = w.reshape(c_out, c_in * k * k)
-    y = (wmat @ cols).reshape(c_out, h_out, w_out)
+    y = (wmat @ cols).reshape(c_out, h_out, w_out) + b
     gm = g.reshape(c_out, h_out * w_out)
     dw = (gm @ cols.T).reshape(w.shape)
     gp = np.pad(g, ((0, 0), (k - 1, k - 1), (k - 1, k - 1)))
@@ -177,7 +197,8 @@ def conv2d_im2col_reference(x, w, g, pad):
     gcols = gwin.transpose(0, 3, 4, 1, 2).reshape(c_out * k * k, (h + 2 * pad) * (wd + 2 * pad))
     wrot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     dxp = (wrot.reshape(c_in, c_out * k * k) @ gcols).reshape(xp.shape)
-    return y, (dxp[:, pad:pad + h, pad:pad + wd] if pad else dxp), dw
+    db = g.sum(axis=1, keepdims=True).sum(axis=2, keepdims=True)
+    return y, (dxp[:, pad:pad + h, pad:pad + wd] if pad else dxp), dw, db
 
 
 def bilinear_sample_reference(x, coords, g):
@@ -274,14 +295,15 @@ def tap_calls(monkeypatch):
     return calls
 
 
-def conv2d_longdouble_reference(x, w, g, pad):
-    """Stride-1 conv2d summed tap by tap in np.longdouble: output, dx and dw for g."""
-    x, w, g = (np.asarray(a, np.longdouble) for a in (x, w, g))
+def conv2d_longdouble_reference(x, w, b, g, pad):
+    """Stride-1 conv2d summed tap by tap in np.longdouble, plus bias: output,
+    dx, dw and db for g."""
+    x, w, b, g = (np.asarray(a, np.longdouble) for a in (x, w, b, g))
     c_in, h, wd = x.shape
     k = w.shape[2]
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
     h_out, w_out = h + 2 * pad - k + 1, wd + 2 * pad - k + 1
-    y = np.zeros(g.shape, np.longdouble)
+    y = np.broadcast_to(b, g.shape).copy()
     dw, dxp = np.zeros_like(w), np.zeros_like(xp)
     for ki in range(k):
         for kj in range(k):
@@ -289,7 +311,7 @@ def conv2d_longdouble_reference(x, w, g, pad):
             y += np.tensordot(tap, win, axes=1)
             dw[:, :, ki, kj] = np.tensordot(g, win, axes=([1, 2], [1, 2]))
             dxp[:, ki:ki + h_out, kj:kj + w_out] += np.tensordot(tap, g, axes=([0], [0]))
-    return y, dxp[:, pad:pad + h, pad:pad + wd], dw
+    return y, dxp[:, pad:pad + h, pad:pad + wd], dw, g.sum(axis=(1, 2), keepdims=True)
 
 
 def assert_rel_close(got, want, rtol):
@@ -310,12 +332,11 @@ class TestKernelsMatchPreviousAlgorithms:
         x = rng.normal(size=(3, 9, 13))
         w = rng.normal(size=(4, 3, k, k))
         g = rng.normal(size=(4, 9 + 2 * pad - k + 1, 13 + 2 * pad - k + 1))
-        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        y, (dx, dw) = run_with_output_grad(lambda: ops.conv2d(xt, wt, pad=pad), [xt, wt], g)
-        y_ref, dx_ref, dw_ref = conv2d_im2col_reference(x, w, g, pad)
-        assert np.array_equal(y, y_ref)
-        assert np.array_equal(dx, dx_ref)
-        assert np.array_equal(dw, dw_ref)
+        b = rng.normal(size=(4, 1, 1))
+        inputs = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        y, grads = run_with_output_grad(lambda: ops.conv2d(*inputs, pad=pad), inputs, g)
+        for have, want in zip([y, *grads], conv2d_im2col_reference(x, w, b, g, pad)):
+            assert np.array_equal(have, want)
 
     @pytest.mark.parametrize("k,pad", [(1, 0), (3, 1)])
     def test_conv2d_non_contiguous_input(self, k, pad):
@@ -323,9 +344,10 @@ class TestKernelsMatchPreviousAlgorithms:
         x = rng.normal(size=(7, 6, 3)).transpose(2, 1, 0)       # 3 x 6 x 7, a strided view
         w = rng.normal(size=(2, 3, k, k))
         g = rng.normal(size=(2, 6, 7))
+        b = rng.normal(size=(2, 1, 1))
         wt = Tensor(w, requires_grad=True)
-        y, (dw,) = run_with_output_grad(lambda: ops.conv2d(x, wt, pad=pad), [wt], g)
-        y_ref, _, dw_ref = conv2d_im2col_reference(x, w, g, pad)
+        y, (dw,) = run_with_output_grad(lambda: ops.conv2d(x, wt, b, pad=pad), [wt], g)
+        y_ref, _, dw_ref, _ = conv2d_im2col_reference(x, w, b, g, pad)
         assert np.array_equal(y, y_ref)
         assert np.array_equal(dw, dw_ref)
 
@@ -336,13 +358,12 @@ class TestKernelsMatchPreviousAlgorithms:
         x = rng.normal(size=(7, 6, 3)).transpose(2, 1, 0)       # 3 x 6 x 7, a strided view
         w = rng.normal(size=(c_out, 3, k, k))
         g = rng.normal(size=(c_out, 6, 7))
-        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        y, (dx, dw) = run_with_output_grad(lambda: ops.conv2d(xt, wt, pad=pad), [xt, wt], g)
-        y_ref, dx_ref, dw_ref = conv2d_im2col_reference(x, w, g, pad)
+        b = rng.normal(size=(c_out, 1, 1))
+        inputs = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        y, grads = run_with_output_grad(lambda: ops.conv2d(*inputs, pad=pad), inputs, g)
         assert tap_calls == []
-        assert np.array_equal(y, y_ref)
-        assert np.array_equal(dx, dx_ref)
-        assert np.array_equal(dw, dw_ref)
+        for have, want in zip([y, *grads], conv2d_im2col_reference(x, w, b, g, pad)):
+            assert np.array_equal(have, want)
 
     @pytest.mark.parametrize("lo,hi", [(-2.5, 8.5), (-1.0, 6.0), (-9.0, -1.01), (7.0, 20.0)])
     def test_bilinear_sample(self, lo, hi):
@@ -458,22 +479,23 @@ class TestConv2dContractions:
         x = rng.normal(size=(c_in, h, h + 1))
         w = rng.normal(size=(c_out, c_in, k, k))
         g = rng.normal(size=(c_out, h + 2 * pad - k + 1, h + 2 + 2 * pad - k))
-        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        y, (dx, dw) = run_with_output_grad(lambda: ops.conv2d(xt, wt, pad=pad), [xt, wt], g)
-        return (x, w, g), (y, dx, dw)
+        b = rng.normal(size=(c_out, 1, 1))
+        inputs = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        y, grads = run_with_output_grad(lambda: ops.conv2d(*inputs, pad=pad), inputs, g)
+        return (x, w, b, g), (y, *grads)
 
     @pytest.mark.parametrize("c_in,c_out,k,pad,h", TAP_SHAPES)
     def test_tap_shapes_match_longdouble_sum(self, tap_calls, c_in, c_out, k, pad, h):
-        (x, w, g), got = self.conv_case(c_in, c_out, k, pad, h, seed=c_in + 7 * k)
+        (x, w, b, g), got = self.conv_case(c_in, c_out, k, pad, h, seed=c_in + 7 * k)
         assert tap_calls == [w.shape]
-        for have, want in zip(got, conv2d_longdouble_reference(x, w, g, pad)):
+        for have, want in zip(got, conv2d_longdouble_reference(x, w, b, g, pad)):
             assert_rel_close(have, want, 1e-13)
 
     @pytest.mark.parametrize("c_in,c_out,k,pad,h", IM2COL_SHAPES)
     def test_other_shapes_stay_im2col(self, tap_calls, c_in, c_out, k, pad, h):
-        (x, w, g), got = self.conv_case(c_in, c_out, k, pad, h, seed=c_out + k)
+        (x, w, b, g), got = self.conv_case(c_in, c_out, k, pad, h, seed=c_out + k)
         assert tap_calls == []
-        for have, want in zip(got, conv2d_im2col_reference(x, w, g, pad)):
+        for have, want in zip(got, conv2d_im2col_reference(x, w, b, g, pad)):
             assert np.array_equal(have, want)
 
     def test_non_contiguous_input_taps(self, tap_calls):
@@ -482,23 +504,24 @@ class TestConv2dContractions:
         x = rng.normal(size=(7, 6, 4)).transpose(2, 1, 0)       # 4 x 6 x 7, a strided view
         w = rng.normal(size=(1, 4, 3, 3))
         g = rng.normal(size=(1, 6, 7))
+        b = rng.normal(size=(1, 1, 1))
         runs = []
         for data in (x, np.ascontiguousarray(x)):
-            xt, wt = Tensor(data, requires_grad=True), Tensor(w, requires_grad=True)
-            y, (dx, dw) = run_with_output_grad(lambda: ops.conv2d(xt, wt, pad=1), [xt, wt], g)
-            runs.append((y, dx, dw))
+            inputs = [Tensor(a, requires_grad=True) for a in (data, w, b)]
+            y, grads = run_with_output_grad(lambda: ops.conv2d(*inputs, pad=1), inputs, g)
+            runs.append((y, *grads))
         assert tap_calls == [w.shape, w.shape]
-        for strided, contiguous, exact in zip(*runs, conv2d_longdouble_reference(x, w, g, 1)):
+        for strided, contiguous, exact in zip(*runs, conv2d_longdouble_reference(x, w, b, g, 1)):
             assert np.array_equal(strided, contiguous)
             assert_rel_close(strided, exact, 1e-13)
 
     def test_gradcheck_cases_take_taps(self, tap_calls):
         cases = registered_cases()
         for seed in range(2):
-            for name in ("conv2d_taps", "conv2d_taps_kernel"):
+            for name in ("conv2d_taps", "conv2d_taps_kernel", "conv2d_taps_bias"):
                 fn, x = cases[name](seed)
                 fn(x)
-        assert [shape[2] for shape in tap_calls] == [3, 3, 7, 7]
+        assert [shape[2] for shape in tap_calls] == [3, 3, 3, 7, 7, 7]
 
     def test_model_convs_that_take_taps(self, tap_calls):
         # one taped desk training step: exactly the four channel-reducing convs
@@ -554,7 +577,7 @@ class TestGradCheck:
         rng = np.random.default_rng(5)
         k = rng.normal(size=(2, 2, 3, 3))
         x = Tensor(rng.uniform(-1.5, 1.5, size=(2, 5, 5)))
-        err = grad_check(lambda t: ops.tsum(ops.conv2d(t, k, pad=1)), x)
+        err = grad_check(lambda t: ops.tsum(ops.conv2d(t, k, np.zeros((2, 1, 1)), pad=1)), x)
         assert err < 1e-4
 
     def test_bilinear_scalar_fn(self):
@@ -594,6 +617,33 @@ class TestGradCheck:
                 assert err < 1e-4, f"{name} seed {seed}: {err}"
 
 
+class TestComposedOps:
+    """The tests-only ops that the composed references are built from."""
+
+    @pytest.mark.parametrize("name", sorted(COMPOSED_CASES))
+    def test_passes_three_seeds(self, name):
+        for seed in range(3):
+            fn, x = COMPOSED_CASES[name](seed)
+            err = grad_check(fn, x, eps=1e-4)
+            assert err < 1e-4, f"{name} seed {seed}: {err}"
+
+
+class TestOpTable:
+    def test_every_op_is_used_by_the_model(self):
+        # an op is used if a model module imports it from .ops; add, sub, mul
+        # and div are what the Tensor operators call. linear_recurrence is
+        # exempt: the model never calls it, but perfbench's tracer binds it by
+        # name and tests/test_perfbench_contract.py pins it.
+        used = {"add", "sub", "mul", "div", "linear_recurrence"}
+        for path in Path(ops.__file__).parent.glob("*.py"):
+            if path.name in ("ops.py", "gradcheck.py"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "ops":
+                    used.update(alias.name for alias in node.names)
+        assert [name for name in ops.DIFFERENTIABLE_OPS if name not in used] == []
+
+
 class TestShapes:
     def test_reshape_transpose_roundtrip(self):
         rng = np.random.default_rng(7)
@@ -627,14 +677,14 @@ class TestDeterminismAndFiniteness:
             rng = np.random.default_rng(99)
             x = Tensor(rng.normal(size=(4, 8, 8)))
             k = Tensor(rng.normal(size=(4, 4, 3, 3)))
-            return ops.sigmoid(ops.conv2d(x, k, pad=1)).data.tobytes()
+            return ops.sigmoid(ops.conv2d(x, k, np.zeros((4, 1, 1)), pad=1)).data.tobytes()
         assert build() == build()
 
     def test_forward_ops_stay_finite(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.uniform(-2, 2, size=(3, 4, 4)))
         results = [
-            ops.exp(x), ops.sigmoid(x), ops.softplus(x), ops.relu(x),
+            exp(x), ops.sigmoid(x), softplus(x), ops.relu(x),
             ops.elu_plus_one(x), ops.softmax(x, 0),
             ops.max_reduce(x, 0), ops.tmean(x),
         ]

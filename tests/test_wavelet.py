@@ -4,6 +4,7 @@ and the two tape ops against the transform composed from elementary ops."""
 import numpy as np
 import pytest
 
+from composed_ops import index_axis
 from coopfuse import ops
 from coopfuse.gradcheck import grad_check
 from coopfuse.tensor import Tape, Tensor
@@ -100,9 +101,9 @@ def composed_haar2d(x):
     """Haar analysis as a chain of reshape, index_axis, add/sub and scale records."""
     c, h, w = x.data.shape
     r = ops.reshape(x, (c, h // 2, 2, w // 2, 2))
-    even_col, odd_col = ops.index_axis(r, 4, 0), ops.index_axis(r, 4, 1)
-    a, b = ops.index_axis(even_col, 2, 0), ops.index_axis(odd_col, 2, 0)
-    cc, d = ops.index_axis(even_col, 2, 1), ops.index_axis(odd_col, 2, 1)
+    even_col, odd_col = index_axis(r, 4, 0), index_axis(r, 4, 1)
+    a, b = index_axis(even_col, 2, 0), index_axis(odd_col, 2, 0)
+    cc, d = index_axis(even_col, 2, 1), index_axis(odd_col, 2, 1)
     return ops.concat([ops.scale(a + b + cc + d, 0.5), ops.scale(a - b + cc - d, 0.5),
                        ops.scale(a + b - cc - d, 0.5), ops.scale(a - b - cc + d, 0.5)], axis=0)
 

@@ -1,15 +1,15 @@
 """End-to-end pipeline assembly, configuration, and metric evaluation.
 
-Per tick: every agent renders its local view, collaborators push features
-through the channel, and the ego pushes the tick's fused map into the
-feature buffer: the re-projection of whatever has arrived (most recent
-packet per sender: lost packets are forward-filled by construction) and
-its integration with the ego view. That map is computed only when a stage
-reads it; a map evicted from the buffer unread is never computed. At
-measured ticks the enabled stages run: temporal sync over the feature
-buffer anchored to the fresh ego view, wavelet denoising, adaptive
-selection, and a 1x1-conv occupancy decoder. Disabled stages pass their
-input through unchanged (with stsync off, only the newest map is read).
+Per tick: collaborators send their local views through the channel, and
+the ego pushes the tick's fused map into the K-entry feature buffer: the
+re-projection of whatever has arrived (newest packet per sender, so lost
+packets are forward-filled) integrated with the ego view. Views and maps
+are cached thunks, computed on first read and at most once: a view nothing
+reads is never rendered, a map evicted unread never integrated. At
+measured ticks the enabled stages run: temporal sync over the buffer
+anchored to the fresh ego view, wavelet denoising, adaptive selection, and
+a 1x1-conv occupancy decoder. Disabled stages pass their input through
+unchanged (with stsync off, only the newest map is read).
 
 Metrics are desk-scale proxies: thresholded-occupancy IoU against the
 ego-frame ground truth, and the mean squared distance of the denoiser-stage
@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,10 +34,10 @@ from .ops import concat, conv2d, reshape
 from .select import FeatureSelector
 from .schema import ConfigError, check, entry, read, write
 from .serialize import assign_params, load_params, save_params
-from .sync import FeatureBuffer, Integrator, TemporalSync
+from .sync import Integrator, TemporalSync
 from .tensor import Parameter, Tensor, no_grad
-from .world import (LIMIT_M, Channel, ChannelConfig, Scenario, make_scenario,
-                    perturb_pose, render_bev, step_scene, stream,
+from .world import (LIMIT_M, Channel, ChannelConfig, FeaturePacket, Scenario,
+                    make_scenario, perturb_pose, render_bev, step_scene, stream,
                     transform_to_ego)
 
 
@@ -149,10 +151,11 @@ class Pipeline:
 
     # -- stages (disabled stages return their input object unchanged) ------
 
-    def sync_stage(self, buffer: FeatureBuffer, ego_feature: Tensor) -> Tensor:
+    def sync_stage(self, entries: Sequence[Callable[[], Tensor]],
+                   ego_feature: Tensor) -> Tensor:
         if not self.cfg.stsync:
-            return buffer.entries[-1]
-        return self.sync(buffer, ego_feature)
+            return entries[-1]()
+        return self.sync(entries, ego_feature)
 
     def denoise_stage(self, x: Tensor) -> Tensor:
         return self.denoiser(x) if self.cfg.wtden else x
@@ -188,19 +191,19 @@ def simulate(pipe: Pipeline, scenario: Scenario, measure,
     noise_rng = stream(scenario.channel.seed, "pose-noise")
     ego = scenario.agents[0]
     collaborators = scenario.agents[1:]
-    latest: dict[str, object] = {}
-    buffer = FeatureBuffer(cfg.buffer_k)
+    latest: dict[str, FeaturePacket] = {}
+    entries: deque[Callable[[], Tensor]] = deque(maxlen=cfg.buffer_k)
     outputs: list[StepOutput] = []
 
     for tick in range(scenario.ticks):
-        feats = {a.id: render_bev(scene, a.pose, cfg.height, cfg.width,
-                                  cfg.cell_size, fov_m=a.fov_m,
-                                  channels=cfg.channels)
+        # views render on first read; the channel and pose noise draw every tick
+        views = {a.id: cache(partial(render_bev, scene, a.pose, cfg.height, cfg.width,
+                                     cfg.cell_size, fov_m=a.fov_m, channels=cfg.channels))
                  for a in scenario.agents}
         for a in collaborators:
             reported = perturb_pose(a.pose, scenario.channel.loc_sigma,
                                     scenario.channel.head_sigma, noise_rng)
-            pkt = channel.send(a.id, feats[a.id], reported, tick)
+            pkt = channel.send(a.id, views[a.id], reported, tick)
             if trace_rows is not None:
                 trace_rows.append((tick, a.id, pkt.emit_tick, pkt.arrive_tick,
                                    int(pkt.dropped)))
@@ -209,42 +212,41 @@ def simulate(pipe: Pipeline, scenario: Scenario, measure,
             if cur is None or pkt.emit_tick > cur.emit_tick:
                 latest[pkt.sender] = pkt
 
-        # the buffer integrates this tick only if a stage reads it before eviction
-        views = [(latest[a.id].feature, latest[a.id].reported_pose)
-                 for a in collaborators if a.id in latest]
-        buffer.push(partial(fuse, pipe, feats[ego.id], views, ego.pose), tick)
+        arrived = [(latest[a.id].feature, latest[a.id].reported_pose)
+                   for a in collaborators if a.id in latest]
+        entries.append(cache(partial(fuse, pipe, views[ego.id], arrived, ego.pose)))
 
         if measure(tick):
-            synced = pipe.sync_stage(buffer, feats[ego.id])
+            synced = pipe.sync_stage(entries, views[ego.id]())
             denoised = pipe.denoise_stage(synced)
             logits = pipe.decode(pipe.select_stage(denoised))
             gt = render_bev(scene, ego.pose, cfg.height, cfg.width, cfg.cell_size,
                             fov_m=None, channels=cfg.channels).data[0]
             outputs.append(StepOutput(
                 tick=tick, denoised=denoised, logits=logits, gt_occupancy=gt,
-                clean_reference=clean_reference(pipe, scenario, feats)))
+                clean_reference=clean_reference(pipe, scenario, views)))
         scene = step_scene(scene)
     return outputs
 
 
-def fuse(pipe: Pipeline, ego_feature: Tensor, views, ego_pose) -> Tensor:
-    """Integrate the ego feature with collaborator (feature, sender pose) views."""
+def fuse(pipe: Pipeline, ego_view: Callable[[], Tensor], pairs, ego_pose) -> Tensor:
+    """Integrate the ego view with collaborator (view, sender pose) pairs; views are thunks."""
     cfg = pipe.cfg
     shape = (1, cfg.channels, cfg.height, cfg.width)
-    parts = [reshape(ego_feature, shape)]
-    for feature, pose in views:
-        warped = transform_to_ego(feature, pose, ego_pose, cfg.cell_size)
+    parts = [reshape(ego_view(), shape)]
+    for view, pose in pairs:
+        warped = transform_to_ego(view(), pose, ego_pose, cfg.cell_size)
         parts.append(reshape(warped, shape))
     stack = parts[0] if len(parts) == 1 else concat(parts, axis=0)
     return pipe.integrator(stack)
 
 
-def clean_reference(pipe: Pipeline, scenario: Scenario, feats) -> np.ndarray:
-    """Perfect-channel integration of current-tick features with true poses."""
+def clean_reference(pipe: Pipeline, scenario: Scenario, views) -> np.ndarray:
+    """Perfect-channel integration of the current tick's views with true poses."""
     ego = scenario.agents[0]
     with no_grad():
-        views = [(feats[a.id], a.pose) for a in scenario.agents[1:]]
-        return fuse(pipe, feats[ego.id], views, ego.pose).data.copy()
+        pairs = [(views[a.id], a.pose) for a in scenario.agents[1:]]
+        return fuse(pipe, views[ego.id], pairs, ego.pose).data.copy()
 
 
 def occupancy_iou(logits: np.ndarray, gt: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,60 +36,6 @@ def identity_kernel(c: int) -> np.ndarray:
     for i in range(c):
         ker[i, i, 1, 1] = 1.0
     return ker
-
-
-class LazyEntries:
-    """Indexable view of buffer entries that computes each one on first read.
-
-    An entry is a Tensor or a zero-argument callable returning one. Reading
-    a callable entry calls it once, under whatever tape is active at that
-    moment, and stores the Tensor in its place; an entry evicted before it
-    is read is never computed.
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items: list):
-        self._items = items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, i: int) -> Tensor:
-        item = self._items[i]
-        if callable(item):
-            item = self._items[i] = item()
-        return item
-
-
-class FeatureBuffer:
-    """The K most recent fused features, oldest first, one tick apart.
-
-    ``push`` takes the fused map itself or a zero-argument callable that
-    computes it; ``entries`` computes a callable entry the first time a
-    stage reads it (see ``LazyEntries``), so a tick's map costs nothing
-    unless some stage reads it before it is evicted.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"buffer capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._items: list[Tensor | Callable[[], Tensor]] = []
-        self.entries = LazyEntries(self._items)
-        self.ticks: list[int] = []
-
-    def push(self, feature: Tensor | Callable[[], Tensor], tick: int) -> None:
-        if self.ticks and tick != self.ticks[-1] + 1:
-            raise ValueError(f"buffer ticks must advance by one: {self.ticks[-1]} -> {tick}")
-        self._items.append(feature)
-        self.ticks.append(tick)
-        if len(self._items) > self.capacity:
-            self._items.pop(0)
-            self.ticks.pop(0)
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 @dataclass
@@ -194,15 +140,22 @@ class TemporalSync(ParamBlock):
 
     # -- module forwards ---------------------------------------------------
 
-    def rollout(self, buffer: FeatureBuffer) -> Tensor:
-        if len(buffer) == 0:
+    def rollout(self, entries: Sequence[Callable[[], Tensor]]) -> Tensor:
+        """Roll the recurrent unit over the buffer, oldest entry first.
+
+        Each entry is a zero-argument callable returning a fused map, called
+        only when the loop reads it. With two or more entries the loop never
+        reads the newest one, the current tick's map, so with stsync on that
+        map is never computed: a known off-by-one against the paper's
+        recurrent synchronization (ROADMAP, "Not this round").
+        """
+        if len(entries) == 0:
             raise ValueError("rollout requires a nonempty buffer")
-        entries = buffer.entries
-        hidden = entries[0]
-        zero = Tensor(np.zeros_like(entries[0].data))
+        hidden = entries[0]()
+        zero = Tensor(np.zeros_like(hidden.data))
         for j in range(1, len(entries)):
-            prev2 = entries[j - 2] if j >= 2 else zero
-            prev1 = entries[j - 1]
+            prev2 = entries[j - 2]() if j >= 2 else zero
+            prev1 = entries[j - 1]()
             offs = self.predict_offset(prev2, prev1)
             warped = self.deform_warp(prev1, offs)
             state = self.gate(hidden, warped).fused
@@ -224,5 +177,5 @@ class TemporalSync(ParamBlock):
         weights = reshape(softmax(narrow(fields, 0, 2 * m, m), axis=0), (1, m, h, w))
         return predicted + tsum(weights * sampled, axis=1)
 
-    def __call__(self, buffer: FeatureBuffer, ego: Tensor) -> Tensor:
-        return self.anchor(self.rollout(buffer), ego)
+    def __call__(self, entries: Sequence[Callable[[], Tensor]], ego: Tensor) -> Tensor:
+        return self.anchor(self.rollout(entries), ego)

@@ -59,9 +59,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _not_scalar(self)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         # safe to hold g by reference: accumulation reallocates instead of
         # writing in place, and a producer's grad is final by the time its

@@ -1,13 +1,13 @@
 """Synthetic multi-agent world and lossy, laggy feature channel.
 
 Scenes are axis-aligned rectangles moving at constant velocity inside a
-square arena, reflecting at the walls. Each agent renders a top-down
+square arena, reflecting at the walls. An agent's view is a top-down
 occupancy grid in its own pose-centered, heading-aligned frame, restricted
-to its field of view, plus fixed sinusoidal coordinate channels. Features
-travel to the ego through a channel that drops packets independently and
-delays survivors by a uniform integer latency; the ego re-projects arrived
-features into its frame using the sender's (possibly noise-corrupted)
-reported pose. One simulation tick corresponds to 100 ms.
+to its field of view, plus fixed sinusoidal coordinate channels. A packet
+carries its sender's view as a thunk, rendered on first read, through a
+channel that drops packets independently and delays survivors by a uniform
+integer latency; the ego re-projects arrived views into its frame using the
+sender's (possibly noise-corrupted) reported pose. One tick is 100 ms.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 import zlib
 from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -201,7 +202,7 @@ class ChannelConfig:
 
 @dataclass
 class FeaturePacket:
-    feature: Tensor
+    feature: Callable[[], Tensor]     # the sender's view, computed on call
     sender: str
     emit_tick: int
     arrive_tick: int            # -1 while undecided / dropped
@@ -217,7 +218,7 @@ class Channel:
         self.rng = stream(cfg.seed, "channel")
         self.pending: list[FeaturePacket] = []
 
-    def send(self, sender: str, feature: Tensor, reported_pose: Pose2D,
+    def send(self, sender: str, feature: Callable[[], Tensor], reported_pose: Pose2D,
              tick: int) -> FeaturePacket:
         dropped = bool(self.rng.random() < self.cfg.drop_p)
         latency = int(self.rng.integers(0, self.cfg.max_latency_ticks + 1))

@@ -19,7 +19,7 @@ from coopfuse.denoise import (interleaved_order, progressive_order, subband_toke
                               token_subbands)
 from coopfuse.gradcheck import grad_check, registered_cases
 from coopfuse.select import BlockGrid, propagate_mask, score_blocks, topk_select
-from coopfuse.sync import FeatureBuffer, TemporalSync
+from coopfuse.sync import TemporalSync
 from coopfuse.tensor import Tensor
 from coopfuse.wavelet import haar_iwt2d, haar_wt2d
 from coopfuse.world import Channel, ChannelConfig, Pose2D, stream, transform_to_ego
@@ -66,9 +66,7 @@ def _sync_case(seed):
     probe = seed % 3
 
     def f(t):
-        buf = FeatureBuffer(3)
-        for j, e in enumerate(entries):
-            buf.push(t if j == probe else Tensor(e), j)
+        buf = [lambda j=j, e=e: t if j == probe else Tensor(e) for j, e in enumerate(entries)]
         return ops.tsum(sync.anchor(sync.rollout(buf), Tensor(ego)))
     return f, Tensor(entries[probe])
 

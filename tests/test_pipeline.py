@@ -10,7 +10,7 @@ from coopfuse import pipeline as pipeline_module, training as training_module
 from coopfuse.pipeline import (ConfigError, MetricRecord, Pipeline,
                                PipelineConfig, TrainSpec, clean_reference, config_label,
                                evaluate, occupancy_iou, simulate)
-from coopfuse.sync import FeatureBuffer, Integrator
+from coopfuse.sync import Integrator
 from coopfuse.tensor import Tape, Tensor, active_tape
 from coopfuse.training import Adam, DivergenceError, train
 from coopfuse.world import ChannelConfig, make_scenario
@@ -135,9 +135,7 @@ class TestStages:
         cfg = small_config(stsync=False, wtden=False, adpsel=False)
         pipe = Pipeline(cfg)
         x = Tensor(np.random.default_rng(0).normal(size=(4, 16, 16)))
-        buf = FeatureBuffer(2)
-        buf.push(x, 0)
-        assert pipe.sync_stage(buf, x) is x
+        assert pipe.sync_stage([lambda: x], x) is x
         assert pipe.denoise_stage(x) is x
         assert pipe.select_stage(x) is x
 
@@ -242,11 +240,11 @@ class TestSimulate:
             assert (arrive == -1) == (dropped == 1)
 
 
-class EagerBuffer(FeatureBuffer):
-    """Integrates every tick when it is pushed: the reference for lazy entries."""
-
-    def push(self, feature, tick):
-        super().push(feature() if callable(feature) else feature, tick)
+def eager_cache(thunk):
+    """Calls ``thunk`` when it is made, so every view renders and every map
+    integrates at its own tick: the reference for the lazy thunks."""
+    value = thunk()
+    return lambda: value
 
 
 class TestLazyIntegration:
@@ -265,7 +263,7 @@ class TestLazyIntegration:
             return pipe.parameters(), outs
 
         lazy_params, lazy_outs = run()
-        monkeypatch.setattr(pipeline_module, "FeatureBuffer", EagerBuffer)
+        monkeypatch.setattr(pipeline_module, "cache", eager_cache)
         eager_params, eager_outs = run()
         for name, p in lazy_params.items():
             assert np.array_equal(p.data, eager_params[name].data), name
@@ -375,6 +373,42 @@ class TestAdam:
         opt = Adam({"p": p}, lr=0.1)
         opt.step()
         assert np.array_equal(p.data, np.zeros(3))
+
+
+class TestRenderBudget:
+    @staticmethod
+    def renders_per_step(monkeypatch, **stages) -> tuple[int, int]:
+        """The ``render_bev`` calls of one training step of the desk config,
+        and that step's bound."""
+        calls = []
+        original = pipeline_module.render_bev
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(pipeline_module, "render_bev", counting)
+        cfg = PipelineConfig(training=TrainSpec(steps=1), **stages)
+        train(cfg)
+        k, n = cfg.buffer_k, cfg.n_agents
+        # with stsync on, the rollout reads K-1 maps: each renders the ego
+        # view and at most n-1 packet views; the measured tick then renders
+        # the n current views (anchor, clean reference) and the ground truth
+        bound = k + (k - 1) * (n - 1) + n if cfg.stsync else 2 * n
+        return len(calls), bound
+
+    def test_desk_training_step(self, monkeypatch):
+        """Every stage on: at most 13 renders; rendering every agent at
+        every tick makes 25."""
+        renders, bound = self.renders_per_step(monkeypatch)
+        assert bound == 13 and renders <= bound
+
+    def test_desk_baseline_step(self, monkeypatch):
+        """Every stage off: the newest map renders the ego view and at most
+        n-1 packet views, the clean reference the n-1 current collaborator
+        views, and the ground truth one more: at most 6 renders of 25."""
+        renders, bound = self.renders_per_step(monkeypatch, stsync=False, wtden=False,
+                                               adpsel=False)
+        assert bound == 6 and renders <= bound
 
 
 class TestRecordBudget:

@@ -6,7 +6,7 @@ import pytest
 from composed_ops import index_axis
 from coopfuse import ops, sync as sync_module
 from coopfuse.gradcheck import grad_check
-from coopfuse.sync import FeatureBuffer, Integrator, TemporalSync, base_grid, identity_kernel
+from coopfuse.sync import Integrator, TemporalSync, base_grid, identity_kernel
 from coopfuse.tensor import Tape, Tensor
 from coopfuse.world import stream
 
@@ -184,10 +184,8 @@ class TestGate:
 class TestRollout:
     def test_single_entry_passthrough(self):
         sync = make_sync(0)
-        buf = FeatureBuffer(4)
         g = Tensor(np.random.default_rng(8).normal(size=(C, H, W)))
-        buf.push(g, 0)
-        out = sync.rollout(buf)
+        out = sync.rollout([lambda: g])
         assert out is g
 
     @pytest.mark.parametrize("k", [1, 2, 4, 8])
@@ -195,10 +193,7 @@ class TestRollout:
         # default init: zero offset predictors, identity warp convs
         sync = make_sync(1)
         const = np.random.default_rng(9).normal(size=(C, H, W))
-        buf = FeatureBuffer(k)
-        for t in range(k):
-            buf.push(Tensor(const.copy()), t)
-        out = sync.rollout(buf)
+        out = sync.rollout([lambda: Tensor(const.copy()) for _ in range(k)])
         assert np.max(np.abs(out.data - const)) < 1e-9
 
     def test_matches_compositional_reference(self):
@@ -211,9 +206,6 @@ class TestRollout:
         sync.gate_w1.data = rng.normal(size=sync.gate_w1.data.shape)
         sync.gate_w2.data = rng.normal(size=sync.gate_w2.data.shape)
         entries = [Tensor(rng.normal(size=(C, H, W))) for _ in range(3)]
-        buf = FeatureBuffer(3)
-        for t, e in enumerate(entries):
-            buf.push(e, t)
 
         hidden = entries[0]
         zero = Tensor(np.zeros((C, H, W)))
@@ -225,13 +217,13 @@ class TestRollout:
             state = sync.gate(hidden, warped).fused
             hidden = sync.update(state)
 
-        out = sync.rollout(buf)
+        out = sync.rollout([lambda e=e: e for e in entries])
         assert np.max(np.abs(out.data - hidden.data)) < 1e-12
 
     def test_empty_buffer_rejected(self):
         sync = make_sync(3)
         with pytest.raises(ValueError):
-            sync.rollout(FeatureBuffer(4))
+            sync.rollout([])
 
 
 class TestAnchor:
@@ -311,49 +303,6 @@ class TestAnchorMatchesLoop:
         assert calls == [(2, 4 * H, W)]
 
 
-class TestBuffer:
-    def test_eviction_keeps_latest_k(self):
-        buf = FeatureBuffer(3)
-        grids = [Tensor(np.full((1, 2, 2), float(i))) for i in range(5)]
-        for t, g in enumerate(grids):
-            buf.push(g, t)
-        assert len(buf) == 3
-        assert buf.ticks == [2, 3, 4]
-        assert buf.entries[0] is grids[2]
-
-    def test_callable_entry_runs_once_on_first_read(self):
-        buf = FeatureBuffer(2)
-        calls = []
-
-        def make(i):
-            def entry():
-                calls.append(i)
-                return Tensor(np.full((1, 2, 2), float(i)))
-            return entry
-
-        for t in range(4):
-            buf.push(make(t), t)
-        assert calls == []                       # ticks 0 and 1 were evicted unread
-        first = buf.entries[-1]
-        assert calls == [3] and first.data[0, 0, 0] == 3.0
-        assert buf.entries[1] is first
-        assert calls == [3]
-        assert [e.data[0, 0, 0] for e in buf.entries] == [2.0, 3.0]
-        assert calls == [3, 2]
-        buf.push(make(4), 4)
-        assert buf.entries[0] is first and calls == [3, 2]
-
-    def test_non_consecutive_tick_rejected(self):
-        buf = FeatureBuffer(3)
-        buf.push(Tensor(np.zeros((1, 2, 2))), 0)
-        with pytest.raises(ValueError):
-            buf.push(Tensor(np.zeros((1, 2, 2))), 2)
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            FeatureBuffer(0)
-
-
 class TestModuleGradient:
     def test_rollout_plus_anchor_grad_per_entry(self):
         c, h, w = 2, 8, 8
@@ -366,9 +315,8 @@ class TestModuleGradient:
 
         for probe_idx in range(3):
             def f(t, idx=probe_idx):
-                buf = FeatureBuffer(3)
-                for j, e in enumerate(base_entries):
-                    buf.push(t if j == idx else Tensor(e), j)
-                return ops.tsum(sync.anchor(sync.rollout(buf), Tensor(ego)))
+                entries = [lambda j=j, e=e: t if j == idx else Tensor(e)
+                           for j, e in enumerate(base_entries)]
+                return ops.tsum(sync.anchor(sync.rollout(entries), Tensor(ego)))
             err = grad_check(f, Tensor(base_entries[probe_idx]), eps=1e-4)
             assert err < 1e-4, f"entry {probe_idx}: {err}"

@@ -1,10 +1,11 @@
 """Adaptive block-sparse feature refinement.
 
 The feature plane is tiled into non-overlapping windows at each configured
-scale. A linear scorer ranks windows; the top-k fraction of still-eligible
-windows routes through global linear attention, the rest through a per-token
-inverted bottleneck. Windows discarded at a fine scale become ineligible at
-coarser scales. Per-scale outputs are fused by channel-wise split attention.
+scale. Channel-mean saliency ranks windows; the top-k fraction of
+still-eligible windows routes through global linear attention, the rest
+through a per-token inverted bottleneck. Windows discarded at a fine scale
+become ineligible at coarser scales. Per-scale outputs are fused by
+channel-wise split attention.
 
 Scoring and mask construction are plain numpy: the binary top-k mask of the
 partition carries no gradient, only the routed feature values do.
@@ -63,14 +64,13 @@ class SelectionMask:
     grid: BlockGrid
 
 
-def score_blocks(feature: np.ndarray, grid: BlockGrid, eligibility: np.ndarray,
-                 weight: np.ndarray, bias: float) -> np.ndarray:
-    """Linear importance score per window; zero-coverage windows score -inf."""
+def score_blocks(feature: np.ndarray, grid: BlockGrid, eligibility: np.ndarray) -> np.ndarray:
+    """Channel-mean saliency per window; zero-coverage windows score -inf."""
     if eligibility.shape != (grid.height, grid.width):
         raise ValueError(f"eligibility shape {eligibility.shape} does not match grid "
                          f"{grid.height}x{grid.width}")
-    scores = grid.descriptors(feature) @ np.asarray(weight, dtype=np.float64) + bias
-    scores = scores.astype(np.float64)
+    c = feature.shape[0]
+    scores = grid.descriptors(feature) @ np.full(c, 1.0 / c)
     scores[grid.coverage(eligibility) == 0] = -np.inf
     return scores
 
@@ -152,8 +152,6 @@ class InvertedBottleneck(ParamBlock):
         self.b2 = self._p("select.ib.b2", np.zeros((1, c)))
 
     def __call__(self, tokens: Tensor) -> Tensor:
-        if tokens.data.shape[0] == 0:
-            return tokens
         hidden = relu(matmul(tokens, self.w1, self.b1))
         # b2 stays a separate add: this sums (tokens + product) + b2, and
         # folding b2 into the matmul would round tokens + (product + b2)
@@ -190,13 +188,8 @@ class FeatureSelector(ParamBlock):
     def __init__(self, c: int, scales: tuple[int, ...], retention: float,
                  rng: np.random.Generator):
         super().__init__()
-        self.c = c
         self.scales = tuple(scales)
         self.retention = float(retention)
-        # the scorer never receives gradient through the binary mask, so it
-        # starts as channel-mean saliency rather than noise
-        self.score_weight = self._p("select.score.weight", np.full(c, 1.0 / c))
-        self.score_bias = self._p("select.score.bias", np.zeros(1))
         self.attention = LinearAttention(c, rng)
         self.bottleneck = InvertedBottleneck(c, rng)
         agg = identity_kernel(c) + 0.01 * rng.standard_normal((c, c, 3, 3))
@@ -216,20 +209,17 @@ class FeatureSelector(ParamBlock):
         outputs = []
         for s in self.scales:
             grid = BlockGrid(h, w, s)
-            scores = score_blocks(feature.data, grid, eligibility,
-                                  self.score_weight.data, float(self.score_bias.data[0]))
+            # fixed saliency, not a learned scorer: no gradient crosses the
+            # binary mask, so a scorer's weights could never train
+            scores = score_blocks(feature.data, grid, eligibility)
             if not np.any(np.isfinite(scores)):
                 outputs.append(feature)   # nothing eligible: passthrough
                 continue
             selection = topk_select(scores, self.retention, grid)
             sel_idx = np.flatnonzero(selection.pixel_mask.reshape(-1) > 0.5)
             un_idx = np.flatnonzero(selection.pixel_mask.reshape(-1) <= 0.5)
-            enhanced = self.attention(take_rows(flat, sel_idx))
-            if un_idx.size:
-                recovered = self.bottleneck(take_rows(flat, un_idx))
-                rows = concat([enhanced, recovered], axis=0)
-            else:
-                rows = enhanced
+            rows = concat([self.attention(take_rows(flat, sel_idx)),
+                           self.bottleneck(take_rows(flat, un_idx))], axis=0)
             inv = np.argsort(np.concatenate([sel_idx, un_idx]))
             restored = reshape(transpose(take_rows(rows, inv), (1, 0)), (c, h, w))
             outputs.append(conv2d(restored, self.agg_kernel, self.agg_bias, pad=1))

@@ -5,7 +5,8 @@ across agents, collapsed by a learned depth-2 convolution), keeps the K
 most recent fused maps in a buffer, and rolls a recurrent unit over the
 buffer: predict a motion offset from the two preceding entries, warp the
 previous entry by it, blend the warped estimate with the hidden state
-through a convex gate, then refine the state with a second deformable
+through a convex gate (alpha = sigmoid of a 7x7 conv over both plus a
+learned per-channel bias), then refine the state with a second deformable
 update. The final hidden state is anchored to the ego's own real-time
 feature by deformable cross-attention.
 """
@@ -18,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ops import (bilinear_sample, concat, conv2d, matmul, max_reduce, narrow, relu,
-                  reshape, sigmoid, softmax, tmean, transpose, tsum)
+from .ops import (bilinear_sample, concat, conv2d, max_reduce, narrow, reshape, sigmoid,
+                  softmax, tmean, transpose, tsum)
 from .tensor import ParamBlock, Parameter, Tensor
 
 @functools.cache
@@ -70,16 +71,11 @@ class Integrator(ParamBlock):
         return conv2d(concat([mx, av], axis=0), self.kernel, self.bias, pad=1)
 
 
-# channel reduction of the gate's pooled perceptron (2C -> 2C / 4 -> C)
-GATE_REDUCTION = 4
-
-
 class TemporalSync(ParamBlock):
     """Recurrent rollout over the feature buffer plus ego anchoring."""
 
     def __init__(self, c: int, rng: np.random.Generator, n_anchor_points: int = 4):
         super().__init__()
-        self.c = c
         self.m = n_anchor_points
         # offset predictors start at zero so the rollout starts as a fixed
         # point on constant buffers; warp convs start at the exact identity
@@ -91,15 +87,11 @@ class TemporalSync(ParamBlock):
         self.update_offset_bias = self._p("sync.update.offset.bias", np.zeros((2, 1, 1)))
         self.update_warp_kernel = self._p("sync.update.warp.kernel", identity_kernel(c))
         self.update_warp_bias = self._p("sync.update.warp.bias", np.zeros((c, 1, 1)))
-        hidden = max(1, (2 * c) // GATE_REDUCTION)
         self.gate_spatial_kernel = self._p("sync.gate.spatial.kernel", np.zeros((1, 2 * c, 7, 7)))
         # positive bias starts the gate trusting the freshest warped entry
         # (alpha ~ 0.88) instead of smearing the whole buffer history
         self.gate_spatial_bias = self._p("sync.gate.spatial.bias", np.full((1, 1, 1), 2.0))
-        self.gate_w1 = self._p("sync.gate.w1", np.zeros((2 * c, hidden)))
-        self.gate_b1 = self._p("sync.gate.b1", np.zeros((1, hidden)))
-        self.gate_w2 = self._p("sync.gate.w2", np.zeros((hidden, c)))
-        self.gate_b2 = self._p("sync.gate.b2", np.zeros((1, c)))
+        self.gate_channel_bias = self._p("sync.gate.channel.bias", np.zeros((c, 1, 1)))
         self.anchor_kernel = self._p("sync.anchor.kernel", np.zeros((3 * self.m, c, 1, 1)))
         self.anchor_bias = self._p("sync.anchor.bias", np.zeros((3 * self.m, 1, 1)))
 
@@ -127,10 +119,7 @@ class TemporalSync(ParamBlock):
             raise ValueError(f"gate inputs differ: {hidden.data.shape} vs {warped.data.shape}")
         x = concat([hidden, warped], axis=0)
         spatial = conv2d(x, self.gate_spatial_kernel, self.gate_spatial_bias, pad=3)
-        pooled = tmean(x, axis=(1, 2))
-        z = relu(matmul(reshape(pooled, (1, -1)), self.gate_w1, self.gate_b1))
-        chan = reshape(matmul(z, self.gate_w2, self.gate_b2), (self.c, 1, 1))
-        alpha = sigmoid(spatial + chan)
+        alpha = sigmoid(spatial + self.gate_channel_bias)
         fused = (1.0 - alpha) * hidden + alpha * warped
         return GateOutput(alpha=alpha, fused=fused)
 

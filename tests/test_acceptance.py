@@ -59,8 +59,7 @@ def _sync_case(seed):
     sync.update_offset_kernel.data = 0.05 * rng.standard_normal(
         sync.update_offset_kernel.data.shape)
     sync.anchor_kernel.data = 0.05 * rng.standard_normal(sync.anchor_kernel.data.shape)
-    sync.gate_w1.data = rng.standard_normal(sync.gate_w1.data.shape)
-    sync.gate_w2.data = rng.standard_normal(sync.gate_w2.data.shape)
+    sync.gate_channel_bias.data = rng.standard_normal(sync.gate_channel_bias.data.shape)
     ego = rng.uniform(-1, 1, size=(2, 8, 8))
     entries = [rng.uniform(-1, 1, size=(2, 8, 8)) for _ in range(3)]
     probe = seed % 3
@@ -156,7 +155,7 @@ def test_04_mask_algebra():
         elig = np.ones((16, 16))
         for s in (2, 4, 8):
             grid = BlockGrid(16, 16, s)
-            scores = score_blocks(feat, grid, elig, rng.normal(size=2), 0.0)
+            scores = score_blocks(feat, grid, elig)
             if not np.any(np.isfinite(scores)):
                 break
             nxt = propagate_mask(elig, topk_select(scores, 0.4, grid))
@@ -177,8 +176,8 @@ def test_05_convex_gate_bound():
             sync.gate_spatial_kernel.data = 0.3 * rng.standard_normal(
                 sync.gate_spatial_kernel.data.shape)
             sync.gate_spatial_bias.data = rng.standard_normal((1, 1, 1))
-            sync.gate_w1.data = rng.standard_normal(sync.gate_w1.data.shape)
-            sync.gate_w2.data = rng.standard_normal(sync.gate_w2.data.shape)
+            sync.gate_channel_bias.data = rng.standard_normal(
+                sync.gate_channel_bias.data.shape)
         h = rng.normal(size=(3, 8, 8))
         w = rng.normal(size=(3, 8, 8))
         out = sync.gate(Tensor(h), Tensor(w))

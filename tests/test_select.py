@@ -42,17 +42,16 @@ class TestScoreBlocks:
     def test_identical_blocks_identical_scores(self):
         f = np.tile(np.arange(4.0).reshape(1, 2, 2), (2, 4, 4))
         grid = BlockGrid(8, 8, 2)
-        s = score_blocks(f, grid, np.ones((8, 8)), np.array([0.5, 0.5]), 0.1)
+        s = score_blocks(f, grid, np.ones((8, 8)))
         assert np.allclose(s, s[0])
 
-    def test_channel0_mean_oracle(self):
+    def test_channel_mean_oracle(self):
         rng = np.random.default_rng(1)
         f = rng.normal(size=(3, 8, 8))
         grid = BlockGrid(8, 8, 4)
-        w = np.array([1.0, 0.0, 0.0])
-        s = score_blocks(f, grid, np.ones((8, 8)), w, 0.0)
-        want = [f[0, :4, :4].mean(), f[0, :4, 4:].mean(),
-                f[0, 4:, :4].mean(), f[0, 4:, 4:].mean()]
+        s = score_blocks(f, grid, np.ones((8, 8)))
+        want = [f[:, :4, :4].mean(), f[:, :4, 4:].mean(),
+                f[:, 4:, :4].mean(), f[:, 4:, 4:].mean()]
         assert np.allclose(s, want)
 
     def test_ineligible_block_scores_minus_inf(self):
@@ -62,7 +61,7 @@ class TestScoreBlocks:
         # fully ineligible top-left block
         elig[:4, :4] = 0.0
         grid = BlockGrid(8, 8, 4)
-        s = score_blocks(f, grid, elig, np.ones(2), 0.0)
+        s = score_blocks(f, grid, elig)
         assert s[0] == -np.inf and np.all(np.isfinite(s[1:]))
         sel = topk_select(s, 1.0, grid)
         assert sel.block_mask.reshape(-1)[0] == 0.0
@@ -319,7 +318,7 @@ class TestMaskAlgebraProperties:
             elig = np.ones((16, 16))
             for s in (2, 4, 8):
                 grid = BlockGrid(16, 16, s)
-                scores = score_blocks(f, grid, elig, rng.normal(size=2), 0.0)
+                scores = score_blocks(f, grid, elig)
                 if not np.any(np.isfinite(scores)):
                     break
                 sel = topk_select(scores, 0.4, grid)

@@ -19,7 +19,7 @@ def make_sync(seed=0, c=C, m=4):
 
 def pin_identity(sync):
     """Exact identity warps, zero offsets, zero gate weights (alpha = 0.5)."""
-    c = sync.c
+    c = sync.warp_bias.data.shape[0]
     sync.offset_kernel.data = np.zeros_like(sync.offset_kernel.data)
     sync.offset_bias.data = np.zeros_like(sync.offset_bias.data)
     sync.update_offset_kernel.data = np.zeros_like(sync.update_offset_kernel.data)
@@ -28,8 +28,7 @@ def pin_identity(sync):
     sync.warp_bias.data = np.zeros_like(sync.warp_bias.data)
     sync.update_warp_kernel.data = identity_kernel(c)
     sync.update_warp_bias.data = np.zeros_like(sync.update_warp_bias.data)
-    for p in (sync.gate_spatial_kernel, sync.gate_spatial_bias, sync.gate_w1,
-              sync.gate_b1, sync.gate_w2, sync.gate_b2):
+    for p in (sync.gate_spatial_kernel, sync.gate_spatial_bias, sync.gate_channel_bias):
         p.data = np.zeros_like(p.data)
 
 
@@ -158,8 +157,7 @@ class TestGate:
         sync = make_sync(1)
         rng = np.random.default_rng(6)
         sync.gate_spatial_kernel.data = rng.normal(size=sync.gate_spatial_kernel.data.shape)
-        sync.gate_w1.data = rng.normal(size=sync.gate_w1.data.shape)
-        sync.gate_w2.data = rng.normal(size=sync.gate_w2.data.shape)
+        sync.gate_channel_bias.data = rng.normal(size=sync.gate_channel_bias.data.shape)
         h = Tensor(rng.normal(size=(C, H, W)))
         out = sync.gate(h, h)
         assert np.max(np.abs(out.fused.data - h.data)) < 1e-12
@@ -170,8 +168,7 @@ class TestGate:
             sync = make_sync(100 + trial)
             sync.gate_spatial_kernel.data = 0.3 * rng.normal(
                 size=sync.gate_spatial_kernel.data.shape)
-            sync.gate_w1.data = rng.normal(size=sync.gate_w1.data.shape)
-            sync.gate_w2.data = rng.normal(size=sync.gate_w2.data.shape)
+            sync.gate_channel_bias.data = rng.normal(size=sync.gate_channel_bias.data.shape)
             h = rng.normal(size=(C, H, W))
             w = rng.normal(size=(C, H, W))
             out = sync.gate(Tensor(h), Tensor(w))
@@ -203,8 +200,7 @@ class TestRollout:
         sync.offset_kernel.data = 0.05 * rng.normal(size=sync.offset_kernel.data.shape)
         sync.update_offset_kernel.data = 0.05 * rng.normal(
             size=sync.update_offset_kernel.data.shape)
-        sync.gate_w1.data = rng.normal(size=sync.gate_w1.data.shape)
-        sync.gate_w2.data = rng.normal(size=sync.gate_w2.data.shape)
+        sync.gate_channel_bias.data = rng.normal(size=sync.gate_channel_bias.data.shape)
         entries = [Tensor(rng.normal(size=(C, H, W))) for _ in range(3)]
 
         hidden = entries[0]

@@ -206,17 +206,21 @@ def registered_cases() -> dict[str, Callable[[int], tuple[Callable, Tensor]]]:
             return ops.tsum(ops.mul(h, h))
         return f, x
 
-    def selective_scan_case(probed: str):
-        """Two scan paths; the probe is the 2 x L x C tokens or one stacked parameter."""
+    def selective_scan_case(probed: str, length: int = 5, c: int = 2, n: int = 3,
+                            log_decay_mean: float = 0.0):
+        """Two scan paths; the probe is the 2 x L x C tokens or one stacked parameter.
+
+        A log_decay_mean of -4 keeps exp(step * decay) near 0.99, so a state
+        still counts a block of ops._SCAN_BLOCK steps later."""
         def build(seed):
             rng = np.random.default_rng(seed)
-            length, c, n = 5, 2, 3
             shapes = {"w_step": (c, c), "b_step": (1, c), "w_in": (c, n), "b_in": (1, n),
                       "w_out": (c, n), "b_out": (1, n), "skip": (1, c), "log_decay": (n,)}
             xs = rng.uniform(-1.5, 1.5, size=(2, length, c))
             per_path = [[0.5 * rng.standard_normal(shapes[name]) for name in ops.SCAN_PARAMS]
                         for _ in range(2)]
             params = [np.stack(t) for t in zip(*per_path)]
+            params[-1] += log_decay_mean
             k = ops.SCAN_PARAMS.index(probed) if probed != "x" else None
             x = Tensor(xs if k is None else params[k])
 
@@ -263,4 +267,9 @@ def registered_cases() -> dict[str, Callable[[int], tuple[Callable, Tensor]]]:
     }
     for name in ops.SCAN_PARAMS:
         cases[f"selective_scan_{name}"] = selective_scan_case(name)
+    # three blocks, the last of 3 steps: the backward's per-block recompute
+    # and the adjoint seed it passes from each block to the one before
+    for name in ("x", "log_decay"):
+        cases[f"selective_scan_blocks_{name}"] = selective_scan_case(
+            name, length=2 * ops._SCAN_BLOCK + 3, c=1, n=1, log_decay_mean=-4.0)
     return cases

@@ -678,7 +678,7 @@ def linear_recurrence(a, b) -> Tensor:
 SCAN_PARAMS = ("w_step", "b_step", "w_in", "b_in", "w_out", "b_out", "skip", "log_decay")
 
 
-_SCAN_BLOCK = 64     # time steps per block of the selective_scan forward
+_SCAN_BLOCK = 64     # time steps per block of the selective_scan forward and backward
 
 
 @_diffop
@@ -695,9 +695,12 @@ def selective_scan(x, params) -> Tensor:
     y_t = sum_n gate_out * h_t + skip * x_t.
 
     The forward builds, scans and reads out the state _SCAN_BLOCK time steps
-    at a time, carrying the last state across blocks. Only when a tape
-    records the op are the whole L x P x C x N exponent and state arrays
-    kept, for the backward; otherwise each block reuses scratch arrays.
+    at a time on block-sized scratch arrays, carrying the last state across
+    blocks, and keeps only the P x C x N state entering each block. The
+    backward walks the blocks in reverse: it rebuilds a block's exponent and
+    states from that state with the forward's own expressions, runs the
+    adjoint scan seeded from the block after it, and reduces the block into
+    L-sized gradients. No L x P x C x N array is made, with or without a tape.
     """
     xt, params = as_tensor(x), [as_tensor(t) for t in params]
     n_paths, length, c = xt.data.shape if xt.data.ndim == 3 else (0, 0, 0)
@@ -717,45 +720,60 @@ def selective_scan(x, params) -> Tensor:
     decay = -np.exp(log_decay)                                            # P x N
     u = step * x
     requires_grad = xt.requires_grad or any(t.requires_grad for t in params)
-    # the state arrays are time-major, L x P x C x N, so each step is one
+    # the state arrays are time-major, block x P x C x N, so each step is one
     # contiguous slab
     tm = (1, 0, 2)
     step_t, u_t = step.transpose(tm), u.transpose(tm)
     gate_in_t, gate_out_t = gate_in.transpose(tm), gate_out.transpose(tm)
-    taped = requires_grad and active_tape() is not None
-    block = min(length, _SCAN_BLOCK)
-    a = np.empty((length if taped else block, n_paths, c, n))
-    h = np.empty_like(a)
-    prod = np.empty((block, n_paths, c, n))
+    blocks = [(t0, min(t0 + _SCAN_BLOCK, length)) for t0 in range(0, length, _SCAN_BLOCK)]
+    block_shape = (min(length, _SCAN_BLOCK), n_paths, c, n)
+
+    def states(t0, t1, carry, a, h):
+        """Block t0:t1's factors exp(step * decay) and states, in the leading
+        rows of the scratch arrays a and h, from the state before t0."""
+        a, h = a[:t1 - t0], h[:t1 - t0]
+        np.multiply(step_t[t0:t1, :, :, None], decay[:, None, :], out=a)
+        np.exp(a, out=a)
+        np.multiply(u_t[t0:t1, :, :, None], gate_in_t[t0:t1, :, None, :], out=h)
+        return a, _scan_in_place(a, h, carry=carry)
+
+    a, h, prod = np.empty(block_shape), np.empty(block_shape), np.empty(block_shape)
     readout = np.empty((length, n_paths, c))
-    carry = None
-    for t0 in range(0, length, _SCAN_BLOCK):
-        t1 = min(t0 + _SCAN_BLOCK, length)
-        blk = slice(t0, t1) if taped else slice(0, t1 - t0)
-        ab, hb = a[blk], h[blk]
-        np.multiply(step_t[t0:t1, :, :, None], decay[:, None, :], out=ab)
-        np.exp(ab, out=ab)
-        np.multiply(u_t[t0:t1, :, :, None], gate_in_t[t0:t1, :, None, :], out=hb)
-        _scan_in_place(ab, hb, carry=carry)
+    carries = [None]                      # the state entering each block; none before the first
+    for t0, t1 in blocks:
+        _, hb = states(t0, t1, carries[-1], a, h)
         np.multiply(hb, gate_out_t[t0:t1, :, None, :], out=prod[:t1 - t0])
         prod[:t1 - t0].sum(axis=3, out=readout[t0:t1])
-        carry = hb[-1] if taped else hb[-1].copy()
+        carries.append(hb[-1].copy())
     y = readout.transpose(tm) + skip * x
     out = Tensor(y, requires_grad)
 
     def bwd(g):
         gt = g.transpose(tm)                                              # L x P x C
-        g_out = np.matmul(gt[:, :, None, :], h)[:, :, 0, :].transpose(tm)
-        gh = np.multiply(gt[..., None], gate_out_t[:, :, None, :])
-        _scan_in_place(a, gh, reverse=True)
-        g_in = np.matmul(u_t[:, :, None, :], gh)[:, :, 0, :].transpose(tm)
-        g_u = np.matmul(gh, gate_in_t[..., None])[..., 0].transpose(tm)
-        # gh becomes the gradient of the exponent step * decay
-        gh[0] = 0.0
-        np.multiply(gh[1:], h[:-1], out=gh[1:])
-        gh[1:] *= a[1:]
-        g_decay = np.einsum("lpcn,lpc->pn", gh, step_t)
-        g_step = g_u * x + np.matmul(gh, decay[:, :, None])[..., 0].transpose(tm)
+        g_out, g_in = np.empty((length, n_paths, n)), np.empty((length, n_paths, n))
+        g_u, g_exp = np.empty((length, n_paths, c)), np.empty((length, n_paths, c))
+        g_decay = np.zeros((n_paths, n))
+        a, h, gh = np.empty(block_shape), np.empty(block_shape), np.empty(block_shape)
+        seed = None                       # a_t1 * gh_t1 of the block after this one
+        for (t0, t1), carry in zip(reversed(blocks), reversed(carries[:-1])):
+            ab, hb = states(t0, t1, carry, a, h)
+            g_out[t0:t1] = np.matmul(gt[t0:t1, :, None, :], hb)[:, :, 0, :]
+            ghb = np.multiply(gt[t0:t1, :, :, None], gate_out_t[t0:t1, :, None, :],
+                              out=gh[:t1 - t0])
+            if seed is not None:
+                np.add(ghb[-1], seed, out=ghb[-1])
+            _scan_in_place(ab, ghb, reverse=True)
+            seed = ab[0] * ghb[0]
+            g_in[t0:t1] = np.matmul(u_t[t0:t1, :, None, :], ghb)[:, :, 0, :]
+            g_u[t0:t1] = np.matmul(ghb, gate_in_t[t0:t1, :, :, None])[..., 0]
+            # ghb becomes the gradient of the exponent step * decay
+            ghb[0] = 0.0 if carry is None else ghb[0] * carry * ab[0]
+            np.multiply(ghb[1:], hb[:-1], out=ghb[1:])
+            ghb[1:] *= ab[1:]
+            g_exp[t0:t1] = np.matmul(ghb, decay[:, :, None])[..., 0]
+            g_decay += np.einsum("lpcn,lpc->pn", ghb, step_t[t0:t1])
+        g_out, g_in, g_u = (v.transpose(tm) for v in (g_out, g_in, g_u))
+        g_step = g_u * x + g_exp.transpose(tm)
         g_z = g_step * _sigmoid(z)
         gx = g * skip + g_u * step
         grads = {"skip": (g * x).sum(axis=1, keepdims=True), "log_decay": g_decay * decay}

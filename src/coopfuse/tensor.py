@@ -108,7 +108,13 @@ class ParamBlock:
 
 
 class Tape:
-    """Ordered record of executed operations for one forward pass."""
+    """Ordered record of executed operations for one forward pass.
+
+    ``backward`` consumes the tape: it removes each record before replaying
+    it, so the arrays a record's closure saved, and the gradients only that
+    closure read, are freed as the replay passes them. The tape is empty
+    afterwards.
+    """
 
     __slots__ = ("_records",)
 
@@ -130,11 +136,12 @@ class Tape:
         return len(self._records)
 
     def backward(self, root: Tensor) -> None:
-        """Seed the root with a unit gradient and replay records in reverse."""
+        """Seed the root with a unit gradient and replay records in reverse, popping each."""
         if root.data.size != 1:
             raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")
         root.accumulate_grad(np.ones_like(root.data))
-        for out, fn in reversed(self._records):
+        while self._records:
+            out, fn = self._records.pop()
             if out.grad is not None:
                 fn(out.grad)
 

@@ -50,11 +50,23 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[name] = self.BETA1 * self.m[name] + (1.0 - self.BETA1) * g
-            self.v[name] = self.BETA2 * self.v[name] + (1.0 - self.BETA2) * g * g
-            update = (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.EPS)
-            p.data = p.data - self.lr * update
+            # in place, in the operation order of m = B1*m + (1-B1)*g,
+            # v = B2*v + ((1-B2)*g)*g and p = p - lr * (m/b1c) / (sqrt(v/b2c) + eps);
+            # g may be shared with other tensors, so it is only read
+            g, m, v = p.grad, self.m[name], self.v[name]
+            num, den = np.multiply(g, 1.0 - self.BETA1), np.multiply(g, 1.0 - self.BETA2)
+            m *= self.BETA1
+            m += num
+            den *= g
+            v *= self.BETA2
+            v += den
+            np.divide(v, b2c, out=den)
+            np.sqrt(den, out=den)
+            den += self.EPS
+            np.divide(m, b1c, out=num)
+            num /= den
+            num *= self.lr
+            p.data -= num
             p.grad = None
 
 

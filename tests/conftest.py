@@ -2,6 +2,7 @@
 
 import os
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -73,3 +74,17 @@ class ModelBank:
 @pytest.fixture(scope="session")
 def model_bank():
     return ModelBank()
+
+
+@pytest.fixture
+def traced_peak_mib():
+    """A function that calls fn() under tracemalloc and returns the peak of
+    the allocations traced meanwhile, in MiB; numpy reports its arrays."""
+    def measure(fn) -> float:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    return measure

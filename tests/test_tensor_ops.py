@@ -427,9 +427,13 @@ class TestKernelsMatchPreviousAlgorithms:
     # around one block of the forward, and the length wtden scans at the desk grid
     SCAN_LENGTHS = [1, ops._SCAN_BLOCK - 1, ops._SCAN_BLOCK, ops._SCAN_BLOCK + 1, 1024]
 
-    @pytest.mark.parametrize("length", SCAN_LENGTHS)
-    def test_selective_scan(self, length):
-        x, params, g = self.scan_inputs(length, seed=length)
+    @pytest.mark.parametrize("length,n_paths",
+                             [pytest.param(n, 2, id=str(n)) for n in SCAN_LENGTHS]
+                             + [pytest.param(n, 1, id=f"{n}-P1") for n in SCAN_LENGTHS])
+    def test_selective_scan(self, length, n_paths):
+        """Bitwise, except the log_decay gradient: the backward sums its
+        time axis block by block, which moves it by rounding only."""
+        x, params, g = self.scan_inputs(length, seed=length, n_paths=n_paths)
         t = Tensor(x, requires_grad=True)
         ps = [Tensor(p, requires_grad=True) for p in params]
         y, grads = run_with_output_grad(lambda: ops.selective_scan(t, ps), [t, *ps], g)
@@ -437,7 +441,21 @@ class TestKernelsMatchPreviousAlgorithms:
         assert np.array_equal(y, y_ref)
         assert np.array_equal(grads[0], gx_ref)
         for name, gp in zip(ops.SCAN_PARAMS, grads[1:]):
-            assert np.array_equal(gp, gp_ref[name]), name
+            if name == "log_decay":       # all zero at L = 1, where no state decays
+                assert np.max(np.abs(gp - gp_ref[name])) <= 1e-13 * np.max(np.abs(gp_ref[name]))
+            else:
+                assert np.array_equal(gp, gp_ref[name]), name
+
+    def test_selective_scan_keeps_one_block_of_state(self, traced_peak_mib):
+        """A taped desk-shape scan (P=4, L=1024, C=8, N=16), forward and
+        backward, peaks below 8 MiB. One L x P x C x N array is 4 MiB; keeping
+        the whole exponent and state arrays for the backward peaked at 16.8."""
+        x, params, g = self.scan_inputs(1024, seed=5, n_paths=4, c=8, n=16)
+        t = Tensor(x, requires_grad=True)
+        ps = [Tensor(p, requires_grad=True) for p in params]
+        peak = traced_peak_mib(
+            lambda: run_with_output_grad(lambda: ops.selective_scan(t, ps), [t, *ps], g))
+        assert peak < 8.0
 
     @pytest.mark.parametrize("length", SCAN_LENGTHS)
     def test_selective_scan_untaped_forward_equals_taped(self, length):
@@ -690,6 +708,15 @@ class TestDeterminismAndFiniteness:
         ]
         for r in results:
             assert np.all(np.isfinite(r.data))
+
+    def test_backward_consumes_the_tape(self):
+        x = Tensor(np.full((2, 2), 3.0), requires_grad=True)
+        with Tape() as tape:
+            y = ops.tsum(ops.mul(x, x))
+        assert len(tape) == 2
+        tape.backward(y)
+        assert len(tape) == 0
+        assert np.array_equal(x.grad, np.full((2, 2), 6.0))
 
     def test_no_grad_suppresses_recording(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)

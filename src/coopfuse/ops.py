@@ -208,14 +208,18 @@ def scale(a, s: float) -> Tensor:
 
 @_diffop
 def max_reduce(a, axis: int) -> Tensor:
-    """Maximum along one axis; gradient routes to the first (lowest-index) argmax."""
+    """Maximum along one axis; gradient routes to the first (lowest-index) argmax.
+
+    The argmax is found in the backward, from the unchanged input, so a
+    forward nothing differentiates does not pay for it.
+    """
     a = as_tensor(a)
     if a.data.shape[axis] == 0:
         raise ValueError(f"max_reduce over empty axis {axis} of shape {a.data.shape}")
-    idx = np.argmax(a.data, axis=axis)
     out = Tensor(np.max(a.data, axis=axis), a.requires_grad)
 
     def bwd(g):
+        idx = np.argmax(a.data, axis=axis)
         full = np.zeros_like(a.data)
         np.put_along_axis(full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
         a.accumulate_grad(full)
@@ -696,11 +700,14 @@ def selective_scan(x, params) -> Tensor:
 
     The forward builds, scans and reads out the state _SCAN_BLOCK time steps
     at a time on block-sized scratch arrays, carrying the last state across
-    blocks, and keeps only the P x C x N state entering each block. The
-    backward walks the blocks in reverse: it rebuilds a block's exponent and
-    states from that state with the forward's own expressions, runs the
-    adjoint scan seeded from the block after it, and reduces the block into
-    L-sized gradients. No L x P x C x N array is made, with or without a tape.
+    blocks, and keeps only the P x C x N state entering each block. Each
+    block's read-out, the sum over N, is one batched matmul of its states with
+    the time-major gate_out column. The backward walks the blocks in reverse:
+    it rebuilds a block's exponent and states from that state with the
+    forward's own expressions, runs the adjoint scan seeded from the block
+    after it, and reduces the block into L-sized gradients with batched
+    matmuls on contiguous operands. No L x P x C x N array is made, with or
+    without a tape.
     """
     xt, params = as_tensor(x), [as_tensor(t) for t in params]
     n_paths, length, c = xt.data.shape if xt.data.ndim == 3 else (0, 0, 0)
@@ -737,13 +744,14 @@ def selective_scan(x, params) -> Tensor:
         np.multiply(u_t[t0:t1, :, :, None], gate_in_t[t0:t1, :, None, :], out=h)
         return a, _scan_in_place(a, h, carry=carry)
 
-    a, h, prod = np.empty(block_shape), np.empty(block_shape), np.empty(block_shape)
+    # read-out column: L x P x N x 1, so each block's sum over N is one batched matmul
+    gate_out_c = np.ascontiguousarray(gate_out_t)[..., None]
+    a, h = np.empty(block_shape), np.empty(block_shape)
     readout = np.empty((length, n_paths, c))
     carries = [None]                      # the state entering each block; none before the first
     for t0, t1 in blocks:
         _, hb = states(t0, t1, carries[-1], a, h)
-        np.multiply(hb, gate_out_t[t0:t1, :, None, :], out=prod[:t1 - t0])
-        prod[:t1 - t0].sum(axis=3, out=readout[t0:t1])
+        np.matmul(hb, gate_out_c[t0:t1], out=readout[t0:t1, :, :, None])
         carries.append(hb[-1].copy())
     y = readout.transpose(tm) + skip * x
     out = Tensor(y, requires_grad)
@@ -752,8 +760,12 @@ def selective_scan(x, params) -> Tensor:
         gt = g.transpose(tm)                                              # L x P x C
         g_out, g_in = np.empty((length, n_paths, n)), np.empty((length, n_paths, n))
         g_u, g_exp = np.empty((length, n_paths, c)), np.empty((length, n_paths, c))
-        g_decay = np.zeros((n_paths, n))
+        g_decay = np.zeros((n_paths, 1, n))
         a, h, gh = np.empty(block_shape), np.empty(block_shape), np.empty(block_shape)
+        # contiguous operands keep the g_exp and g_decay contractions on BLAS:
+        # decay as a block x P x N x 1 column, step time-major as L x P x 1 x C rows
+        decay_c = np.broadcast_to(decay[:, :, None], block_shape[:2] + (n, 1)).copy()
+        step_r = np.ascontiguousarray(step_t)[:, :, None, :]
         seed = None                       # a_t1 * gh_t1 of the block after this one
         for (t0, t1), carry in zip(reversed(blocks), reversed(carries[:-1])):
             ab, hb = states(t0, t1, carry, a, h)
@@ -770,13 +782,13 @@ def selective_scan(x, params) -> Tensor:
             ghb[0] = 0.0 if carry is None else ghb[0] * carry * ab[0]
             np.multiply(ghb[1:], hb[:-1], out=ghb[1:])
             ghb[1:] *= ab[1:]
-            g_exp[t0:t1] = np.matmul(ghb, decay[:, :, None])[..., 0]
-            g_decay += np.einsum("lpcn,lpc->pn", ghb, step_t[t0:t1])
+            np.matmul(ghb, decay_c[:t1 - t0], out=g_exp[t0:t1, :, :, None])
+            g_decay += np.matmul(step_r[t0:t1], ghb).sum(axis=0)
         g_out, g_in, g_u = (v.transpose(tm) for v in (g_out, g_in, g_u))
         g_step = g_u * x + g_exp.transpose(tm)
         g_z = g_step * _sigmoid(z)
         gx = g * skip + g_u * step
-        grads = {"skip": (g * x).sum(axis=1, keepdims=True), "log_decay": g_decay * decay}
+        grads = {"skip": (g * x).sum(axis=1, keepdims=True), "log_decay": g_decay[:, 0] * decay}
         for name, w, gw in (("step", w_step, g_z), ("in", w_in, g_in), ("out", w_out, g_out)):
             gx += np.matmul(gw, w.transpose(0, 2, 1))
             grads[f"w_{name}"] = np.matmul(x.transpose(0, 2, 1), gw)

@@ -23,7 +23,6 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -182,6 +181,18 @@ class StepOutput:
     clean_reference: np.ndarray
 
 
+def once(fn, *args, **kwargs) -> Callable[[], Tensor]:
+    """A thunk that calls fn(*args, **kwargs) on its first call and returns
+    that result from then on."""
+    result = []
+
+    def thunk():
+        if not result:
+            result.append(fn(*args, **kwargs))
+        return result[0]
+    return thunk
+
+
 def simulate(pipe: Pipeline, scenario: Scenario, measure,
              trace_rows: list | None = None) -> list[StepOutput]:
     """Run a scenario; produce StepOutputs at ticks where measure(tick) is true."""
@@ -197,8 +208,8 @@ def simulate(pipe: Pipeline, scenario: Scenario, measure,
 
     for tick in range(scenario.ticks):
         # views render on first read; the channel and pose noise draw every tick
-        views = {a.id: cache(partial(render_bev, scene, a.pose, cfg.height, cfg.width,
-                                     cfg.cell_size, fov_m=a.fov_m, channels=cfg.channels))
+        views = {a.id: once(render_bev, scene, a.pose, cfg.height, cfg.width, cfg.cell_size,
+                            fov_m=a.fov_m, channels=cfg.channels)
                  for a in scenario.agents}
         for a in collaborators:
             reported = perturb_pose(a.pose, scenario.channel.loc_sigma,
@@ -214,7 +225,7 @@ def simulate(pipe: Pipeline, scenario: Scenario, measure,
 
         arrived = [(latest[a.id].feature, latest[a.id].reported_pose)
                    for a in collaborators if a.id in latest]
-        entries.append(cache(partial(fuse, pipe, views[ego.id], arrived, ego.pose)))
+        entries.append(once(fuse, pipe, views[ego.id], arrived, ego.pose))
 
         if measure(tick):
             synced = pipe.sync_stage(entries, views[ego.id]())

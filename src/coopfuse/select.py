@@ -53,7 +53,7 @@ class BlockGrid:
     def to_pixels(self, block_values: np.ndarray) -> np.ndarray:
         """Replicate per-block values to pixel resolution."""
         grid = block_values.reshape(self.n_rows, self.n_cols)
-        return np.kron(grid, np.ones((self.scale, self.scale)))
+        return grid.repeat(self.scale, axis=0).repeat(self.scale, axis=1)
 
 
 @dataclass

@@ -241,10 +241,10 @@ class TestSimulate:
             assert (arrive == -1) == (dropped == 1)
 
 
-def eager_cache(thunk):
-    """Calls ``thunk`` when it is made, so every view renders and every map
+def eager_once(fn, *args, **kwargs):
+    """Calls ``fn`` when the thunk is made, so every view renders and every map
     integrates at its own tick: the reference for the lazy thunks."""
-    value = thunk()
+    value = fn(*args, **kwargs)
     return lambda: value
 
 
@@ -264,7 +264,7 @@ class TestLazyIntegration:
             return pipe.parameters(), outs
 
         lazy_params, lazy_outs = run()
-        monkeypatch.setattr(pipeline_module, "cache", eager_cache)
+        monkeypatch.setattr(pipeline_module, "once", eager_once)
         eager_params, eager_outs = run()
         for name, p in lazy_params.items():
             assert np.array_equal(p.data, eager_params[name].data), name

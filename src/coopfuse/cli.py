@@ -9,8 +9,9 @@ All subcommands accept --seed to override the config seed. Outputs land in
 the --out directory: metrics.csv always; train additionally writes
 loss_curve.csv and params.catp; run writes trace.csv.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical divergence (a
-nonfinite training loss or evaluation metric; no metrics.csv is written).
+Exit codes: 0 success, 2 configuration error (an input too large for the
+host's memory included), 3 numerical divergence (a nonfinite training loss
+or evaluation metric; no metrics.csv is written).
 """
 
 from __future__ import annotations
@@ -123,6 +124,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError) as e:      # ConfigError and JSONDecodeError are ValueErrors
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:                # also one raised in an evaluate worker
+        print(f"out of memory: {e or 'an allocation failed'}", file=sys.stderr)
         return 2
     return 0
 

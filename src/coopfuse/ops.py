@@ -511,7 +511,7 @@ def conv2d(x, kernel, bias, pad: int = 0) -> Tensor:
             # dx = correlation of g with the in/out-swapped, 180-rotated kernel
             gcols = _patches(_zero_pad(g, k - 1), k, hp, wp)
             wrot = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            dxp = (wrot.reshape(c_in, c_out * k * k) @ gcols).reshape(xp.shape)
+            dxp = (wrot.reshape(c_in, c_out * k * k) @ gcols).reshape(c_in, hp, wp)
             x.accumulate_grad(dxp[:, pad:pad + h, pad:pad + w] if pad else dxp)
 
     _record(out, bwd)

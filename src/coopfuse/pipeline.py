@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -279,7 +281,12 @@ def eval_scenario_seed(cfg: PipelineConfig, index: int) -> int:
 def evaluate(pipe: Pipeline, channel: ChannelConfig | None = None,
              config_id: str = "run", scenario: Scenario | None = None,
              trace_rows: list | None = None) -> MetricRecord:
-    """Average metrics over the paired evaluation scenario set (or one scenario)."""
+    """Average metrics over the paired evaluation scenario set (or one scenario).
+
+    The scenarios run on forked workers, one per usable core, and their
+    results are joined in scenario order, so the record and the trace rows
+    are bitwise those of a serial run (see ``_scenario_results``).
+    """
     cfg = pipe.cfg
     ch = channel if channel is not None else cfg.channel
     ticks = cfg.warmup_ticks_for(ch) + cfg.eval_measure_ticks
@@ -292,16 +299,72 @@ def evaluate(pipe: Pipeline, channel: ChannelConfig | None = None,
                                    fov_collab=cfg.fov_collab_m)
                      for i in range(cfg.eval_scenarios)]
     ious, mses = [], []
-    with no_grad():
-        for scen in scenarios:
-            warm = cfg.warmup_ticks_for(scen.channel)
-            outs = simulate(pipe, scen, measure=lambda t, w=warm: t >= w,
-                            trace_rows=trace_rows)
-            for o in outs:
-                ious.append(occupancy_iou(o.logits.data, o.gt_occupancy))
-                mses.append(float(np.mean((o.denoised.data - o.clean_reference) ** 2)))
+    for rows, scen_ious, scen_mses in _scenario_results(pipe, scenarios):
+        if trace_rows is not None:
+            trace_rows.extend(rows)
+        ious += scen_ious
+        mses += scen_mses
     return MetricRecord(config_id=config_id, mse_to_clean=float(np.mean(mses)),
                         occupancy_iou=float(np.mean(ious)))
+
+
+def _scenario_result(pipe: Pipeline, scen: Scenario
+                     ) -> tuple[list[tuple], list[float], list[float]]:
+    """One evaluation scenario's trace rows and the IoU and MSE of each of
+    its measured ticks."""
+    rows: list[tuple] = []
+    warm = pipe.cfg.warmup_ticks_for(scen.channel)
+    with no_grad():
+        outs = simulate(pipe, scen, measure=lambda t: t >= warm, trace_rows=rows)
+    return (rows,
+            [occupancy_iou(o.logits.data, o.gt_occupancy) for o in outs],
+            [float(np.mean((o.denoised.data - o.clean_reference) ** 2)) for o in outs])
+
+
+# a forked evaluate worker's pipeline and scenarios; the parent hands them
+# over in memory through the fork and sends only scenario indices
+_worker_state: tuple | None = None
+
+
+def _init_worker(pipe: Pipeline, scenarios: list[Scenario]) -> None:
+    global _worker_state
+    _worker_state = (pipe, scenarios)
+
+
+def _worker_result(index: int):
+    pipe, scenarios = _worker_state
+    return _scenario_result(pipe, scenarios[index])
+
+
+def _scenario_results(pipe: Pipeline, scenarios: list[Scenario]) -> list:
+    """``_scenario_result`` of each scenario, in order.
+
+    With two or more scenarios and usable cores, the scenarios run on a
+    process pool of one worker per core (at most one per scenario), made and
+    shut down here: no worker outlives the call, whether it returns or
+    raises, and a worker that dies (say, to the kernel's out-of-memory
+    killer) raises ``BrokenProcessPool`` rather than leaving the call
+    waiting. The workers fork, so they inherit the pipeline instead of
+    unpickling a copy and importing numpy anew; they fork before the pool
+    starts its manager thread, and coopfuse runs no thread of its own. The
+    call stays serial without fork, and inside a daemonic process, such as
+    a ``multiprocessing.Pool`` worker, which may not start children. The
+    pool's modules are imported only on the parallel path.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(scenarios), cores)
+    mp = sys.modules.get("multiprocessing")
+    if workers < 2 or not hasattr(os, "fork") or (mp and mp.current_process().daemon):
+        return [_scenario_result(pipe, scen) for scen in scenarios]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               _init_worker, (pipe, scenarios))
+    try:
+        return list(pool.map(_worker_result, range(len(scenarios))))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def config_label(cfg: PipelineConfig) -> str:

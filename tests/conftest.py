@@ -1,5 +1,6 @@
 """Shared fixtures: lazily trained desk-scale checkpoints, reused across tests."""
 
+import multiprocessing
 import os
 import time
 import tracemalloc
@@ -74,6 +75,18 @@ class ModelBank:
 @pytest.fixture(scope="session")
 def model_bank():
     return ModelBank()
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fails a test that leaves a multiprocessing child alive, after ending it."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join(timeout=10)
+    if left:
+        pytest.fail(f"{len(left)} child process(es) left running: {left}")
 
 
 @pytest.fixture

@@ -1,7 +1,11 @@
 """Pipeline assembly: config validation, stage toggles, end-to-end runs."""
 
 import json
+import multiprocessing
+import os
+import signal
 import sys
+from concurrent.futures import process as futures_process
 from dataclasses import replace
 
 import numpy as np
@@ -239,6 +243,118 @@ class TestSimulate:
             assert emit == tick
             assert dropped in (0, 1)
             assert (arrive == -1) == (dropped == 1)
+
+
+def evaluate_in_worker(cfg):
+    """An ``evaluate`` with its trace rows, for a pool worker to run."""
+    rows = []
+    return evaluate(Pipeline(cfg), trace_rows=rows), rows
+
+
+class TestParallelEvaluate:
+    """``evaluate`` runs its scenarios on forked workers, one per usable core."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker count of each process pool started while the test runs."""
+        started = []
+        original = futures_process.ProcessPoolExecutor.__init__
+
+        def spy(self, max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            original(self, max_workers, *args, **kwargs)
+        monkeypatch.setattr(futures_process.ProcessPoolExecutor, "__init__", spy)
+        return started
+
+    @staticmethod
+    def use_cores(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @pytest.mark.parametrize("drop_p", [0.0, 0.4])
+    def test_matches_serial_bitwise(self, monkeypatch, pools, drop_p):
+        cfg = small_config(eval_scenarios=3)
+        pipe = Pipeline(cfg)
+        channel = replace(cfg.channel, drop_p=drop_p)
+        results = []
+        for cores in (1, 2):
+            self.use_cores(monkeypatch, cores)
+            rows = []
+            results.append((evaluate(pipe, channel=channel, trace_rows=rows), rows))
+        assert pools == [2]
+        assert results[0] == results[1]
+        assert len(results[0][1]) == 3 * 5 * 2     # scenarios x ticks x collaborators
+        assert any(dropped for *_, dropped in results[0][1]) == (drop_p > 0)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [ValueError("scenario 1 failed"),
+                                       MemoryError("scenario 1 ran out")])
+    def test_worker_error_surfaces_unchanged(self, monkeypatch, pools, error):
+        cfg = small_config(eval_scenarios=3)
+        pipe = Pipeline(cfg)
+        failing = pipeline_module.eval_scenario_seed(cfg, 1)
+        original = pipeline_module.simulate
+
+        def simulate_failing(pipe, scenario, *args, **kwargs):
+            if scenario.seed == failing:
+                raise error
+            return original(pipe, scenario, *args, **kwargs)
+        monkeypatch.setattr(pipeline_module, "simulate", simulate_failing)
+        raised = []
+        for cores in (1, 2):
+            self.use_cores(monkeypatch, cores)
+            with pytest.raises(type(error)) as info:
+                evaluate(pipe)
+            raised.append((type(info.value), str(info.value)))
+        assert pools == [2]
+        assert raised == [(type(error), str(error))] * 2
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_raises(self, monkeypatch, pools):
+        """A worker that dies mid-scenario, as to the out-of-memory killer,
+        fails the call; a ``multiprocessing.Pool`` would wait for it forever."""
+        cfg = small_config(eval_scenarios=3)
+        victim = pipeline_module.eval_scenario_seed(cfg, 1)
+        caller = os.getpid()
+        original = pipeline_module.simulate
+
+        def simulate_killed(pipe, scenario, *args, **kwargs):
+            if scenario.seed == victim:
+                assert os.getpid() != caller, "the scenario ran in the caller's process"
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(pipe, scenario, *args, **kwargs)
+        monkeypatch.setattr(pipeline_module, "simulate", simulate_killed)
+        self.use_cores(monkeypatch, 2)
+        with pytest.raises(futures_process.BrokenProcessPool):
+            evaluate(Pipeline(cfg))
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_one_scenario_or_one_core_starts_no_pool(self, monkeypatch, pools):
+        cfg = small_config()
+        pipe = Pipeline(cfg)
+        self.use_cores(monkeypatch, 2)
+        evaluate(Pipeline(small_config(eval_scenarios=1)))
+        scen = make_scenario(3, cfg.channel, ticks=6, n_agents=cfg.n_agents,
+                             n_objects=cfg.n_objects, bounds=cfg.bounds_m,
+                             fov_ego=cfg.fov_ego_m, fov_collab=cfg.fov_collab_m)
+        evaluate(pipe, scenario=scen)
+        self.use_cores(monkeypatch, 1)
+        evaluate(pipe)
+        assert pools == []
+
+    def test_call_inside_a_pool_worker_stays_serial(self, monkeypatch):
+        """A ``multiprocessing.Pool`` worker is a daemon, which may not start
+        processes of its own."""
+        cfg = small_config()
+        self.use_cores(monkeypatch, 2)       # the worker inherits two cores
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            inner = pool.apply(evaluate_in_worker, (cfg,))
+        finally:
+            pool.terminate()
+            pool.join()
+        self.use_cores(monkeypatch, 1)
+        assert inner == evaluate_in_worker(cfg)
 
 
 def eager_once(fn, *args, **kwargs):

@@ -417,3 +417,25 @@ class TestCli:
         assert len(r.stderr.splitlines()) == 1, r.stderr
         assert r.stderr.startswith("divergence") and "occupancy_iou=nan" in r.stderr
         assert not (out / "metrics.csv").exists()
+
+    def test_out_of_memory_exit_code(self, tmp_path):
+        """A config whose parameters cannot be allocated (C=100000 asks for
+        1.31 TiB) exits 2 with one line, not a numpy traceback, under a 3 GB
+        address-space limit on the subprocess alone."""
+        import resource
+
+        def limit_address_space():
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            soft = 3_000_000_000 if hard == resource.RLIM_INFINITY else min(hard, 3_000_000_000)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+        cfg_path = tmp_path / "huge.json"
+        cfg_path.write_text(json.dumps({"C": 100000}))
+        out = tmp_path / "o"
+        r = subprocess.run([sys.executable, "-m", "coopfuse.cli", "run", "--config",
+                            str(cfg_path), "--out", str(out)],
+                           capture_output=True, text=True, preexec_fn=limit_address_space)
+        assert r.returncode == 2, r.stderr
+        assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr, r.stderr
+        assert r.stderr.startswith("out of memory")
+        assert not (out / "metrics.csv").exists()

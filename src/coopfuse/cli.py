@@ -10,8 +10,9 @@ the --out directory: metrics.csv always; train additionally writes
 loss_curve.csv and params.catp; run writes trace.csv.
 
 Exit codes: 0 success, 2 configuration error (an input too large for the
-host's memory included), 3 numerical divergence (a nonfinite training loss
-or evaluation metric; no metrics.csv is written).
+host's memory included, and an evaluate worker killed by a signal), 3
+numerical divergence (a nonfinite training loss or evaluation metric; no
+metrics.csv is written).
 """
 
 from __future__ import annotations
@@ -127,6 +128,14 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as e:                # also one raised in an evaluate worker
         print(f"out of memory: {e or 'an allocation failed'}", file=sys.stderr)
+        return 2
+    except RuntimeError as e:
+        # an evaluate worker killed by a signal, say by the out-of-memory
+        # killer; the pool's module is only loaded once a pool has started
+        futures = sys.modules.get("concurrent.futures.process")
+        if futures is None or not isinstance(e, futures.BrokenProcessPool):
+            raise
+        print(f"evaluate worker died: {e}", file=sys.stderr)
         return 2
     return 0
 

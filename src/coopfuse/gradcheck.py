@@ -91,6 +91,20 @@ def registered_cases() -> dict[str, Callable[[int], tuple[Callable, Tensor]]]:
         x = Tensor(rng.uniform(-1.5, 1.5, size=(3, 4)))
         return (lambda t: ops.tsum(ops.div(ops.mul(t, t), ops.add(ops.mul(t, t), other)))), x
 
+    def blend_case(probed: str):
+        """The gate blend probed in alpha, hidden or warped; the other two are fixed."""
+        def build(seed):
+            rng = np.random.default_rng(seed)
+            args = {"alpha": rng.uniform(0.1, 0.9, size=(3, 4)),
+                    "hidden": rng.uniform(-1.5, 1.5, size=(3, 4)),
+                    "warped": rng.uniform(-1.5, 1.5, size=(3, 4))}
+
+            def f(t):
+                y = ops.blend(*(t if name == probed else v for name, v in args.items()))
+                return ops.tsum(ops.mul(y, y))
+            return f, Tensor(args[probed])
+        return build
+
     def build_matmul(seed):
         rng = np.random.default_rng(seed)
         w = rng.uniform(-1.0, 1.0, size=(4, 2))
@@ -236,6 +250,9 @@ def registered_cases() -> dict[str, Callable[[int], tuple[Callable, Tensor]]]:
         "sub": build_sub,
         "mul": build_mul,
         "div": build_div,
+        "blend": blend_case("alpha"),
+        "blend_hidden": blend_case("hidden"),
+        "blend_warped": blend_case("warped"),
         "sigmoid": simple(lambda t: ops.sigmoid(t)),
         "relu": kink(lambda t: ops.relu(t)),
         "elu_plus_one": kink(lambda t: ops.elu_plus_one(t)),

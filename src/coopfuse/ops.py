@@ -1,13 +1,24 @@
 """Differentiable operations on Tensor.
 
-Every operation here runs a plain numpy forward pass and, when a Tape is
-active and some input requires grad, records a closure that propagates the
-output gradient to its inputs. ``DIFFERENTIABLE_OPS`` lists every op that
-participates in gradient checking; adding an op without extending gradcheck
-coverage fails the gradient suite.
+An op is one function under the ``_op`` decorator, which names the
+function's tensor arguments in the order their gradients accumulate. The
+function takes those arguments as numpy arrays, validates its arguments,
+computes the forward value and returns ``(value, vjp)``. ``vjp(g, needs)``
+maps the output gradient g to one gradient per tensor input, in the
+declared order, with None wherever ``needs`` says that input takes none.
+The decorator is the one place that touches the tape: it wraps the inputs
+as Tensors, makes the output Tensor (requiring grad if any input does) and,
+under an active Tape, records the single entry whose backward accumulates
+vjp's gradients. With no active tape an op is a plain numpy forward pass.
+
+``DIFFERENTIABLE_OPS`` lists every op defined here; an op without a
+finite-difference case in ``gradcheck.registered_cases`` fails the
+gradient suite.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -16,15 +27,52 @@ from .tensor import Tensor, active_tape, as_tensor
 DIFFERENTIABLE_OPS: list[str] = []
 
 
-def _diffop(fn):
-    DIFFERENTIABLE_OPS.append(fn.__name__)
-    return fn
+def _op(*inputs: str):
+    """Make the decorated function a tape op; ``inputs`` names its tensor
+    arguments in accumulation order.
 
+    Tensor arguments are passed by position. A name written ``*name`` is a
+    sequence of tensors, each one input; a tensor argument left to a None
+    default is absent and takes no gradient. Ops defined outside this module
+    (the tests' composed references) go through the same seam unlisted.
+    """
+    def decorate(fn):
+        params = fn.__code__.co_varnames[:fn.__code__.co_argcount]
+        slots = [(params.index(name.lstrip("*")), name[0] == "*") for name in inputs]
 
-def _record(out: Tensor, fn) -> None:
-    tape = active_tape()
-    if tape is not None and out.requires_grad:
-        tape.record(out, fn)
+        @functools.wraps(fn)
+        def op(*args, **kwargs):
+            args, ts, requires_grad = list(args), [], False
+            for i, seq in slots:
+                if i >= len(args) or args[i] is None:
+                    ts.append(None)
+                elif seq:
+                    group = [as_tensor(t) for t in args[i]]
+                    args[i] = [t.data for t in group]
+                    ts += group
+                    requires_grad = requires_grad or any(t.requires_grad for t in group)
+                else:
+                    t = args[i] if isinstance(args[i], Tensor) else Tensor(args[i])
+                    args[i] = t.data
+                    ts.append(t)
+                    requires_grad = requires_grad or t.requires_grad
+            value, vjp = fn(*args, **kwargs)
+            out = Tensor(value, requires_grad)
+            tape = active_tape()
+            if tape is not None and requires_grad:
+                needs = [t is not None and t.requires_grad for t in ts]
+
+                def backward(g):
+                    for t, gt in zip(ts, vjp(g, needs)):
+                        if gt is not None:
+                            t.accumulate_grad(gt)
+                tape.record(out, backward)
+            return out
+
+        if fn.__module__ == __name__:
+            DIFFERENTIABLE_OPS.append(fn.__name__)
+        return op
+    return decorate
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -53,64 +101,45 @@ def _scatter_add(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
 # elementwise arithmetic (numpy broadcasting rules apply)
 # ---------------------------------------------------------------------------
 
-@_diffop
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.data.shape))
-
-    _record(out, bwd)
-    return out
+@_op("a", "b")
+def add(a, b):
+    return a + b, lambda g, needs: (_unbroadcast(g, a.shape) if needs[0] else None,
+                                    _unbroadcast(g, b.shape) if needs[1] else None)
 
 
-@_diffop
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data, a.requires_grad or b.requires_grad)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.data.shape))
-
-    _record(out, bwd)
-    return out
+@_op("a", "b")
+def sub(a, b):
+    return a - b, lambda g, needs: (_unbroadcast(g, a.shape) if needs[0] else None,
+                                    _unbroadcast(-g, b.shape) if needs[1] else None)
 
 
-@_diffop
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.data.shape))
-
-    _record(out, bwd)
-    return out
+@_op("a", "b")
+def mul(a, b):
+    return a * b, lambda g, needs: (_unbroadcast(g * b, a.shape) if needs[0] else None,
+                                    _unbroadcast(g * a, b.shape) if needs[1] else None)
 
 
-@_diffop
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data / b.data, a.requires_grad or b.requires_grad)
+@_op("a", "b")
+def div(a, b):
+    return a / b, lambda g, needs: (_unbroadcast(g / b, a.shape) if needs[0] else None,
+                                    _unbroadcast(-g * a / (b * b), b.shape) if needs[1] else None)
 
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-    _record(out, bwd)
-    return out
+@_op("alpha", "warped", "hidden")
+def blend(alpha, hidden, warped):
+    """(1 - alpha) * hidden + alpha * warped for three same-shaped tensors.
+
+    Values and gradients are bitwise those of the four elementwise ops it
+    stands for: alpha's gradient is g * warped plus -(g * hidden), and
+    warped's accumulates before hidden's, as their records fired.
+    """
+    if not alpha.shape == hidden.shape == warped.shape:
+        raise ValueError(f"blend needs same-shaped alpha, hidden and warped, got "
+                         f"{alpha.shape}, {hidden.shape} and {warped.shape}")
+    keep = 1.0 - alpha
+    return keep * hidden + alpha * warped, lambda g, needs: (
+        g * warped + -(g * hidden) if needs[0] else None,
+        g * alpha if needs[1] else None, g * keep if needs[2] else None)
 
 
 # ---------------------------------------------------------------------------
@@ -127,71 +156,40 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return z
 
 
-@_diffop
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    y = _sigmoid(a.data)
-    out = Tensor(y, a.requires_grad)
-
-    def bwd(g):
-        a.accumulate_grad(g * y * (1.0 - y))
-
-    _record(out, bwd)
-    return out
+@_op("a")
+def sigmoid(a):
+    y = _sigmoid(a)
+    return y, lambda g, needs: (g * y * (1.0 - y),)
 
 
-@_diffop
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0), a.requires_grad)
-
-    def bwd(g):
-        a.accumulate_grad(g * (a.data > 0.0))
-
-    _record(out, bwd)
-    return out
+@_op("a")
+def relu(a):
+    return np.maximum(a, 0.0), lambda g, needs: (g * (a > 0.0),)
 
 
-@_diffop
-def elu_plus_one(a) -> Tensor:
+@_op("a")
+def elu_plus_one(a):
     """exp(x) for x<=0, x+1 for x>0: a strictly positive kernel feature map."""
-    a = as_tensor(a)
-    x = a.data
-    pos = x > 0.0
-    e = np.exp(np.minimum(x, 0.0))
-    y = np.where(pos, x + 1.0, e)
-    out = Tensor(y, a.requires_grad)
-
-    def bwd(g):
-        a.accumulate_grad(g * np.where(pos, 1.0, e))
-
-    _record(out, bwd)
-    return out
+    pos = a > 0.0
+    e = np.exp(np.minimum(a, 0.0))
+    return np.where(pos, a + 1.0, e), lambda g, needs: (g * np.where(pos, 1.0, e),)
 
 
 # ---------------------------------------------------------------------------
 # reductions and matmul
 # ---------------------------------------------------------------------------
 
-@_diffop
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), a.requires_grad)
-
-    def bwd(g):
-        if axis is None:
-            a.accumulate_grad(np.broadcast_to(g, a.data.shape))
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            a.accumulate_grad(np.broadcast_to(g, a.data.shape))
-
-    _record(out, bwd)
-    return out
+@_op("a")
+def tsum(a, axis=None, keepdims: bool = False):
+    def vjp(g, needs):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, a.shape),
+    return a.sum(axis=axis, keepdims=keepdims), vjp
 
 
-@_diffop
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+    """Mean over `axis`: a ``tsum`` then a ``scale``, two tape records."""
     a = as_tensor(a)
     if axis is None:
         n = a.data.size
@@ -206,139 +204,90 @@ def scale(a, s: float) -> Tensor:
     return mul(a, float(s))
 
 
-@_diffop
-def max_reduce(a, axis: int) -> Tensor:
+@_op("a")
+def max_reduce(a, axis: int):
     """Maximum along one axis; gradient routes to the first (lowest-index) argmax.
 
     The argmax is found in the backward, from the unchanged input, so a
     forward nothing differentiates does not pay for it.
     """
-    a = as_tensor(a)
-    if a.data.shape[axis] == 0:
-        raise ValueError(f"max_reduce over empty axis {axis} of shape {a.data.shape}")
-    out = Tensor(np.max(a.data, axis=axis), a.requires_grad)
+    if a.shape[axis] == 0:
+        raise ValueError(f"max_reduce over empty axis {axis} of shape {a.shape}")
 
-    def bwd(g):
-        idx = np.argmax(a.data, axis=axis)
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
-        a.accumulate_grad(full)
-
-    _record(out, bwd)
-    return out
+    def vjp(g, needs):
+        full = np.zeros_like(a)
+        idx = np.expand_dims(np.argmax(a, axis=axis), axis)
+        np.put_along_axis(full, idx, np.expand_dims(g, axis), axis=axis)
+        return full,
+    return np.max(a, axis=axis), vjp
 
 
-@_diffop
-def matmul(a, b, bias=None) -> Tensor:
+@_op("bias", "a", "b")
+def matmul(a, b, bias=None):
     """a @ b for rank-2 operands, plus an optional 1 x N row bias in the same record."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul expects rank-2 operands, got {a.data.shape} @ {b.data.shape}")
-    y = a.data @ b.data
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"matmul expects rank-2 operands, got {a.shape} @ {b.shape}")
+    y = a @ b
     if bias is not None:
-        bias = as_tensor(bias)
-        if bias.data.shape != (1, y.shape[1]):
-            raise ValueError(f"matmul bias must have shape {(1, y.shape[1])}, got "
-                             f"{bias.data.shape}")
-        y += bias.data
-    out = Tensor(y, a.requires_grad or b.requires_grad
-                 or (bias is not None and bias.requires_grad))
-
-    def bwd(g):
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate_grad(a.data.T @ g)
-
-    _record(out, bwd)
-    return out
+        if bias.shape != (1, y.shape[1]):
+            raise ValueError(f"matmul bias must have shape {(1, y.shape[1])}, got {bias.shape}")
+        y += bias
+    return y, lambda g, needs: (_unbroadcast(g, bias.shape) if needs[0] else None,
+                                g @ b.T if needs[1] else None, a.T @ g if needs[2] else None)
 
 
 # ---------------------------------------------------------------------------
 # shape manipulation
 # ---------------------------------------------------------------------------
 
-@_diffop
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape), a.requires_grad)
-
-    def bwd(g):
-        a.accumulate_grad(g.reshape(a.data.shape))
-
-    _record(out, bwd)
-    return out
+@_op("a")
+def reshape(a, shape):
+    return a.reshape(shape), lambda g, needs: (g.reshape(a.shape),)
 
 
-@_diffop
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
+@_op("a")
+def transpose(a, axes):
     axes = tuple(axes)
-    out = Tensor(a.data.transpose(axes), a.requires_grad)
-    inv = tuple(np.argsort(axes))
-
-    def bwd(g):
-        a.accumulate_grad(g.transpose(inv))
-
-    _record(out, bwd)
-    return out
+    return a.transpose(axes), lambda g, needs: (g.transpose(tuple(np.argsort(axes))),)
 
 
-@_diffop
-def concat(parts, axis: int = 0) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis),
-                 any(p.requires_grad for p in parts))
-    sizes = [p.data.shape[axis] for p in parts]
-
-    def bwd(g):
-        start = 0
-        for p, n in zip(parts, sizes):
-            if p.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(start, start + n)
-                p.accumulate_grad(g[tuple(sl)])
-            start += n
-
-    _record(out, bwd)
-    return out
+@_op("*parts")
+def concat(parts, axis: int = 0):
+    def vjp(g, needs):
+        grads, start, sl = [], 0, [slice(None)] * g.ndim
+        for p, need in zip(parts, needs):
+            sl[axis] = slice(start, start + p.shape[axis])
+            grads.append(g[tuple(sl)] if need else None)
+            start += p.shape[axis]
+        return grads
+    return np.concatenate(parts, axis=axis), vjp
 
 
-@_diffop
-def narrow(a, axis: int, start: int, length: int) -> Tensor:
-    a = as_tensor(a)
-    sl = [slice(None)] * a.data.ndim
+@_op("a")
+def narrow(a, axis: int, start: int, length: int):
+    sl = [slice(None)] * a.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
-    out = Tensor(a.data[sl], a.requires_grad)
 
-    def bwd(g):
-        full = np.zeros_like(a.data)
+    def vjp(g, needs):
+        full = np.zeros_like(a)
         full[sl] = g
-        a.accumulate_grad(full)
-
-    _record(out, bwd)
-    return out
+        return full,
+    return a[sl], vjp
 
 
-@_diffop
-def take_rows(a, idx: np.ndarray) -> Tensor:
+@_op("a")
+def take_rows(a, idx: np.ndarray):
     """Gather rows of a rank-2 tensor. Duplicate indices accumulate on backward."""
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ValueError(f"take_rows expects a rank-2 tensor, got {a.data.shape}")
+    if a.ndim != 2:
+        raise ValueError(f"take_rows expects a rank-2 tensor, got {a.shape}")
     idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(a.data[idx], a.requires_grad)
 
-    def bwd(g):
-        n, c = a.data.shape
+    def vjp(g, needs):
+        n, c = a.shape
         keys = (idx % n)[..., None] * c + np.arange(c)
-        a.accumulate_grad(_scatter_add(keys, g, n * c).reshape(n, c))
-
-    _record(out, bwd)
-    return out
+        return _scatter_add(keys, g, n * c).reshape(n, c),
+    return a[idx], vjp
 
 
 def _butterfly(p, q, r, s):
@@ -370,8 +319,8 @@ def _haar_synthesis(y: np.ndarray, combine=_butterfly) -> np.ndarray:
     return x
 
 
-@_diffop
-def haar2d(x) -> Tensor:
+@_op("x")
+def haar2d(x):
     """Single-level orthonormal 2D Haar analysis, C x H x W -> 4C x H/2 x W/2, with
     the LL, LH, HL and HH subbands of all C channels stacked in that order.
 
@@ -379,51 +328,28 @@ def haar2d(x) -> Tensor:
     it adds the terms in reverse order, so the gradients are bitwise those
     of the transform composed from elementwise ops.
     """
-    x = as_tensor(x)
-    if x.data.ndim != 3 or x.data.shape[1] % 2 or x.data.shape[2] % 2:
-        raise ValueError(f"haar2d needs a C x H x W input with even H and W, got {x.data.shape}")
-    out = Tensor(_haar_analysis(x.data), x.requires_grad)
-
-    def bwd(g):
-        x.accumulate_grad(_haar_synthesis(g, _butterfly_reversed))
-
-    _record(out, bwd)
-    return out
+    if x.ndim != 3 or x.shape[1] % 2 or x.shape[2] % 2:
+        raise ValueError(f"haar2d needs a C x H x W input with even H and W, got {x.shape}")
+    return _haar_analysis(x), lambda g, needs: (_haar_synthesis(g, _butterfly_reversed),)
 
 
-@_diffop
-def ihaar2d(y) -> Tensor:
+@_op("y")
+def ihaar2d(y):
     """Haar synthesis, the exact inverse of ``haar2d``: 4C x h x w -> C x 2h x 2w."""
-    y = as_tensor(y)
-    if y.data.ndim != 3 or y.data.shape[0] % 4:
-        raise ValueError(f"ihaar2d needs a 4C x h x w input, got {y.data.shape}")
-    out = Tensor(_haar_synthesis(y.data), y.requires_grad)
-
-    def bwd(g):
-        y.accumulate_grad(_haar_analysis(g, _butterfly_reversed))
-
-    _record(out, bwd)
-    return out
+    if y.ndim != 3 or y.shape[0] % 4:
+        raise ValueError(f"ihaar2d needs a 4C x h x w input, got {y.shape}")
+    return _haar_synthesis(y), lambda g, needs: (_haar_analysis(g, _butterfly_reversed),)
 
 
 # ---------------------------------------------------------------------------
 # neural-network kernels
 # ---------------------------------------------------------------------------
 
-@_diffop
-def softmax(a, axis: int) -> Tensor:
-    a = as_tensor(a)
-    x = a.data - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(x)
+@_op("a")
+def softmax(a, axis: int):
+    e = np.exp(a - np.max(a, axis=axis, keepdims=True))
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, a.requires_grad)
-
-    def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        a.accumulate_grad(y * (g - dot))
-
-    _record(out, bwd)
-    return out
+    return y, lambda g, needs: (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
 
 
 def _patches(xp: np.ndarray, k: int, h_out: int, w_out: int) -> np.ndarray:
@@ -457,8 +383,8 @@ def _zero_pad(a: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
-@_diffop
-def conv2d(x, kernel, bias, pad: int = 0) -> Tensor:
+@_op("bias", "kernel", "x")
+def conv2d(x, kernel, bias, pad: int = 0):
     """2D cross-correlation of a C_in x H x W input with C_out x C_in x k x k
     weights, plus a C_out x 1 x 1 bias added to the product in the same record.
 
@@ -474,88 +400,79 @@ def conv2d(x, kernel, bias, pad: int = 0) -> Tensor:
     tap form rounds differently from im2col, by about 1e-15 relative; every
     other shape gives the im2col values bit for bit.
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
-    if x.data.ndim != 3 or kernel.data.ndim != 4:
+    if x.ndim != 3 or kernel.ndim != 4:
         raise ValueError(f"conv2d expects CxHxW input and OxIxkxk kernel, got "
-                         f"{x.data.shape} and {kernel.data.shape}")
-    c_in, h, w = x.data.shape
-    c_out, kc_in, k, k2 = kernel.data.shape
+                         f"{x.shape} and {kernel.shape}")
+    c_in, h, w = x.shape
+    c_out, kc_in, k, k2 = kernel.shape
     if k != k2 or k % 2 == 0:
-        raise ValueError(f"conv2d kernel must be square with odd size, got {kernel.data.shape}")
+        raise ValueError(f"conv2d kernel must be square with odd size, got {kernel.shape}")
     if kc_in != c_in:
-        raise ValueError(f"conv2d channel mismatch: input has shape {x.data.shape} "
-                         f"(C_in={c_in}) but kernel has shape {kernel.data.shape} (C_in={kc_in})")
+        raise ValueError(f"conv2d channel mismatch: input has shape {x.shape} "
+                         f"(C_in={c_in}) but kernel has shape {kernel.shape} (C_in={kc_in})")
     if h + 2 * pad < k or w + 2 * pad < k:
         raise ValueError(f"conv2d spatial extent too small: input {h}x{w}, pad {pad}, kernel {k}")
-    bias = as_tensor(bias)
-    if bias.data.shape != (c_out, 1, 1):
-        raise ValueError(f"conv2d bias must have shape {(c_out, 1, 1)}, got {bias.data.shape}")
+    if bias.shape != (c_out, 1, 1):
+        raise ValueError(f"conv2d bias must have shape {(c_out, 1, 1)}, got {bias.shape}")
 
-    xp = _zero_pad(x.data, pad) if pad else np.ascontiguousarray(x.data)
+    xp = _zero_pad(x, pad) if pad else np.ascontiguousarray(x)
     hp, wp = xp.shape[1:]
     h_out, w_out = hp - k + 1, wp - k + 1
     if k > 1 and c_out * hp * wp < c_in * h_out * w_out:
         return _conv2d_taps(x, kernel, bias, xp, pad)
     cols = xp.reshape(c_in, hp * wp) if k == 1 else _patches(xp, k, h_out, w_out)
-    y = (kernel.data.reshape(c_out, c_in * k * k) @ cols).reshape(c_out, h_out, w_out)
-    y += bias.data
-    out = Tensor(y, x.requires_grad or kernel.requires_grad or bias.requires_grad)
+    y = (kernel.reshape(c_out, c_in * k * k) @ cols).reshape(c_out, h_out, w_out)
+    y += bias
 
-    def bwd(g):
-        if bias.requires_grad:
-            bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
-        if kernel.requires_grad:
-            gm = g.reshape(c_out, h_out * w_out)
-            kernel.accumulate_grad((gm @ cols.T).reshape(kernel.data.shape))
-        if x.requires_grad:
+    def vjp(g, needs):
+        dw = dx = None
+        if needs[1]:
+            dw = (g.reshape(c_out, h_out * w_out) @ cols.T).reshape(kernel.shape)
+        if needs[2]:
             # dx = correlation of g with the in/out-swapped, 180-rotated kernel
             gcols = _patches(_zero_pad(g, k - 1), k, hp, wp)
-            wrot = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            dxp = (wrot.reshape(c_in, c_out * k * k) @ gcols).reshape(c_in, hp, wp)
-            x.accumulate_grad(dxp[:, pad:pad + h, pad:pad + w] if pad else dxp)
+            wrot = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            dx = (wrot.reshape(c_in, c_out * k * k) @ gcols).reshape(c_in, hp, wp)
+            dx = dx[:, pad:pad + h, pad:pad + w] if pad else dx
+        return _unbroadcast(g, bias.shape) if needs[0] else None, dw, dx
+    return y, vjp
 
-    _record(out, bwd)
-    return out
 
-
-def _conv2d_taps(x: Tensor, kernel: Tensor, bias: Tensor, xp: np.ndarray, pad: int) -> Tensor:
-    """conv2d by kernel-to-row accumulation on the padded input xp.
+def _conv2d_taps(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, xp: np.ndarray,
+                 pad: int):
+    """conv2d's ``(value, vjp)`` by kernel-to-row accumulation on the padded input xp.
 
     Z = W_taps @ Xpad holds every tap's product with the whole padded
     input; the output sums the k*k shifted windows of Z. The backward
     writes g into the same windows of a zero gZ, so that dW = gZ @ Xpad^T
     and dXpad = W_taps^T @ gZ. No patch matrix is built or kept.
     """
-    c_in, h, w = x.data.shape
-    c_out, _, k, _ = kernel.data.shape
+    c_in, h, w = x.shape
+    c_out, _, k, _ = kernel.shape
     hp, wp = xp.shape[1:]
     h_out, w_out = hp - k + 1, wp - k + 1
     rows = xp.reshape(c_in, hp * wp)
-    wtaps = kernel.data.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
+    wtaps = kernel.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
     z = (wtaps @ rows).reshape(k, k, c_out, hp, wp)
     y = _tap_windows(z, h_out, w_out).sum(axis=(0, 1))
-    y += bias.data
-    out = Tensor(y, x.requires_grad or kernel.requires_grad or bias.requires_grad)
+    y += bias
 
-    def bwd(g):
-        if bias.requires_grad:
-            bias.accumulate_grad(_unbroadcast(g, bias.data.shape))
+    def vjp(g, needs):
         gz = np.zeros((k, k, c_out, hp, wp))
         _tap_windows(gz, h_out, w_out)[...] = g
         gz = gz.reshape(k * k * c_out, hp * wp)
-        if kernel.requires_grad:
-            dw = (gz @ rows.T).reshape(k, k, c_out, c_in)
-            kernel.accumulate_grad(dw.transpose(2, 3, 0, 1))
-        if x.requires_grad:
-            dxp = (wtaps.T @ gz).reshape(xp.shape)
-            x.accumulate_grad(dxp[:, pad:pad + h, pad:pad + w] if pad else dxp)
+        dw = dx = None
+        if needs[1]:
+            dw = (gz @ rows.T).reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1)
+        if needs[2]:
+            dx = (wtaps.T @ gz).reshape(xp.shape)
+            dx = dx[:, pad:pad + h, pad:pad + w] if pad else dx
+        return _unbroadcast(g, bias.shape) if needs[0] else None, dw, dx
+    return y, vjp
 
-    _record(out, bwd)
-    return out
 
-
-@_diffop
-def bilinear_sample(x, coords) -> Tensor:
+@_op("x", "coords")
+def bilinear_sample(x, coords):
     """Sample a C x H x W grid at fractional (row, col) positions.
 
     coords is 2 x H' x W'; positions outside [0,H-1] x [0,W-1] read zero,
@@ -563,19 +480,18 @@ def bilinear_sample(x, coords) -> Tensor:
     position come from one gather and are masked in one multiply.
     Differentiable in the grid values and in the coordinates.
     """
-    x, coords = as_tensor(x), as_tensor(coords)
-    if x.data.ndim != 3:
-        raise ValueError(f"bilinear_sample expects CxHxW input, got {x.data.shape}")
-    if coords.data.ndim != 3 or coords.data.shape[0] != 2:
-        raise ValueError(f"bilinear_sample coords must be 2xHxW, got {coords.data.shape}")
-    c, h, w = x.data.shape
-    out_shape = coords.data.shape[1:]
+    if x.ndim != 3:
+        raise ValueError(f"bilinear_sample expects CxHxW input, got {x.shape}")
+    if coords.ndim != 3 or coords.shape[0] != 2:
+        raise ValueError(f"bilinear_sample coords must be 2xHxW, got {coords.shape}")
+    c, h, w = x.shape
+    out_shape = coords.shape[1:]
     # a NaN position casts to an arbitrary index, and an infinite one meets a
     # zero weight or mask as 0 * inf: either reads NaN, so the "invalid"
     # warnings say nothing
     with np.errstate(invalid="ignore"):
-        lo = np.floor(coords.data).astype(np.intp)                    # (row, col) x H' x W'
-        frac = coords.data - lo
+        lo = np.floor(coords).astype(np.intp)                         # (row, col) x H' x W'
+        frac = coords - lo
         wr, wc = frac
         # per axis, [lower, upper] x [row, col] x H' x W': the corner index, and
         # the weight 1 - frac or frac
@@ -589,45 +505,35 @@ def bilinear_sample(x, coords) -> Tensor:
         weights = (axis_w[:, None, 0] * axis_w[None, :, 1]).reshape(4, *out_shape)
         # 1.0 or 0.0: multiplying by them is multiplying by the booleans
         masks = (inside[:, None, 0] & inside[None, :, 1]).reshape(4, *out_shape).astype(float)
-        corners = np.take(x.data.reshape(c, h * w), flat, axis=1).reshape(c, 4, *out_shape)
+        corners = np.take(x.reshape(c, h * w), flat, axis=1).reshape(c, 4, *out_shape)
         corners *= masks
         v00, v01, v10, v11 = (corners[:, i] for i in range(4))
         y = (v00 * weights[0] + v01 * weights[1]
              + v10 * weights[2] + v11 * weights[3])
-    out = Tensor(y, x.requires_grad or coords.requires_grad)
 
     @np.errstate(invalid="ignore")
-    def bwd(g):
-        if x.requires_grad:
+    def vjp(g, needs):
+        gx = gc = None
+        if needs[0]:
             # per channel, the four corners one after another
             keys = np.arange(c)[:, None] * (h * w) + flat
             contrib = (g[:, None] * (weights * masks)).reshape(c, -1)
-            x.accumulate_grad(_scatter_add(keys, contrib, c * h * w).reshape(c, h, w))
-        if coords.requires_grad:
+            gx = _scatter_add(keys, contrib, c * h * w).reshape(c, h, w)
+        if needs[1]:
             dy_dwr = -(1 - wc) * v00 - wc * v01 + (1 - wc) * v10 + wc * v11
             dy_dwc = -(1 - wr) * v00 + (1 - wr) * v01 - wr * v10 + wr * v11
-            gr = (g * dy_dwr).sum(axis=0)
-            gc = (g * dy_dwc).sum(axis=0)
-            coords.accumulate_grad(np.stack([gr, gc]))
-
-    _record(out, bwd)
-    return out
+            gc = np.stack([(g * dy_dwr).sum(axis=0), (g * dy_dwc).sum(axis=0)])
+        return gx, gc
+    return y, vjp
 
 
-@_diffop
-def bce_with_logits(logits, targets) -> Tensor:
+@_op("logits")
+def bce_with_logits(logits, targets):
     """Mean binary cross-entropy in the numerically stable logit form."""
-    logits = as_tensor(logits)
     t = np.asarray(targets, dtype=np.float64)
-    z = logits.data
+    z = logits
     loss = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    out = Tensor(loss.mean(), logits.requires_grad)
-
-    def bwd(g):
-        logits.accumulate_grad(g * (_sigmoid(z) - t) / z.size)
-
-    _record(out, bwd)
-    return out
+    return loss.mean(), lambda g, needs: (g * (_sigmoid(z) - t) / z.size,)
 
 
 def _scan_in_place(a: np.ndarray, h: np.ndarray, reverse: bool = False,
@@ -654,29 +560,23 @@ def _scan_in_place(a: np.ndarray, h: np.ndarray, reverse: bool = False,
     return h
 
 
-@_diffop
-def linear_recurrence(a, b) -> Tensor:
+@_op("b", "a")
+def linear_recurrence(a, b):
     """Diagonal linear scan h_t = a_t * h_{t-1} + b_t over the leading axis, h_0 = 0."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"linear_recurrence shape mismatch: {a.data.shape} vs {b.data.shape}")
-    if a.data.shape[0] == 0:
+    if a.shape != b.shape:
+        raise ValueError(f"linear_recurrence shape mismatch: {a.shape} vs {b.shape}")
+    if a.shape[0] == 0:
         raise ValueError("linear_recurrence needs a nonempty sequence")
-    ad = a.data
-    h = _scan_in_place(ad, b.data.copy())
-    out = Tensor(h, a.requires_grad or b.requires_grad)
+    h = _scan_in_place(a, b.copy())
 
-    def bwd(g):
-        gh = _scan_in_place(ad, g.copy(), reverse=True)
-        if b.requires_grad:
-            b.accumulate_grad(gh)
-        if a.requires_grad:
-            da = np.zeros_like(ad)
+    def vjp(g, needs):
+        gh = _scan_in_place(a, g.copy(), reverse=True)
+        da = None
+        if needs[1]:
+            da = np.zeros_like(a)
             np.multiply(gh[1:], h[:-1], out=da[1:])
-            a.accumulate_grad(da)
-
-    _record(out, bwd)
-    return out
+        return gh if needs[0] else None, da
+    return h, vjp
 
 
 SCAN_PARAMS = ("w_step", "b_step", "w_in", "b_in", "w_out", "b_out", "skip", "log_decay")
@@ -685,8 +585,8 @@ SCAN_PARAMS = ("w_step", "b_step", "w_in", "b_in", "w_out", "b_out", "skip", "lo
 _SCAN_BLOCK = 64     # time steps per block of the selective_scan forward and backward
 
 
-@_diffop
-def selective_scan(x, params) -> Tensor:
+@_op("x", "*params")
+def selective_scan(x, params):
     """P input-conditioned diagonal linear recurrences in one op; returns P x L x C.
 
     x holds P token sequences of shape L x C, and params the scan tensors in
@@ -709,24 +609,21 @@ def selective_scan(x, params) -> Tensor:
     matmuls on contiguous operands. No L x P x C x N array is made, with or
     without a tape.
     """
-    xt, params = as_tensor(x), [as_tensor(t) for t in params]
-    n_paths, length, c = xt.data.shape if xt.data.ndim == 3 else (0, 0, 0)
-    n = params[-1].data.shape[-1] if params and params[-1].data.ndim else 0
+    n_paths, length, c = x.shape if x.ndim == 3 else (0, 0, 0)
+    n = params[-1].shape[-1] if params and params[-1].ndim else 0
     shapes = [(n_paths, c, c), (n_paths, 1, c), (n_paths, c, n), (n_paths, 1, n),
               (n_paths, c, n), (n_paths, 1, n), (n_paths, 1, c), (n_paths, n)]
-    if length == 0 or [t.data.shape for t in params] != shapes:
+    if length == 0 or [t.shape for t in params] != shapes:
         raise ValueError(f"selective_scan needs a nonempty P x L x C sequence and the "
                          f"{len(SCAN_PARAMS)} tensors {SCAN_PARAMS} shaped {shapes}, got "
-                         f"{xt.data.shape} and {[t.data.shape for t in params]}")
-    x = xt.data
-    w_step, b_step, w_in, b_in, w_out, b_out, skip, log_decay = (t.data for t in params)
+                         f"{x.shape} and {[t.shape for t in params]}")
+    w_step, b_step, w_in, b_in, w_out, b_out, skip, log_decay = params
     z = np.matmul(x, w_step) + b_step
     step = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)              # softplus
     gate_in = np.matmul(x, w_in) + b_in                                   # P x L x N
     gate_out = np.matmul(x, w_out) + b_out
     decay = -np.exp(log_decay)                                            # P x N
     u = step * x
-    requires_grad = xt.requires_grad or any(t.requires_grad for t in params)
     # the state arrays are time-major, block x P x C x N, so each step is one
     # contiguous slab
     tm = (1, 0, 2)
@@ -754,9 +651,8 @@ def selective_scan(x, params) -> Tensor:
         np.matmul(hb, gate_out_c[t0:t1], out=readout[t0:t1, :, :, None])
         carries.append(hb[-1].copy())
     y = readout.transpose(tm) + skip * x
-    out = Tensor(y, requires_grad)
 
-    def bwd(g):
+    def vjp(g, needs):
         gt = g.transpose(tm)                                              # L x P x C
         g_out, g_in = np.empty((length, n_paths, n)), np.empty((length, n_paths, n))
         g_u, g_exp = np.empty((length, n_paths, c)), np.empty((length, n_paths, c))
@@ -793,14 +689,9 @@ def selective_scan(x, params) -> Tensor:
             gx += np.matmul(gw, w.transpose(0, 2, 1))
             grads[f"w_{name}"] = np.matmul(x.transpose(0, 2, 1), gw)
             grads[f"b_{name}"] = gw.sum(axis=1, keepdims=True)
-        if xt.requires_grad:
-            xt.accumulate_grad(gx)
-        for name, t in zip(SCAN_PARAMS, params):
-            if t.requires_grad:
-                t.accumulate_grad(grads[name])
-
-    _record(out, bwd)
-    return out
+        return [gx if needs[0] else None] + [grads[name] if need else None
+                                             for name, need in zip(SCAN_PARAMS, needs[1:])]
+    return y, vjp
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ops import (bilinear_sample, concat, conv2d, max_reduce, narrow, reshape, sigmoid,
-                  softmax, tmean, transpose, tsum)
+from .ops import (bilinear_sample, blend, concat, conv2d, max_reduce, narrow, reshape,
+                  sigmoid, softmax, tmean, transpose, tsum)
 from .tensor import ParamBlock, Parameter, Tensor
 
 @functools.cache
@@ -120,7 +120,7 @@ class TemporalSync(ParamBlock):
         x = concat([hidden, warped], axis=0)
         spatial = conv2d(x, self.gate_spatial_kernel, self.gate_spatial_bias, pad=3)
         alpha = sigmoid(spatial + self.gate_channel_bias)
-        fused = (1.0 - alpha) * hidden + alpha * warped
+        fused = blend(alpha, hidden, warped)
         return GateOutput(alpha=alpha, fused=fused)
 
     def update(self, state: Tensor) -> Tensor:

@@ -14,6 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 _TAPE_STACK: list[Optional["Tape"]] = []
+_FLOAT64 = np.dtype(np.float64)
 
 
 def active_tape() -> Optional["Tape"]:
@@ -40,7 +41,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        # what every op returns, a float64 array, is taken as it is
+        self.data = data if data.__class__ is np.ndarray and data.dtype is _FLOAT64 \
+            else np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
 

@@ -5,77 +5,50 @@ negated decay inside ``ops.selective_scan``, and its Haar transform is the
 fused ``ops.haar2d`` pair. The references in test_denoise, test_wavelet,
 test_sync and test_select rebuild those fused ops from these records, so
 each op keeps a finite-difference case in ``CASES``, which
-``test_tensor_ops.TestComposedOps`` checks with ``grad_check``.
+``test_tensor_ops.TestComposedOps`` checks with ``grad_check``. Each is
+written through the model's own seam, ``ops._op``, which leaves it out of
+``ops.DIFFERENTIABLE_OPS``.
 """
 
 import numpy as np
 
 from coopfuse import ops
-from coopfuse.ops import _record, _sigmoid
-from coopfuse.tensor import Tensor, as_tensor
+from coopfuse.ops import _op, _sigmoid
+from coopfuse.tensor import Tensor
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(-a.data, a.requires_grad)
-
-    def bwd(g):
-        a.accumulate_grad(-g)
-
-    _record(out, bwd)
-    return out
+@_op("a")
+def neg(a):
+    return -a, lambda g, needs: (-g,)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.exp(a.data)
-    out = Tensor(y, a.requires_grad)
-
-    def bwd(g):
-        a.accumulate_grad(g * y)
-
-    _record(out, bwd)
-    return out
+@_op("a")
+def exp(a):
+    y = np.exp(a)
+    return y, lambda g, needs: (g * y,)
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.log(a.data), a.requires_grad)
-
-    def bwd(g):
-        a.accumulate_grad(g / a.data)
-
-    _record(out, bwd)
-    return out
+@_op("a")
+def log(a):
+    return np.log(a), lambda g, needs: (g / a,)
 
 
-def softplus(a) -> Tensor:
-    a = as_tensor(a)
-    x = a.data
-    y = np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
-    out = Tensor(y, a.requires_grad)
-
-    def bwd(g):
-        a.accumulate_grad(g * _sigmoid(x))
-
-    _record(out, bwd)
-    return out
+@_op("a")
+def softplus(a):
+    y = np.log1p(np.exp(-np.abs(a))) + np.maximum(a, 0.0)
+    return y, lambda g, needs: (g * _sigmoid(a),)
 
 
-def index_axis(a, axis: int, i: int) -> Tensor:
+@_op("a")
+def index_axis(a, axis: int, i: int):
     """Select one index along an axis, removing that axis."""
-    a = as_tensor(a)
-    out = Tensor(np.take(a.data, i, axis=axis), a.requires_grad)
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        sl = [slice(None)] * a.data.ndim
+    def vjp(g, needs):
+        full = np.zeros_like(a)
+        sl = [slice(None)] * a.ndim
         sl[axis] = i
         full[tuple(sl)] = g
-        a.accumulate_grad(full)
-
-    _record(out, bwd)
-    return out
+        return full,
+    return np.take(a, i, axis=axis), vjp
 
 
 def _square_sum(y: Tensor) -> Tensor:

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
 from concurrent.futures import process as futures_process
 from dataclasses import replace
@@ -11,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coopfuse import pipeline as pipeline_module, training as training_module
+from coopfuse import cli, pipeline as pipeline_module, training as training_module
 from coopfuse.pipeline import (ConfigError, MetricRecord, Pipeline,
                                PipelineConfig, TrainSpec, clean_reference, config_label,
                                evaluate, occupancy_iou, simulate)
@@ -309,10 +310,10 @@ class TestParallelEvaluate:
         assert raised == [(type(error), str(error))] * 2
         assert multiprocessing.active_children() == []
 
-    def test_killed_worker_raises(self, monkeypatch, pools):
-        """A worker that dies mid-scenario, as to the out-of-memory killer,
-        fails the call; a ``multiprocessing.Pool`` would wait for it forever."""
-        cfg = small_config(eval_scenarios=3)
+    @classmethod
+    def kill_second_scenario(cls, monkeypatch, cfg):
+        """On two cores, the worker that simulates cfg's second evaluation
+        scenario kills itself with SIGKILL, as the out-of-memory killer would."""
         victim = pipeline_module.eval_scenario_seed(cfg, 1)
         caller = os.getpid()
         original = pipeline_module.simulate
@@ -323,11 +324,39 @@ class TestParallelEvaluate:
                 os.kill(os.getpid(), signal.SIGKILL)
             return original(pipe, scenario, *args, **kwargs)
         monkeypatch.setattr(pipeline_module, "simulate", simulate_killed)
-        self.use_cores(monkeypatch, 2)
+        cls.use_cores(monkeypatch, 2)
+
+    def test_killed_worker_raises(self, monkeypatch, pools):
+        """A worker that dies mid-scenario fails the call; a
+        ``multiprocessing.Pool`` would wait for it forever."""
+        cfg = small_config(eval_scenarios=3)
+        self.kill_second_scenario(monkeypatch, cfg)
         with pytest.raises(futures_process.BrokenProcessPool):
             evaluate(Pipeline(cfg))
         assert pools == [2]
         assert multiprocessing.active_children() == []
+
+    def test_killed_worker_exits_2_in_one_line(self, monkeypatch, pools, tmp_path, capsys):
+        cfg = small_config(eval_scenarios=3)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_json()))
+        self.kill_second_scenario(monkeypatch, cfg)
+        code = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+        assert err.startswith("evaluate worker died")
+        assert pools == [2]
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    def test_cli_import_loads_no_pool_modules(self):
+        # the exit-2 mapping of a killed worker must not import the pool
+        probe = ("import sys, coopfuse.cli; print(sorted(m for m in sys.modules "
+                 "if m.startswith(('concurrent.futures', 'multiprocessing'))))")
+        r = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
 
     def test_one_scenario_or_one_core_starts_no_pool(self, monkeypatch, pools):
         cfg = small_config()
@@ -616,12 +645,13 @@ class TestRecordBudget:
         return lengths[0]
 
     def test_desk_training_step(self, monkeypatch):
-        """One training step with every stage on stays within 163 tape records.
+        """One training step with every stage on stays within 154 tape records.
         A bias added in its own record after each conv2d and perceptron
         matmul makes 220; the stsync gate's zero-initialised channel
         perceptron, which no step could move, added 7 records per gate call,
-        21 in all, for 184."""
-        assert self.records_per_step(monkeypatch) <= 163
+        21 in all, for 184; and the gate's (1 - alpha) * hidden + alpha * warped
+        as four elementwise records, not one ``blend``, 9 more for 163."""
+        assert self.records_per_step(monkeypatch) <= 154
 
     def test_desk_baseline_step(self, monkeypatch):
         """With every stage off, the integrator's and the decoder's conv each

@@ -177,6 +177,26 @@ class TestGate:
             hi = np.maximum(h, w) + 1e-12
             assert np.all(out.fused.data >= lo) and np.all(out.fused.data <= hi)
 
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_blend_is_the_composed_gate_bitwise(self, shared):
+        """``ops.blend`` against the four elementwise ops it replaced: the
+        same value and gradients bit for bit, also when hidden and warped
+        are one tensor that holds a gradient from elsewhere."""
+        rng = np.random.default_rng(8)
+        values = [rng.uniform(0.05, 0.95, size=(C, H, W)), rng.normal(size=(C, H, W)),
+                  rng.normal(size=(C, H, W))]
+        g, g_other = rng.normal(size=(2, C, H, W))
+
+        def run(gate):
+            alpha, hidden, warped = (Tensor(v, requires_grad=True) for v in values)
+            warped = hidden if shared else warped
+            with Tape() as tape:
+                out = gate(alpha, hidden, warped)
+                loss = ops.tsum(out * g) + ops.tsum(hidden * g_other)
+            tape.backward(loss)
+            return [t.tobytes() for t in (out.data, alpha.grad, hidden.grad, warped.grad)]
+        assert run(ops.blend) == run(lambda a, h, w: (1.0 - a) * h + a * w)
+
 
 class TestRollout:
     def test_single_entry_passthrough(self):

@@ -16,6 +16,8 @@ from coopfuse.serialize import assign_params, load_params, save_params
 from coopfuse.tensor import Parameter, Tape, Tensor, no_grad
 from coopfuse.training import train
 
+HERE = Path(__file__).parent
+
 
 def conv2d_reference(x, w, b, pad=0):
     """Direct six-nested-loop convolution plus bias, the oracle conv2d is checked against."""
@@ -703,6 +705,72 @@ class TestOpTable:
                 if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "ops":
                     used.update(alias.name for alias in node.names)
         assert [name for name in ops.DIFFERENTIABLE_OPS if name not in used] == []
+
+    def test_only_the_seam_records(self):
+        """Tape records are made in one place: the ``_op`` seam in ops.py. No
+        module of the package or of the tests calls ``.record(`` elsewhere or
+        names the old ``_record`` helper."""
+        assert not hasattr(ops, "_record") and not hasattr(ops, "_diffop")
+        files = sorted(Path(ops.__file__).parent.glob("*.py")) + sorted(HERE.glob("*.py"))
+        stray = []
+        for path in files:
+            tree = ast.parse(path.read_text())
+            seam = set()
+            if path.name == "ops.py":
+                seam = {id(node) for fn in tree.body
+                        if isinstance(fn, ast.FunctionDef) and fn.name == "_op"
+                        for node in ast.walk(fn)}
+            for node in ast.walk(tree):
+                records = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                           and node.func.attr == "record" and id(node) not in seam)
+                names = {getattr(node, "attr", None), getattr(node, "id", None),
+                         getattr(node, "name", None)}
+                if records or "_record" in names:
+                    stray.append(f"{path.name}:{node.lineno}")
+        assert stray == []
+
+
+def _frozen(arg, made):
+    """arg with each float array, alone or in a list, made a Tensor built
+    with requires_grad=False; the Tensors are appended to `made`."""
+    if isinstance(arg, list):
+        return [_frozen(a, made) for a in arg]
+    if isinstance(arg, np.ndarray) and arg.dtype == np.float64:
+        arg = Tensor(arg)
+    if isinstance(arg, Tensor) and not arg.requires_grad:
+        made.append(arg)
+    return arg
+
+
+class TestSeam:
+    """Every op in ``ops.DIFFERENTIABLE_OPS``, run on the inputs of its
+    registered gradient case, goes through the one recording seam."""
+
+    @pytest.mark.parametrize("name", ops.DIFFERENTIABLE_OPS)
+    def test_records_and_gradients(self, monkeypatch, name):
+        op, calls, frozen, tape = getattr(ops, name), [], [], Tape()
+
+        def spy(*args, **kwargs):
+            if name != "bce_with_logits":          # its targets are labels, not a tensor
+                args = [_frozen(a, frozen) for a in args]
+            before = len(tape)
+            out = op(*args, **kwargs)
+            calls.append(len(tape) - before)
+            return out
+        monkeypatch.setattr(ops, name, spy)
+        fn, x = registered_cases()[name](0)        # built after the swap: some cases hold the op
+        calls.clear(), frozen.clear()
+        probe = Tensor(x.data.copy(), requires_grad=True)
+        with tape:
+            with no_grad():
+                fn(probe)
+            assert calls and calls == [0] * len(calls)
+            calls.clear()
+            y = fn(probe)
+        assert calls and calls == [1] * len(calls)
+        tape.backward(y)
+        assert probe.grad is not None
+        assert [t for t in frozen if t.grad is not None] == []
 
 
 class TestShapes:

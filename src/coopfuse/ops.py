@@ -12,8 +12,8 @@ under an active Tape, records the single entry whose backward accumulates
 vjp's gradients. With no active tape an op is a plain numpy forward pass.
 
 ``DIFFERENTIABLE_OPS`` lists every op defined here; an op without a
-finite-difference case in ``gradcheck.registered_cases`` fails the
-gradient suite.
+finite-difference case of its own name in ``tests/grad_cases.py`` fails
+the gradient suite.
 """
 
 from __future__ import annotations

@@ -42,7 +42,8 @@ def stream(seed: int, label: str) -> np.random.Generator:
 # Positions, velocities and pose noise stay within LIMIT_M meters and a grid
 # cell is at least 1 / LIMIT_M meters: far past any desk-scale scene, and it
 # keeps the frame transforms' products finite (grid coordinates near 1e154
-# overflow them).
+# overflow them). Heading noise stays within LIMIT_M radians, so that it
+# cannot overflow to inf, which wrap_angle maps to NaN.
 LIMIT_M = 1e6
 
 
@@ -193,7 +194,7 @@ class ChannelConfig:
     max_latency_ticks: int = entry("L_ticks", 3, ge=0)
     drop_p: float = entry("drop_p", 0.0, ge=0.0, le=1.0)
     loc_sigma: float = entry("loc_sigma", 0.0, ge=0.0, le=LIMIT_M)
-    head_sigma: float = entry("head_sigma", 0.0, ge=0.0)
+    head_sigma: float = entry("head_sigma", 0.0, ge=0.0, le=LIMIT_M)
     seed: int = 0               # not a document key: a scenario's channel takes its seed
 
     def __post_init__(self):

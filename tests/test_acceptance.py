@@ -17,12 +17,13 @@ from conftest import ACCEPTANCE_SEEDS
 from coopfuse import ops
 from coopfuse.denoise import (interleaved_order, progressive_order, subband_tokens,
                               token_subbands)
-from coopfuse.gradcheck import grad_check, registered_cases
+from coopfuse.gradcheck import grad_check
 from coopfuse.select import BlockGrid, propagate_mask, score_blocks, topk_select
 from coopfuse.sync import TemporalSync
 from coopfuse.tensor import Tensor
 from coopfuse.wavelet import haar_iwt2d, haar_wt2d
 from coopfuse.world import Channel, ChannelConfig, Pose2D, stream, transform_to_ego
+from grad_cases import CASES
 
 CHI2_99_DF5 = 15.086
 NOISE_02 = ChannelConfig(3, 0.0, 0.2, 0.2 * np.pi / 18)
@@ -97,7 +98,7 @@ def _adpsel_case(seed):
 def test_02_gradient_suite():
     t0 = time.time()
     worst = {}
-    for name, build in registered_cases().items():
+    for name, build in CASES.items():
         errs = [grad_check(*build(seed), eps=1e-4) for seed in range(10)]
         worst[name] = max(errs)
     missing = [n for n in ops.DIFFERENTIABLE_OPS if n not in worst]

@@ -315,6 +315,7 @@ class TestCli:
         {"channel": {"L_ticks": 2.7}}, {"C": True}, {"scales": [2, 4.5]},
         {"training": {"steps": False}}, {"k": True}, {"channel": {"loc_sigma": float("inf")}},
         {"channel": {"seed": 5}}, {"scales": 4}, {"cell_size": 1e-300},
+        {"channel": {"head_sigma": 1e308}},
     ])
     def test_rejected_field_exit_code(self, tmp_path, doc):
         bad = tmp_path / "bad.json"
@@ -418,10 +419,14 @@ class TestCli:
         assert r.stderr.startswith("divergence") and "occupancy_iou=nan" in r.stderr
         assert not (out / "metrics.csv").exists()
 
-    def test_out_of_memory_exit_code(self, tmp_path):
-        """A config whose parameters cannot be allocated (C=100000 asks for
-        1.31 TiB) exits 2 with one line, not a numpy traceback, under a 3 GB
-        address-space limit on the subprocess alone."""
+    @pytest.mark.parametrize("doc", [
+        {"C": 100000}, {"ssm_state_dim": 1000000000},
+        {"H": 400000, "W": 400000, "scales": [4]}, {"anchor_points": 100000000},
+    ], ids=["C", "ssm_state_dim", "HW", "anchor_points"])
+    def test_out_of_memory_exit_code(self, tmp_path, doc):
+        """A config whose arrays cannot be allocated (C=100000 asks for
+        1.31 TiB of parameters) exits 2 with one line, not a numpy traceback,
+        under a 3 GB address-space limit on the subprocess alone."""
         import resource
 
         def limit_address_space():
@@ -430,7 +435,7 @@ class TestCli:
             resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
         cfg_path = tmp_path / "huge.json"
-        cfg_path.write_text(json.dumps({"C": 100000}))
+        cfg_path.write_text(json.dumps(doc))
         out = tmp_path / "o"
         r = subprocess.run([sys.executable, "-m", "coopfuse.cli", "run", "--config",
                             str(cfg_path), "--out", str(out)],

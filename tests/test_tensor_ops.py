@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from composed_ops import CASES as COMPOSED_CASES
 from composed_ops import exp, softplus
 from coopfuse import ops
-from coopfuse.gradcheck import grad_check, registered_cases
+from coopfuse.gradcheck import grad_check
 from coopfuse.pipeline import PipelineConfig
 from coopfuse.serialize import assign_params, load_params, save_params
 from coopfuse.tensor import Parameter, Tape, Tensor, no_grad
 from coopfuse.training import train
+from grad_cases import CASES
 
 HERE = Path(__file__).parent
 
@@ -564,10 +564,9 @@ class TestConv2dContractions:
             assert_rel_close(strided, exact, 1e-13)
 
     def test_gradcheck_cases_take_taps(self, tap_calls):
-        cases = registered_cases()
         for seed in range(2):
             for name in ("conv2d_taps", "conv2d_taps_kernel", "conv2d_taps_bias"):
-                fn, x = cases[name](seed)
+                fn, x = CASES[name](seed)
                 fn(x)
         assert [shape[2] for shape in tap_calls] == [3, 3, 3, 7, 7, 7]
 
@@ -668,27 +667,8 @@ class TestGradCheck:
             assert name in ops.DIFFERENTIABLE_OPS, name
 
     def test_every_registered_op_has_a_case(self):
-        cases = registered_cases()
-        missing = [name for name in ops.DIFFERENTIABLE_OPS if name not in cases]
+        missing = [name for name in ops.DIFFERENTIABLE_OPS if name not in CASES]
         assert missing == []
-
-    def test_registry_passes_three_seeds(self):
-        for name, build in registered_cases().items():
-            for seed in range(3):
-                fn, x = build(seed)
-                err = grad_check(fn, x, eps=1e-4)
-                assert err < 1e-4, f"{name} seed {seed}: {err}"
-
-
-class TestComposedOps:
-    """The tests-only ops that the composed references are built from."""
-
-    @pytest.mark.parametrize("name", sorted(COMPOSED_CASES))
-    def test_passes_three_seeds(self, name):
-        for seed in range(3):
-            fn, x = COMPOSED_CASES[name](seed)
-            err = grad_check(fn, x, eps=1e-4)
-            assert err < 1e-4, f"{name} seed {seed}: {err}"
 
 
 class TestOpTable:
@@ -699,7 +679,7 @@ class TestOpTable:
         # name and tests/test_perfbench_contract.py pins it.
         used = {"add", "sub", "mul", "div", "linear_recurrence"}
         for path in Path(ops.__file__).parent.glob("*.py"):
-            if path.name in ("ops.py", "gradcheck.py"):
+            if path.name == "ops.py":
                 continue
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "ops":
@@ -758,7 +738,7 @@ class TestSeam:
             calls.append(len(tape) - before)
             return out
         monkeypatch.setattr(ops, name, spy)
-        fn, x = registered_cases()[name](0)        # built after the swap: some cases hold the op
+        fn, x = CASES[name](0)        # fn looks the op up on ops, so it calls the spy
         calls.clear(), frozen.clear()
         probe = Tensor(x.data.copy(), requires_grad=True)
         with tape:

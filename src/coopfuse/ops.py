@@ -147,13 +147,9 @@ def blend(alpha, hidden, warped):
 # ---------------------------------------------------------------------------
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # two-sided form avoids overflow in exp
-    pos = x >= 0
-    z = np.empty_like(x)
-    z[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    z[~pos] = e / (1.0 + e)
-    return z
+    # two-sided form avoids overflow in exp: exp(-|x|) is at most 1
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @_op("a")
@@ -363,16 +359,17 @@ def _patches(xp: np.ndarray, k: int, h_out: int, w_out: int) -> np.ndarray:
     return win.reshape(c * k * k, h_out * w_out)
 
 
-def _tap_windows(z: np.ndarray, h_out: int, w_out: int) -> np.ndarray:
-    """The k x k x C_out x h_out x w_out view z[ki, kj, :, ki:ki+h_out, kj:kj+w_out]
-    of a C-contiguous k x k x C_out x Hp x Wp array.
+def _tap_shifts(z: np.ndarray, wp: int, length: int) -> np.ndarray:
+    """The k x k x length view of a C-contiguous k x k x C_out x Hp x Wp array z
+    whose row (ki, kj) is z[ki, kj] flattened, from element ki*Wp + kj on.
 
-    Summed over its first two axes, it is the convolution whose per-tap
-    products z holds; distinct taps never share an element.
+    Element m of every row is output position (c, i, j) = m as a C_out x Hp x
+    Wp index, so summed over its first two axes it is the convolution whose
+    per-tap products z holds, at every position with i < H_out and j < W_out
+    (the rest is unused). Distinct taps never share an element.
     """
-    s = z.strides
-    return np.ndarray((*z.shape[:3], h_out, w_out), z.dtype, z, 0,
-                      (s[0] + s[3], s[1] + s[4], s[2], s[3], s[4]))
+    s0, s1, e = z.strides[0], z.strides[1], z.itemsize
+    return np.ndarray((*z.shape[:2], length), z.dtype, z, 0, (s0 + wp * e, s1 + e, e))
 
 
 def _zero_pad(a: np.ndarray, pad: int) -> np.ndarray:
@@ -392,13 +389,15 @@ def conv2d(x, kernel, bias, pad: int = 0):
     (C_in*k*k) x (H_out*W_out) patch matrix is built from one strided view
     of the zero-padded input (a plain reshape for a 1x1 kernel) and
     multiplied by the kernel matrix in one BLAS call. With k > 1, when
-    C_out*Hp*Wp < C_in*H_out*W_out for the Hp x Wp padded input (the
-    per-tap product matrix is smaller than the patch matrix, as in a
-    channel-reducing conv), it accumulates kernel to rows instead: one BLAS
-    call multiplies the (k*k*C_out) x C_in tap matrix by the padded input,
-    and the output sums the k*k shifted windows of that product. Only the
-    tap form rounds differently from im2col, by about 1e-15 relative; every
-    other shape gives the im2col values bit for bit.
+    5*C_out*Hp*Wp < 6*C_in*H_out*W_out for the Hp x Wp padded input (the
+    per-tap product matrix is less than 6/5 of the patch matrix, as in a
+    channel-reducing conv or a "same" conv on a map much wider than k), it
+    accumulates kernel to rows instead: one BLAS call multiplies the
+    (k*k*C_out) x C_in tap matrix by the padded input, and the output sums
+    the k*k shifted windows of that product. Only the tap form rounds
+    differently from im2col, by about 1e-15 relative; every other shape
+    gives the im2col values bit for bit. Neither keeps a patch matrix or a
+    padded copy for the backward: each rebuilds what it needs from x.
     """
     if x.ndim != 3 or kernel.ndim != 4:
         raise ValueError(f"conv2d expects CxHxW input and OxIxkxk kernel, got "
@@ -414,20 +413,39 @@ def conv2d(x, kernel, bias, pad: int = 0):
         raise ValueError(f"conv2d spatial extent too small: input {h}x{w}, pad {pad}, kernel {k}")
     if bias.shape != (c_out, 1, 1):
         raise ValueError(f"conv2d bias must have shape {(c_out, 1, 1)}, got {bias.shape}")
+    hp, wp = h + 2 * pad, w + 2 * pad
+    if k > 1 and 5 * c_out * hp * wp < 6 * c_in * (hp - k + 1) * (wp - k + 1):
+        return _conv2d_taps(x, kernel, bias, pad)
+    return _conv2d_im2col(x, kernel, bias, pad)
 
-    xp = _zero_pad(x, pad) if pad else np.ascontiguousarray(x)
-    hp, wp = xp.shape[1:]
+
+def _padded(x: np.ndarray, pad: int) -> np.ndarray:
+    """x zero-padded by `pad`, C-contiguous (x itself when it already is and pad is 0)."""
+    return _zero_pad(x, pad) if pad else np.ascontiguousarray(x)
+
+
+def _conv2d_im2col(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int):
+    """conv2d's ``(value, vjp)`` by one product with the im2col patch matrix.
+
+    The backward rebuilds the patch matrix from x only when the kernel
+    takes a gradient; dx correlates g with the flipped kernel.
+    """
+    c_in, h, w = x.shape
+    c_out, _, k, _ = kernel.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
     h_out, w_out = hp - k + 1, wp - k + 1
-    if k > 1 and c_out * hp * wp < c_in * h_out * w_out:
-        return _conv2d_taps(x, kernel, bias, xp, pad)
-    cols = xp.reshape(c_in, hp * wp) if k == 1 else _patches(xp, k, h_out, w_out)
-    y = (kernel.reshape(c_out, c_in * k * k) @ cols).reshape(c_out, h_out, w_out)
+
+    def patches():
+        xp = _padded(x, pad)
+        return xp.reshape(c_in, hp * wp) if k == 1 else _patches(xp, k, h_out, w_out)
+
+    y = (kernel.reshape(c_out, c_in * k * k) @ patches()).reshape(c_out, h_out, w_out)
     y += bias
 
     def vjp(g, needs):
         dw = dx = None
         if needs[1]:
-            dw = (g.reshape(c_out, h_out * w_out) @ cols.T).reshape(kernel.shape)
+            dw = (g.reshape(c_out, h_out * w_out) @ patches().T).reshape(kernel.shape)
         if needs[2]:
             # dx = correlation of g with the in/out-swapped, 180-rotated kernel
             gcols = _patches(_zero_pad(g, k - 1), k, hp, wp)
@@ -438,34 +456,40 @@ def conv2d(x, kernel, bias, pad: int = 0):
     return y, vjp
 
 
-def _conv2d_taps(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, xp: np.ndarray,
-                 pad: int):
-    """conv2d's ``(value, vjp)`` by kernel-to-row accumulation on the padded input xp.
+def _conv2d_taps(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int):
+    """conv2d's ``(value, vjp)`` by kernel-to-row accumulation on the padded input.
 
     Z = W_taps @ Xpad holds every tap's product with the whole padded
-    input; the output sums the k*k shifted windows of Z. The backward
-    writes g into the same windows of a zero gZ, so that dW = gZ @ Xpad^T
-    and dXpad = W_taps^T @ gZ. No patch matrix is built or kept.
+    input; the output sums the k*k shifted windows of Z, each read as one
+    contiguous run of the flattened product. The backward writes g into the
+    same windows of a zero gZ, so that dW = gZ @ Xpad^T, on Xpad padded
+    again from x, and dXpad = W_taps^T @ gZ. No patch matrix is built and no
+    padded input is kept.
     """
     c_in, h, w = x.shape
     c_out, _, k, _ = kernel.shape
-    hp, wp = xp.shape[1:]
+    hp, wp = h + 2 * pad, w + 2 * pad
     h_out, w_out = hp - k + 1, wp - k + 1
-    rows = xp.reshape(c_in, hp * wp)
+    # the last output position is element n - 1 of the shifted rows
+    n = c_out * hp * wp - (k - 1) * (wp + 1)
     wtaps = kernel.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
-    z = (wtaps @ rows).reshape(k, k, c_out, hp, wp)
-    y = _tap_windows(z, h_out, w_out).sum(axis=(0, 1))
-    y += bias
+    z = (wtaps @ _padded(x, pad).reshape(c_in, hp * wp)).reshape(k, k, c_out, hp, wp)
+    acc = np.empty((c_out, hp, wp))
+    np.sum(_tap_shifts(z, wp, n), axis=(0, 1), out=acc.reshape(-1)[:n])
+    y = acc[:, :h_out, :w_out] + bias
 
     def vjp(g, needs):
+        gw = np.zeros((c_out, hp, wp))
+        gw[:, :h_out, :w_out] = g
         gz = np.zeros((k, k, c_out, hp, wp))
-        _tap_windows(gz, h_out, w_out)[...] = g
+        _tap_shifts(gz, wp, n)[...] = gw.reshape(-1)[:n]
         gz = gz.reshape(k * k * c_out, hp * wp)
         dw = dx = None
         if needs[1]:
+            rows = _padded(x, pad).reshape(c_in, hp * wp)
             dw = (gz @ rows.T).reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1)
         if needs[2]:
-            dx = (wtaps.T @ gz).reshape(xp.shape)
+            dx = (wtaps.T @ gz).reshape(c_in, hp, wp)
             dx = dx[:, pad:pad + h, pad:pad + w] if pad else dx
         return _unbroadcast(g, bias.shape) if needs[0] else None, dw, dx
     return y, vjp
@@ -478,7 +502,10 @@ def bilinear_sample(x, coords):
     coords is 2 x H' x W'; positions outside [0,H-1] x [0,W-1] read zero,
     and a NaN or infinite position reads NaN. The four corners of every
     position come from one gather and are masked in one multiply.
-    Differentiable in the grid values and in the coordinates.
+    Differentiable in the grid values and in the coordinates. The record
+    keeps only the per-position corner indices, weights and masks; the
+    backward regathers the masked corners from x when the coordinates take
+    a gradient.
     """
     if x.ndim != 3:
         raise ValueError(f"bilinear_sample expects CxHxW input, got {x.shape}")
@@ -492,7 +519,6 @@ def bilinear_sample(x, coords):
     with np.errstate(invalid="ignore"):
         lo = np.floor(coords).astype(np.intp)                         # (row, col) x H' x W'
         frac = coords - lo
-        wr, wc = frac
         # per axis, [lower, upper] x [row, col] x H' x W': the corner index, and
         # the weight 1 - frac or frac
         idx = np.stack([lo, lo + 1])
@@ -505,9 +531,13 @@ def bilinear_sample(x, coords):
         weights = (axis_w[:, None, 0] * axis_w[None, :, 1]).reshape(4, *out_shape)
         # 1.0 or 0.0: multiplying by them is multiplying by the booleans
         masks = (inside[:, None, 0] & inside[None, :, 1]).reshape(4, *out_shape).astype(float)
-        corners = np.take(x.reshape(c, h * w), flat, axis=1).reshape(c, 4, *out_shape)
-        corners *= masks
-        v00, v01, v10, v11 = (corners[:, i] for i in range(4))
+
+        def corners():
+            """The masked corners v00, v01, v10, v11 of every position, each C x H' x W'."""
+            v = np.take(x.reshape(c, h * w), flat, axis=1).reshape(c, 4, *out_shape)
+            v *= masks
+            return (v[:, i] for i in range(4))
+        v00, v01, v10, v11 = corners()
         y = (v00 * weights[0] + v01 * weights[1]
              + v10 * weights[2] + v11 * weights[3])
 
@@ -520,6 +550,8 @@ def bilinear_sample(x, coords):
             contrib = (g[:, None] * (weights * masks)).reshape(c, -1)
             gx = _scatter_add(keys, contrib, c * h * w).reshape(c, h, w)
         if needs[1]:
+            wr, wc = coords - np.floor(coords).astype(np.intp)
+            v00, v01, v10, v11 = corners()
             dy_dwr = -(1 - wc) * v00 - wc * v01 + (1 - wc) * v10 + wc * v11
             dy_dwc = -(1 - wr) * v00 + (1 - wr) * v01 - wr * v10 + wr * v11
             gc = np.stack([(g * dy_dwr).sum(axis=0), (g * dy_dwc).sum(axis=0)])

@@ -585,12 +585,15 @@ class TestAdam:
 
 class TestMemoryBudget:
     def test_desk_training_step(self, traced_peak_mib):
-        """One desk training step with every stage on peaks below 32 MiB of
-        traced allocations. It peaked at 44.0 MiB while the scan kept whole
-        L x P x C x N states and the tape held every record until the step ended."""
+        """One desk training step with every stage on peaks below 20 MiB of
+        traced allocations: it peaks at 16.1 MiB, and the bound leaves about
+        4 MiB of margin. It peaked at 44.0 MiB while the scan kept whole
+        L x P x C x N states and the tape held every record until the step
+        ended, and at 25.6 MiB while conv2d records kept their patch matrices
+        or padded inputs and bilinear_sample records their gathered corners."""
         cfg = PipelineConfig(training=TrainSpec(steps=1))
         pipe = Pipeline(cfg)
-        assert traced_peak_mib(lambda: train(cfg, pipe)) < 32.0
+        assert traced_peak_mib(lambda: train(cfg, pipe)) < 20.0
 
 
 class TestRenderBudget:

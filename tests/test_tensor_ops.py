@@ -1,6 +1,8 @@
 """Core tensor library: op semantics, gradients, serialization."""
 
 import ast
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -359,7 +361,10 @@ class TestKernelsMatchPreviousAlgorithms:
             assert np.array_equal(have, want)
 
     @pytest.mark.parametrize("k,pad", [(1, 0), (3, 1)])
-    def test_conv2d_non_contiguous_input(self, k, pad):
+    def test_conv2d_non_contiguous_input(self, tap_calls, k, pad):
+        # the 1x1 conv is bitwise im2col; the 3x3 one, 3 channels to 2, takes
+        # the tap form (5 * 2 * 8 * 9 < 6 * 3 * 6 * 7) and is checked as
+        # every tap shape is
         rng = np.random.default_rng(k)
         x = rng.normal(size=(7, 6, 3)).transpose(2, 1, 0)       # 3 x 6 x 7, a strided view
         w = rng.normal(size=(2, 3, k, k))
@@ -367,13 +372,21 @@ class TestKernelsMatchPreviousAlgorithms:
         b = rng.normal(size=(2, 1, 1))
         wt = Tensor(w, requires_grad=True)
         y, (dw,) = run_with_output_grad(lambda: ops.conv2d(x, wt, b, pad=pad), [wt], g)
-        y_ref, _, dw_ref, _ = conv2d_im2col_reference(x, w, b, g, pad)
-        assert np.array_equal(y, y_ref)
-        assert np.array_equal(dw, dw_ref)
+        if k == 1:
+            y_ref, _, dw_ref, _ = conv2d_im2col_reference(x, w, b, g, pad)
+            assert tap_calls == []
+            assert np.array_equal(y, y_ref)
+            assert np.array_equal(dw, dw_ref)
+        else:
+            y_ref, _, dw_ref, _ = conv2d_longdouble_reference(x, w, b, g, pad)
+            assert tap_calls == [w.shape]
+            assert_rel_close(y, y_ref, 1e-13)
+            assert_rel_close(dw, dw_ref, 1e-13)
 
     @pytest.mark.parametrize("c_out,k,pad", [(4, 3, 1), (3, 7, 3)])
     def test_conv2d_non_contiguous_input_keeps_im2col(self, tap_calls, c_out, k, pad):
-        # C_out >= C_in never takes the tap form, so strided input stays bitwise
+        # C_out >= C_in takes the tap form only on maps much wider than the
+        # kernel, so this strided input stays bitwise
         rng = np.random.default_rng(10 * k + c_out)
         x = rng.normal(size=(7, 6, 3)).transpose(2, 1, 0)       # 3 x 6 x 7, a strided view
         w = rng.normal(size=(c_out, 3, k, k))
@@ -504,22 +517,24 @@ class TestKernelsMatchPreviousAlgorithms:
 
 
 class TestConv2dContractions:
-    """conv2d takes the tap form exactly where C_out*Hp*Wp < C_in*H_out*W_out
+    """conv2d takes the tap form exactly where 5*C_out*Hp*Wp < 6*C_in*H_out*W_out
     and k > 1; everywhere else it is bitwise the im2col algorithm."""
 
     # (C_in, C_out, k, pad, H) on an H x (H+1) input: the desk model's
-    # integrator, stsync offset, gate and update offset; then one channel
-    # past the rule's boundary (3 * 4 * 5 < 11 * 2 * 3)
+    # integrator, stsync offset, gate and update offset, and its 8 -> 8 warp
+    # and aggregation convs; a reducing conv on a small map; then one channel
+    # past the rule's boundary (5 * 9 * 4 * 5 < 6 * 26 * 2 * 3)
     TAP_SHAPES = [(16, 8, 3, 1, 32), (16, 2, 3, 1, 32), (16, 1, 7, 3, 32),
-                  (8, 2, 3, 1, 32), (11, 3, 3, 1, 2)]
-    # (C_in, C_out, k, pad, H): square and expanding convs, every 1x1
-    # (channel-reducing too), and the boundary itself (3 * 4 * 5 == 10 * 2 * 3),
-    # which keeps im2col; each id's fifth field is the stride these cases
-    # were written for
+                  (8, 2, 3, 1, 32), (8, 8, 3, 1, 32), (10, 3, 3, 1, 2), (11, 3, 3, 1, 2),
+                  (26, 9, 3, 1, 2)]
+    # (C_in, C_out, k, pad, H): square convs on maps where padding adds a
+    # fifth or more, an expanding conv, every 1x1 (channel-reducing too), and
+    # the boundary itself (5 * 9 * 4 * 5 == 6 * 25 * 2 * 3), which keeps
+    # im2col; each id's fifth field is the stride these cases were written for
     IM2COL_SHAPES = [pytest.param(*shape, id="-".join(map(str, (*shape[:4], 1, shape[4]))))
-                     for shape in [(8, 8, 3, 1, 32), (32, 32, 3, 1, 16), (128, 128, 3, 1, 8),
+                     for shape in [(32, 32, 3, 1, 16), (128, 128, 3, 1, 8),
                                    (2, 3, 3, 1, 9), (8, 12, 1, 0, 32), (32, 32, 1, 0, 16),
-                                   (8, 1, 1, 0, 32), (16, 2, 1, 0, 32), (10, 3, 3, 1, 2)]]
+                                   (8, 1, 1, 0, 32), (16, 2, 1, 0, 32), (25, 9, 3, 1, 2)]]
 
     @staticmethod
     def conv_case(c_in, c_out, k, pad, h, seed):
@@ -570,13 +585,92 @@ class TestConv2dContractions:
                 fn(x)
         assert [shape[2] for shape in tap_calls] == [3, 3, 3, 7, 7, 7]
 
+    def test_gradcheck_cases_take_im2col(self, tap_calls, monkeypatch):
+        im2col_calls, im2col = [], ops._conv2d_im2col
+
+        def spy(x, kernel, *rest):
+            im2col_calls.append(kernel.shape)
+            return im2col(x, kernel, *rest)
+        monkeypatch.setattr(ops, "_conv2d_im2col", spy)
+        for seed in range(2):
+            for name in ("conv2d", "conv2d_kernel", "conv2d_bias"):
+                fn, x = CASES[name](seed)
+                fn(x)
+        assert tap_calls == [] and im2col_calls == [(3, 2, 3, 3)] * 6
+
     def test_model_convs_that_take_taps(self, tap_calls):
-        # one taped desk training step: exactly the four channel-reducing convs
+        # one taped desk training step: the four channel-reducing convs and
+        # the 8 -> 8 warp and aggregation convs on 32 x 32 maps
         cfg = PipelineConfig()
         cfg.training.steps = 1
         train(cfg)
         assert sorted(set(tap_calls)) == [(1, 16, 7, 7), (2, 8, 3, 3), (2, 16, 3, 3),
-                                          (8, 16, 3, 3)]
+                                          (8, 8, 3, 3), (8, 16, 3, 3)]
+
+
+class TestRecordsKeepOnlyInputs:
+    """After a taped forward, a conv2d or bilinear_sample record holds no
+    array larger than its output, apart from bilinear_sample's per-position
+    corner indices, weights and masks: the backward rebuilds patch matrices,
+    padded inputs and gathered corners from the inputs the record holds."""
+
+    @staticmethod
+    def retained(op):
+        """op()'s output under a live tape, and the bytes allocated during
+        op() that are still traced beyond the output's own array."""
+        with Tape():
+            tracemalloc.start()
+            try:
+                out = op()
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        return out.data, kept - out.data.nbytes
+
+    # (C_in, C_out, k, pad, H): the desk model's integrator conv, its 8 -> 8
+    # warp conv and its wtden inner conv, the last on im2col
+    @pytest.mark.parametrize("c_in,c_out,k,pad,h,taps", [(16, 8, 3, 1, 32, True),
+                                                        (8, 8, 3, 1, 32, True),
+                                                        (32, 32, 3, 1, 16, False)])
+    def test_conv2d(self, tap_calls, c_in, c_out, k, pad, h, taps):
+        rng = np.random.default_rng(c_in)
+        x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in [(c_in, h, h), (c_out, c_in, k, k), (c_out, 1, 1)])
+        out, kept = self.retained(lambda: ops.conv2d(x, w, b, pad=pad))
+        assert len(tap_calls) == taps
+        assert kept < out.nbytes
+
+    def test_bilinear_sample_with_coordinate_gradient(self):
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(8, 32, 32)), requires_grad=True)
+        coords = Tensor(rng.uniform(-1.0, 32.0, size=(2, 32, 32)), requires_grad=True)
+        out, kept = self.retained(lambda: ops.bilinear_sample(x, coords))
+        # flat corner indices, weights and masks: 4 per position each
+        per_position = 3 * 4 * out[0].size * 8
+        assert kept - per_position < out.nbytes
+
+
+def sigmoid_masked(x):
+    """The two-sided sigmoid by boolean-mask indexing, the form ops._sigmoid replaced."""
+    pos = x >= 0
+    z = np.empty_like(x)
+    z[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    z[~pos] = e / (1.0 + e)
+    return z
+
+
+class TestSigmoid:
+    def test_bitwise_the_masked_form_at_edge_values(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 800.0, -800.0],
+                            rng.normal(size=50_000), rng.uniform(-800.0, 800.0, 50_000)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ops._sigmoid(x)
+            nan = ops._sigmoid(np.array([np.nan, -np.nan, np.nan]))
+        assert got.tobytes() == sigmoid_masked(x).tobytes()
+        assert np.isnan(nan).all()
 
 
 class TestGlobalPool:

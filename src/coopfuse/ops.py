@@ -501,11 +501,15 @@ def bilinear_sample(x, coords):
 
     coords is 2 x H' x W'; positions outside [0,H-1] x [0,W-1] read zero,
     and a NaN or infinite position reads NaN. The four corners of every
-    position come from one gather and are masked in one multiply.
+    position come from one gather. Each corner's 0/1 in-grid mask is folded
+    into its bilinear weight once, 4 x H' x W' products, and the unmasked
+    corners are multiplied by the folded weights: multiplying by an exact
+    0.0 or 1.0 gives the same bits before or after the weight, signed zeros,
+    NaN and infinities included, so no C-fold masking pass is needed.
     Differentiable in the grid values and in the coordinates. The record
-    keeps only the per-position corner indices, weights and masks; the
-    backward regathers the masked corners from x when the coordinates take
-    a gradient.
+    keeps only the per-position corner indices, folded weights and masks;
+    the grid gradient reuses the folded weights, and the backward regathers
+    the masked corners from x when the coordinates take a gradient.
     """
     if x.ndim != 3:
         raise ValueError(f"bilinear_sample expects CxHxW input, got {x.shape}")
@@ -528,18 +532,16 @@ def bilinear_sample(x, coords):
         axis_w = np.stack([1 - frac, frac])
         # the four corners (r0,c0), (r0,c1), (r1,c0), (r1,c1) of every position
         flat = (idx[:, None, 0] * w + idx[None, :, 1]).reshape(-1)
+        masks = (inside[:, None, 0] & inside[None, :, 1]).reshape(4, *out_shape)
         weights = (axis_w[:, None, 0] * axis_w[None, :, 1]).reshape(4, *out_shape)
-        # 1.0 or 0.0: multiplying by them is multiplying by the booleans
-        masks = (inside[:, None, 0] & inside[None, :, 1]).reshape(4, *out_shape).astype(float)
+        weights *= masks
 
-        def corners():
-            """The masked corners v00, v01, v10, v11 of every position, each C x H' x W'."""
-            v = np.take(x.reshape(c, h * w), flat, axis=1).reshape(c, 4, *out_shape)
-            v *= masks
-            return (v[:, i] for i in range(4))
-        v00, v01, v10, v11 = corners()
-        y = (v00 * weights[0] + v01 * weights[1]
-             + v10 * weights[2] + v11 * weights[3])
+        def gather():
+            """The unmasked corners of every position, C x 4 x H' x W'."""
+            return np.take(x.reshape(c, h * w), flat, axis=1).reshape(c, 4, *out_shape)
+        v = gather()
+        y = (v[:, 0] * weights[0] + v[:, 1] * weights[1]
+             + v[:, 2] * weights[2] + v[:, 3] * weights[3])
 
     @np.errstate(invalid="ignore")
     def vjp(g, needs):
@@ -547,11 +549,13 @@ def bilinear_sample(x, coords):
         if needs[0]:
             # per channel, the four corners one after another
             keys = np.arange(c)[:, None] * (h * w) + flat
-            contrib = (g[:, None] * (weights * masks)).reshape(c, -1)
+            contrib = (g[:, None] * weights).reshape(c, -1)
             gx = _scatter_add(keys, contrib, c * h * w).reshape(c, h, w)
         if needs[1]:
             wr, wc = coords - np.floor(coords).astype(np.intp)
-            v00, v01, v10, v11 = corners()
+            v = gather()
+            v *= masks
+            v00, v01, v10, v11 = (v[:, i] for i in range(4))
             dy_dwr = -(1 - wc) * v00 - wc * v01 + (1 - wc) * v10 + wc * v11
             dy_dwc = -(1 - wr) * v00 + (1 - wr) * v01 - wr * v10 + wr * v11
             gc = np.stack([(g * dy_dwr).sum(axis=0), (g * dy_dwc).sum(axis=0)])

@@ -30,16 +30,30 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .denoise import WaveletDenoiser
-from .ops import concat, conv2d, reshape
-from .select import FeatureSelector
+from .denoise import _SCAN_PATHS, WaveletDenoiser
+from .ops import _SCAN_BLOCK, concat, conv2d, reshape
+from .select import IB_RATIO, FeatureSelector
 from .schema import ConfigError, check, entry, read, write
 from .serialize import assign_params, load_params, save_params
 from .sync import Integrator, TemporalSync
 from .tensor import Parameter, Tensor, no_grad
-from .world import (LIMIT_M, Channel, ChannelConfig, FeaturePacket, Scenario,
+from .world import (LIMIT_M, SPEED_RANGE, Channel, ChannelConfig, FeaturePacket, Scenario,
                     make_scenario, perturb_pose, render_bev, step_scene, stream,
                     transform_to_ego)
+
+# A config is rejected when its parameters, or the largest array one tick of it
+# allocates, would take more than this many bytes. The cap is fixed rather than
+# read from the host, so a config is accepted or rejected alike everywhere.
+SIZE_CAP_BYTES = 8 * 2**30
+
+
+def _size(n_bytes: int) -> str:
+    """n_bytes in binary units, such as "1.3 TiB"; past 1024 EiB only that bound,
+    since a count from the fields can be too large for a float."""
+    for i, unit in enumerate(("B", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB")):
+        if n_bytes < 1024 ** (i + 1):
+            return f"{n_bytes / 1024 ** i:.1f} {unit}"
+    return "over 1024 EiB"
 
 
 @dataclass
@@ -63,7 +77,8 @@ class PipelineConfig:
     cell_size: float = entry("cell_size", 0.75, ge=1 / LIMIT_M)
     n_agents: int = entry("n_agents", 3, ge=1)
     n_objects: int = entry("n_objects", 5, ge=0)
-    bounds_m: float = entry("bounds_m", 9.0, gt=0.0, le=LIMIT_M)
+    # an arena narrower than one tick's top speed lets drawn objects escape it
+    bounds_m: float = entry("bounds_m", 9.0, ge=SPEED_RANGE[1] / 2, le=LIMIT_M)
     fov_ego_m: float = entry("fov_ego_m", 8.0, gt=0.0)
     fov_collab_m: float = entry("fov_collab_m", 9.0, gt=0.0)
     eval_scenarios: int = entry("eval_scenarios", 6, ge=1)
@@ -86,7 +101,49 @@ class PipelineConfig:
             if self.height % s or self.width % s:
                 raise ConfigError(f"scale {s} does not divide grid "
                                   f"{self.height}x{self.width}")
+        params = self.parameter_count()
+        if 8 * params > SIZE_CAP_BYTES:
+            raise ConfigError(f"C={self.channels}, anchor_points={self.anchor_points}, "
+                              f"ssm_state_dim={self.ssm_state_dim} need {_size(8 * params)} "
+                              f"of parameters, over the {_size(SIZE_CAP_BYTES)} cap")
+        count, what = self.largest_tick_array()
+        if 8 * count > SIZE_CAP_BYTES:
+            raise ConfigError(f"{what} needs {_size(8 * count)} in one array, over the "
+                              f"{_size(SIZE_CAP_BYTES)} cap")
         return self
+
+    def parameter_count(self) -> int:
+        """The pipeline's parameter count, from the fields alone: every block is
+        built whichever stages are on."""
+        c, m, n = self.channels, self.anchor_points, self.ssm_state_dim
+        paths, half = len(_SCAN_PATHS), max(1, c // 2)
+        integrate = 2 * c * c * 9 + c
+        sync = ((2 * 2 * c * 9 + 2) + 2 * (c * c * 9 + c) + (2 * c * 9 + 2)     # offsets, warps
+                + (2 * c * 49 + 1) + c + 3 * m * (c + 1))                       # gate, anchor
+        denoise = (paths * (c * c + c + 2 * (c * n + n) + c + n)                # scan
+                   + (4 * c) ** 2 + 4 * c + (16 * c) ** 2 * 9 + 16 * c + (4 * c) ** 2 * 9 + 4 * c)
+        select = (4 * c * c + c + 2 * IB_RATIO * c * c + IB_RATIO * c + c      # attention, bottleneck
+                  + c * c * 9 + c + half * (2 * c + 1))                         # aggregation, split
+        return integrate + sync + denoise + select + c + 1                      # decoder
+
+    def largest_tick_array(self) -> tuple[int, str]:
+        """The element count of the largest array one tick allocates, from the
+        fields alone, and the fields and the array it comes from."""
+        c, h, w = self.channels, self.height, self.width
+        m, n, cells = self.anchor_points, self.ssm_state_dim, self.height * self.width
+        grid = f"H={h}, W={w}"
+        return max(
+            (4 * c * m * cells, f"{grid}, C={c}, anchor_points={m} (stsync's anchor corners)"),
+            (9 * c * (h + 2) * (w + 2), f"{grid}, C={c} (the integrator's 3x3 conv)"),
+            (49 * (h + 6) * (w + 6), f"{grid} (stsync's 7x7 gate conv)"),
+            (len(_SCAN_PATHS) * cells * n, f"{grid}, ssm_state_dim={n} (wtden's scan gates)"),
+            (len(_SCAN_PATHS) * min(cells, _SCAN_BLOCK) * c * n,
+             f"C={c}, ssm_state_dim={n} (wtden's scan block states)"),
+            (self.n_agents * c * cells, f"{grid}, C={c}, n_agents={self.n_agents} "
+                                        f"(the integrator's agent stack)"),
+            (len(self.scales) * c * cells, f"{grid}, C={c}, {len(self.scales)} scales "
+                                           f"(adpsel's scale stack)"),
+            (6 * self.n_objects, f"n_objects={self.n_objects} (the scene)"))
 
     def check_scenario(self, scenario: Scenario) -> Scenario:
         """Check `scenario`'s fields, and that it measures a tick after the warm-up."""

@@ -1,9 +1,11 @@
 """Synthetic multi-agent world and lossy, laggy feature channel.
 
 Scenes are axis-aligned rectangles moving at constant velocity inside a
-square arena, reflecting at the walls. An agent's view is a top-down
+square arena, reflecting at the walls; a tick moves and reflects every
+object with whole-array operations. An agent's view is a top-down
 occupancy grid in its own pose-centered, heading-aligned frame, restricted
-to its field of view, plus fixed sinusoidal coordinate channels. A packet
+to its field of view, plus fixed sinusoidal coordinate channels; every
+visible box is drawn by one box test over the whole grid. A packet
 carries its sender's view as a thunk, rendered on first read, through a
 channel that drops packets independently and delays survivors by a uniform
 integer latency; the ego re-projects arrived views into its frame using the
@@ -70,18 +72,25 @@ class Scene:
 
 
 def step_scene(scene: Scene) -> Scene:
-    """Advance one tick; reflect position and velocity at the arena walls."""
-    obj = scene.objects.copy()
+    """Advance one tick; reflect position and velocity at the arena walls.
+
+    Both axes move at once on the N x 2 position and velocity columns. A
+    position past the upper wall is mirrored back through it, then one past
+    the lower wall, and the velocity on that axis changes sign once per
+    mirroring. Scenes that `make_scene` draws and scenario documents accept
+    (positions within the walls, at most 2 * bounds per tick on an axis) need
+    at most one mirroring, so their objects never leave the arena.
+    """
+    obj = scene.objects
     b = scene.bounds
-    for axis in (0, 1):
-        obj[:, axis] += obj[:, 4 + axis]
-        over = obj[:, axis] > b
-        obj[over, axis] = 2.0 * b - obj[over, axis]
-        obj[over, 4 + axis] *= -1.0
-        under = obj[:, axis] < -b
-        obj[under, axis] = -2.0 * b - obj[under, axis]
-        obj[under, 4 + axis] *= -1.0
-    return Scene(objects=obj, bounds=scene.bounds, seed=scene.seed)
+    pos = obj[:, :2] + obj[:, 4:]
+    over = pos > b
+    pos = np.where(over, 2.0 * b - pos, pos)
+    under = pos < -b
+    pos = np.where(under, -2.0 * b - pos, pos)
+    vel = np.where(over ^ under, -obj[:, 4:], obj[:, 4:])
+    return Scene(objects=np.concatenate([pos, obj[:, 2:4], vel], axis=1),
+                 bounds=scene.bounds, seed=scene.seed)
 
 
 # object speeds (m/tick) and box extents (m) are drawn uniformly from these
@@ -90,6 +99,8 @@ EXTENT_RANGE = (1.8, 3.0)
 
 
 def make_scene(seed: int, n_objects: int = 5, bounds: float = 9.0) -> Scene:
+    """Objects within 0.8 * bounds of the center at SPEED_RANGE speeds; with
+    bounds >= SPEED_RANGE[1] / 2 they stay in the arena."""
     rng = stream(seed, "scene")
     pos = rng.uniform(-0.8 * bounds, 0.8 * bounds, size=(n_objects, 2))
     ext = rng.uniform(*EXTENT_RANGE, size=(n_objects, 2))
@@ -126,12 +137,20 @@ def _cell_centers(h: int, w: int, cell_size: float) -> tuple[np.ndarray, np.ndar
     return xs, ys
 
 
+# the box test of one render covers at most this many object-cells at a time,
+# so its N x H x W temporaries stay a few MiB however many objects a scene has
+_BOX_CELLS = 1 << 20
+
+
 def render_bev(scene: Scene, pose: Pose2D, h: int, w: int, cell_size: float,
                fov_m: float | None = None, channels: int = 8) -> Tensor:
     """Occupancy plus positional channels in the agent's local frame.
 
     Only objects whose center lies within fov_m of the agent are drawn;
-    fov_m=None draws everything (ground-truth mode).
+    fov_m=None draws everything (ground-truth mode). The visible objects'
+    boxes are tested against every cell center at once, an N x H x W test
+    reduced by `any`, and the planes are written into one preallocated
+    C x H x W array.
     """
     if h % 4 or w % 4:
         raise ValueError(f"grid dims must be divisible by 4, got {h}x{w}")
@@ -139,13 +158,20 @@ def render_bev(scene: Scene, pose: Pose2D, h: int, w: int, cell_size: float,
     ct, st = math.cos(pose.heading), math.sin(pose.heading)
     world_x = pose.x + ct * xs - st * ys
     world_y = pose.y + st * xs + ct * ys
-    occ = np.zeros((h, w))
-    for ox, oy, ow, oh, _, _ in scene.objects:
-        if fov_m is not None and math.hypot(ox - pose.x, oy - pose.y) > fov_m:
-            continue
-        inside = (np.abs(world_x - ox) <= ow / 2.0) & (np.abs(world_y - oy) <= oh / 2.0)
-        occ = np.maximum(occ, inside)
-    planes = np.concatenate([occ[None], coordinate_channels(h, w, channels - 1)])
+    objects = scene.objects
+    if fov_m is not None:
+        objects = objects[[not math.hypot(ox - pose.x, oy - pose.y) > fov_m
+                           for ox, oy in objects[:, :2].tolist()]]
+    occ = np.zeros((h, w), dtype=bool)
+    step = max(1, _BOX_CELLS // (h * w))
+    for i in range(0, len(objects), step):
+        box = objects[i:i + step, :4, None, None]
+        inside = ((np.abs(world_x - box[:, 0]) <= box[:, 2] / 2.0)
+                  & (np.abs(world_y - box[:, 1]) <= box[:, 3] / 2.0))
+        occ |= inside.any(axis=0)
+    planes = np.empty((channels, h, w))
+    planes[0] = occ
+    planes[1:] = coordinate_channels(h, w, channels - 1)
     return Tensor(planes)
 
 
@@ -259,10 +285,21 @@ class _SceneObject:
 
 
 def _read_scene(doc: dict) -> Scene:
-    """A scenario document's `objects`, which may be empty, and `bounds_m`."""
+    """A scenario document's `objects`, which may be empty, and `bounds_m`.
+
+    Every object starts within the walls and moves at most 2 * bounds_m per
+    tick on each axis, so that one reflection per tick keeps it in the arena.
+    """
     rows = doc.get("objects")
     objects = [] if rows == [] else parse(list[_SceneObject], rows, "objects")
     bounds = parse(float, doc.get("bounds_m", 10.0), "bounds_m", gt=0.0, le=LIMIT_M)
+    for i, o in enumerate(objects):
+        if max(abs(o.x), abs(o.y)) > bounds:
+            raise ConfigError(f"objects[{i}] at ({o.x}, {o.y}) lies outside "
+                              f"bounds_m = {bounds}")
+        if max(abs(o.vx), abs(o.vy)) > 2.0 * bounds:
+            raise ConfigError(f"objects[{i}] velocity ({o.vx}, {o.vy}) exceeds "
+                              f"2 * bounds_m = {2.0 * bounds} per tick")
     return Scene(objects=[astuple(o) for o in objects], bounds=bounds, seed=0)
 
 

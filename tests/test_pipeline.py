@@ -17,7 +17,7 @@ from coopfuse.pipeline import (ConfigError, MetricRecord, Pipeline,
                                PipelineConfig, TrainSpec, clean_reference, config_label,
                                evaluate, occupancy_iou, simulate)
 from coopfuse.sync import Integrator
-from coopfuse.tensor import Tape, Tensor, active_tape
+from coopfuse.tensor import Tape, Tensor, active_tape, no_grad
 from coopfuse.training import Adam, DivergenceError, train
 from coopfuse.world import ChannelConfig, make_scenario
 
@@ -134,6 +134,49 @@ class TestConfig:
         assert config_label(small_config(stsync=False, wtden=False,
                                          adpsel=False)) == "baseline"
         assert config_label(small_config(wtden=False, adpsel=False)) == "stsync"
+
+
+class TestSizeEstimate:
+    """validate() sizes a config from its fields alone and rejects one whose
+    parameters or largest tick array exceed SIZE_CAP_BYTES."""
+
+    @pytest.mark.parametrize("c", [2, 3, 8])
+    @pytest.mark.parametrize("m,n", [(1, 1), (5, 3)])
+    def test_parameter_count_is_exact(self, c, m, n):
+        cfg = PipelineConfig(height=8, width=8, scales=(4,), channels=c, anchor_points=m,
+                             ssm_state_dim=n)
+        params = Pipeline(cfg).parameters().values()
+        assert cfg.parameter_count() == sum(p.data.size for p in params)
+
+    def test_cap_on_parameters(self):
+        # about 2526 C^2 parameters: C=600 needs 6.8 GiB, C=700 9.2 GiB
+        assert 8 * PipelineConfig(channels=600).validate().parameter_count() \
+            < pipeline_module.SIZE_CAP_BYTES
+        with pytest.raises(ConfigError, match=r"^C=700, anchor_points=4, ssm_state_dim=16 "
+                                              r"need 9\.2 GiB of parameters, over the 8\.0 "
+                                              r"GiB cap$"):
+            PipelineConfig(channels=700).validate()
+
+    def test_cap_on_one_array(self):
+        # the anchor's C x 4 x M*H x W corners: 8 x 4 x 4 x 2048^2 take 4 GiB
+        PipelineConfig(height=2048, width=2048).validate()
+        with pytest.raises(ConfigError, match=r"^H=4096, W=4096, C=8, anchor_points=4 "
+                                              r"\(stsync's anchor corners\) needs 16\.0 GiB"):
+            PipelineConfig(height=4096, width=4096).validate()
+
+    @pytest.mark.parametrize("patch", [{}, {"channels": 2, "anchor_points": 1},
+                                       {"ssm_state_dim": 64}, {"anchor_points": 32}])
+    def test_largest_tick_array_is_allocated(self, traced_peak_mib, patch):
+        """One evaluation tick's traced peak holds the estimated array and
+        is within a few times of it, whichever term is the largest."""
+        cfg = replace(small_config(), **patch).validate()
+        count, _ = cfg.largest_tick_array()
+        scen = make_scenario(3, cfg.channel, cfg.warmup_ticks_for() + 1,
+                             n_agents=cfg.n_agents, n_objects=cfg.n_objects)
+        pipe = Pipeline(cfg)
+        with no_grad():
+            peak = traced_peak_mib(lambda: simulate(pipe, scen, lambda t: t == scen.ticks - 1))
+        assert 1.0 <= peak * 2**20 / (8 * count) < 10.0
 
 
 class TestStages:

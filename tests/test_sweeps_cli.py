@@ -199,6 +199,8 @@ SCENARIO_DEFECTS = {
     "fractional_ticks": lambda d: d.update(ticks=12.7),
     "unknown_key": lambda d: d.update(speed=1.0),
     "infinite_velocity": lambda d: d["objects"][0].update(vx=float("inf")),
+    "object_outside_arena": lambda d: d["objects"][0].update(x=d["bounds_m"] + 0.5),
+    "object_outruns_arena": lambda d: d["objects"][0].update(vx=100.0),
 }
 
 
@@ -315,7 +317,7 @@ class TestCli:
         {"channel": {"L_ticks": 2.7}}, {"C": True}, {"scales": [2, 4.5]},
         {"training": {"steps": False}}, {"k": True}, {"channel": {"loc_sigma": float("inf")}},
         {"channel": {"seed": 5}}, {"scales": 4}, {"cell_size": 1e-300},
-        {"channel": {"head_sigma": 1e308}},
+        {"channel": {"head_sigma": 1e308}}, {"bounds_m": 0.5}, {"C": 700}, {"C": 10**400},
     ])
     def test_rejected_field_exit_code(self, tmp_path, doc):
         bad = tmp_path / "bad.json"
@@ -419,14 +421,10 @@ class TestCli:
         assert r.stderr.startswith("divergence") and "occupancy_iou=nan" in r.stderr
         assert not (out / "metrics.csv").exists()
 
-    @pytest.mark.parametrize("doc", [
-        {"C": 100000}, {"ssm_state_dim": 1000000000},
-        {"H": 400000, "W": 400000, "scales": [4]}, {"anchor_points": 100000000},
-    ], ids=["C", "ssm_state_dim", "HW", "anchor_points"])
-    def test_out_of_memory_exit_code(self, tmp_path, doc):
-        """A config whose arrays cannot be allocated (C=100000 asks for
-        1.31 TiB of parameters) exits 2 with one line, not a numpy traceback,
-        under a 3 GB address-space limit on the subprocess alone."""
+    @staticmethod
+    def run_under_address_limit(tmp_path, doc):
+        """`coopfuse run` on config `doc` under a 3 GB address-space limit on
+        the subprocess alone."""
         import resource
 
         def limit_address_space():
@@ -442,5 +440,26 @@ class TestCli:
                            capture_output=True, text=True, preexec_fn=limit_address_space)
         assert r.returncode == 2, r.stderr
         assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr, r.stderr
-        assert r.stderr.startswith("out of memory")
         assert not (out / "metrics.csv").exists()
+        return r.stderr
+
+    @pytest.mark.parametrize("doc,needs", [
+        ({"C": 100000}, "183.8 TiB of parameters"),
+        ({"ssm_state_dim": 1000000000}, "566.2 GiB of parameters"),
+        ({"H": 400000, "W": 400000, "scales": [4]}, "149.0 TiB in one array"),
+        ({"anchor_points": 100000000}, "20.1 GiB of parameters"),
+    ], ids=["C", "ssm_state_dim", "HW", "anchor_points"])
+    def test_out_of_memory_exit_code(self, tmp_path, doc, needs):
+        """A config whose size estimate is over the cap (C=100000 asks for
+        184 TiB of parameters) stops in validate with one config error line,
+        before anything is allocated."""
+        stderr = self.run_under_address_limit(tmp_path, doc)
+        assert stderr.startswith("config error") and needs in stderr, stderr
+        assert "over the 8.0 GiB cap" in stderr
+
+    def test_memory_error_under_the_cap_exits_2(self, tmp_path):
+        """C=500 passes the estimate (4.7 GiB of parameters, under the cap) but
+        cannot allocate its 4.6 GB inner kernel under the limit: the
+        MemoryError backstop reports it in one line."""
+        stderr = self.run_under_address_limit(tmp_path, {"C": 500})
+        assert stderr.startswith("out of memory"), stderr

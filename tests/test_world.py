@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coopfuse.pipeline import ConfigError, PipelineConfig
 from coopfuse.tensor import Tensor
-from coopfuse.world import (Channel, ChannelConfig, Pose2D,
+from coopfuse.world import (SPEED_RANGE, Channel, ChannelConfig, Pose2D,
                             Scenario, Scene, make_scene,
                             make_scenario, perturb_pose, render_bev, step_scene,
                             stream, transform_to_ego, wrap_angle)
@@ -41,6 +44,69 @@ class TestScene:
         for _ in range(200):
             s = step_scene(s)
             assert np.all(np.abs(s.objects[:, :2]) <= 10.0 + 1e-9)
+
+
+def outside_share(bounds: float, seeds: int = 200, ticks: int = 30) -> float:
+    """The share of object-ticks outside the walls in make_scene's scenes."""
+    outside = total = 0
+    for seed in range(seeds):
+        s = make_scene(seed, n_objects=5, bounds=bounds)
+        for _ in range(ticks):
+            s = step_scene(s)
+            outside += int((np.abs(s.objects[:, :2]) > bounds).any(axis=1).sum())
+            total += len(s.objects)
+    return outside / total
+
+
+class TestArena:
+    """An input that would let an object leave the arena is rejected; every
+    accepted one keeps its objects inside."""
+
+    def scenario_doc(self, **obj):
+        doc = make_scenario(2, ChannelConfig(), ticks=8).to_json()
+        doc["objects"][0].update(obj)
+        return doc
+
+    def test_object_outrunning_the_arena_is_rejected(self):
+        # one reflection per wall per tick: an object at 100 m/tick in a 9 m
+        # arena sits at x = 64, 128, 192 after three ticks
+        s = Scene(objects=[[0.0, 0.0, 2.0, 2.0, 100.0, 0.0]], bounds=9.0, seed=0)
+        xs = []
+        for _ in range(3):
+            s = step_scene(s)
+            xs.append(float(s.objects[0, 0]))
+        assert xs == [64.0, 128.0, 192.0]
+        with pytest.raises(ConfigError, match=r"objects\[0\] velocity \(100\.0, "):
+            Scenario.from_json(self.scenario_doc(x=0.0, vx=100.0))
+        Scenario.from_json(self.scenario_doc(x=0.0, vx=18.0, vy=-18.0))      # 2 * bounds_m
+
+    def test_object_outside_the_arena_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"objects\[0\] at \(9\.5, "):
+            Scenario.from_json(self.scenario_doc(x=9.5))
+        Scenario.from_json(self.scenario_doc(x=9.0, y=-9.0))                 # on the walls
+
+    def test_narrow_config_arena_is_rejected(self):
+        # at bounds_m = 0.5, 30 % of make_scene's object-ticks lie outside
+        assert outside_share(0.5) > 0.25
+        with pytest.raises(ConfigError, match="bounds_m must be >= 1.1"):
+            PipelineConfig.from_json({"bounds_m": 0.5})
+        smallest = PipelineConfig.from_json({"bounds_m": SPEED_RANGE[1] / 2}).bounds_m
+        assert outside_share(smallest) == 0.0
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(bounds=st.floats(1e-3, 1e3), data=st.data())
+    def test_accepted_scenes_stay_inside(self, bounds, data):
+        unit = st.floats(-1.0, 1.0)
+        rows = [{"x": data.draw(unit) * bounds, "y": data.draw(unit) * bounds,
+                 "w": 1.0, "h": 1.0, "vx": 2.0 * data.draw(unit) * bounds,
+                 "vy": 2.0 * data.draw(unit) * bounds} for _ in range(3)]
+        doc = self.scenario_doc()
+        doc.update(objects=rows, bounds_m=bounds)
+        s = Scenario.from_json(doc).scene
+        for _ in range(50):
+            s = step_scene(s)
+            # within the walls up to the rounding of one reflection
+            assert np.all(np.abs(s.objects[:, :2]) <= bounds * (1 + 1e-12))
 
 
 class TestRender:

@@ -200,24 +200,6 @@ def scale(a, s: float) -> Tensor:
     return mul(a, float(s))
 
 
-@_op("a")
-def max_reduce(a, axis: int):
-    """Maximum along one axis; gradient routes to the first (lowest-index) argmax.
-
-    The argmax is found in the backward, from the unchanged input, so a
-    forward nothing differentiates does not pay for it.
-    """
-    if a.shape[axis] == 0:
-        raise ValueError(f"max_reduce over empty axis {axis} of shape {a.shape}")
-
-    def vjp(g, needs):
-        full = np.zeros_like(a)
-        idx = np.expand_dims(np.argmax(a, axis=axis), axis)
-        np.put_along_axis(full, idx, np.expand_dims(g, axis), axis=axis)
-        return full,
-    return np.max(a, axis=axis), vjp
-
-
 @_op("bias", "a", "b")
 def matmul(a, b, bias=None):
     """a @ b for rank-2 operands, plus an optional 1 x N row bias in the same record."""

@@ -24,14 +24,14 @@ import math
 import os
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .denoise import _SCAN_PATHS, WaveletDenoiser
-from .ops import _SCAN_BLOCK, concat, conv2d, reshape
+from .ops import _SCAN_BLOCK, conv2d
 from .select import IB_RATIO, FeatureSelector
 from .schema import ConfigError, check, entry, read, write
 from .serialize import assign_params, load_params, save_params
@@ -146,13 +146,22 @@ class PipelineConfig:
             (6 * self.n_objects, f"n_objects={self.n_objects} (the scene)"))
 
     def check_scenario(self, scenario: Scenario) -> Scenario:
-        """Check `scenario`'s fields, and that it measures a tick after the warm-up."""
+        """Check `scenario`'s fields, that it measures a tick after the warm-up,
+        and that the stack of its agents' views fits under the size cap, sized
+        as a config whose n_agents is the scenario's agent count."""
         check(scenario, "scenario")
         warm = self.warmup_ticks_for(scenario.channel)
         if scenario.ticks <= warm:
             raise ConfigError(f"ticks must exceed K + channel.L_ticks = {warm}, "
                               f"got {scenario.ticks}")
+        replace(self, n_agents=len(scenario.agents)).validate()
         return scenario
+
+    def scenario(self, seed: int, channel: ChannelConfig, ticks: int) -> Scenario:
+        """A drawn scenario with this config's agents, objects, arena and fields of view."""
+        return make_scenario(seed, channel, ticks, n_agents=self.n_agents,
+                             n_objects=self.n_objects, bounds=self.bounds_m,
+                             fov_ego=self.fov_ego_m, fov_collab=self.fov_collab_m)
 
     def warmup_ticks_for(self, channel: ChannelConfig | None = None) -> int:
         ch = channel if channel is not None else self.channel
@@ -301,14 +310,9 @@ def simulate(pipe: Pipeline, scenario: Scenario, measure,
 
 def fuse(pipe: Pipeline, ego_view: Callable[[], Tensor], pairs, ego_pose) -> Tensor:
     """Integrate the ego view with collaborator (view, sender pose) pairs; views are thunks."""
-    cfg = pipe.cfg
-    shape = (1, cfg.channels, cfg.height, cfg.width)
-    parts = [reshape(ego_view(), shape)]
-    for view, pose in pairs:
-        warped = transform_to_ego(view(), pose, ego_pose, cfg.cell_size)
-        parts.append(reshape(warped, shape))
-    stack = parts[0] if len(parts) == 1 else concat(parts, axis=0)
-    return pipe.integrator(stack)
+    views = [ego_view()] + [transform_to_ego(view(), pose, ego_pose, pipe.cfg.cell_size)
+                            for view, pose in pairs]
+    return pipe.integrator(np.stack([v.data for v in views]))
 
 
 def clean_reference(pipe: Pipeline, scenario: Scenario, views) -> np.ndarray:
@@ -350,10 +354,7 @@ def evaluate(pipe: Pipeline, channel: ChannelConfig | None = None,
     if scenario is not None:
         scenarios = [cfg.check_scenario(scenario)]
     else:
-        scenarios = [make_scenario(eval_scenario_seed(cfg, i), ch, ticks,
-                                   n_agents=cfg.n_agents, n_objects=cfg.n_objects,
-                                   bounds=cfg.bounds_m, fov_ego=cfg.fov_ego_m,
-                                   fov_collab=cfg.fov_collab_m)
+        scenarios = [cfg.scenario(eval_scenario_seed(cfg, i), ch, ticks)
                      for i in range(cfg.eval_scenarios)]
     ious, mses = [], []
     for rows, scen_ious, scen_mses in _scenario_results(pipe, scenarios):

@@ -44,32 +44,24 @@ def metric_row(record: MetricRecord, channel: ChannelConfig, retention: float) -
     }
 
 
-def write_metrics_csv(path, rows: list[dict]) -> None:
+def _write_csv(path, header, rows) -> None:
+    """A header row, then `rows`; csv writes a float as its repr, so values round-trip."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(METRICS_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in METRICS_COLUMNS])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _fmt(v) -> str:
-    return repr(v) if isinstance(v, float) else str(v)
+def write_metrics_csv(path, rows: list[dict]) -> None:
+    _write_csv(path, METRICS_COLUMNS, ([row[c] for c in METRICS_COLUMNS] for row in rows))
 
 
 def write_trace_csv(path, trace_rows: list[tuple]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(("tick", "sender", "emit_tick", "arrive_tick", "dropped"))
-        for row in trace_rows:
-            writer.writerow(row)
+    _write_csv(path, ("tick", "sender", "emit_tick", "arrive_tick", "dropped"), trace_rows)
 
 
 def write_loss_curve_csv(path, curve: list[tuple[int, float, float, float]]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(("step", "loss", "bce", "aux"))
-        for step, loss, bce, aux in curve:
-            writer.writerow((step, repr(loss), repr(bce), repr(aux)))
+    _write_csv(path, ("step", "loss", "bce", "aux"), curve)
 
 
 def variant_sweep(variants: list[tuple[str, PipelineConfig]]

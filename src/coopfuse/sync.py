@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ops import (bilinear_sample, blend, concat, conv2d, max_reduce, narrow, reshape,
-                  sigmoid, softmax, tmean, transpose, tsum)
+from .ops import (bilinear_sample, blend, concat, conv2d, narrow, reshape, sigmoid, softmax,
+                  transpose, tsum)
 from .tensor import ParamBlock, Parameter, Tensor
 
 @functools.cache
@@ -48,7 +48,9 @@ class GateOutput:
 class Integrator(ParamBlock):
     """Max/avg pool over the agent axis, then a depth-2 collapsing conv.
 
-    The depth-2 3D convolution over the stacked pooled maps is realized as a
+    The agents' views are constants, so they are pooled as plain arrays and
+    the tape starts at the conv, where the first parameter enters. The
+    depth-2 3D convolution over the stacked pooled maps is realized as a
     2D convolution on their channel concatenation (identical arithmetic).
     Initialized near the stream-averaging identity.
     """
@@ -63,12 +65,11 @@ class Integrator(ParamBlock):
         self.kernel = self._p("integrate.kernel", ker)
         self.bias = self._p("integrate.bias", np.zeros((c, 1, 1)))
 
-    def __call__(self, stack: Tensor) -> Tensor:
-        if stack.data.ndim != 4 or stack.data.shape[0] < 1:
-            raise ValueError(f"integrator needs a nonempty NxCxHxW stack, got {stack.data.shape}")
-        mx = max_reduce(stack, 0)
-        av = tmean(stack, axis=0)
-        return conv2d(concat([mx, av], axis=0), self.kernel, self.bias, pad=1)
+    def __call__(self, stack: np.ndarray) -> Tensor:
+        if stack.ndim != 4 or stack.shape[0] < 1:
+            raise ValueError(f"integrator needs a nonempty NxCxHxW stack, got {stack.shape}")
+        pooled = np.concatenate([stack.max(axis=0), stack.sum(axis=0) * (1.0 / len(stack))])
+        return conv2d(pooled, self.kernel, self.bias, pad=1)
 
 
 class TemporalSync(ParamBlock):

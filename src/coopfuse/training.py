@@ -17,7 +17,6 @@ import numpy as np
 from .ops import bce_with_logits, tmean
 from .pipeline import Pipeline, PipelineConfig, simulate
 from .tensor import Parameter, Tape, Tensor
-from .world import make_scenario
 
 AUX_WEIGHT = 0.1
 
@@ -93,10 +92,7 @@ def train(cfg: PipelineConfig, pipe: Pipeline | None = None) -> TrainResult:
             loss = None
             bce_val = aux_val = 0.0
             for b in range(cfg.training.batch_scenes):
-                scen = make_scenario(train_scenario_seed(cfg, step, b), cfg.channel,
-                                     ticks, n_agents=cfg.n_agents,
-                                     n_objects=cfg.n_objects, bounds=cfg.bounds_m,
-                                     fov_ego=cfg.fov_ego_m, fov_collab=cfg.fov_collab_m)
+                scen = cfg.scenario(train_scenario_seed(cfg, step, b), cfg.channel, ticks)
                 out = simulate(pipe, scen, measure=lambda t: t == ticks - 1)[-1]
                 bce = bce_with_logits(out.logits, out.gt_occupancy)
                 diff = out.denoised - Tensor(out.clean_reference)

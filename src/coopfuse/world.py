@@ -137,6 +137,14 @@ def _cell_centers(h: int, w: int, cell_size: float) -> tuple[np.ndarray, np.ndar
     return xs, ys
 
 
+def cell_world(pose: Pose2D, h: int, w: int, cell_size: float) -> tuple[np.ndarray, np.ndarray]:
+    """World x and y of every cell center of an h x w grid centred on `pose`
+    and turned to its heading."""
+    xs, ys = _cell_centers(h, w, cell_size)
+    ct, st = math.cos(pose.heading), math.sin(pose.heading)
+    return pose.x + ct * xs - st * ys, pose.y + st * xs + ct * ys
+
+
 # the box test of one render covers at most this many object-cells at a time,
 # so its N x H x W temporaries stay a few MiB however many objects a scene has
 _BOX_CELLS = 1 << 20
@@ -154,10 +162,7 @@ def render_bev(scene: Scene, pose: Pose2D, h: int, w: int, cell_size: float,
     """
     if h % 4 or w % 4:
         raise ValueError(f"grid dims must be divisible by 4, got {h}x{w}")
-    xs, ys = _cell_centers(h, w, cell_size)
-    ct, st = math.cos(pose.heading), math.sin(pose.heading)
-    world_x = pose.x + ct * xs - st * ys
-    world_y = pose.y + st * xs + ct * ys
+    world_x, world_y = cell_world(pose, h, w, cell_size)
     objects = scene.objects
     if fov_m is not None:
         objects = objects[[not math.hypot(ox - pose.x, oy - pose.y) > fov_m
@@ -191,10 +196,7 @@ def perturb_pose(pose: Pose2D, loc_sigma: float, head_sigma: float,
 def source_coords(h: int, w: int, cell_size: float, sender: Pose2D,
                   ego: Pose2D) -> np.ndarray:
     """Fractional (row, col) positions in the sender grid for each ego cell."""
-    xs, ys = _cell_centers(h, w, cell_size)
-    ce, se = math.cos(ego.heading), math.sin(ego.heading)
-    wx = ego.x + ce * xs - se * ys
-    wy = ego.y + se * xs + ce * ys
+    wx, wy = cell_world(ego, h, w, cell_size)
     cs, ss = math.cos(sender.heading), math.sin(sender.heading)
     dx, dy = wx - sender.x, wy - sender.y
     lx = cs * dx + ss * dy

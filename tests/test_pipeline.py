@@ -164,6 +164,19 @@ class TestSizeEstimate:
                                               r"\(stsync's anchor corners\) needs 16\.0 GiB"):
             PipelineConfig(height=4096, width=4096).validate()
 
+    def test_cap_on_a_scenario_agent_stack(self, traced_peak_mib):
+        """check_scenario sizes the stack of the scenario's own agents, which
+        may outnumber n_agents, and allocates nothing to do so."""
+        cfg = PipelineConfig(height=2048, width=2048, channels=2).validate()
+        few, many = (PipelineConfig(n_agents=n).scenario(1, cfg.channel, 20) for n in (3, 300))
+        assert cfg.check_scenario(few) is few
+
+        def reject():
+            with pytest.raises(ConfigError, match=r"^H=2048, W=2048, C=2, n_agents=300 \(the "
+                                                  r"integrator's agent stack\) needs 18\.8 GiB"):
+                cfg.check_scenario(many)
+        assert traced_peak_mib(reject) < 1.0
+
     @pytest.mark.parametrize("patch", [{}, {"channels": 2, "anchor_points": 1},
                                        {"ssm_state_dim": 64}, {"anchor_points": 32}])
     def test_largest_tick_array_is_allocated(self, traced_peak_mib, patch):

@@ -339,6 +339,19 @@ class TestCli:
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("config error") and len(r.stderr.splitlines()) == 1
 
+    def test_scenario_agent_stack_over_the_cap(self, tmp_path):
+        # the config's own 3-agent stack takes 96 MiB, the scenario's 300 agents 18.8 GiB
+        from coopfuse.world import make_scenario, save_scenario
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"H": 2048, "W": 2048, "C": 2}))
+        save_scenario(tmp_path / "scenario.json",
+                      make_scenario(11, tiny_config().channel, ticks=6, n_agents=300))
+        r = self.run_cli("run", "--config", str(cfg_path), "--scenario",
+                         str(tmp_path / "scenario.json"), "--out", str(tmp_path / "o"))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("config error: H=2048, W=2048, C=2, n_agents=300 ")
+        assert len(r.stderr.splitlines()) == 1
+
     def test_divergence_exit_code(self, tmp_path):
         cfg = tiny_config()
         cfg.training = replace(cfg.training, steps=30, learning_rate=1e14)

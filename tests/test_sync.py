@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from composed_ops import index_axis
-from coopfuse import ops, sync as sync_module
+from coopfuse import ops, pipeline as pipeline_module, sync as sync_module
 from coopfuse.gradcheck import grad_check
+from coopfuse.ops import _op
+from coopfuse.pipeline import Pipeline, PipelineConfig
 from coopfuse.sync import Integrator, TemporalSync, base_grid, identity_kernel
 from coopfuse.tensor import Tape, Tensor
-from coopfuse.world import stream
+from coopfuse.world import make_scenario, perturb_pose, render_bev, stream, transform_to_ego
 
 C, H, W = 4, 8, 8
 
@@ -32,27 +34,55 @@ def pin_identity(sync):
         p.data = np.zeros_like(p.data)
 
 
-def stack_tensors(grids):
-    parts = [ops.reshape(g, (1,) + g.data.shape) for g in grids]
-    return ops.concat(parts, axis=0)
+@_op("a")
+def max_reduce(a, axis: int):
+    """The former ``ops.max_reduce`` forward; the views it pooled never took
+    a gradient, so its backward never ran."""
+    return np.max(a, axis=axis), None
+
+
+def fuse_taped(pipe, ego_view, pairs, ego_pose):
+    """``pipeline.fuse`` and ``Integrator.__call__`` as taped ops: the views
+    stacked by reshape and concat, pooled by max_reduce and tmean, joined by
+    concat, then the conv."""
+    cfg, integ = pipe.cfg, pipe.integrator
+    shape = (1, cfg.channels, cfg.height, cfg.width)
+    parts = [ops.reshape(ego_view(), shape)]
+    for view, pose in pairs:
+        parts.append(ops.reshape(transform_to_ego(view(), pose, ego_pose, cfg.cell_size), shape))
+    stack = parts[0] if len(parts) == 1 else ops.concat(parts, axis=0)
+    pooled = ops.concat([max_reduce(stack, 0), ops.tmean(stack, axis=0)], axis=0)
+    return ops.conv2d(pooled, integ.kernel, integ.bias, pad=1)
+
+
+def pooled_streams(integ, stack, monkeypatch):
+    """The max and mean maps the integrator hands its conv for `stack`."""
+    seen, conv = [], sync_module.conv2d
+    monkeypatch.setattr(sync_module, "conv2d",
+                        lambda x, *a, **kw: seen.append(x) or conv(x, *a, **kw))
+    out = integ(stack)
+    assert out.data.shape == stack.shape[1:]
+    return np.split(seen[0], 2)
 
 
 class TestIntegrator:
-    def test_single_agent_reduction(self):
-        integ = Integrator(C, stream(0, "i"))
-        g = Tensor(np.random.default_rng(0).normal(size=(C, H, W)))
-        out = integ(stack_tensors([g]))
+    def test_single_agent_reduction(self, monkeypatch):
         # max and avg of a singleton both equal the lone agent; the collapsing
         # conv then sees two identical streams
-        mx = ops.max_reduce(stack_tensors([g]), 0)
-        assert np.array_equal(mx.data, g.data)
-        assert out.data.shape == (C, H, W)
+        x = np.random.default_rng(0).normal(size=(1, C, H, W))
+        mx, av = pooled_streams(Integrator(C, stream(0, "i")), x, monkeypatch)
+        assert np.array_equal(mx, x[0]) and np.array_equal(av, x[0])
+
+    def test_two_element_reduction(self, monkeypatch):
+        x = np.array([[1.0, 3.0], [5.0, -1.0]]).reshape(2, 1, 1, 2)
+        mx, av = pooled_streams(Integrator(1, stream(0, "i")), x, monkeypatch)
+        assert np.array_equal(mx, [[[5.0, 3.0]]]) and np.array_equal(av, [[[3.0, 1.0]]])
 
     def test_duplicate_agent_matches_single(self):
         integ = Integrator(C, stream(1, "i"))
-        g = Tensor(np.random.default_rng(1).normal(size=(C, H, W)))
-        one = integ(stack_tensors([g]))
-        two = integ(stack_tensors([g, g]))
+        g = np.random.default_rng(1).normal(size=(C, H, W))
+        one = integ(np.stack([g]))
+        two = integ(np.stack([g, g]))
         assert np.max(np.abs(one.data - two.data)) < 1e-12
 
     def test_pinned_average_identity(self):
@@ -64,17 +94,43 @@ class TestIntegrator:
             ker[c, 2 + c, 1, 1] = 0.5
         integ.kernel.data = ker
         integ.bias.data = np.zeros_like(integ.bias.data)
-        a = Tensor(np.full((2, 4, 4), 1.0) * np.array([1.0, 3.0])[:, None, None])
-        b = Tensor(np.full((2, 4, 4), 1.0) * np.array([5.0, -1.0])[:, None, None])
-        out = integ(stack_tensors([a, b]))
+        a = np.full((2, 4, 4), 1.0) * np.array([1.0, 3.0])[:, None, None]
+        b = np.full((2, 4, 4), 1.0) * np.array([5.0, -1.0])[:, None, None]
+        out = integ(np.stack([a, b]))
         # per channel: (max + avg) / 2 = ([5,3] + [3,1]) / 2 = [4,2]
         assert np.allclose(out.data[0], 4.0)
         assert np.allclose(out.data[1], 2.0)
 
     def test_empty_stack_rejected(self):
         integ = Integrator(C, stream(3, "i"))
-        with pytest.raises(ValueError):
-            integ(Tensor(np.zeros((0, C, H, W))))
+        for stack in (np.zeros((0, C, H, W)), np.zeros((C, H, W))):
+            with pytest.raises(ValueError, match="nonempty NxCxHxW stack"):
+                integ(stack)
+
+    @pytest.mark.parametrize("n_pairs", [0, 2, 4])
+    def test_fuse_matches_the_taped_form(self, n_pairs):
+        """Values, tape records and the kernel and bias gradients of ``fuse``
+        are bitwise those of the taped form it replaced."""
+        cfg = PipelineConfig(height=16, width=16, channels=4, scales=(4,), seed=n_pairs)
+        pipe = Pipeline(cfg)
+        scen = make_scenario(n_pairs, cfg.channel, 1, n_agents=n_pairs + 1, n_objects=6)
+        rng = np.random.default_rng(n_pairs)
+        views = [render_bev(scen.scene, a.pose, 16, 16, cfg.cell_size, fov_m=a.fov_m,
+                            channels=4) for a in scen.agents]
+        pairs = [((lambda v=v: v), perturb_pose(a.pose, 0.3, 0.1, rng))
+                 for v, a in zip(views[1:], scen.agents[1:])]
+        g = rng.normal(size=(4, 16, 16))
+        results = []
+        for fuse in (pipeline_module.fuse, fuse_taped):
+            with Tape() as tape:
+                out = fuse(pipe, lambda: views[0], pairs, scen.agents[0].pose)
+                loss = ops.tsum(out * g)
+                records = len(tape)
+                tape.backward(loss)
+            grads = [p.grad.tobytes() for p in (pipe.integrator.kernel, pipe.integrator.bias)]
+            pipe.integrator.kernel.grad = pipe.integrator.bias.grad = None
+            results.append((out.data.tobytes(), records, grads))
+        assert results[0] == results[1]
 
 
 class TestOffsetPredictor:

@@ -674,19 +674,8 @@ class TestSigmoid:
 
 
 class TestGlobalPool:
-    """Max and mean pooling over one axis, as the integrator and the gates
-    pool: ``max_reduce`` and ``tmean``."""
-
-    def test_singleton_axis_both_modes(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(1, 3, 4, 4))
-        for out in (ops.max_reduce(Tensor(x), 0), ops.tmean(Tensor(x), axis=0)):
-            assert np.array_equal(out.data, x[0])
-
-    def test_two_element_reduction(self):
-        x = Tensor(np.array([[1.0, 3.0], [5.0, -1.0]]))
-        assert np.array_equal(ops.max_reduce(x, 0).data, [5.0, 3.0])
-        assert np.array_equal(ops.tmean(x, axis=0).data, [3.0, 1.0])
+    """Mean pooling over one axis, as the gates pool: ``tmean``. The
+    integrator pools plain arrays (``tests/test_sync.py``)."""
 
     def test_avg_matches_summation_oracle(self):
         rng = np.random.default_rng(3)
@@ -694,32 +683,6 @@ class TestGlobalPool:
         got = ops.tmean(Tensor(x), axis=0).data
         want = sum(x[i] for i in range(4)) / 4.0
         assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ValueError):
-            ops.max_reduce(Tensor(np.ones((0, 3))), 0)
-
-    def test_max_grad_ties_to_lowest_index(self):
-        x = Tensor(np.array([[2.0, 2.0, 1.0]]), requires_grad=True)
-        with Tape() as tape:
-            y = ops.tsum(ops.max_reduce(x, 1))
-        tape.backward(y)
-        assert np.array_equal(x.grad, [[1.0, 0.0, 0.0]])
-
-    def test_max_untaped_finds_no_argmax(self, monkeypatch):
-        calls = []
-        argmax = np.argmax
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return argmax(*args, **kwargs)
-        monkeypatch.setattr(np, "argmax", spy)
-        x = np.random.default_rng(5).normal(size=(3, 8, 32, 32))
-        y = ops.max_reduce(Tensor(x, requires_grad=True), 0)       # no tape is active
-        with Tape():
-            ops.max_reduce(Tensor(x), 0)                            # nothing requires grad
-        assert calls == []
-        assert np.array_equal(y.data, x.max(axis=0))
 
 
 class TestGradCheck:
@@ -889,7 +852,7 @@ class TestDeterminismAndFiniteness:
         results = [
             exp(x), ops.sigmoid(x), softplus(x), ops.relu(x),
             ops.elu_plus_one(x), ops.softmax(x, 0),
-            ops.max_reduce(x, 0), ops.tmean(x),
+            ops.tmean(x),
         ]
         for r in results:
             assert np.all(np.isfinite(r.data))

@@ -1,5 +1,7 @@
 """The whole-array world step, render and bilinear sample give bitwise the
-values of the per-object, per-axis and masked-corner forms they replaced.
+values of the per-object, per-axis and masked-corner forms they replaced,
+and the shared pose-to-world transform those of the two inline copies it
+replaced in the render and the re-projection.
 
 Each reference below is a copy of the replaced form. Arrays are compared
 bit for bit: same shape, NaN at the same positions, and elsewhere equal
@@ -13,8 +15,8 @@ import pytest
 
 from coopfuse import ops
 from coopfuse.tensor import Tape, Tensor
-from coopfuse.world import (Pose2D, Scene, _cell_centers, coordinate_channels, make_scene,
-                            render_bev, step_scene)
+from coopfuse.world import (Pose2D, Scene, _cell_centers, cell_world, coordinate_channels,
+                            make_scene, render_bev, source_coords, step_scene)
 
 
 def assert_same_bits(have, want):
@@ -41,12 +43,33 @@ def step_scene_per_axis(scene: Scene) -> Scene:
     return Scene(objects=obj, bounds=scene.bounds, seed=scene.seed)
 
 
-def render_bev_per_object(scene, pose, h, w, cell_size, fov_m=None, channels=8):
-    """render_bev's planes drawn one object at a time and concatenated."""
+def cell_world_inline(pose, h, w, cell_size):
+    """The world x and y of every cell centre as render_bev wrote them inline."""
     xs, ys = _cell_centers(h, w, cell_size)
     ct, st = math.cos(pose.heading), math.sin(pose.heading)
     world_x = pose.x + ct * xs - st * ys
     world_y = pose.y + st * xs + ct * ys
+    return world_x, world_y
+
+
+def source_coords_inline(h, w, cell_size, sender, ego):
+    """source_coords with the ego's cell centres turned to the world inline."""
+    xs, ys = _cell_centers(h, w, cell_size)
+    ce, se = math.cos(ego.heading), math.sin(ego.heading)
+    wx = ego.x + ce * xs - se * ys
+    wy = ego.y + se * xs + ce * ys
+    cs, ss = math.cos(sender.heading), math.sin(sender.heading)
+    dx, dy = wx - sender.x, wy - sender.y
+    lx = cs * dx + ss * dy
+    ly = -ss * dx + cs * dy
+    cols = lx / cell_size + (w - 1) / 2.0
+    rows = ly / cell_size + (h - 1) / 2.0
+    return np.stack([rows, cols])
+
+
+def render_bev_per_object(scene, pose, h, w, cell_size, fov_m=None, channels=8):
+    """render_bev's planes drawn one object at a time and concatenated."""
+    world_x, world_y = cell_world_inline(pose, h, w, cell_size)
     occ = np.zeros((h, w))
     for ox, oy, ow, oh, _, _ in scene.objects:
         if fov_m is not None and math.hypot(ox - pose.x, oy - pose.y) > fov_m:
@@ -167,6 +190,24 @@ class TestRenderBev:
         pose = Pose2D(0.5, -1.0, 0.3)
         assert_same_bits(render_bev(scene, pose, 16, 16, 1.0).data,
                          render_bev_per_object(scene, pose, 16, 16, 1.0))
+
+
+# poses on and off the axes, at signed zeros, at the heading wrap and far out
+POSES = [Pose2D(0.0, 0.0, 0.0), Pose2D(-0.0, -0.0, -0.0), Pose2D(1.5, -2.25, math.pi / 2),
+         Pose2D(-3.0, 4.0, math.pi), Pose2D(7.1, 0.3, -2.9), Pose2D(-1e6, 1e6, 1e-9),
+         Pose2D(2.0, -5.5, 1e6)]
+
+
+class TestCellWorld:
+    @pytest.mark.parametrize("h,w,cell", [(32, 32, 0.75), (16, 24, 1.0), (4, 8, 1e-6)])
+    def test_matches_the_inline_forms(self, h, w, cell):
+        for pose in POSES:
+            have = cell_world(pose, h, w, cell)
+            for a, b in zip(have, cell_world_inline(pose, h, w, cell)):
+                assert_same_bits(a, b)
+            for sender in POSES:
+                assert_same_bits(source_coords(h, w, cell, sender, pose),
+                                 source_coords_inline(h, w, cell, sender, pose))
 
 
 def coordinate_cases(h, w, rng):

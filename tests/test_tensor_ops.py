@@ -14,6 +14,7 @@ from coopfuse import ops
 from coopfuse.gradcheck import grad_check
 from coopfuse.pipeline import PipelineConfig
 from coopfuse.serialize import assign_params, load_params, save_params
+from coopfuse.sync import Integrator
 from coopfuse.tensor import Parameter, Tape, Tensor, no_grad
 from coopfuse.training import train
 from grad_cases import CASES
@@ -673,9 +674,29 @@ class TestSigmoid:
         assert np.isnan(nan).all()
 
 
+def integrator_stream(stack, which):
+    """The integrator's max (``which=0``) or avg (``which=1``) pooled stream,
+    read through a collapsing conv pinned to pass that stream through."""
+    c = stack.shape[1]
+    integ = Integrator(c, np.random.default_rng(0))
+    ker = np.zeros((c, 2 * c, 3, 3))
+    for i in range(c):
+        ker[i, which * c + i, 1, 1] = 1.0
+    integ.kernel.data = ker
+    integ.bias.data = np.zeros_like(integ.bias.data)
+    return integ(stack).data
+
+
 class TestGlobalPool:
-    """Mean pooling over one axis, as the gates pool: ``tmean``. The
-    integrator pools plain arrays (``tests/test_sync.py``)."""
+    """Pooling over one axis: mean as the gates pool (``tmean``), and max and
+    mean as the integrator pools its plain-array agent stack."""
+
+    def test_singleton_axis_both_modes(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(1, 3, 4, 4))
+        for out in (integrator_stream(x, 0), integrator_stream(x, 1),
+                    ops.tmean(Tensor(x), axis=0).data):
+            assert np.array_equal(out, x[0])
 
     def test_avg_matches_summation_oracle(self):
         rng = np.random.default_rng(3)
@@ -683,6 +704,10 @@ class TestGlobalPool:
         got = ops.tmean(Tensor(x), axis=0).data
         want = sum(x[i] for i in range(4)) / 4.0
         assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_empty_axis_rejected(self):
+        with pytest.raises(ValueError):
+            integrator_stream(np.ones((0, 3, 4, 4)), 0)
 
 
 class TestGradCheck:

@@ -32,8 +32,9 @@ def _op(*inputs: str):
     arguments in accumulation order.
 
     Tensor arguments are passed by position. A name written ``*name`` is a
-    sequence of tensors, each one input; a tensor argument left to a None
-    default is absent and takes no gradient. Ops defined outside this module
+    sequence of tensors, each one input, which the function gets as a list
+    (a lone tensor there is a sequence of one); a tensor argument left to a
+    None default is absent and takes no gradient. Ops defined outside this module
     (the tests' composed references) go through the same seam unlisted.
     """
     def decorate(fn):
@@ -47,7 +48,8 @@ def _op(*inputs: str):
                 if i >= len(args) or args[i] is None:
                     ts.append(None)
                 elif seq:
-                    group = [as_tensor(t) for t in args[i]]
+                    seq_arg = args[i] if isinstance(args[i], (list, tuple)) else [args[i]]
+                    group = [as_tensor(t) for t in seq_arg]
                     args[i] = [t.data for t in group]
                     ts += group
                     requires_grad = requires_grad or any(t.requires_grad for t in group)
@@ -136,10 +138,9 @@ def blend(alpha, hidden, warped):
     if not alpha.shape == hidden.shape == warped.shape:
         raise ValueError(f"blend needs same-shaped alpha, hidden and warped, got "
                          f"{alpha.shape}, {hidden.shape} and {warped.shape}")
-    keep = 1.0 - alpha
-    return keep * hidden + alpha * warped, lambda g, needs: (
+    return (1.0 - alpha) * hidden + alpha * warped, lambda g, needs: (
         g * warped + -(g * hidden) if needs[0] else None,
-        g * alpha if needs[1] else None, g * keep if needs[2] else None)
+        g * alpha if needs[1] else None, g * (1.0 - alpha) if needs[2] else None)
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +166,12 @@ def relu(a):
 
 @_op("a")
 def elu_plus_one(a):
-    """exp(x) for x<=0, x+1 for x>0: a strictly positive kernel feature map."""
-    pos = a > 0.0
-    e = np.exp(np.minimum(a, 0.0))
-    return np.where(pos, a + 1.0, e), lambda g, needs: (g * np.where(pos, 1.0, e),)
+    """exp(x) for x<=0, x+1 for x>0: a strictly positive kernel feature map.
+    The backward rebuilds the exp branch from a."""
+    def exp_branch():
+        return np.exp(np.minimum(a, 0.0))
+    return np.where(a > 0.0, a + 1.0, exp_branch()), \
+        lambda g, needs: (g * np.where(a > 0.0, 1.0, exp_branch()),)
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +357,29 @@ def _tap_shifts(z: np.ndarray, wp: int, length: int) -> np.ndarray:
     return np.ndarray((*z.shape[:2], length), z.dtype, z, 0, (s0 + wp * e, s1 + e, e))
 
 
-def _zero_pad(a: np.ndarray, pad: int) -> np.ndarray:
-    """A C-contiguous copy of C x H x W `a` with `pad` zeros around the last two axes."""
-    c, h, w = a.shape
-    out = np.zeros((c, h + 2 * pad, w + 2 * pad))
-    out[:, pad:pad + h, pad:pad + w] = a
+def _zero_pad(blocks: list[np.ndarray], pad: int) -> np.ndarray:
+    """The C_i x H x W `blocks` joined along channels into one C-contiguous
+    array, with `pad` zeros around the last two axes."""
+    h, w = blocks[0].shape[1:]
+    out = np.zeros((sum(len(b) for b in blocks), h + 2 * pad, w + 2 * pad))
+    start = 0
+    for b in blocks:
+        out[start:start + len(b), pad:pad + h, pad:pad + w] = b
+        start += len(b)
     return out
 
 
-@_op("bias", "kernel", "x")
+@_op("bias", "kernel", "*x")
 def conv2d(x, kernel, bias, pad: int = 0):
     """2D cross-correlation of a C_in x H x W input with C_out x C_in x k x k
     weights, plus a C_out x 1 x 1 bias added to the product in the same record.
+
+    x is one tensor or a list of C_i x H x W channel blocks, read as their
+    concatenation along channels: the blocks are written into the padded
+    input the contraction reads, in the forward and again in the backward
+    for the kernel gradient, and the input gradient is split back into one
+    slice per block. A conv over joined inputs so needs no concat record,
+    and no joined copy is kept.
 
     Two contractions, chosen from the shapes alone. By default (im2col) the
     (C_in*k*k) x (H_out*W_out) patch matrix is built from one strided view
@@ -381,15 +395,16 @@ def conv2d(x, kernel, bias, pad: int = 0):
     gives the im2col values bit for bit. Neither keeps a patch matrix or a
     padded copy for the backward: each rebuilds what it needs from x.
     """
-    if x.ndim != 3 or kernel.ndim != 4:
-        raise ValueError(f"conv2d expects CxHxW input and OxIxkxk kernel, got "
-                         f"{x.shape} and {kernel.shape}")
-    c_in, h, w = x.shape
+    shapes = [b.shape for b in x]
+    if any(len(s) != 3 or s[1:] != shapes[0][1:] for s in shapes) or kernel.ndim != 4:
+        raise ValueError(f"conv2d expects CxHxW input blocks of one HxW and an OxIxkxk "
+                         f"kernel, got {shapes} and {kernel.shape}")
+    c_in, (h, w) = sum(s[0] for s in shapes), shapes[0][1:]
     c_out, kc_in, k, k2 = kernel.shape
     if k != k2 or k % 2 == 0:
         raise ValueError(f"conv2d kernel must be square with odd size, got {kernel.shape}")
     if kc_in != c_in:
-        raise ValueError(f"conv2d channel mismatch: input has shape {x.shape} "
+        raise ValueError(f"conv2d channel mismatch: input has shape {(c_in, h, w)} "
                          f"(C_in={c_in}) but kernel has shape {kernel.shape} (C_in={kc_in})")
     if h + 2 * pad < k or w + 2 * pad < k:
         raise ValueError(f"conv2d spatial extent too small: input {h}x{w}, pad {pad}, kernel {k}")
@@ -401,19 +416,29 @@ def conv2d(x, kernel, bias, pad: int = 0):
     return _conv2d_im2col(x, kernel, bias, pad)
 
 
-def _padded(x: np.ndarray, pad: int) -> np.ndarray:
-    """x zero-padded by `pad`, C-contiguous (x itself when it already is and pad is 0)."""
-    return _zero_pad(x, pad) if pad else np.ascontiguousarray(x)
+def _padded(x: list[np.ndarray], pad: int) -> np.ndarray:
+    """The channel blocks x joined and zero-padded by `pad`, C-contiguous (a
+    lone block itself when it already is and pad is 0)."""
+    if pad:
+        return _zero_pad(x, pad)
+    return np.ascontiguousarray(x[0]) if len(x) == 1 else np.concatenate(x)
 
 
-def _conv2d_im2col(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int):
+def _split_dx(dx: np.ndarray, x: list[np.ndarray], needs: list[bool]) -> list:
+    """dx, C_in x H x W, as one channel slice per block of x, None where a
+    block takes no gradient."""
+    bounds = np.cumsum([len(b) for b in x])
+    return [d if need else None for d, need in zip(np.split(dx, bounds[:-1]), needs)]
+
+
+def _conv2d_im2col(x: list[np.ndarray], kernel: np.ndarray, bias: np.ndarray, pad: int):
     """conv2d's ``(value, vjp)`` by one product with the im2col patch matrix.
 
     The backward rebuilds the patch matrix from x only when the kernel
     takes a gradient; dx correlates g with the flipped kernel.
     """
-    c_in, h, w = x.shape
-    c_out, _, k, _ = kernel.shape
+    h, w = x[0].shape[1:]
+    c_out, c_in, k, _ = kernel.shape
     hp, wp = h + 2 * pad, w + 2 * pad
     h_out, w_out = hp - k + 1, wp - k + 1
 
@@ -425,37 +450,39 @@ def _conv2d_im2col(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int
     y += bias
 
     def vjp(g, needs):
-        dw = dx = None
+        dw, dx = None, [None] * len(x)
         if needs[1]:
             dw = (g.reshape(c_out, h_out * w_out) @ patches().T).reshape(kernel.shape)
-        if needs[2]:
+        if any(needs[2:]):
             # dx = correlation of g with the in/out-swapped, 180-rotated kernel
-            gcols = _patches(_zero_pad(g, k - 1), k, hp, wp)
+            gcols = _patches(_zero_pad([g], k - 1), k, hp, wp)
             wrot = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             dx = (wrot.reshape(c_in, c_out * k * k) @ gcols).reshape(c_in, hp, wp)
-            dx = dx[:, pad:pad + h, pad:pad + w] if pad else dx
-        return _unbroadcast(g, bias.shape) if needs[0] else None, dw, dx
+            dx = _split_dx(dx[:, pad:pad + h, pad:pad + w] if pad else dx, x, needs[2:])
+        return _unbroadcast(g, bias.shape) if needs[0] else None, dw, *dx
     return y, vjp
 
 
-def _conv2d_taps(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int):
+def _conv2d_taps(x: list[np.ndarray], kernel: np.ndarray, bias: np.ndarray, pad: int):
     """conv2d's ``(value, vjp)`` by kernel-to-row accumulation on the padded input.
 
     Z = W_taps @ Xpad holds every tap's product with the whole padded
     input; the output sums the k*k shifted windows of Z, each read as one
     contiguous run of the flattened product. The backward writes g into the
     same windows of a zero gZ, so that dW = gZ @ Xpad^T, on Xpad padded
-    again from x, and dXpad = W_taps^T @ gZ. No patch matrix is built and no
-    padded input is kept.
+    again from x, and dXpad = W_taps^T @ gZ. No patch matrix, padded input
+    or tap matrix is kept.
     """
-    c_in, h, w = x.shape
-    c_out, _, k, _ = kernel.shape
+    h, w = x[0].shape[1:]
+    c_out, c_in, k, _ = kernel.shape
     hp, wp = h + 2 * pad, w + 2 * pad
     h_out, w_out = hp - k + 1, wp - k + 1
     # the last output position is element n - 1 of the shifted rows
     n = c_out * hp * wp - (k - 1) * (wp + 1)
-    wtaps = kernel.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
-    z = (wtaps @ _padded(x, pad).reshape(c_in, hp * wp)).reshape(k, k, c_out, hp, wp)
+
+    def wtaps():
+        return kernel.transpose(2, 3, 0, 1).reshape(k * k * c_out, c_in)
+    z = (wtaps() @ _padded(x, pad).reshape(c_in, hp * wp)).reshape(k, k, c_out, hp, wp)
     acc = np.empty((c_out, hp, wp))
     np.sum(_tap_shifts(z, wp, n), axis=(0, 1), out=acc.reshape(-1)[:n])
     y = acc[:, :h_out, :w_out] + bias
@@ -466,14 +493,14 @@ def _conv2d_taps(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int):
         gz = np.zeros((k, k, c_out, hp, wp))
         _tap_shifts(gz, wp, n)[...] = gw.reshape(-1)[:n]
         gz = gz.reshape(k * k * c_out, hp * wp)
-        dw = dx = None
+        dw, dx = None, [None] * len(x)
         if needs[1]:
             rows = _padded(x, pad).reshape(c_in, hp * wp)
             dw = (gz @ rows.T).reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1)
-        if needs[2]:
-            dx = (wtaps.T @ gz).reshape(c_in, hp, wp)
-            dx = dx[:, pad:pad + h, pad:pad + w] if pad else dx
-        return _unbroadcast(g, bias.shape) if needs[0] else None, dw, dx
+        if any(needs[2:]):
+            dx = (wtaps().T @ gz).reshape(c_in, hp, wp)
+            dx = _split_dx(dx[:, pad:pad + h, pad:pad + w] if pad else dx, x, needs[2:])
+        return _unbroadcast(g, bias.shape) if needs[0] else None, dw, *dx
     return y, vjp
 
 
@@ -489,9 +516,10 @@ def bilinear_sample(x, coords):
     0.0 or 1.0 gives the same bits before or after the weight, signed zeros,
     NaN and infinities included, so no C-fold masking pass is needed.
     Differentiable in the grid values and in the coordinates. The record
-    keeps only the per-position corner indices, folded weights and masks;
-    the grid gradient reuses the folded weights, and the backward regathers
-    the masked corners from x when the coordinates take a gradient.
+    keeps only x and coords: the backward rebuilds the corner plan (flat
+    indices, fractions, masks and folded weights) from coords with the
+    forward's own expressions, and regathers the corners from x when the
+    coordinates take a gradient.
     """
     if x.ndim != 3:
         raise ValueError(f"bilinear_sample expects CxHxW input, got {x.shape}")
@@ -499,10 +527,12 @@ def bilinear_sample(x, coords):
         raise ValueError(f"bilinear_sample coords must be 2xHxW, got {coords.shape}")
     c, h, w = x.shape
     out_shape = coords.shape[1:]
-    # a NaN position casts to an arbitrary index, and an infinite one meets a
-    # zero weight or mask as 0 * inf: either reads NaN, so the "invalid"
-    # warnings say nothing
-    with np.errstate(invalid="ignore"):
+
+    def plan():
+        """The four corners (r0,c0), (r0,c1), (r1,c0), (r1,c1) of every
+        position: their flat indices into an H x W plane, then their 0/1
+        in-grid masks and their bilinear weights with the masks folded in,
+        4 x H' x W' each; and the (row, col) fractions, 2 x H' x W'."""
         lo = np.floor(coords).astype(np.intp)                         # (row, col) x H' x W'
         frac = coords - lo
         # per axis, [lower, upper] x [row, col] x H' x W': the corner index, and
@@ -512,30 +542,36 @@ def bilinear_sample(x, coords):
         inside = (idx >= 0) & (idx < size)
         np.minimum(np.maximum(idx, 0, out=idx), size - 1, out=idx)
         axis_w = np.stack([1 - frac, frac])
-        # the four corners (r0,c0), (r0,c1), (r1,c0), (r1,c1) of every position
         flat = (idx[:, None, 0] * w + idx[None, :, 1]).reshape(-1)
         masks = (inside[:, None, 0] & inside[None, :, 1]).reshape(4, *out_shape)
         weights = (axis_w[:, None, 0] * axis_w[None, :, 1]).reshape(4, *out_shape)
         weights *= masks
+        return flat, masks, weights, frac
 
-        def gather():
-            """The unmasked corners of every position, C x 4 x H' x W'."""
-            return np.take(x.reshape(c, h * w), flat, axis=1).reshape(c, 4, *out_shape)
-        v = gather()
+    def gather(flat):
+        """The unmasked corners of every position, C x 4 x H' x W'."""
+        return np.take(x.reshape(c, h * w), flat, axis=1).reshape(c, 4, *out_shape)
+
+    # a NaN position casts to an arbitrary index, and an infinite one meets a
+    # zero weight or mask as 0 * inf: either reads NaN, so the "invalid"
+    # warnings say nothing
+    with np.errstate(invalid="ignore"):
+        flat, _, weights, _ = plan()
+        v = gather(flat)
         y = (v[:, 0] * weights[0] + v[:, 1] * weights[1]
              + v[:, 2] * weights[2] + v[:, 3] * weights[3])
 
     @np.errstate(invalid="ignore")
     def vjp(g, needs):
         gx = gc = None
+        flat, masks, weights, (wr, wc) = plan()
         if needs[0]:
             # per channel, the four corners one after another
             keys = np.arange(c)[:, None] * (h * w) + flat
             contrib = (g[:, None] * weights).reshape(c, -1)
             gx = _scatter_add(keys, contrib, c * h * w).reshape(c, h, w)
         if needs[1]:
-            wr, wc = coords - np.floor(coords).astype(np.intp)
-            v = gather()
+            v = gather(flat)
             v *= masks
             v00, v01, v10, v11 = (v[:, i] for i in range(4))
             dy_dwr = -(1 - wc) * v00 - wc * v01 + (1 - wc) * v10 + wc * v11
@@ -618,10 +654,12 @@ def selective_scan(x, params):
 
     The forward builds, scans and reads out the state _SCAN_BLOCK time steps
     at a time on block-sized scratch arrays, carrying the last state across
-    blocks, and keeps only the P x C x N state entering each block. Each
-    block's read-out, the sum over N, is one batched matmul of its states with
-    the time-major gate_out column. The backward walks the blocks in reverse:
-    it rebuilds a block's exponent and states from that state with the
+    blocks. It builds z, step, u and the two gates one block at a time from
+    x too, so the record keeps only x, the parameters and the P x C x N state
+    entering each block after the first. Each block's read-out, the sum over
+    N, is one batched matmul of its states with the time-major gate_out
+    column. The backward walks the blocks in reverse: it rebuilds a block's
+    projections, exponent and states from x and that state with the
     forward's own expressions, runs the adjoint scan seeded from the block
     after it, and reduces the block into L-sized gradients with batched
     matmuls on contiguous operands. No L x P x C x N array is made, with or
@@ -636,72 +674,84 @@ def selective_scan(x, params):
                          f"{len(SCAN_PARAMS)} tensors {SCAN_PARAMS} shaped {shapes}, got "
                          f"{x.shape} and {[t.shape for t in params]}")
     w_step, b_step, w_in, b_in, w_out, b_out, skip, log_decay = params
-    z = np.matmul(x, w_step) + b_step
-    step = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)              # softplus
-    gate_in = np.matmul(x, w_in) + b_in                                   # P x L x N
-    gate_out = np.matmul(x, w_out) + b_out
-    decay = -np.exp(log_decay)                                            # P x N
-    u = step * x
     # the state arrays are time-major, block x P x C x N, so each step is one
     # contiguous slab
     tm = (1, 0, 2)
-    step_t, u_t = step.transpose(tm), u.transpose(tm)
-    gate_in_t, gate_out_t = gate_in.transpose(tm), gate_out.transpose(tm)
     blocks = [(t0, min(t0 + _SCAN_BLOCK, length)) for t0 in range(0, length, _SCAN_BLOCK)]
     block_shape = (min(length, _SCAN_BLOCK), n_paths, c, n)
 
-    def states(t0, t1, carry, a, h):
-        """Block t0:t1's factors exp(step * decay) and states, in the leading
-        rows of the scratch arrays a and h, from the state before t0."""
-        a, h = a[:t1 - t0], h[:t1 - t0]
-        np.multiply(step_t[t0:t1, :, :, None], decay[:, None, :], out=a)
+    def projections(t0, t1):
+        """z, step, u, gate_in and gate_out of time steps t0:t1, P x block x C
+        (or N). A one-step tail is projected with the step before it, since
+        numpy multiplies a one-row matrix by a matrix-vector product that
+        rounds unlike the rows of a whole-sequence product."""
+        lo = max(t1 - 2, 0) if t1 - t0 == 1 else t0
+        xb = x[:, lo:t1]
+        z, gate_in, gate_out = ((np.matmul(xb, w) + b)[:, t0 - lo:]
+                                for w, b in ((w_step, b_step), (w_in, b_in), (w_out, b_out)))
+        step = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)          # softplus
+        return z, step, step * x[:, t0:t1], gate_in, gate_out
+
+    def states(step, u, gate_in, decay, carry, a, h):
+        """A block's factors exp(step * decay) and states, in the leading rows
+        of the scratch arrays a and h, from the block's projections, the P x N
+        decay and the state before the block."""
+        a, h = a[:step.shape[1]], h[:step.shape[1]]
+        np.multiply(step.transpose(tm)[:, :, :, None], decay[:, None, :], out=a)
         np.exp(a, out=a)
-        np.multiply(u_t[t0:t1, :, :, None], gate_in_t[t0:t1, :, None, :], out=h)
+        np.multiply(u.transpose(tm)[:, :, :, None], gate_in.transpose(tm)[:, :, None, :], out=h)
         return a, _scan_in_place(a, h, carry=carry)
 
-    # read-out column: L x P x N x 1, so each block's sum over N is one batched matmul
-    gate_out_c = np.ascontiguousarray(gate_out_t)[..., None]
+    decay = -np.exp(log_decay)                                            # P x N
     a, h = np.empty(block_shape), np.empty(block_shape)
     readout = np.empty((length, n_paths, c))
     carries = [None]                      # the state entering each block; none before the first
     for t0, t1 in blocks:
-        _, hb = states(t0, t1, carries[-1], a, h)
-        np.matmul(hb, gate_out_c[t0:t1], out=readout[t0:t1, :, :, None])
-        carries.append(hb[-1].copy())
+        _, step, u, gate_in, gate_out = projections(t0, t1)
+        _, hb = states(step, u, gate_in, decay, carries[-1], a, h)
+        # read-out column: block x P x N x 1, so the sum over N is one batched matmul
+        gate_out_c = np.ascontiguousarray(gate_out.transpose(tm))[..., None]
+        np.matmul(hb, gate_out_c, out=readout[t0:t1, :, :, None])
+        if t1 < length:
+            carries.append(hb[-1].copy())
     y = readout.transpose(tm) + skip * x
 
     def vjp(g, needs):
         gt = g.transpose(tm)                                              # L x P x C
         g_out, g_in = np.empty((length, n_paths, n)), np.empty((length, n_paths, n))
-        g_u, g_exp = np.empty((length, n_paths, c)), np.empty((length, n_paths, c))
+        g_z, gx = np.empty((n_paths, length, c)), np.empty((n_paths, length, c))
+        g_u, g_exp = np.empty(block_shape[:3]), np.empty(block_shape[:3])
         g_decay = np.zeros((n_paths, 1, n))
+        decay = -np.exp(log_decay)
         a, h, gh = np.empty(block_shape), np.empty(block_shape), np.empty(block_shape)
-        # contiguous operands keep the g_exp and g_decay contractions on BLAS:
-        # decay as a block x P x N x 1 column, step time-major as L x P x 1 x C rows
+        # a contiguous decay column keeps the g_exp contraction on BLAS
         decay_c = np.broadcast_to(decay[:, :, None], block_shape[:2] + (n, 1)).copy()
-        step_r = np.ascontiguousarray(step_t)[:, :, None, :]
         seed = None                       # a_t1 * gh_t1 of the block after this one
-        for (t0, t1), carry in zip(reversed(blocks), reversed(carries[:-1])):
-            ab, hb = states(t0, t1, carry, a, h)
+        for (t0, t1), carry in zip(reversed(blocks), reversed(carries)):
+            z, step, u, gate_in, gate_out = projections(t0, t1)
+            ab, hb = states(step, u, gate_in, decay, carry, a, h)
             g_out[t0:t1] = np.matmul(gt[t0:t1, :, None, :], hb)[:, :, 0, :]
-            ghb = np.multiply(gt[t0:t1, :, :, None], gate_out_t[t0:t1, :, None, :],
+            ghb = np.multiply(gt[t0:t1, :, :, None], gate_out.transpose(tm)[:, :, None, :],
                               out=gh[:t1 - t0])
             if seed is not None:
                 np.add(ghb[-1], seed, out=ghb[-1])
             _scan_in_place(ab, ghb, reverse=True)
             seed = ab[0] * ghb[0]
-            g_in[t0:t1] = np.matmul(u_t[t0:t1, :, None, :], ghb)[:, :, 0, :]
-            g_u[t0:t1] = np.matmul(ghb, gate_in_t[t0:t1, :, :, None])[..., 0]
+            g_in[t0:t1] = np.matmul(u.transpose(tm)[:, :, None, :], ghb)[:, :, 0, :]
+            g_u[:t1 - t0] = np.matmul(ghb, gate_in.transpose(tm)[:, :, :, None])[..., 0]
+            g_ub = g_u[:t1 - t0].transpose(tm)                            # P x block x C
             # ghb becomes the gradient of the exponent step * decay
             ghb[0] = 0.0 if carry is None else ghb[0] * carry * ab[0]
             np.multiply(ghb[1:], hb[:-1], out=ghb[1:])
             ghb[1:] *= ab[1:]
-            np.matmul(ghb, decay_c[:t1 - t0], out=g_exp[t0:t1, :, :, None])
-            g_decay += np.matmul(step_r[t0:t1], ghb).sum(axis=0)
-        g_out, g_in, g_u = (v.transpose(tm) for v in (g_out, g_in, g_u))
-        g_step = g_u * x + g_exp.transpose(tm)
-        g_z = g_step * _sigmoid(z)
-        gx = g * skip + g_u * step
+            np.matmul(ghb, decay_c[:t1 - t0], out=g_exp[:t1 - t0, :, :, None])
+            # step as contiguous block x P x 1 x C rows keeps this one on BLAS too
+            step_r = np.ascontiguousarray(step.transpose(tm))[:, :, None, :]
+            g_decay += np.matmul(step_r, ghb).sum(axis=0)
+            g_step = g_ub * x[:, t0:t1] + g_exp[:t1 - t0].transpose(tm)
+            g_z[:, t0:t1] = g_step * _sigmoid(z)
+            gx[:, t0:t1] = g[:, t0:t1] * skip + g_ub * step
+        g_out, g_in = g_out.transpose(tm), g_in.transpose(tm)
         grads = {"skip": (g * x).sum(axis=1, keepdims=True), "log_decay": g_decay[:, 0] * decay}
         for name, w, gw in (("step", w_step, g_z), ("in", w_in, g_in), ("out", w_out, g_out)):
             gx += np.matmul(gw, w.transpose(0, 2, 1))

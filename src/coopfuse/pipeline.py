@@ -25,6 +25,7 @@ import os
 import sys
 from collections import deque
 from dataclasses import dataclass, replace
+from decimal import ROUND_UP, Decimal, localcontext
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -45,6 +46,19 @@ from .world import (LIMIT_M, SPEED_RANGE, Channel, ChannelConfig, FeaturePacket,
 # allocates, would take more than this many bytes. The cap is fixed rather than
 # read from the host, so a config is accepted or rejected alike everywhere.
 SIZE_CAP_BYTES = 8 * 2**30
+
+# A config or scenario is rejected when a command would simulate more ticks
+# than this, counted from the fields: 2,500 times the 4,000 ticks of the desk
+# training (500 steps of K + L_ticks + 1 = 8 ticks).
+TICK_CAP = 10**7
+
+
+def _ticks(n: int) -> str:
+    """A tick count such as "4.0e9", rounded up, so a count over the cap never
+    reads as the cap; exact for counts too large for a float."""
+    with localcontext(rounding=ROUND_UP):
+        mantissa, exponent = f"{Decimal(n):.1e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
 
 
 def _size(n_bytes: int) -> str:
@@ -110,6 +124,10 @@ class PipelineConfig:
         if 8 * count > SIZE_CAP_BYTES:
             raise ConfigError(f"{what} needs {_size(8 * count)} in one array, over the "
                               f"{_size(SIZE_CAP_BYTES)} cap")
+        for what, ticks in self.tick_counts():
+            if ticks > TICK_CAP:
+                raise ConfigError(f"{what} needs {_ticks(ticks)} ticks, over the "
+                                  f"{_ticks(TICK_CAP)} cap")
         return self
 
     def parameter_count(self) -> int:
@@ -126,6 +144,14 @@ class PipelineConfig:
                   + c * c * 9 + c + half * (2 * c + 1))                         # aggregation, split
         return integrate + sync + denoise + select + c + 1                      # decoder
 
+    def tick_counts(self) -> list[tuple[str, int]]:
+        """The ticks a training and an evaluation simulate, from the fields alone:
+        steps x batch_scenes x (K + L_ticks + 1), and eval_scenarios x
+        (K + L_ticks + eval_measure_ticks)."""
+        warm, spec = self.warmup_ticks_for(), self.training
+        return [("training", spec.steps * spec.batch_scenes * (warm + 1)),
+                ("evaluation", self.eval_scenarios * (warm + self.eval_measure_ticks))]
+
     def largest_tick_array(self) -> tuple[int, str]:
         """The element count of the largest array one tick allocates, from the
         fields alone, and the fields and the array it comes from."""
@@ -136,7 +162,8 @@ class PipelineConfig:
             (4 * c * m * cells, f"{grid}, C={c}, anchor_points={m} (stsync's anchor corners)"),
             (9 * c * (h + 2) * (w + 2), f"{grid}, C={c} (the integrator's 3x3 conv)"),
             (49 * (h + 6) * (w + 6), f"{grid} (stsync's 7x7 gate conv)"),
-            (len(_SCAN_PATHS) * cells * n, f"{grid}, ssm_state_dim={n} (wtden's scan gates)"),
+            (len(_SCAN_PATHS) * cells * n,
+             f"{grid}, ssm_state_dim={n} (wtden's scan gate gradients)"),
             (len(_SCAN_PATHS) * min(cells, _SCAN_BLOCK) * c * n,
              f"C={c}, ssm_state_dim={n} (wtden's scan block states)"),
             (self.n_agents * c * cells, f"{grid}, C={c}, n_agents={self.n_agents} "
@@ -146,14 +173,18 @@ class PipelineConfig:
             (6 * self.n_objects, f"n_objects={self.n_objects} (the scene)"))
 
     def check_scenario(self, scenario: Scenario) -> Scenario:
-        """Check `scenario`'s fields, that it measures a tick after the warm-up,
-        and that the stack of its agents' views fits under the size cap, sized
-        as a config whose n_agents is the scenario's agent count."""
+        """Check `scenario`'s fields, that it measures a tick after the warm-up
+        and runs no more than TICK_CAP ticks, and that the stack of its agents'
+        views fits under the size cap, sized as a config whose n_agents is the
+        scenario's agent count."""
         check(scenario, "scenario")
         warm = self.warmup_ticks_for(scenario.channel)
         if scenario.ticks <= warm:
             raise ConfigError(f"ticks must exceed K + channel.L_ticks = {warm}, "
                               f"got {scenario.ticks}")
+        if scenario.ticks > TICK_CAP:
+            raise ConfigError(f"scenario needs {_ticks(scenario.ticks)} ticks, over the "
+                              f"{_ticks(TICK_CAP)} cap")
         replace(self, n_agents=len(scenario.agents)).validate()
         return scenario
 

@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ops import (bilinear_sample, blend, concat, conv2d, narrow, reshape, sigmoid, softmax,
-                  transpose, tsum)
+from .ops import (bilinear_sample, blend, conv2d, narrow, reshape, sigmoid, softmax, transpose,
+                  tsum)
 from .tensor import ParamBlock, Parameter, Tensor
 
 @functools.cache
@@ -102,8 +102,7 @@ class TemporalSync(ParamBlock):
         if b_prev2.data.shape != b_prev1.data.shape:
             raise ValueError(f"offset inputs differ: {b_prev2.data.shape} vs "
                              f"{b_prev1.data.shape}")
-        x = concat([b_prev2, b_prev1], axis=0)
-        return conv2d(x, self.offset_kernel, self.offset_bias, pad=1)
+        return conv2d([b_prev2, b_prev1], self.offset_kernel, self.offset_bias, pad=1)
 
     def _warp(self, feature: Tensor, offsets: Tensor, kernel: Parameter,
               bias: Parameter) -> Tensor:
@@ -118,8 +117,8 @@ class TemporalSync(ParamBlock):
     def gate(self, hidden: Tensor, warped: Tensor) -> GateOutput:
         if hidden.data.shape != warped.data.shape:
             raise ValueError(f"gate inputs differ: {hidden.data.shape} vs {warped.data.shape}")
-        x = concat([hidden, warped], axis=0)
-        spatial = conv2d(x, self.gate_spatial_kernel, self.gate_spatial_bias, pad=3)
+        spatial = conv2d([hidden, warped], self.gate_spatial_kernel, self.gate_spatial_bias,
+                         pad=3)
         alpha = sigmoid(spatial + self.gate_channel_bias)
         fused = blend(alpha, hidden, warped)
         return GateOutput(alpha=alpha, fused=fused)

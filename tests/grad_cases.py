@@ -86,6 +86,16 @@ def conv2d(probe, taps=False):
     return lambda seed: (odd if seed % 2 else even)(seed)
 
 
+def conv2d_blocks(taps=False):
+    """A conv2d whose input is two channel blocks, the probe and half of it,
+    so the probe's gradient sums both blocks' slices of dx: 4 -> 3 channels
+    with a 3x3 kernel on im2col, 8 -> 1 with a 7x7 kernel in the tap form."""
+    c_in, c_out, k = (8, 1, 7) if taps else (4, 3, 3)
+    return case(lambda t, w, b: square(ops.conv2d([t, ops.scale(t, 0.5)], w, b, pad=k // 2)),
+                uniform(-1.5, 1.5, (c_in // 2, 5, 5)), uniform(-0.8, 0.8, (c_out, c_in, k, k)),
+                uniform(-1.0, 1.0, (c_out, 1, 1)))
+
+
 def selective_scan(probe, length=5, c=2, n=3, log_decay_mean=0.0):
     """Two scan paths; the probe is the 2 x L x C tokens ("x") or one
     stacked parameter.
@@ -147,6 +157,8 @@ CASES = {
     "conv2d_taps": conv2d(0, taps=True),
     "conv2d_taps_kernel": conv2d(1, taps=True),
     "conv2d_taps_bias": conv2d(2, taps=True),
+    "conv2d_blocks": conv2d_blocks(),
+    "conv2d_taps_blocks": conv2d_blocks(taps=True),
     "bilinear_sample": case(lambda c, t: square(ops.bilinear_sample(t, c)),
                             fixed(_grid_coords(0.3, -0.4)), uniform(-1.5, 1.5, (2, 5, 5)),
                             probe=1),

@@ -164,6 +164,27 @@ class TestSizeEstimate:
                                               r"\(stsync's anchor corners\) needs 16\.0 GiB"):
             PipelineConfig(height=4096, width=4096).validate()
 
+    def test_cap_on_ticks(self):
+        # the desk config trains 500 x 1 x (4 + 3 + 1) = 4,000 ticks and
+        # evaluates 6 x (4 + 3 + 8) = 90
+        cfg = PipelineConfig().validate()
+        assert cfg.tick_counts() == [("training", 4000), ("evaluation", 90)]
+        at_cap = replace(cfg, training=TrainSpec(steps=pipeline_module.TICK_CAP // 8))
+        assert at_cap.validate().tick_counts()[0] == ("training", pipeline_module.TICK_CAP)
+        with pytest.raises(ConfigError, match=r"^training needs 1\.1e7 ticks, over the "
+                                              r"1\.0e7 cap$"):
+            replace(cfg, training=TrainSpec(steps=pipeline_module.TICK_CAP // 8 + 1)).validate()
+        with pytest.raises(ConfigError, match=r"^training needs 2\.4e10 ticks"):
+            replace(cfg, training=TrainSpec(steps=10**9, batch_scenes=3)).validate()
+        with pytest.raises(ConfigError, match=r"^evaluation needs 1\.5e400 ticks"):
+            replace(cfg, eval_scenarios=10**399).validate()
+        scen = cfg.scenario(1, cfg.channel, 20)
+        assert cfg.check_scenario(replace(scen, ticks=pipeline_module.TICK_CAP)).ticks \
+            == pipeline_module.TICK_CAP
+        with pytest.raises(ConfigError, match=r"^scenario needs 1\.0e9 ticks, over the "
+                                              r"1\.0e7 cap$"):
+            cfg.check_scenario(replace(scen, ticks=10**9))
+
     def test_cap_on_a_scenario_agent_stack(self, traced_peak_mib):
         """check_scenario sizes the stack of the scenario's own agents, which
         may outnumber n_agents, and allocates nothing to do so."""
@@ -641,15 +662,18 @@ class TestAdam:
 
 class TestMemoryBudget:
     def test_desk_training_step(self, traced_peak_mib):
-        """One desk training step with every stage on peaks below 20 MiB of
-        traced allocations: it peaks at 16.1 MiB, and the bound leaves about
-        4 MiB of margin. It peaked at 44.0 MiB while the scan kept whole
+        """One desk training step with every stage on peaks below 13.3 MiB of
+        traced allocations: it peaks at 11.8 MiB, and the bound leaves about
+        1.5 MiB of margin. It peaked at 44.0 MiB while the scan kept whole
         L x P x C x N states and the tape held every record until the step
-        ended, and at 25.6 MiB while conv2d records kept their patch matrices
-        or padded inputs and bilinear_sample records their gathered corners."""
+        ended, at 25.6 MiB while conv2d records kept their patch matrices or
+        padded inputs and bilinear_sample records their gathered corners, and
+        at 15.8 MiB while the scan record kept its whole-sequence projections,
+        stsync's two convs read concat records and bilinear_sample records
+        kept their corner plans."""
         cfg = PipelineConfig(training=TrainSpec(steps=1))
         pipe = Pipeline(cfg)
-        assert traced_peak_mib(lambda: train(cfg, pipe)) < 20.0
+        assert traced_peak_mib(lambda: train(cfg, pipe)) < 13.3
 
 
 class TestRenderBudget:
@@ -704,13 +728,15 @@ class TestRecordBudget:
         return lengths[0]
 
     def test_desk_training_step(self, monkeypatch):
-        """One training step with every stage on stays within 154 tape records.
+        """One training step with every stage on stays within 148 tape records.
         A bias added in its own record after each conv2d and perceptron
         matmul makes 220; the stsync gate's zero-initialised channel
         perceptron, which no step could move, added 7 records per gate call,
-        21 in all, for 184; and the gate's (1 - alpha) * hidden + alpha * warped
-        as four elementwise records, not one ``blend``, 9 more for 163."""
-        assert self.records_per_step(monkeypatch) <= 154
+        21 in all, for 184; the gate's (1 - alpha) * hidden + alpha * warped
+        as four elementwise records, not one ``blend``, 9 more for 163; and a
+        concat record before each of stsync's offset and gate convs, which
+        now take their two inputs as channel blocks, 6 more for 154."""
+        assert self.records_per_step(monkeypatch) <= 148
 
     def test_desk_baseline_step(self, monkeypatch):
         """With every stage off, the integrator's and the decoder's conv each

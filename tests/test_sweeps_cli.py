@@ -352,6 +352,25 @@ class TestCli:
         assert r.stderr.startswith("config error: H=2048, W=2048, C=2, n_agents=300 ")
         assert len(r.stderr.splitlines()) == 1
 
+    def test_training_over_the_tick_cap(self, tmp_path):
+        # 10^9 steps of K + L_ticks + 1 = 8 ticks at the desk config
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"training": {"steps": 1000000000}}))
+        r = self.run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr == "config error: training needs 8.0e9 ticks, over the 1.0e7 cap\n"
+
+    def test_scenario_over_the_tick_cap(self, tmp_path):
+        from coopfuse.world import make_scenario
+        doc = make_scenario(11, tiny_config().channel, ticks=6, n_agents=3).to_json()
+        doc["ticks"] = 1000000000
+        scen_path = tmp_path / "scenario.json"
+        scen_path.write_text(json.dumps(doc))
+        r = self.run_cli("run", "--config", str(self.write_config(tmp_path)),
+                         "--scenario", str(scen_path), "--out", str(tmp_path / "o"))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr == "config error: scenario needs 1.0e9 ticks, over the 1.0e7 cap\n"
+
     def test_divergence_exit_code(self, tmp_path):
         cfg = tiny_config()
         cfg.training = replace(cfg.training, steps=30, learning_rate=1e14)

@@ -399,6 +399,33 @@ class TestKernelsMatchPreviousAlgorithms:
         for have, want in zip([y, *grads], conv2d_im2col_reference(x, w, b, g, pad)):
             assert np.array_equal(have, want)
 
+    # (channels per block, C_out, k, pad, H, taps): the stsync offset and gate
+    # convs, two blocks into a small expanding conv, and a 1x1 conv on three
+    @pytest.mark.parametrize("blocks,c_out,k,pad,h,taps", [((8, 8), 2, 3, 1, 12, True),
+                                                          ((8, 8), 1, 7, 3, 12, True),
+                                                          ((2, 2), 6, 3, 1, 5, False),
+                                                          ((1, 3, 2), 4, 1, 0, 5, False)])
+    def test_conv2d_channel_blocks(self, tap_calls, blocks, c_out, k, pad, h, taps):
+        """A list of channel blocks gives bitwise the values and gradients of
+        the conv on the blocks' concat record."""
+        rng = np.random.default_rng(sum(blocks) + k)
+        parts = [rng.normal(size=(c, h, h + 1)) for c in blocks]
+        w = rng.normal(size=(c_out, sum(blocks), k, k))
+        b = rng.normal(size=(c_out, 1, 1))
+        g = rng.normal(size=(c_out, h + 2 * pad - k + 1, h + 2 + 2 * pad - k))
+        runs = []
+        for joined in (False, True):
+            inputs = [Tensor(a, requires_grad=True) for a in (*parts, w, b)]
+            *xs, wt, bt = inputs
+            runs.append(run_with_output_grad(
+                lambda: ops.conv2d(ops.concat(xs, axis=0) if joined else xs, wt, bt, pad=pad),
+                inputs, g))
+        (y, grads), (y_ref, grads_ref) = runs
+        assert len(tap_calls) == 2 * taps
+        assert np.array_equal(y, y_ref)
+        for have, want in zip(grads, grads_ref):
+            assert np.array_equal(have, want)
+
     @pytest.mark.parametrize("lo,hi", [(-2.5, 8.5), (-1.0, 6.0), (-9.0, -1.01), (7.0, 20.0)])
     def test_bilinear_sample(self, lo, hi):
         # partly outside, at the edges, and wholly outside the 6 x 7 grid
@@ -484,14 +511,16 @@ class TestKernelsMatchPreviousAlgorithms:
 
     def test_selective_scan_keeps_one_block_of_state(self, traced_peak_mib):
         """A taped desk-shape scan (P=4, L=1024, C=8, N=16), forward and
-        backward, peaks below 8 MiB. One L x P x C x N array is 4 MiB; keeping
-        the whole exponent and state arrays for the backward peaked at 16.8."""
+        backward, peaks below 4.8 MiB: it peaks at 3.3 MiB. One L x P x C x N
+        array is 4 MiB; keeping the whole exponent and state arrays for the
+        backward peaked at 16.8, and keeping the whole-sequence projections
+        (z, step, u and both gates) in the record at 6.1."""
         x, params, g = self.scan_inputs(1024, seed=5, n_paths=4, c=8, n=16)
         t = Tensor(x, requires_grad=True)
         ps = [Tensor(p, requires_grad=True) for p in params]
         peak = traced_peak_mib(
             lambda: run_with_output_grad(lambda: ops.selective_scan(t, ps), [t, *ps], g))
-        assert peak < 8.0
+        assert peak < 4.8
 
     @pytest.mark.parametrize("length", SCAN_LENGTHS)
     def test_selective_scan_untaped_forward_equals_taped(self, length):
@@ -609,46 +638,99 @@ class TestConv2dContractions:
                                           (8, 8, 3, 3), (8, 16, 3, 3)]
 
 
+NUMPY_ARRAYS = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+
+
+def array_bytes() -> int:
+    """The bytes of numpy array data that tracemalloc traces now."""
+    snapshot = tracemalloc.take_snapshot().filter_traces([NUMPY_ARRAYS])
+    return sum(stat.size for stat in snapshot.statistics("filename"))
+
+
+def scan_carry_bytes(args) -> int:
+    """The bytes of selective_scan's P x C x N states entering each block
+    after the first, for its arguments (x, params)."""
+    n_paths, length, c = args[0].shape
+    n = args[1][-1].shape[-1]
+    return (-(-length // ops._SCAN_BLOCK) - 1) * n_paths * c * n * 8
+
+
 class TestRecordsKeepOnlyInputs:
-    """After a taped forward, a conv2d or bilinear_sample record holds no
-    array larger than its output, apart from bilinear_sample's per-position
-    corner indices, weights and masks: the backward rebuilds patch matrices,
-    padded inputs and gathered corners from the inputs the record holds."""
+    """After a taped forward, every op's record keeps no numpy array but its
+    inputs and its output: the backward rebuilds what it derives from them
+    (patch matrices, padded and joined inputs, tap matrices, corner plans,
+    scan projections and states, masks and exp branches) with the forward's
+    own expressions. The one exception is selective_scan's P x C x N state
+    entering each block after the first, which is smaller than its output."""
 
     @staticmethod
-    def retained(op):
-        """op()'s output under a live tape, and the bytes allocated during
-        op() that are still traced beyond the output's own array."""
-        with Tape():
-            tracemalloc.start()
-            try:
-                out = op()
-                kept = tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
-        return out.data, kept - out.data.nbytes
+    def kept(monkeypatch, run):
+        """(op name, output bytes, bytes kept beyond the output, bytes it may
+        keep) for every call of an op in ``ops.DIFFERENTIABLE_OPS`` that run()
+        makes under a live tape. A float argument is made an array before the
+        call, so the constant the seam wraps it in counts as an input."""
+        calls = []
+
+        def measured(name, op):
+            def call(*args, **kwargs):
+                args = [np.asarray(a) if isinstance(a, float) else a for a in args]
+                before = array_bytes()
+                out = op(*args, **kwargs)
+                may_keep = scan_carry_bytes(args) if name == "selective_scan" else 0
+                calls.append((name, out.data.nbytes,
+                              array_bytes() - before - out.data.nbytes, may_keep))
+                return out
+            return call
+        for name in ops.DIFFERENTIABLE_OPS:
+            monkeypatch.setattr(ops, name, measured(name, getattr(ops, name)))
+        tracemalloc.start()
+        try:
+            with Tape():
+                run()
+        finally:
+            tracemalloc.stop()
+        return calls
 
     # (C_in, C_out, k, pad, H): the desk model's integrator conv, its 8 -> 8
     # warp conv and its wtden inner conv, the last on im2col
     @pytest.mark.parametrize("c_in,c_out,k,pad,h,taps", [(16, 8, 3, 1, 32, True),
                                                         (8, 8, 3, 1, 32, True),
                                                         (32, 32, 3, 1, 16, False)])
-    def test_conv2d(self, tap_calls, c_in, c_out, k, pad, h, taps):
+    def test_conv2d(self, monkeypatch, tap_calls, c_in, c_out, k, pad, h, taps):
         rng = np.random.default_rng(c_in)
         x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
                    for s in [(c_in, h, h), (c_out, c_in, k, k), (c_out, 1, 1)])
-        out, kept = self.retained(lambda: ops.conv2d(x, w, b, pad=pad))
+        [(_, _, kept, _)] = self.kept(monkeypatch, lambda: ops.conv2d(x, w, b, pad=pad))
         assert len(tap_calls) == taps
-        assert kept < out.nbytes
+        assert kept <= 0
 
-    def test_bilinear_sample_with_coordinate_gradient(self):
+    def test_bilinear_sample_with_coordinate_gradient(self, monkeypatch):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(8, 32, 32)), requires_grad=True)
         coords = Tensor(rng.uniform(-1.0, 32.0, size=(2, 32, 32)), requires_grad=True)
-        out, kept = self.retained(lambda: ops.bilinear_sample(x, coords))
-        # flat corner indices, weights and masks: 4 per position each
-        per_position = 3 * 4 * out[0].size * 8
-        assert kept - per_position < out.nbytes
+        [(_, _, kept, _)] = self.kept(monkeypatch, lambda: ops.bilinear_sample(x, coords))
+        assert kept <= 0
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_grad_case(self, monkeypatch, case):
+        fn, probe = CASES[case](0)     # fn looks its ops up on ops, so it calls the wrappers
+        probe.requires_grad = True
+        calls = self.kept(monkeypatch, lambda: fn(probe))
+        if case in ops.DIFFERENTIABLE_OPS:
+            assert case in [name for name, *_ in calls]
+        for name, _, kept, may_keep in calls:
+            assert kept <= may_keep, (name, kept)
+
+    def test_selective_scan_at_desk_shape(self, monkeypatch):
+        """P=4, L=1024, C=8, N=16: 16 blocks, so 15 kept states of 4 KiB
+        beside a 256 KiB output."""
+        x, params, _ = TestKernelsMatchPreviousAlgorithms.scan_inputs(1024, seed=5, n_paths=4,
+                                                                      c=8, n=16)
+        t = Tensor(x, requires_grad=True)
+        ps = [Tensor(p, requires_grad=True) for p in params]
+        [(_, size, kept, may_keep)] = self.kept(monkeypatch, lambda: ops.selective_scan(t, ps))
+        assert may_keep == 15 * 4096 and size == 256 * 1024
+        assert kept <= may_keep
 
 
 def sigmoid_masked(x):

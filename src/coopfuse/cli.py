@@ -10,9 +10,10 @@ the --out directory: metrics.csv always; train additionally writes
 loss_curve.csv and params.catp; run writes trace.csv.
 
 Exit codes: 0 success, 2 configuration error (an input too large for the
-host's memory included, and an evaluate worker killed by a signal), 3
-numerical divergence (a nonfinite training loss or evaluation metric; no
-metrics.csv is written).
+host's memory included, and a forked worker killed by a signal: an evaluate
+worker or the training helper, "... worker died: ..."), 3 numerical
+divergence (a nonfinite training loss or evaluation metric; no metrics.csv
+is written).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .pipeline import Pipeline, PipelineConfig, config_label, evaluate, load_con
 from .sweeps import (ABLATION_COMBOS, channel_sweep, latency_sweep, metric_row,
                      variant_sweep, write_loss_curve_csv, write_metrics_csv,
                      write_trace_csv)
-from .training import DivergenceError, train
+from .training import DivergenceError, WorkerDied, train
 from .world import load_scenario
 
 
@@ -126,16 +127,20 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:      # ConfigError and JSONDecodeError are ValueErrors
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except MemoryError as e:                # also one raised in an evaluate worker
+    except MemoryError as e:                # also one raised in a forked worker
         print(f"out of memory: {e or 'an allocation failed'}", file=sys.stderr)
         return 2
     except RuntimeError as e:
-        # an evaluate worker killed by a signal, say by the out-of-memory
-        # killer; the pool's module is only loaded once a pool has started
+        # a forked worker killed by a signal, say by the out-of-memory killer;
+        # the pool's module is only loaded once an evaluate pool has started
         futures = sys.modules.get("concurrent.futures.process")
-        if futures is None or not isinstance(e, futures.BrokenProcessPool):
+        if isinstance(e, WorkerDied):
+            worker = "training"
+        elif futures is not None and isinstance(e, futures.BrokenProcessPool):
+            worker = "evaluate"
+        else:
             raise
-        print(f"evaluate worker died: {e}", file=sys.stderr)
+        print(f"{worker} worker died: {e}", file=sys.stderr)
         return 2
     return 0
 

@@ -19,6 +19,7 @@ the gradient suite.
 from __future__ import annotations
 
 import functools
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -639,6 +640,21 @@ SCAN_PARAMS = ("w_step", "b_step", "w_in", "b_in", "w_out", "b_out", "skip", "lo
 _SCAN_BLOCK = 64     # time steps per block of the selective_scan forward and backward
 
 
+# the helpers that selective_scan calls inside split_scans hand their paths to
+_SCAN_HELPERS: list = []
+
+
+@contextmanager
+def split_scans(helper):
+    """Within the block, each selective_scan call hands paths P//2.. to
+    `helper`, a ``training.ScanHelper``."""
+    _SCAN_HELPERS.append(helper)
+    try:
+        yield
+    finally:
+        _SCAN_HELPERS.pop()
+
+
 @_op("x", "*params")
 def selective_scan(x, params):
     """P input-conditioned diagonal linear recurrences in one op; returns P x L x C.
@@ -652,18 +668,12 @@ def selective_scan(x, params):
     h_t = exp(step * decay) * h_{t-1} + (step * x_t) * gate_in, h_0 = 0, and
     y_t = sum_n gate_out * h_t + skip * x_t.
 
-    The forward builds, scans and reads out the state _SCAN_BLOCK time steps
-    at a time on block-sized scratch arrays, carrying the last state across
-    blocks. It builds z, step, u and the two gates one block at a time from
-    x too, so the record keeps only x, the parameters and the P x C x N state
-    entering each block after the first. Each block's read-out, the sum over
-    N, is one batched matmul of its states with the time-major gate_out
-    column. The backward walks the blocks in reverse: it rebuilds a block's
-    projections, exponent and states from x and that state with the
-    forward's own expressions, runs the adjoint scan seeded from the block
-    after it, and reduces the block into L-sized gradients with batched
-    matmuls on contiguous operands. No L x P x C x N array is made, with or
-    without a tape.
+    Inside ``split_scans(helper)``, the helper, another process, runs paths
+    P//2.. of the call while this one runs the others (``scan_paths`` on
+    each side), and the two halves of the output and of every gradient are
+    joined on the path axis. No path reads another, and each side computes
+    its paths with the same expressions on the same shapes, so the values
+    and gradients are bitwise those of one process.
     """
     n_paths, length, c = x.shape if x.ndim == 3 else (0, 0, 0)
     n = params[-1].shape[-1] if params and params[-1].ndim else 0
@@ -673,6 +683,39 @@ def selective_scan(x, params):
         raise ValueError(f"selective_scan needs a nonempty P x L x C sequence and the "
                          f"{len(SCAN_PARAMS)} tensors {SCAN_PARAMS} shaped {shapes}, got "
                          f"{x.shape} and {[t.shape for t in params]}")
+    helper, half = (_SCAN_HELPERS[-1] if _SCAN_HELPERS else None), n_paths // 2
+    if helper is None or half == 0:
+        return scan_paths(x, params)
+    key = helper.forward(x[half:], [t[half:] for t in params])
+    y, vjp = scan_paths(x[:half], [t[:half] for t in params])
+    y = np.concatenate([y, helper.result(key)])
+
+    def joined_vjp(g, needs):
+        ticket = helper.backward(key, g[half:], needs)
+        ours = vjp(g[:half], needs)
+        return [None if a is None else np.concatenate([a, b])
+                for a, b in zip(ours, helper.result(ticket))]
+    return y, joined_vjp
+
+
+def scan_paths(x, params):
+    """``selective_scan``'s (value, vjp) on checked arrays, every path in this process.
+
+    The forward builds, scans and reads out the state _SCAN_BLOCK time steps
+    at a time on block-sized scratch arrays, carrying the last state across
+    blocks. It builds z, step, u and the two gates one block at a time from
+    x too, so the vjp keeps only x, the parameters and the P x C x N state
+    entering each block after the first. Each block's read-out, the sum over
+    N, is one batched matmul of its states with the time-major gate_out
+    column. The backward walks the blocks in reverse: it rebuilds a block's
+    projections, exponent and states from x and that state with the
+    forward's own expressions, runs the adjoint scan seeded from the block
+    after it, and reduces the block into L-sized gradients with batched
+    matmuls on contiguous operands. No L x P x C x N array is made, with or
+    without a tape.
+    """
+    n_paths, length, c = x.shape
+    n = params[-1].shape[-1]
     w_step, b_step, w_in, b_in, w_out, b_out, skip, log_decay = params
     # the state arrays are time-major, block x P x C x N, so each step is one
     # contiguous slab

@@ -124,10 +124,7 @@ class PipelineConfig:
         if 8 * count > SIZE_CAP_BYTES:
             raise ConfigError(f"{what} needs {_size(8 * count)} in one array, over the "
                               f"{_size(SIZE_CAP_BYTES)} cap")
-        for what, ticks in self.tick_counts():
-            if ticks > TICK_CAP:
-                raise ConfigError(f"{what} needs {_ticks(ticks)} ticks, over the "
-                                  f"{_ticks(TICK_CAP)} cap")
+        self.check_ticks()
         return self
 
     def parameter_count(self) -> int:
@@ -144,13 +141,22 @@ class PipelineConfig:
                   + c * c * 9 + c + half * (2 * c + 1))                         # aggregation, split
         return integrate + sync + denoise + select + c + 1                      # decoder
 
-    def tick_counts(self) -> list[tuple[str, int]]:
+    def tick_counts(self, channel: ChannelConfig | None = None) -> list[tuple[str, int]]:
         """The ticks a training and an evaluation simulate, from the fields alone:
         steps x batch_scenes x (K + L_ticks + 1), and eval_scenarios x
-        (K + L_ticks + eval_measure_ticks)."""
-        warm, spec = self.warmup_ticks_for(), self.training
-        return [("training", spec.steps * spec.batch_scenes * (warm + 1)),
-                ("evaluation", self.eval_scenarios * (warm + self.eval_measure_ticks))]
+        (K + L_ticks + eval_measure_ticks), the evaluation's L_ticks that of
+        `channel` (the config's own by default)."""
+        spec = self.training
+        return [("training", spec.steps * spec.batch_scenes * (self.warmup_ticks_for() + 1)),
+                ("evaluation", self.eval_scenarios
+                 * (self.warmup_ticks_for(channel) + self.eval_measure_ticks))]
+
+    def check_ticks(self, channel: ChannelConfig | None = None) -> None:
+        """Reject a training, or an evaluation on `channel`, of more than TICK_CAP ticks."""
+        for what, ticks in self.tick_counts(channel):
+            if ticks > TICK_CAP:
+                raise ConfigError(f"{what} needs {_ticks(ticks)} ticks, over the "
+                                  f"{_ticks(TICK_CAP)} cap")
 
     def largest_tick_array(self) -> tuple[int, str]:
         """The element count of the largest array one tick allocates, from the
@@ -425,25 +431,38 @@ def _worker_result(index: int):
     return _scenario_result(pipe, scenarios[index])
 
 
+def fork_workers(items: int) -> int:
+    """How many processes a call may spread `items` independent items over:
+    one per usable core (``os.sched_getaffinity``), at most one per item.
+
+    It is 1, and the call stays serial, where ``os.fork`` does not exist and
+    inside any multiprocessing child (an ``evaluate`` worker, the training
+    helper, or one of the caller's own), since a worker that forks again
+    oversubscribes the cores its parent already fills. ``evaluate``'s pool
+    and ``train``'s scan helper both start only where this allows two.
+    """
+    mp = sys.modules.get("multiprocessing")
+    if not hasattr(os, "fork") or (mp is not None and mp.parent_process() is not None):
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(items, cores))
+
+
 def _scenario_results(pipe: Pipeline, scenarios: list[Scenario]) -> list:
     """``_scenario_result`` of each scenario, in order.
 
-    With two or more scenarios and usable cores, the scenarios run on a
-    process pool of one worker per core (at most one per scenario), made and
-    shut down here: no worker outlives the call, whether it returns or
-    raises, and a worker that dies (say, to the kernel's out-of-memory
-    killer) raises ``BrokenProcessPool`` rather than leaving the call
-    waiting. The workers fork, so they inherit the pipeline instead of
-    unpickling a copy and importing numpy anew; they fork before the pool
-    starts its manager thread, and coopfuse runs no thread of its own. The
-    call stays serial without fork, and inside a daemonic process, such as
-    a ``multiprocessing.Pool`` worker, which may not start children. The
-    pool's modules are imported only on the parallel path.
+    Where ``fork_workers`` allows two or more, the scenarios run on a
+    process pool of that many workers, made and shut down here: no worker
+    outlives the call, whether it returns or raises, and a worker that dies
+    (say, to the kernel's out-of-memory killer) raises ``BrokenProcessPool``
+    rather than leaving the call waiting. The workers fork, so they inherit
+    the pipeline instead of unpickling a copy and importing numpy anew; they
+    fork before the pool starts its manager thread, and coopfuse runs no
+    thread of its own. The pool's modules are imported only on the parallel
+    path.
     """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(scenarios), cores)
-    mp = sys.modules.get("multiprocessing")
-    if workers < 2 or not hasattr(os, "fork") or (mp and mp.current_process().daemon):
+    workers = fork_workers(len(scenarios))
+    if workers < 2:
         return [_scenario_result(pipe, scen) for scen in scenarios]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor

@@ -80,8 +80,11 @@ def variant_sweep(variants: list[tuple[str, PipelineConfig]]
 def channel_sweep(cfg: PipelineConfig, points: list[tuple[str, ChannelConfig]],
                   pipe: Pipeline | None = None
                   ) -> tuple[list[MetricRecord], list[dict]]:
-    """Evaluate one model (trained from cfg unless given) at each (label, channel) point."""
+    """Evaluate one model (trained from cfg unless given) at each (label, channel)
+    point; every point's evaluation is checked against the tick cap first."""
     cfg.validate()
+    for _, ch in points:
+        cfg.check_ticks(ch)
     if pipe is None:
         pipe = train(cfg).pipeline
     records, rows = [], []

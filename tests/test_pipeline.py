@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coopfuse import cli, pipeline as pipeline_module, training as training_module
+from coopfuse import cli, ops, pipeline as pipeline_module, training as training_module
 from coopfuse.pipeline import (ConfigError, MetricRecord, Pipeline,
                                PipelineConfig, TrainSpec, clean_reference, config_label,
                                evaluate, occupancy_iou, simulate)
@@ -169,6 +169,9 @@ class TestSizeEstimate:
         # evaluates 6 x (4 + 3 + 8) = 90
         cfg = PipelineConfig().validate()
         assert cfg.tick_counts() == [("training", 4000), ("evaluation", 90)]
+        # an evaluation counts the L_ticks of the channel it runs on, 6 x (4 + 5 + 8)
+        assert cfg.tick_counts(replace(cfg.channel, max_latency_ticks=5)) \
+            == [("training", 4000), ("evaluation", 102)]
         at_cap = replace(cfg, training=TrainSpec(steps=pipeline_module.TICK_CAP // 8))
         assert at_cap.validate().tick_counts()[0] == ("training", pipeline_module.TICK_CAP)
         with pytest.raises(ConfigError, match=r"^training needs 1\.1e7 ticks, over the "
@@ -448,6 +451,29 @@ class TestParallelEvaluate:
         evaluate(pipe)
         assert pools == []
 
+    def test_calls_inside_an_evaluate_worker_start_no_process(self, monkeypatch):
+        """An ``evaluate`` or a ``train`` inside an ``evaluate`` worker forks
+        nothing. The pool's workers are not daemonic on Python 3.11, so a
+        daemon check let such an evaluate fork a pool of its own."""
+        cfg, inner = small_config(), small_config()
+        caller = os.getpid()
+        original = pipeline_module._scenario_result
+
+        def nested(pipe, scen):
+            rows, ious, mses = original(pipe, scen)
+            if os.getpid() != caller and pipe.cfg is cfg:
+                forks, fork = [], os.fork
+                os.fork = lambda: forks.append(1) or fork()      # this worker's own os
+                evaluate(Pipeline(inner))
+                train(inner)
+                rows = rows + [("forks", len(forks))]
+            return rows, ious, mses
+        monkeypatch.setattr(pipeline_module, "_scenario_result", nested)
+        self.use_cores(monkeypatch, 2)
+        rows = []
+        evaluate(Pipeline(cfg), trace_rows=rows)
+        assert [row for row in rows if row[0] == "forks"] == [("forks", 0)] * 2
+
     def test_call_inside_a_pool_worker_stays_serial(self, monkeypatch):
         """A ``multiprocessing.Pool`` worker is a daemon, which may not start
         processes of its own."""
@@ -461,6 +487,163 @@ class TestParallelEvaluate:
             pool.join()
         self.use_cores(monkeypatch, 1)
         assert inner == evaluate_in_worker(cfg)
+
+
+def scan_with_grads(x, params, g):
+    """A taped ``selective_scan`` of arrays: its output and the gradients of
+    sum(output * g) with respect to x and each parameter."""
+    xt = Tensor(x, requires_grad=True)
+    ps = [Tensor(p, requires_grad=True) for p in params]
+    with Tape() as tape:
+        y = ops.selective_scan(xt, ps)
+        loss = ops.tsum(y * Tensor(g))
+    tape.backward(loss)
+    return [y.data] + [t.grad for t in (xt, *ps)]
+
+
+class TestScanHelper:
+    """With wtden on and two usable cores, ``train`` runs paths P//2.. of
+    every selective scan on one forked helper, and no process outlives it."""
+
+    use_cores = staticmethod(TestParallelEvaluate.use_cores)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """One entry per process forked while the test runs."""
+        started, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: started.append(1) or fork())
+        return started
+
+    @staticmethod
+    def trained(cfg):
+        result = train(cfg)
+        return ({name: p.data.tobytes() for name, p in result.pipeline.parameters().items()},
+                result.loss_curve)
+
+    @pytest.mark.parametrize("stages,batch_scenes", [
+        pytest.param((True, True, True), 1, id="full"),
+        pytest.param((False, False, False), 1, id="baseline"),
+        pytest.param((False, True, False), 1, id="wtden"),
+        pytest.param((True, True, True), 2, id="full-batch2")])
+    def test_matches_one_core_bitwise(self, monkeypatch, forks, stages, batch_scenes):
+        """4 desk steps give the parameter bytes and loss curve of one usable
+        core; only a training with wtden on starts a process, exactly one."""
+        st, wt, ad = stages
+        cfg = PipelineConfig(stsync=st, wtden=wt, adpsel=ad, seed=3,
+                             training=TrainSpec(steps=4, batch_scenes=batch_scenes, seed=3))
+        runs = []
+        for cores in (1, 2):
+            self.use_cores(monkeypatch, cores)
+            runs.append(self.trained(cfg))
+        assert len(forks) == int(wt)
+        assert runs[0] == runs[1]
+        assert multiprocessing.active_children() == []
+
+    def test_unread_replies_and_unfired_records_do_not_misalign(self, monkeypatch):
+        """A call whose own half raised leaves the helper's reply unread, and a
+        record whose backward never fires leaves its vjp kept; later calls
+        still join the right halves, bitwise those of one process."""
+        rng = np.random.default_rng(4)
+        p, length, c, n = 4, ops._SCAN_BLOCK + 1, 3, 5
+        x = rng.uniform(-1.5, 1.5, size=(p, length, c))
+        shapes = [(c, c), (1, c), (c, n), (1, n), (c, n), (1, n), (1, c), (n,)]
+        params = [rng.normal(scale=0.5, size=(p, *s)) for s in shapes]
+        g = rng.normal(size=(p, length, c))
+        serial = scan_with_grads(x, params, g)
+        original = ops.scan_paths
+
+        def fail_once(*args):
+            monkeypatch.setattr(ops, "scan_paths", original)
+            raise ValueError("this half failed")
+        helper = training_module.ScanHelper()
+        try:
+            with ops.split_scans(helper):
+                monkeypatch.setattr(ops, "scan_paths", fail_once)
+                with pytest.raises(ValueError, match="^this half failed$"):
+                    ops.selective_scan(x, params)
+                with Tape():
+                    ops.selective_scan(Tensor(x, requires_grad=True), params)
+                split = scan_with_grads(x, params, g)
+                helper.drop()
+                again = scan_with_grads(x, params, g)
+        finally:
+            helper.close()
+        for got in (split, again):
+            assert all(np.array_equal(a, b) for a, b in zip(got, serial))
+
+    def test_step_that_raises_ends_the_helper(self, monkeypatch, forks):
+        calls = []
+        original = training_module.bce_with_logits
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("step 1 failed")
+            return original(*args)
+        monkeypatch.setattr(training_module, "bce_with_logits", failing)
+        self.use_cores(monkeypatch, 2)
+        with pytest.raises(ValueError, match="^step 1 failed$"):
+            train(small_config())
+        assert len(forks) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("phase", ["forward", "backward"])
+    @pytest.mark.parametrize("error", [ValueError("the helper failed"),
+                                       MemoryError("the helper ran out")])
+    def test_helper_error_surfaces_unchanged(self, monkeypatch, forks, phase, error):
+        caller = os.getpid()
+        original = training_module.scan_paths      # the helper's binding
+
+        def failing(x, params):
+            if os.getpid() != caller and phase == "forward":
+                raise error
+            y, vjp = original(x, params)
+
+            def failing_vjp(g, needs):
+                if os.getpid() != caller:
+                    raise error
+                return vjp(g, needs)
+            return y, failing_vjp
+        monkeypatch.setattr(training_module, "scan_paths", failing)
+        self.use_cores(monkeypatch, 2)
+        with pytest.raises(type(error)) as info:
+            train(small_config())
+        assert str(info.value) == str(error)
+        assert len(forks) == 1
+        assert multiprocessing.active_children() == []
+
+    @classmethod
+    def kill_helper(cls, monkeypatch):
+        """On two cores, the helper kills itself with SIGKILL at its first scan,
+        as the out-of-memory killer would."""
+        caller = os.getpid()
+        original = training_module.scan_paths
+
+        def killed(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(*args)
+        monkeypatch.setattr(training_module, "scan_paths", killed)
+        cls.use_cores(monkeypatch, 2)
+
+    def test_killed_helper_raises(self, monkeypatch):
+        self.kill_helper(monkeypatch)
+        with pytest.raises(training_module.WorkerDied,
+                           match=r"^the scan helper \(pid \d+\) was killed by signal 9$"):
+            train(small_config())
+        assert multiprocessing.active_children() == []
+
+    def test_killed_helper_exits_2_in_one_line(self, monkeypatch, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config().to_json()))
+        self.kill_helper(monkeypatch)
+        code = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+        assert err.startswith("training worker died: the scan helper (pid "), err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+        assert multiprocessing.active_children() == []
 
 
 def eager_once(fn, *args, **kwargs):
@@ -661,16 +844,19 @@ class TestAdam:
 
 
 class TestMemoryBudget:
-    def test_desk_training_step(self, traced_peak_mib):
+    def test_desk_training_step(self, traced_peak_mib, monkeypatch):
         """One desk training step with every stage on peaks below 13.3 MiB of
         traced allocations: it peaks at 11.8 MiB, and the bound leaves about
-        1.5 MiB of margin. It peaked at 44.0 MiB while the scan kept whole
+        1.5 MiB of margin. It runs on one usable core, so that the whole step,
+        both halves of the scan included, runs in the traced process. It
+        peaked at 44.0 MiB while the scan kept whole
         L x P x C x N states and the tape held every record until the step
         ended, at 25.6 MiB while conv2d records kept their patch matrices or
         padded inputs and bilinear_sample records their gathered corners, and
         at 15.8 MiB while the scan record kept its whole-sequence projections,
         stsync's two convs read concat records and bilinear_sample records
         kept their corner plans."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         cfg = PipelineConfig(training=TrainSpec(steps=1))
         pipe = Pipeline(cfg)
         assert traced_peak_mib(lambda: train(cfg, pipe)) < 13.3

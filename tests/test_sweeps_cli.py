@@ -205,9 +205,9 @@ SCENARIO_DEFECTS = {
 
 
 class TestCli:
-    def run_cli(self, *args):
+    def run_cli(self, *args, timeout=None):
         return subprocess.run([sys.executable, "-m", "coopfuse.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, timeout=timeout)
 
     def write_config(self, tmp_path, **kw):
         cfg = tiny_config(**kw)
@@ -359,6 +359,17 @@ class TestCli:
         r = self.run_cli("train", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
         assert r.returncode == 2, r.stderr
         assert r.stderr == "config error: training needs 8.0e9 ticks, over the 1.0e7 cap\n"
+
+    def test_sweep_evaluation_over_the_tick_cap(self, tmp_path):
+        """The config's own evaluation, 830,000 x (4 + 0 + 8) = 9.96e6 ticks,
+        is under the cap, but the latency sweep's L = 1 point needs
+        830,000 x 13 = 1.079e7: it is rejected before anything trains."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"eval_scenarios": 830000, "channel": {"L_ticks": 0}}))
+        r = self.run_cli("sweep", "--axis", "latency", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o"), timeout=60)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr == "config error: evaluation needs 1.1e7 ticks, over the 1.0e7 cap\n"
 
     def test_scenario_over_the_tick_cap(self, tmp_path):
         from coopfuse.world import make_scenario

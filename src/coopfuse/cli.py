@@ -10,10 +10,10 @@ the --out directory: metrics.csv always; train additionally writes
 loss_curve.csv and params.catp; run writes trace.csv.
 
 Exit codes: 0 success, 2 configuration error (an input too large for the
-host's memory included, and a forked worker killed by a signal: an evaluate
-worker or the training helper, "... worker died: ..."), 3 numerical
-divergence (a nonfinite training loss or evaluation metric; no metrics.csv
-is written).
+host's memory included, and a forked worker killed by a signal, "worker
+died: ..."), 3 numerical divergence (a nonfinite training loss or
+evaluation metric; no metrics.csv is written), 130 interrupted (Ctrl-C,
+"interrupted"). Each error is reported in one line.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .pipeline import Pipeline, PipelineConfig, config_label, evaluate, load_con
 from .sweeps import (ABLATION_COMBOS, channel_sweep, latency_sweep, metric_row,
                      variant_sweep, write_loss_curve_csv, write_metrics_csv,
                      write_trace_csv)
-from .training import DivergenceError, WorkerDied, train
+from .training import DivergenceError, train
 from .world import load_scenario
 
 
@@ -132,16 +132,15 @@ def main(argv=None) -> int:
         return 2
     except RuntimeError as e:
         # a forked worker killed by a signal, say by the out-of-memory killer;
-        # the pool's module is only loaded once an evaluate pool has started
+        # the pool's module is only loaded once a pool has started
         futures = sys.modules.get("concurrent.futures.process")
-        if isinstance(e, WorkerDied):
-            worker = "training"
-        elif futures is not None and isinstance(e, futures.BrokenProcessPool):
-            worker = "evaluate"
-        else:
+        if futures is None or not isinstance(e, futures.BrokenProcessPool):
             raise
-        print(f"{worker} worker died: {e}", file=sys.stderr)
+        print(f"worker died: {e}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:               # the pools' workers ignore SIGINT and are shut down
+        print("interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -640,19 +640,41 @@ SCAN_PARAMS = ("w_step", "b_step", "w_in", "b_in", "w_out", "b_out", "skip", "lo
 _SCAN_BLOCK = 64     # time steps per block of the selective_scan forward and backward
 
 
-# the helpers that selective_scan calls inside split_scans hand their paths to
-_SCAN_HELPERS: list = []
+# the pools that selective_scan calls inside split_scans hand their paths to
+_SCAN_POOLS: list = []
 
 
 @contextmanager
-def split_scans(helper):
-    """Within the block, each selective_scan call hands paths P//2.. to
-    `helper`, a ``training.ScanHelper``."""
-    _SCAN_HELPERS.append(helper)
+def split_scans(pool):
+    """Within the block, each selective_scan call hands paths P//2.. to `pool`,
+    a one-worker ``pipeline.fork_pool``, which keeps each forward's vjp
+    until that backward fires or ``drop_kept`` discards what is left; with
+    `pool` None, every call runs all its paths in this process."""
+    _SCAN_POOLS.append(pool)
     try:
         yield
     finally:
-        _SCAN_HELPERS.pop()
+        _SCAN_POOLS.pop()
+
+
+# in a split_scans worker: the vjp of each forward whose backward has not fired,
+# by its id, which no other object has while the vjp is kept
+_KEPT: dict = {}
+
+
+def _scan_forward(x, params):
+    y, vjp = scan_paths(x, params)
+    _KEPT[id(vjp)] = vjp
+    return id(vjp), y
+
+
+def _scan_backward(key, g, needs):
+    return _KEPT.pop(key)(g, needs)
+
+
+def drop_kept() -> None:
+    """Discard every vjp this worker keeps, say those of records that never fired."""
+    _KEPT.clear()
 
 
 @_op("x", "*params")
@@ -668,9 +690,9 @@ def selective_scan(x, params):
     h_t = exp(step * decay) * h_{t-1} + (step * x_t) * gate_in, h_0 = 0, and
     y_t = sum_n gate_out * h_t + skip * x_t.
 
-    Inside ``split_scans(helper)``, the helper, another process, runs paths
-    P//2.. of the call while this one runs the others (``scan_paths`` on
-    each side), and the two halves of the output and of every gradient are
+    Inside ``split_scans(pool)``, the pool's worker, another process, runs
+    paths P//2.. of the call while this one runs the others (``scan_paths``
+    on each side), and the two halves of the output and of every gradient are
     joined on the path axis. No path reads another, and each side computes
     its paths with the same expressions on the same shapes, so the values
     and gradients are bitwise those of one process.
@@ -683,18 +705,19 @@ def selective_scan(x, params):
         raise ValueError(f"selective_scan needs a nonempty P x L x C sequence and the "
                          f"{len(SCAN_PARAMS)} tensors {SCAN_PARAMS} shaped {shapes}, got "
                          f"{x.shape} and {[t.shape for t in params]}")
-    helper, half = (_SCAN_HELPERS[-1] if _SCAN_HELPERS else None), n_paths // 2
-    if helper is None or half == 0:
+    pool, half = (_SCAN_POOLS[-1] if _SCAN_POOLS else None), n_paths // 2
+    if pool is None or half == 0:
         return scan_paths(x, params)
-    key = helper.forward(x[half:], [t[half:] for t in params])
+    theirs = pool.submit(_scan_forward, x[half:], [t[half:] for t in params])
     y, vjp = scan_paths(x[:half], [t[:half] for t in params])
-    y = np.concatenate([y, helper.result(key)])
+    key, y_theirs = theirs.result()
+    y = np.concatenate([y, y_theirs])
 
     def joined_vjp(g, needs):
-        ticket = helper.backward(key, g[half:], needs)
+        theirs = pool.submit(_scan_backward, key, g[half:], needs)
         ours = vjp(g[:half], needs)
         return [None if a is None else np.concatenate([a, b])
-                for a, b in zip(ours, helper.result(ticket))]
+                for a, b in zip(ours, theirs.result())]
     return y, joined_vjp
 
 

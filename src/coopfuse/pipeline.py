@@ -22,8 +22,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
 import sys
+import threading
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from decimal import ROUND_UP, Decimal, localcontext
 from pathlib import Path
@@ -436,10 +439,10 @@ def fork_workers(items: int) -> int:
     one per usable core (``os.sched_getaffinity``), at most one per item.
 
     It is 1, and the call stays serial, where ``os.fork`` does not exist and
-    inside any multiprocessing child (an ``evaluate`` worker, the training
-    helper, or one of the caller's own), since a worker that forks again
-    oversubscribes the cores its parent already fills. ``evaluate``'s pool
-    and ``train``'s scan helper both start only where this allows two.
+    inside any multiprocessing child (a ``fork_pool`` worker or one of the
+    caller's own), since a worker that forks again oversubscribes the cores
+    its parent already fills. ``evaluate`` and ``train`` each start a
+    ``fork_pool`` only where this allows two.
     """
     mp = sys.modules.get("multiprocessing")
     if not hasattr(os, "fork") or (mp is not None and mp.parent_process() is not None):
@@ -448,31 +451,54 @@ def fork_workers(items: int) -> int:
     return max(1, min(items, cores))
 
 
-def _scenario_results(pipe: Pipeline, scenarios: list[Scenario]) -> list:
-    """``_scenario_result`` of each scenario, in order.
+def _start_worker(initializer, initargs) -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)      # an interrupt is the caller's to handle
+    threading.Thread(target=_exit_with_caller, daemon=True).start()
+    if initializer is not None:
+        initializer(*initargs)
 
-    Where ``fork_workers`` allows two or more, the scenarios run on a
-    process pool of that many workers, made and shut down here: no worker
-    outlives the call, whether it returns or raises, and a worker that dies
-    (say, to the kernel's out-of-memory killer) raises ``BrokenProcessPool``
-    rather than leaving the call waiting. The workers fork, so they inherit
-    the pipeline instead of unpickling a copy and importing numpy anew; they
-    fork before the pool starts its manager thread, and coopfuse runs no
-    thread of its own. The pool's modules are imported only on the parallel
-    path.
+
+def _exit_with_caller() -> None:
+    """End this worker once its caller has died, even by a SIGKILL that ran
+    no shutdown: the pool's queues would leave it waiting forever."""
+    import multiprocessing
+    multiprocessing.parent_process().join()
+    os._exit(1)
+
+
+@contextmanager
+def fork_pool(workers: int, initializer=None, initargs=()):
+    """A process pool of `workers` forked workers, shut down when the block
+    exits, whether it returns or raises: no worker outlives the block.
+
+    The workers fork, so they inherit the caller's memory, `initializer` and
+    `initargs` included, instead of unpickling a copy and importing numpy
+    anew; they fork at the first submit, before the pool starts its manager
+    thread, and coopfuse runs no thread of its own in the caller. They ignore
+    SIGINT, so a Ctrl-C reaches the caller alone, and they exit if the caller
+    dies. A worker that dies (say, to the kernel's out-of-memory killer)
+    raises ``BrokenProcessPool`` rather than leaving the caller waiting. The
+    pool's modules are imported only here.
     """
-    workers = fork_workers(len(scenarios))
-    if workers < 2:
-        return [_scenario_result(pipe, scen) for scen in scenarios]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               _init_worker, (pipe, scenarios))
+                               _start_worker, (initializer, initargs))
     try:
-        return list(pool.map(_worker_result, range(len(scenarios))))
+        yield pool
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _scenario_results(pipe: Pipeline, scenarios: list[Scenario]) -> list:
+    """``_scenario_result`` of each scenario, in order: on a ``fork_pool`` of
+    ``fork_workers`` workers where that allows two or more, else serially."""
+    workers = fork_workers(len(scenarios))
+    if workers < 2:
+        return [_scenario_result(pipe, scen) for scen in scenarios]
+    with fork_pool(workers, _init_worker, (pipe, scenarios)) as pool:
+        return list(pool.map(_worker_result, range(len(scenarios))))
 
 
 def config_label(cfg: PipelineConfig) -> str:

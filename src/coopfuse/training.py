@@ -7,21 +7,21 @@ pulls the denoiser-stage output toward the perfect-channel integration of
 the same tick (weight 0.1), giving the denoiser a direct correction signal.
 
 With wtden on, a training that may fork (``pipeline.fork_workers``) runs
-half of the paths of every selective scan on a ``ScanHelper``, so that a
-step uses a second core; the results are bitwise those of one process.
+half of the paths of every selective scan on the one worker of a
+``pipeline.fork_pool`` (``ops.split_scans``), so that a step uses a second
+core; the results are bitwise those of one process.
 """
 
 from __future__ import annotations
 
 import math
-import signal
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import bce_with_logits, scan_paths, split_scans, tmean
-from .pipeline import Pipeline, PipelineConfig, fork_workers, simulate
+from .ops import bce_with_logits, drop_kept, split_scans, tmean
+from .pipeline import Pipeline, PipelineConfig, fork_pool, fork_workers, simulate
 from .tensor import Parameter, Tape, Tensor
 
 AUX_WEIGHT = 0.1
@@ -34,125 +34,6 @@ class DivergenceError(RuntimeError):
         super().__init__(f"loss diverged at step {step}: {value}")
         self.step = step
         self.value = value
-
-
-class WorkerDied(RuntimeError):
-    """A forked worker ended without replying, say killed by a signal (CLI exit code 2)."""
-
-
-class ScanHelper:
-    """A forked process that runs the paths ``selective_scan`` hands it
-    (``ops.split_scans``), talking over one pipe.
-
-    Every request carries a fresh ticket, and the helper answers a forward
-    or a backward request with (ticket, ok, value): the output half or the
-    gradient halves, or the exception it raised. A reply the caller never
-    read, because its call raised in this process, is skipped by ticket. The
-    helper keeps each forward's vjp under the forward's ticket until that
-    backward fires or ``drop`` discards what is left, so a record that never
-    fires cannot misalign later ones. A helper that dies makes the next
-    send or receive raise ``WorkerDied``.
-    """
-
-    def __init__(self):
-        import multiprocessing
-        ctx = multiprocessing.get_context("fork")
-        self._conn, theirs = ctx.Pipe()
-        self._process = ctx.Process(target=_serve_scans, args=(theirs, self._conn),
-                                    name="coopfuse-scan-helper", daemon=True)
-        self._process.start()
-        theirs.close()
-        self._tickets = 0
-
-    def _send(self, *request) -> int:
-        self._tickets += 1
-        try:
-            self._conn.send((self._tickets, *request))
-        except OSError:
-            raise self._died() from None
-        return self._tickets
-
-    def forward(self, x: np.ndarray, params: list[np.ndarray]) -> int:
-        return self._send("forward", x, params)
-
-    def backward(self, key: int, g: np.ndarray, needs: list[bool]) -> int:
-        return self._send("backward", key, g, needs)
-
-    def drop(self) -> None:
-        """Discard every kept vjp; the helper does not reply."""
-        self._send("drop")
-
-    def result(self, ticket: int):
-        """The value the request `ticket` computed, or the exception it raised, raised here."""
-        while True:
-            try:
-                got, ok, value = self._conn.recv()
-            except (EOFError, OSError):
-                raise self._died() from None
-            if got == ticket:
-                break
-        if not ok:
-            raise value
-        return value
-
-    def _died(self) -> WorkerDied:
-        self._process.join(timeout=10)
-        code = self._process.exitcode
-        how = f"was killed by signal {-code}" if code is not None and code < 0 \
-            else f"exited with code {code}"
-        return WorkerDied(f"the scan helper (pid {self._process.pid}) {how}")
-
-    def close(self) -> None:
-        """End the helper: it reads the end of the pipe and returns."""
-        self._conn.close()
-        self._process.join(timeout=10)
-        if self._process.is_alive():
-            self._process.kill()
-            self._process.join()
-
-
-def _serve_scans(conn, theirs) -> None:
-    """The scan helper's loop, until the trainer closes its end of the pipe."""
-    theirs.close()            # the trainer's end: with it closed here, EOF reaches this side
-    signal.signal(signal.SIGINT, signal.SIG_IGN)      # an interrupt is the trainer's to handle
-    kept: dict = {}
-    while True:
-        try:
-            ticket, kind, *args = conn.recv()
-        except EOFError:
-            return
-        if kind == "drop":
-            kept.clear()
-            continue
-        try:
-            if kind == "forward":
-                value, kept[ticket] = scan_paths(*args)
-            else:
-                key, g, needs = args
-                value = kept.pop(key)(g, needs)
-            reply = (ticket, True, value)
-        except Exception as e:    # the trainer raises it
-            reply = (ticket, False, e)
-        try:
-            conn.send(reply)
-        except OSError:           # the trainer has closed its end
-            return
-
-
-@contextmanager
-def _scan_helper(cfg: PipelineConfig):
-    """A ScanHelper that the block's selective scans split their paths with,
-    or None where wtden is off or ``fork_workers`` allows no second process;
-    the helper is joined when the block exits, whether it returns or raises."""
-    if not (cfg.wtden and fork_workers(2) == 2):
-        yield None
-        return
-    helper = ScanHelper()
-    try:
-        with split_scans(helper):
-            yield helper
-    finally:
-        helper.close()
 
 
 class Adam:
@@ -212,7 +93,8 @@ def train(cfg: PipelineConfig, pipe: Pipeline | None = None) -> TrainResult:
     ticks = cfg.warmup_ticks_for() + 1
     curve: list[tuple[int, float, float, float]] = []
 
-    with _scan_helper(cfg) as helper:
+    forked = cfg.wtden and fork_workers(2) == 2
+    with (fork_pool(1) if forked else nullcontext()) as pool, split_scans(pool):
         for step in range(cfg.training.steps):
             with Tape() as tape:
                 loss = None
@@ -236,6 +118,6 @@ def train(cfg: PipelineConfig, pipe: Pipeline | None = None) -> TrainResult:
                           aux_val / cfg.training.batch_scenes))
             tape.backward(loss)
             opt.step()
-            if helper is not None:
-                helper.drop()
+            if pool is not None:
+                pool.submit(drop_kept)     # the worker runs it before the next step's scans
     return TrainResult(pipeline=pipe, loss_curve=curve)

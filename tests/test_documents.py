@@ -1,15 +1,20 @@
 """Config and scenario documents from outside the program: every document
 either works or raises one one-line ConfigError."""
 
+import contextlib
 import copy
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopfuse.pipeline import ConfigError, Pipeline, PipelineConfig, evaluate
+from coopfuse import cli
+from coopfuse.pipeline import (SIZE_CAP_BYTES, TICK_CAP, ConfigError, Pipeline,
+                              PipelineConfig, evaluate)
 from coopfuse.world import ChannelConfig, Scenario, make_scenario
 
 README = Path(__file__).parents[1] / "README.md"
@@ -72,6 +77,49 @@ def test_config_document_round_trips_or_is_rejected(doc):
 
 def leaf_types(doc: dict) -> dict:
     return {k: leaf_types(v) if isinstance(v, dict) else type(v) for k, v in doc.items()}
+
+
+# every size and length field: a draw sets some of them anywhere up to 10^9
+SIZE_KEYS = [("H",), ("W",), ("C",), ("K",), ("channel", "L_ticks"), ("n_agents",),
+             ("n_objects",), ("anchor_points",), ("ssm_state_dim",), ("eval_scenarios",),
+             ("eval_measure_ticks",), ("training", "steps"), ("training", "batch_scenes")]
+SIZES = st.one_of(st.integers(0, 64), st.integers(0, 10**9),
+                  st.integers(1, 10**9 // 8).map(lambda k: 8 * k))   # divides every grid
+
+
+@st.composite
+def sized_documents(draw):
+    doc: dict = {}
+    for *parents, last in draw(st.lists(st.sampled_from(SIZE_KEYS), min_size=1, unique=True)):
+        node = doc
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[last] = draw(SIZES)
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(doc=sized_documents())
+def test_sizes_are_capped_or_rejected(doc):
+    """A config whose size and length fields run up to 10^9 is rejected in one
+    line, by from_json and by the CLI (exit 2), or simulates at most TICK_CAP
+    ticks and allocates at most SIZE_CAP_BYTES per parameter set and array."""
+    try:
+        cfg = PipelineConfig.from_json(doc)
+    except ConfigError as e:
+        assert one_line(e), str(e)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code == 2, err.getvalue()
+        assert err.getvalue() == f"config error: {e}\n"
+        return
+    assert all(ticks <= TICK_CAP for _, ticks in cfg.tick_counts())
+    assert 8 * cfg.parameter_count() <= SIZE_CAP_BYTES
+    assert 8 * cfg.largest_tick_array()[0] <= SIZE_CAP_BYTES
 
 
 TINY = Pipeline(PipelineConfig(height=16, width=16, channels=4, buffer_k=2, scales=(4,),

@@ -425,9 +425,29 @@ class TestParallelEvaluate:
         err = capsys.readouterr().err
         assert code == 2, err
         assert len(err.splitlines()) == 1 and "Traceback" not in err, err
-        assert err.startswith("evaluate worker died")
+        assert err.startswith("worker died: "), err
         assert pools == [2]
         assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    def test_workers_exit_when_their_caller_is_killed(self):
+        """A caller killed by SIGKILL shuts no pool down; its workers, which
+        hold its stdout, exit on their own and so close it."""
+        script = ("import multiprocessing, os, signal\n"
+                  "from coopfuse.pipeline import fork_pool\n"
+                  "with fork_pool(2) as pool:\n"
+                  "    pool.submit(os.getpid).result()\n"
+                  "    print(*[p.pid for p in multiprocessing.active_children()], flush=True)\n"
+                  "    os.kill(os.getpid(), signal.SIGKILL)\n")
+        proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+                                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        workers = [int(pid) for pid in proc.stdout.readline().split()]
+        try:
+            proc.communicate(timeout=20)          # the pipe closes once every worker has exited
+        except subprocess.TimeoutExpired:
+            for pid in workers:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        assert proc.returncode == -signal.SIGKILL and len(workers) == 2
 
     def test_cli_import_loads_no_pool_modules(self):
         # the exit-2 mapping of a killed worker must not import the pool
@@ -501,9 +521,15 @@ def scan_with_grads(x, params, g):
     return [y.data] + [t.grad for t in (xt, *ps)]
 
 
+def kept_vjps() -> int:
+    """In a ``split_scans`` worker: how many forward vjps it keeps."""
+    return len(ops._KEPT)
+
+
 class TestScanHelper:
     """With wtden on and two usable cores, ``train`` runs paths P//2.. of
-    every selective scan on one forked helper, and no process outlives it."""
+    every selective scan on a one-worker ``fork_pool``, and no process
+    outlives it."""
 
     use_cores = staticmethod(TestParallelEvaluate.use_cores)
 
@@ -519,6 +545,16 @@ class TestScanHelper:
         result = train(cfg)
         return ({name: p.data.tobytes() for name, p in result.pipeline.parameters().items()},
                 result.loss_curve)
+
+    @staticmethod
+    def scan_inputs():
+        """x, the parameters and an output gradient of a four-path scan two blocks long."""
+        rng = np.random.default_rng(4)
+        p, length, c, n = 4, ops._SCAN_BLOCK + 1, 3, 5
+        shapes = [(c, c), (1, c), (c, n), (1, n), (c, n), (1, n), (1, c), (n,)]
+        return (rng.uniform(-1.5, 1.5, size=(p, length, c)),
+                [rng.normal(scale=0.5, size=(p, *s)) for s in shapes],
+                rng.normal(size=(p, length, c)))
 
     @pytest.mark.parametrize("stages,batch_scenes", [
         pytest.param((True, True, True), 1, id="full"),
@@ -540,36 +576,41 @@ class TestScanHelper:
         assert multiprocessing.active_children() == []
 
     def test_unread_replies_and_unfired_records_do_not_misalign(self, monkeypatch):
-        """A call whose own half raised leaves the helper's reply unread, and a
+        """A call whose own half raised leaves the worker's reply unread, and a
         record whose backward never fires leaves its vjp kept; later calls
         still join the right halves, bitwise those of one process."""
-        rng = np.random.default_rng(4)
-        p, length, c, n = 4, ops._SCAN_BLOCK + 1, 3, 5
-        x = rng.uniform(-1.5, 1.5, size=(p, length, c))
-        shapes = [(c, c), (1, c), (c, n), (1, n), (c, n), (1, n), (1, c), (n,)]
-        params = [rng.normal(scale=0.5, size=(p, *s)) for s in shapes]
-        g = rng.normal(size=(p, length, c))
+        x, params, g = self.scan_inputs()
         serial = scan_with_grads(x, params, g)
         original = ops.scan_paths
 
         def fail_once(*args):
             monkeypatch.setattr(ops, "scan_paths", original)
             raise ValueError("this half failed")
-        helper = training_module.ScanHelper()
-        try:
-            with ops.split_scans(helper):
-                monkeypatch.setattr(ops, "scan_paths", fail_once)
-                with pytest.raises(ValueError, match="^this half failed$"):
-                    ops.selective_scan(x, params)
-                with Tape():
-                    ops.selective_scan(Tensor(x, requires_grad=True), params)
-                split = scan_with_grads(x, params, g)
-                helper.drop()
-                again = scan_with_grads(x, params, g)
-        finally:
-            helper.close()
+        with pipeline_module.fork_pool(1) as pool, ops.split_scans(pool):
+            pool.submit(ops.drop_kept).result()          # the worker forks unpatched
+            monkeypatch.setattr(ops, "scan_paths", fail_once)
+            with pytest.raises(ValueError, match="^this half failed$"):
+                ops.selective_scan(x, params)
+            with Tape():
+                ops.selective_scan(Tensor(x, requires_grad=True), params)
+            split = scan_with_grads(x, params, g)
+            pool.submit(ops.drop_kept)
+            again = scan_with_grads(x, params, g)
         for got in (split, again):
             assert all(np.array_equal(a, b) for a, b in zip(got, serial))
+
+    def test_drop_kept_leaves_no_vjp(self):
+        """A fired record's backward pops its vjp; ``drop_kept`` discards the
+        vjps of records that never fired."""
+        x, params, g = self.scan_inputs()
+        with pipeline_module.fork_pool(1) as pool, ops.split_scans(pool):
+            with Tape():
+                ops.selective_scan(Tensor(x, requires_grad=True), params)
+            scan_with_grads(x, params, g)
+            kept = [pool.submit(kept_vjps).result()]
+            pool.submit(ops.drop_kept)
+            kept.append(pool.submit(kept_vjps).result())
+        assert kept == [1, 0]
 
     def test_step_that_raises_ends_the_helper(self, monkeypatch, forks):
         calls = []
@@ -592,7 +633,7 @@ class TestScanHelper:
                                        MemoryError("the helper ran out")])
     def test_helper_error_surfaces_unchanged(self, monkeypatch, forks, phase, error):
         caller = os.getpid()
-        original = training_module.scan_paths      # the helper's binding
+        original = ops.scan_paths
 
         def failing(x, params):
             if os.getpid() != caller and phase == "forward":
@@ -604,7 +645,7 @@ class TestScanHelper:
                     raise error
                 return vjp(g, needs)
             return y, failing_vjp
-        monkeypatch.setattr(training_module, "scan_paths", failing)
+        monkeypatch.setattr(ops, "scan_paths", failing)
         self.use_cores(monkeypatch, 2)
         with pytest.raises(type(error)) as info:
             train(small_config())
@@ -614,22 +655,21 @@ class TestScanHelper:
 
     @classmethod
     def kill_helper(cls, monkeypatch):
-        """On two cores, the helper kills itself with SIGKILL at its first scan,
+        """On two cores, the worker kills itself with SIGKILL at its first scan,
         as the out-of-memory killer would."""
         caller = os.getpid()
-        original = training_module.scan_paths
+        original = ops.scan_paths
 
         def killed(*args):
             if os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
             return original(*args)
-        monkeypatch.setattr(training_module, "scan_paths", killed)
+        monkeypatch.setattr(ops, "scan_paths", killed)
         cls.use_cores(monkeypatch, 2)
 
     def test_killed_helper_raises(self, monkeypatch):
         self.kill_helper(monkeypatch)
-        with pytest.raises(training_module.WorkerDied,
-                           match=r"^the scan helper \(pid \d+\) was killed by signal 9$"):
+        with pytest.raises(futures_process.BrokenProcessPool):
             train(small_config())
         assert multiprocessing.active_children() == []
 
@@ -641,9 +681,59 @@ class TestScanHelper:
         err = capsys.readouterr().err
         assert code == 2, err
         assert len(err.splitlines()) == 1 and "Traceback" not in err, err
-        assert err.startswith("training worker died: the scan helper (pid "), err
+        assert err.startswith("worker died: "), err
         assert not (tmp_path / "out" / "metrics.csv").exists()
         assert multiprocessing.active_children() == []
+
+
+class TestInterrupt:
+    """A Ctrl-C while a pool runs ends the command with exit 130 and one
+    line, and no worker outlives it."""
+
+    use_cores = staticmethod(TestParallelEvaluate.use_cores)
+
+    @staticmethod
+    def run_interrupted(tmp_path, capsys, command, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_json()))
+        code = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 130, err
+        assert err == "interrupted\n", err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_training_step(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        original = training_module.bce_with_logits
+
+        def interrupt(*args):
+            calls.append(1)
+            if len(calls) == 2:         # the second step, with the scan worker running
+                assert multiprocessing.active_children() != []
+                raise KeyboardInterrupt
+            return original(*args)
+        monkeypatch.setattr(training_module, "bce_with_logits", interrupt)
+        self.use_cores(monkeypatch, 2)
+        self.run_interrupted(tmp_path, capsys, "train", small_config())
+
+    def test_evaluate_scenario(self, monkeypatch, tmp_path, capsys):
+        """The worker checks that it ignores SIGINT, as every pool worker does,
+        before it raises the interrupt its caller would have seen."""
+        cfg = small_config(eval_scenarios=3)
+        victim = pipeline_module.eval_scenario_seed(cfg, 1)
+        caller = os.getpid()
+        original = pipeline_module.simulate
+
+        def interrupt(pipe, scenario, *args, **kwargs):
+            if scenario.seed == victim:
+                assert os.getpid() != caller, "the scenario ran in the caller's process"
+                assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+                raise KeyboardInterrupt
+            return original(pipe, scenario, *args, **kwargs)
+        monkeypatch.setattr(pipeline_module, "simulate", interrupt)
+        self.use_cores(monkeypatch, 2)
+        self.run_interrupted(tmp_path, capsys, "run", cfg)
 
 
 def eager_once(fn, *args, **kwargs):

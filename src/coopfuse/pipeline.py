@@ -469,13 +469,14 @@ def _exit_with_caller() -> None:
 @contextmanager
 def fork_pool(workers: int, initializer=None, initargs=()):
     """A process pool of `workers` forked workers, shut down when the block
-    exits, whether it returns or raises: no worker outlives the block.
+    exits: no worker outlives the block, and a block that raises, a Ctrl-C
+    included, ends its workers rather than wait for their running tasks.
 
-    The workers fork, so they inherit the caller's memory, `initializer` and
-    `initargs` included, instead of unpickling a copy and importing numpy
-    anew; they fork at the first submit, before the pool starts its manager
-    thread, and coopfuse runs no thread of its own in the caller. They ignore
-    SIGINT, so a Ctrl-C reaches the caller alone, and they exit if the caller
+    The workers fork at the first submit, before the pool starts its manager
+    thread (coopfuse runs no thread of its own in the caller), so they
+    inherit the caller's memory, `initializer` and `initargs` included,
+    instead of unpickling a copy and importing numpy anew. They ignore
+    SIGINT, so a Ctrl-C reaches the caller alone, and exit if the caller
     dies. A worker that dies (say, to the kernel's out-of-memory killer)
     raises ``BrokenProcessPool`` rather than leaving the caller waiting. The
     pool's modules are imported only here.
@@ -487,6 +488,10 @@ def fork_pool(workers: int, initializer=None, initargs=()):
                                _start_worker, (initializer, initargs))
     try:
         yield pool
+    except BaseException:
+        for worker in list(pool._processes.values()):     # as 3.14's terminate_workers
+            worker.terminate()
+        raise
     finally:
         pool.shutdown(cancel_futures=True)
 

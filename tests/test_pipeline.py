@@ -735,6 +735,42 @@ class TestInterrupt:
         self.use_cores(monkeypatch, 2)
         self.run_interrupted(tmp_path, capsys, "run", cfg)
 
+    @pytest.mark.parametrize("command,module,busy", [("run", "pipeline", "simulate"),
+                                                     ("train", "ops", "scan_paths")])
+    def test_sigint_while_a_worker_is_busy(self, tmp_path, command, module, busy):
+        """A real SIGINT, sent to the command's process group as a terminal's
+        Ctrl-C is, while a worker sits in a task that would take 10 minutes:
+        the command exits 130 in one line at once, its workers ended, not
+        waited for."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(eval_scenarios=3).to_json()))
+        script = ("import os, sys, time\n"
+                  f"from coopfuse import cli, {module} as module\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  f"caller, original = os.getpid(), module.{busy}\n"
+                  "def busy(*args, **kwargs):\n"
+                  "    if os.getpid() != caller:\n"
+                  "        print(flush=True)\n"
+                  "        time.sleep(600)\n"
+                  "    return original(*args, **kwargs)\n"
+                  f"module.{busy} = busy\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, command, "--config", str(cfg_path),
+             "--out", str(tmp_path / "out")], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        try:
+            proc.stdout.readline()                    # a worker has started its task
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=20)     # stdout closes once every worker has exited
+        finally:
+            if proc.returncode is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert proc.returncode == 130, err
+        assert err == "interrupted\n", err
+
 
 def eager_once(fn, *args, **kwargs):
     """Calls ``fn`` when the thunk is made, so every view renders and every map

@@ -9,11 +9,11 @@ All subcommands accept --seed to override the config seed. Outputs land in
 the --out directory: metrics.csv always; train additionally writes
 loss_curve.csv and params.catp; run writes trace.csv.
 
-Exit codes: 0 success, 2 configuration error (an input too large for the
-host's memory included, and a forked worker killed by a signal, "worker
-died: ..."), 3 numerical divergence (a nonfinite training loss or
-evaluation metric; no metrics.csv is written), 130 interrupted (Ctrl-C,
-"interrupted"). Each error is reported in one line.
+Exit codes: 0 success, 2 usage error ("usage error: ...") or configuration
+error (an input too large for the host's memory included, and a forked
+worker killed by a signal, "worker died: ..."), 3 numerical divergence (a
+nonfinite training loss or evaluation metric; no metrics.csv is written),
+130 interrupted (Ctrl-C, "interrupted"). Each error is reported in one line.
 """
 
 from __future__ import annotations
@@ -34,9 +34,16 @@ from .training import DivergenceError, train
 from .world import load_scenario
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, its subcommands' included, that reports a usage error in one
+    stderr line with exit 2; ``--help`` still prints its text and exits 0."""
+
+    def error(self, message):
+        self.exit(2, f"usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="coopfuse",
-                                     description="multi-agent fusion desk-scale harness")
+    parser = _Parser(prog="coopfuse", description="multi-agent fusion desk-scale harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):

@@ -19,7 +19,6 @@ the gradient suite.
 from __future__ import annotations
 
 import functools
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -640,43 +639,6 @@ SCAN_PARAMS = ("w_step", "b_step", "w_in", "b_in", "w_out", "b_out", "skip", "lo
 _SCAN_BLOCK = 64     # time steps per block of the selective_scan forward and backward
 
 
-# the pools that selective_scan calls inside split_scans hand their paths to
-_SCAN_POOLS: list = []
-
-
-@contextmanager
-def split_scans(pool):
-    """Within the block, each selective_scan call hands paths P//2.. to `pool`,
-    a one-worker ``pipeline.fork_pool``, which keeps each forward's vjp
-    until that backward fires or ``drop_kept`` discards what is left; with
-    `pool` None, every call runs all its paths in this process."""
-    _SCAN_POOLS.append(pool)
-    try:
-        yield
-    finally:
-        _SCAN_POOLS.pop()
-
-
-# in a split_scans worker: the vjp of each forward whose backward has not fired,
-# by its id, which no other object has while the vjp is kept
-_KEPT: dict = {}
-
-
-def _scan_forward(x, params):
-    y, vjp = scan_paths(x, params)
-    _KEPT[id(vjp)] = vjp
-    return id(vjp), y
-
-
-def _scan_backward(key, g, needs):
-    return _KEPT.pop(key)(g, needs)
-
-
-def drop_kept() -> None:
-    """Discard every vjp this worker keeps, say those of records that never fired."""
-    _KEPT.clear()
-
-
 @_op("x", "*params")
 def selective_scan(x, params):
     """P input-conditioned diagonal linear recurrences in one op; returns P x L x C.
@@ -690,44 +652,10 @@ def selective_scan(x, params):
     h_t = exp(step * decay) * h_{t-1} + (step * x_t) * gate_in, h_0 = 0, and
     y_t = sum_n gate_out * h_t + skip * x_t.
 
-    Inside ``split_scans(pool)``, the pool's worker, another process, runs
-    paths P//2.. of the call while this one runs the others (``scan_paths``
-    on each side), and the two halves of the output and of every gradient are
-    joined on the path axis. No path reads another, and each side computes
-    its paths with the same expressions on the same shapes, so the values
-    and gradients are bitwise those of one process.
-    """
-    n_paths, length, c = x.shape if x.ndim == 3 else (0, 0, 0)
-    n = params[-1].shape[-1] if params and params[-1].ndim else 0
-    shapes = [(n_paths, c, c), (n_paths, 1, c), (n_paths, c, n), (n_paths, 1, n),
-              (n_paths, c, n), (n_paths, 1, n), (n_paths, 1, c), (n_paths, n)]
-    if length == 0 or [t.shape for t in params] != shapes:
-        raise ValueError(f"selective_scan needs a nonempty P x L x C sequence and the "
-                         f"{len(SCAN_PARAMS)} tensors {SCAN_PARAMS} shaped {shapes}, got "
-                         f"{x.shape} and {[t.shape for t in params]}")
-    pool, half = (_SCAN_POOLS[-1] if _SCAN_POOLS else None), n_paths // 2
-    if pool is None or half == 0:
-        return scan_paths(x, params)
-    theirs = pool.submit(_scan_forward, x[half:], [t[half:] for t in params])
-    y, vjp = scan_paths(x[:half], [t[:half] for t in params])
-    key, y_theirs = theirs.result()
-    y = np.concatenate([y, y_theirs])
-
-    def joined_vjp(g, needs):
-        theirs = pool.submit(_scan_backward, key, g[half:], needs)
-        ours = vjp(g[:half], needs)
-        return [None if a is None else np.concatenate([a, b])
-                for a, b in zip(ours, theirs.result())]
-    return y, joined_vjp
-
-
-def scan_paths(x, params):
-    """``selective_scan``'s (value, vjp) on checked arrays, every path in this process.
-
     The forward builds, scans and reads out the state _SCAN_BLOCK time steps
     at a time on block-sized scratch arrays, carrying the last state across
     blocks. It builds z, step, u and the two gates one block at a time from
-    x too, so the vjp keeps only x, the parameters and the P x C x N state
+    x too, so the record keeps only x, the parameters and the P x C x N state
     entering each block after the first. Each block's read-out, the sum over
     N, is one batched matmul of its states with the time-major gate_out
     column. The backward walks the blocks in reverse: it rebuilds a block's
@@ -737,8 +665,14 @@ def scan_paths(x, params):
     matmuls on contiguous operands. No L x P x C x N array is made, with or
     without a tape.
     """
-    n_paths, length, c = x.shape
-    n = params[-1].shape[-1]
+    n_paths, length, c = x.shape if x.ndim == 3 else (0, 0, 0)
+    n = params[-1].shape[-1] if params and params[-1].ndim else 0
+    shapes = [(n_paths, c, c), (n_paths, 1, c), (n_paths, c, n), (n_paths, 1, n),
+              (n_paths, c, n), (n_paths, 1, n), (n_paths, 1, c), (n_paths, n)]
+    if length == 0 or [t.shape for t in params] != shapes:
+        raise ValueError(f"selective_scan needs a nonempty P x L x C sequence and the "
+                         f"{len(SCAN_PARAMS)} tensors {SCAN_PARAMS} shaped {shapes}, got "
+                         f"{x.shape} and {[t.shape for t in params]}")
     w_step, b_step, w_in, b_in, w_out, b_out, skip, log_decay = params
     # the state arrays are time-major, block x P x C x N, so each step is one
     # contiguous slab

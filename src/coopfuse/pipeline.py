@@ -441,8 +441,8 @@ def fork_workers(items: int) -> int:
     It is 1, and the call stays serial, where ``os.fork`` does not exist and
     inside any multiprocessing child (a ``fork_pool`` worker or one of the
     caller's own), since a worker that forks again oversubscribes the cores
-    its parent already fills. ``evaluate`` and ``train`` each start a
-    ``fork_pool`` only where this allows two.
+    its parent already fills. ``evaluate`` starts its ``fork_pool`` only
+    where this allows two; ``train`` never forks.
     """
     mp = sys.modules.get("multiprocessing")
     if not hasattr(os, "fork") or (mp is not None and mp.parent_process() is not None):

@@ -6,22 +6,19 @@ the final tick, and applies one adaptive-moment update. The auxiliary term
 pulls the denoiser-stage output toward the perfect-channel integration of
 the same tick (weight 0.1), giving the denoiser a direct correction signal.
 
-With wtden on, a training that may fork (``pipeline.fork_workers``) runs
-half of the paths of every selective scan on the one worker of a
-``pipeline.fork_pool`` (``ops.split_scans``), so that a step uses a second
-core; the results are bitwise those of one process.
+A training runs in one process and forks nothing, whatever the number of
+usable cores; only ``pipeline.evaluate`` spreads its work over a process pool.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import bce_with_logits, drop_kept, split_scans, tmean
-from .pipeline import Pipeline, PipelineConfig, fork_pool, fork_workers, simulate
+from .ops import bce_with_logits, tmean
+from .pipeline import Pipeline, PipelineConfig, simulate
 from .tensor import Parameter, Tape, Tensor
 
 AUX_WEIGHT = 0.1
@@ -92,32 +89,27 @@ def train(cfg: PipelineConfig, pipe: Pipeline | None = None) -> TrainResult:
     opt = Adam(pipe.parameters(), lr=cfg.training.learning_rate)
     ticks = cfg.warmup_ticks_for() + 1
     curve: list[tuple[int, float, float, float]] = []
-
-    forked = cfg.wtden and fork_workers(2) == 2
-    with (fork_pool(1) if forked else nullcontext()) as pool, split_scans(pool):
-        for step in range(cfg.training.steps):
-            with Tape() as tape:
-                loss = None
-                bce_val = aux_val = 0.0
-                for b in range(cfg.training.batch_scenes):
-                    scen = cfg.scenario(train_scenario_seed(cfg, step, b), cfg.channel, ticks)
-                    out = simulate(pipe, scen, measure=lambda t: t == ticks - 1)[-1]
-                    bce = bce_with_logits(out.logits, out.gt_occupancy)
-                    diff = out.denoised - Tensor(out.clean_reference)
-                    aux = tmean(diff * diff)
-                    term = bce + AUX_WEIGHT * aux
-                    loss = term if loss is None else loss + term
-                    bce_val += bce.item()
-                    aux_val += aux.item()
-                if cfg.training.batch_scenes > 1:
-                    loss = loss * (1.0 / cfg.training.batch_scenes)
-            total = loss.item()
-            if not math.isfinite(total):
-                raise DivergenceError(step, total)
-            curve.append((step, total, bce_val / cfg.training.batch_scenes,
-                          aux_val / cfg.training.batch_scenes))
-            tape.backward(loss)
-            opt.step()
-            if pool is not None:
-                pool.submit(drop_kept)     # the worker runs it before the next step's scans
+    for step in range(cfg.training.steps):
+        with Tape() as tape:
+            loss = None
+            bce_val = aux_val = 0.0
+            for b in range(cfg.training.batch_scenes):
+                scen = cfg.scenario(train_scenario_seed(cfg, step, b), cfg.channel, ticks)
+                out = simulate(pipe, scen, measure=lambda t: t == ticks - 1)[-1]
+                bce = bce_with_logits(out.logits, out.gt_occupancy)
+                diff = out.denoised - Tensor(out.clean_reference)
+                aux = tmean(diff * diff)
+                term = bce + AUX_WEIGHT * aux
+                loss = term if loss is None else loss + term
+                bce_val += bce.item()
+                aux_val += aux.item()
+            if cfg.training.batch_scenes > 1:
+                loss = loss * (1.0 / cfg.training.batch_scenes)
+        total = loss.item()
+        if not math.isfinite(total):
+            raise DivergenceError(step, total)
+        curve.append((step, total, bce_val / cfg.training.batch_scenes,
+                      aux_val / cfg.training.batch_scenes))
+        tape.backward(loss)
+        opt.step()
     return TrainResult(pipeline=pipe, loss_curve=curve)

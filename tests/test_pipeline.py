@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coopfuse import cli, ops, pipeline as pipeline_module, training as training_module
+from coopfuse import cli, pipeline as pipeline_module, training as training_module
 from coopfuse.pipeline import (ConfigError, MetricRecord, Pipeline,
                                PipelineConfig, TrainSpec, clean_reference, config_label,
                                evaluate, occupancy_iou, simulate)
@@ -509,36 +509,10 @@ class TestParallelEvaluate:
         assert inner == evaluate_in_worker(cfg)
 
 
-def scan_with_grads(x, params, g):
-    """A taped ``selective_scan`` of arrays: its output and the gradients of
-    sum(output * g) with respect to x and each parameter."""
-    xt = Tensor(x, requires_grad=True)
-    ps = [Tensor(p, requires_grad=True) for p in params]
-    with Tape() as tape:
-        y = ops.selective_scan(xt, ps)
-        loss = ops.tsum(y * Tensor(g))
-    tape.backward(loss)
-    return [y.data] + [t.grad for t in (xt, *ps)]
-
-
-def kept_vjps() -> int:
-    """In a ``split_scans`` worker: how many forward vjps it keeps."""
-    return len(ops._KEPT)
-
-
-class TestScanHelper:
-    """With wtden on and two usable cores, ``train`` runs paths P//2.. of
-    every selective scan on a one-worker ``fork_pool``, and no process
-    outlives it."""
+class TestOneProcessTraining:
+    """``train`` runs in one process, whatever the number of usable cores."""
 
     use_cores = staticmethod(TestParallelEvaluate.use_cores)
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """One entry per process forked while the test runs."""
-        started, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: started.append(1) or fork())
-        return started
 
     @staticmethod
     def trained(cfg):
@@ -546,24 +520,17 @@ class TestScanHelper:
         return ({name: p.data.tobytes() for name, p in result.pipeline.parameters().items()},
                 result.loss_curve)
 
-    @staticmethod
-    def scan_inputs():
-        """x, the parameters and an output gradient of a four-path scan two blocks long."""
-        rng = np.random.default_rng(4)
-        p, length, c, n = 4, ops._SCAN_BLOCK + 1, 3, 5
-        shapes = [(c, c), (1, c), (c, n), (1, n), (c, n), (1, n), (1, c), (n,)]
-        return (rng.uniform(-1.5, 1.5, size=(p, length, c)),
-                [rng.normal(scale=0.5, size=(p, *s)) for s in shapes],
-                rng.normal(size=(p, length, c)))
-
     @pytest.mark.parametrize("stages,batch_scenes", [
         pytest.param((True, True, True), 1, id="full"),
         pytest.param((False, False, False), 1, id="baseline"),
         pytest.param((False, True, False), 1, id="wtden"),
         pytest.param((True, True, True), 2, id="full-batch2")])
-    def test_matches_one_core_bitwise(self, monkeypatch, forks, stages, batch_scenes):
-        """4 desk steps give the parameter bytes and loss curve of one usable
-        core; only a training with wtden on starts a process, exactly one."""
+    def test_two_cores_fork_nothing_and_match_one_core(self, monkeypatch, stages,
+                                                       batch_scenes):
+        """4 desk steps on two usable cores start no process and give the
+        parameter bytes and loss curve of one usable core."""
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         st, wt, ad = stages
         cfg = PipelineConfig(stsync=st, wtden=wt, adpsel=ad, seed=3,
                              training=TrainSpec(steps=4, batch_scenes=batch_scenes, seed=3))
@@ -571,119 +538,8 @@ class TestScanHelper:
         for cores in (1, 2):
             self.use_cores(monkeypatch, cores)
             runs.append(self.trained(cfg))
-        assert len(forks) == int(wt)
+        assert forks == []
         assert runs[0] == runs[1]
-        assert multiprocessing.active_children() == []
-
-    def test_unread_replies_and_unfired_records_do_not_misalign(self, monkeypatch):
-        """A call whose own half raised leaves the worker's reply unread, and a
-        record whose backward never fires leaves its vjp kept; later calls
-        still join the right halves, bitwise those of one process."""
-        x, params, g = self.scan_inputs()
-        serial = scan_with_grads(x, params, g)
-        original = ops.scan_paths
-
-        def fail_once(*args):
-            monkeypatch.setattr(ops, "scan_paths", original)
-            raise ValueError("this half failed")
-        with pipeline_module.fork_pool(1) as pool, ops.split_scans(pool):
-            pool.submit(ops.drop_kept).result()          # the worker forks unpatched
-            monkeypatch.setattr(ops, "scan_paths", fail_once)
-            with pytest.raises(ValueError, match="^this half failed$"):
-                ops.selective_scan(x, params)
-            with Tape():
-                ops.selective_scan(Tensor(x, requires_grad=True), params)
-            split = scan_with_grads(x, params, g)
-            pool.submit(ops.drop_kept)
-            again = scan_with_grads(x, params, g)
-        for got in (split, again):
-            assert all(np.array_equal(a, b) for a, b in zip(got, serial))
-
-    def test_drop_kept_leaves_no_vjp(self):
-        """A fired record's backward pops its vjp; ``drop_kept`` discards the
-        vjps of records that never fired."""
-        x, params, g = self.scan_inputs()
-        with pipeline_module.fork_pool(1) as pool, ops.split_scans(pool):
-            with Tape():
-                ops.selective_scan(Tensor(x, requires_grad=True), params)
-            scan_with_grads(x, params, g)
-            kept = [pool.submit(kept_vjps).result()]
-            pool.submit(ops.drop_kept)
-            kept.append(pool.submit(kept_vjps).result())
-        assert kept == [1, 0]
-
-    def test_step_that_raises_ends_the_helper(self, monkeypatch, forks):
-        calls = []
-        original = training_module.bce_with_logits
-
-        def failing(*args):
-            calls.append(1)
-            if len(calls) == 2:
-                raise ValueError("step 1 failed")
-            return original(*args)
-        monkeypatch.setattr(training_module, "bce_with_logits", failing)
-        self.use_cores(monkeypatch, 2)
-        with pytest.raises(ValueError, match="^step 1 failed$"):
-            train(small_config())
-        assert len(forks) == 1
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("phase", ["forward", "backward"])
-    @pytest.mark.parametrize("error", [ValueError("the helper failed"),
-                                       MemoryError("the helper ran out")])
-    def test_helper_error_surfaces_unchanged(self, monkeypatch, forks, phase, error):
-        caller = os.getpid()
-        original = ops.scan_paths
-
-        def failing(x, params):
-            if os.getpid() != caller and phase == "forward":
-                raise error
-            y, vjp = original(x, params)
-
-            def failing_vjp(g, needs):
-                if os.getpid() != caller:
-                    raise error
-                return vjp(g, needs)
-            return y, failing_vjp
-        monkeypatch.setattr(ops, "scan_paths", failing)
-        self.use_cores(monkeypatch, 2)
-        with pytest.raises(type(error)) as info:
-            train(small_config())
-        assert str(info.value) == str(error)
-        assert len(forks) == 1
-        assert multiprocessing.active_children() == []
-
-    @classmethod
-    def kill_helper(cls, monkeypatch):
-        """On two cores, the worker kills itself with SIGKILL at its first scan,
-        as the out-of-memory killer would."""
-        caller = os.getpid()
-        original = ops.scan_paths
-
-        def killed(*args):
-            if os.getpid() != caller:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return original(*args)
-        monkeypatch.setattr(ops, "scan_paths", killed)
-        cls.use_cores(monkeypatch, 2)
-
-    def test_killed_helper_raises(self, monkeypatch):
-        self.kill_helper(monkeypatch)
-        with pytest.raises(futures_process.BrokenProcessPool):
-            train(small_config())
-        assert multiprocessing.active_children() == []
-
-    def test_killed_helper_exits_2_in_one_line(self, monkeypatch, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(small_config().to_json()))
-        self.kill_helper(monkeypatch)
-        code = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
-        assert err.startswith("worker died: "), err
-        assert not (tmp_path / "out" / "metrics.csv").exists()
-        assert multiprocessing.active_children() == []
 
 
 class TestInterrupt:
@@ -709,8 +565,7 @@ class TestInterrupt:
 
         def interrupt(*args):
             calls.append(1)
-            if len(calls) == 2:         # the second step, with the scan worker running
-                assert multiprocessing.active_children() != []
+            if len(calls) == 2:         # the second step
                 raise KeyboardInterrupt
             return original(*args)
         monkeypatch.setattr(training_module, "bce_with_logits", interrupt)
@@ -735,13 +590,12 @@ class TestInterrupt:
         self.use_cores(monkeypatch, 2)
         self.run_interrupted(tmp_path, capsys, "run", cfg)
 
-    @pytest.mark.parametrize("command,module,busy", [("run", "pipeline", "simulate"),
-                                                     ("train", "ops", "scan_paths")])
-    def test_sigint_while_a_worker_is_busy(self, tmp_path, command, module, busy):
-        """A real SIGINT, sent to the command's process group as a terminal's
-        Ctrl-C is, while a worker sits in a task that would take 10 minutes:
-        the command exits 130 in one line at once, its workers ended, not
-        waited for."""
+    @staticmethod
+    def sigint_while_busy(tmp_path, command, module, busy, in_worker):
+        """Runs `command` with two usable cores, where `module`.`busy` takes
+        10 minutes in a worker (`in_worker`) or in the command's own process,
+        and sends SIGINT to its process group, as a terminal's Ctrl-C does,
+        once that call has started; returns the exit code and stderr."""
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(small_config(eval_scenarios=3).to_json()))
         script = ("import os, sys, time\n"
@@ -749,7 +603,7 @@ class TestInterrupt:
                   "os.sched_getaffinity = lambda pid: {0, 1}\n"
                   f"caller, original = os.getpid(), module.{busy}\n"
                   "def busy(*args, **kwargs):\n"
-                  "    if os.getpid() != caller:\n"
+                  f"    if (os.getpid() != caller) == {in_worker}:\n"
                   "        print(flush=True)\n"
                   "        time.sleep(600)\n"
                   "    return original(*args, **kwargs)\n"
@@ -761,14 +615,29 @@ class TestInterrupt:
             text=True, start_new_session=True,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         try:
-            proc.stdout.readline()                    # a worker has started its task
+            proc.stdout.readline()                    # the busy call has started
             os.killpg(proc.pid, signal.SIGINT)
-            _, err = proc.communicate(timeout=20)     # stdout closes once every worker has exited
+            _, err = proc.communicate(timeout=20)     # stdout closes once every process has exited
         finally:
             if proc.returncode is None:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.communicate()
-        assert proc.returncode == 130, err
+        return proc.returncode, err
+
+    @pytest.mark.parametrize("command,module,busy", [("run", "pipeline", "simulate")])
+    def test_sigint_while_a_worker_is_busy(self, tmp_path, command, module, busy):
+        """The command exits 130 in one line at once, its workers ended, not
+        waited for."""
+        code, err = self.sigint_while_busy(tmp_path, command, module, busy, in_worker=True)
+        assert code == 130, err
+        assert err == "interrupted\n", err
+
+    def test_sigint_while_the_trainer_is_busy(self, tmp_path):
+        """``train`` starts no worker; a SIGINT inside a step ends it with
+        exit 130 in one line."""
+        code, err = self.sigint_while_busy(tmp_path, "train", "training", "bce_with_logits",
+                                           in_worker=False)
+        assert code == 130, err
         assert err == "interrupted\n", err
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coopfuse import cli
 from coopfuse.pipeline import Pipeline, PipelineConfig, evaluate
 from coopfuse.serialize import save_params
 from coopfuse.sweeps import (ABLATION_COMBOS, METRICS_COLUMNS, channel_sweep,
@@ -298,6 +299,26 @@ class TestCli:
         assert row[header.index("retention_k")] == "1e-300"
         assert all(np.isfinite(float(row[header.index(m)]))
                    for m in ("occupancy_iou", "mse_to_clean"))
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--seed", "x", "--out", "o"], "argument --seed: invalid int value: 'x'"),
+        ([], "the following arguments are required: command"),
+        (["train", "--out", "o", "--scenario", "x"], "unrecognized arguments: --scenario x"),
+        (["--help"], None)], ids=["bad-int", "no-command", "unknown-flag", "help"])
+    def test_usage_error_is_one_line(self, tmp_path, monkeypatch, capsys, argv, message):
+        """A usage error exits 2 with one stderr line; ``--help`` prints its
+        text to stdout and exits 0."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        if message is None:
+            assert info.value.code == 0 and err == "", err
+            assert out.startswith("usage: coopfuse") and len(out.splitlines()) > 1, out
+        else:
+            assert info.value.code == 2 and out == "", out
+            assert err == f"usage error: {message}\n", err
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -26,9 +26,9 @@ import signal
 import sys
 import threading
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from decimal import ROUND_UP, Decimal, localcontext
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -384,9 +384,9 @@ def evaluate(pipe: Pipeline, channel: ChannelConfig | None = None,
              trace_rows: list | None = None) -> MetricRecord:
     """Average metrics over the paired evaluation scenario set (or one scenario).
 
-    The scenarios run on forked workers, one per usable core, and their
-    results are joined in scenario order, so the record and the trace rows
-    are bitwise those of a serial run (see ``_scenario_results``).
+    The scenarios run on ``fork_map``, one forked worker per usable core,
+    and their results are joined in scenario order, so the record and the
+    trace rows are bitwise those of a serial run.
     """
     cfg = pipe.cfg
     ch = channel if channel is not None else cfg.channel
@@ -397,7 +397,7 @@ def evaluate(pipe: Pipeline, channel: ChannelConfig | None = None,
         scenarios = [cfg.scenario(eval_scenario_seed(cfg, i), ch, ticks)
                      for i in range(cfg.eval_scenarios)]
     ious, mses = [], []
-    for rows, scen_ious, scen_mses in _scenario_results(pipe, scenarios):
+    for rows, scen_ious, scen_mses in fork_map(partial(_scenario_result, pipe), scenarios):
         if trace_rows is not None:
             trace_rows.extend(rows)
         ious += scen_ious
@@ -419,30 +419,15 @@ def _scenario_result(pipe: Pipeline, scen: Scenario
             [float(np.mean((o.denoised.data - o.clean_reference) ** 2)) for o in outs])
 
 
-# a forked evaluate worker's pipeline and scenarios; the parent hands them
-# over in memory through the fork and sends only scenario indices
-_worker_state: tuple | None = None
-
-
-def _init_worker(pipe: Pipeline, scenarios: list[Scenario]) -> None:
-    global _worker_state
-    _worker_state = (pipe, scenarios)
-
-
-def _worker_result(index: int):
-    pipe, scenarios = _worker_state
-    return _scenario_result(pipe, scenarios[index])
-
-
 def fork_workers(items: int) -> int:
-    """How many processes a call may spread `items` independent items over:
-    one per usable core (``os.sched_getaffinity``), at most one per item.
+    """How many processes ``fork_map`` may spread `items` independent items
+    over: one per usable core (``os.sched_getaffinity``), at most one per item.
 
     It is 1, and the call stays serial, where ``os.fork`` does not exist and
-    inside any multiprocessing child (a ``fork_pool`` worker or one of the
+    inside any multiprocessing child (a ``fork_map`` worker or one of the
     caller's own), since a worker that forks again oversubscribes the cores
-    its parent already fills. ``evaluate`` starts its ``fork_pool`` only
-    where this allows two; ``train`` never forks.
+    its parent already fills: an ``evaluate`` inside a ``variant_sweep``
+    worker runs serially. ``train`` never forks.
     """
     mp = sys.modules.get("multiprocessing")
     if not hasattr(os, "fork") or (mp is not None and mp.parent_process() is not None):
@@ -451,11 +436,9 @@ def fork_workers(items: int) -> int:
     return max(1, min(items, cores))
 
 
-def _start_worker(initializer, initargs) -> None:
+def _start_worker() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)      # an interrupt is the caller's to handle
     threading.Thread(target=_exit_with_caller, daemon=True).start()
-    if initializer is not None:
-        initializer(*initargs)
 
 
 def _exit_with_caller() -> None:
@@ -466,44 +449,49 @@ def _exit_with_caller() -> None:
     os._exit(1)
 
 
-@contextmanager
-def fork_pool(workers: int, initializer=None, initargs=()):
-    """A process pool of `workers` forked workers, shut down when the block
-    exits: no worker outlives the block, and a block that raises, a Ctrl-C
-    included, ends its workers rather than wait for their running tasks.
+# the running fork_map call's fn and items; its workers inherit them through
+# the fork and are sent only item indices
+_mapped: tuple | None = None
+
+
+def _map_item(index: int):
+    fn, items = _mapped
+    return fn(items[index])
+
+
+def fork_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(x) for x in items]``, in item order: serially where
+    ``fork_workers(len(items))`` is 1, else on a pool of that many forked
+    workers, made for the call and shut down before it returns.
 
     The workers fork at the first submit, before the pool starts its manager
     thread (coopfuse runs no thread of its own in the caller), so they
-    inherit the caller's memory, `initializer` and `initargs` included,
-    instead of unpickling a copy and importing numpy anew. They ignore
+    inherit `fn` and `items` in memory; only results are pickled. They ignore
     SIGINT, so a Ctrl-C reaches the caller alone, and exit if the caller
-    dies. A worker that dies (say, to the kernel's out-of-memory killer)
-    raises ``BrokenProcessPool`` rather than leaving the caller waiting. The
-    pool's modules are imported only here.
+    dies. A call that raises, a Ctrl-C included, ends its workers rather than
+    wait for their running tasks; an error `fn` raises keeps its type and
+    message, and a dead worker (say, to the out-of-memory killer) raises
+    ``BrokenProcessPool``. The pool's modules are imported only here.
     """
+    global _mapped
+    workers = fork_workers(len(items))
+    if workers < 2:
+        return [fn(x) for x in items]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               _start_worker, (initializer, initargs))
-    try:
-        yield pool
+    _mapped = (fn, items)
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker)
+    try:    # not pool.map: on an error it cancels futures that the pool's thread then fails
+        futures = [pool.submit(_map_item, i) for i in range(len(items))]
+        return [future.result() for future in futures]
     except BaseException:
         for worker in list(pool._processes.values()):     # as 3.14's terminate_workers
             worker.terminate()
         raise
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def _scenario_results(pipe: Pipeline, scenarios: list[Scenario]) -> list:
-    """``_scenario_result`` of each scenario, in order: on a ``fork_pool`` of
-    ``fork_workers`` workers where that allows two or more, else serially."""
-    workers = fork_workers(len(scenarios))
-    if workers < 2:
-        return [_scenario_result(pipe, scen) for scen in scenarios]
-    with fork_pool(workers, _init_worker, (pipe, scenarios)) as pool:
-        return list(pool.map(_worker_result, range(len(scenarios))))
+        _mapped = None
 
 
 def config_label(cfg: PipelineConfig) -> str:

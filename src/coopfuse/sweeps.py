@@ -1,9 +1,10 @@
 """Sweep drivers with a stable CSV schema.
 
 ``variant_sweep`` trains and evaluates one model per config variant (the
-stage ablation, the retention sweep); ``channel_sweep`` evaluates one model
-along a channel axis (latency, packet drop). Every row carries the
-evaluation channel settings alongside the metrics so sweep outputs are
+stage ablation, the retention sweep), the variants spread over
+``pipeline.fork_map``; ``channel_sweep`` evaluates one model along a channel
+axis (latency, packet drop), one ``evaluate`` per point. Every row carries
+the evaluation channel settings alongside the metrics so sweep outputs are
 self-describing. Sweep points share scenario seeds, so rows within one
 sweep differ only in the swept quantity.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import replace
 
-from .pipeline import MetricRecord, Pipeline, PipelineConfig, evaluate
+from .pipeline import MetricRecord, Pipeline, PipelineConfig, evaluate, fork_map
 from .training import train
 from .world import ChannelConfig
 
@@ -66,15 +67,13 @@ def write_loss_curve_csv(path, curve: list[tuple[int, float, float, float]]) -> 
 
 def variant_sweep(variants: list[tuple[str, PipelineConfig]]
                   ) -> tuple[list[MetricRecord], list[dict]]:
-    """Train and evaluate one model per (label, config) variant, seeds shared."""
+    """Train and evaluate one model per (label, config) variant, seeds shared;
+    the variants run on ``fork_map``, each training and evaluation in one worker."""
     for _, sub in variants:
         sub.validate()
-    records, rows = [], []
-    for label, sub in variants:
-        rec = evaluate(train(sub).pipeline, config_id=label)
-        records.append(rec)
-        rows.append(metric_row(rec, sub.channel, sub.retention))
-    return records, rows
+    records = fork_map(lambda v: evaluate(train(v[1]).pipeline, config_id=v[0]), variants)
+    return records, [metric_row(rec, sub.channel, sub.retention)
+                     for rec, (_, sub) in zip(records, variants)]
 
 
 def channel_sweep(cfg: PipelineConfig, points: list[tuple[str, ChannelConfig]],

@@ -7,7 +7,7 @@ pulls the denoiser-stage output toward the perfect-channel integration of
 the same tick (weight 0.1), giving the denoiser a direct correction signal.
 
 A training runs in one process and forks nothing, whatever the number of
-usable cores; only ``pipeline.evaluate`` spreads its work over a process pool.
+usable cores; ``sweeps.variant_sweep`` runs whole trainings on ``fork_map``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ class DivergenceError(RuntimeError):
         super().__init__(f"loss diverged at step {step}: {value}")
         self.step = step
         self.value = value
+
+    def __reduce__(self):       # so that one raised in a fork_map worker reaches the caller
+        return DivergenceError, (self.step, self.value)
 
 
 class Adam:

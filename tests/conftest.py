@@ -2,7 +2,6 @@
 
 import multiprocessing
 import os
-import time
 import tracemalloc
 from dataclasses import replace
 
@@ -14,16 +13,17 @@ import pytest
 # The CLI tests' subprocesses inherit the setting.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from coopfuse.pipeline import Pipeline, PipelineConfig, evaluate  # noqa: E402
+from coopfuse.pipeline import Pipeline, PipelineConfig, evaluate, fork_map  # noqa: E402
 from coopfuse.training import train  # noqa: E402
 from coopfuse.world import ChannelConfig  # noqa: E402
 
+# costliest training first, so the last items left to a pool's workers are short
 TOGGLES = {
     "full": (True, True, True),
-    "baseline": (False, False, False),
-    "stsync": (True, False, False),
     "wtden": (False, True, False),
+    "stsync": (True, False, False),
     "adpsel": (False, False, True),
+    "baseline": (False, False, False),
 }
 
 ACCEPTANCE_SEEDS = (1, 2, 3, 4, 5)
@@ -37,22 +37,20 @@ def desk_config(label: str, seed: int) -> PipelineConfig:
 
 
 class ModelBank:
-    """Trains desk-scale checkpoints on demand and caches them for the session."""
+    """Desk-scale checkpoints, every (label, seed) pair trained in one
+    ``fork_map`` call the first time any is needed, kept for the session."""
 
     def __init__(self):
         self._models: dict[tuple[str, int], Pipeline] = {}
         self._evals: dict[tuple, object] = {}
-        self.train_seconds: dict[tuple[str, int], float] = {}
 
     def get(self, label: str, seed: int) -> Pipeline:
-        key = (label, seed)
-        if key not in self._models:
-            t0 = time.time()
-            result = train(desk_config(label, seed))
-            self.train_seconds[key] = time.time() - t0
-            self._models[key] = result.pipeline
-            self._models[key]._loss_curve = result.loss_curve
-        return self._models[key]
+        if not self._models:
+            keys = [(lab, s) for lab in TOGGLES for s in ACCEPTANCE_SEEDS]
+            for key, result in zip(keys, fork_map(train, [desk_config(*k) for k in keys])):
+                self._models[key] = result.pipeline
+                self._models[key]._loss_curve = result.loss_curve
+        return self._models[(label, seed)]
 
     def metrics(self, label: str, seed: int, channel: ChannelConfig | None = None,
                 wtden_override: bool | None = None):

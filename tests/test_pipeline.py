@@ -1,8 +1,10 @@
 """Pipeline assembly: config validation, stage toggles, end-to-end runs."""
 
 import json
+import math
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -15,7 +17,8 @@ import pytest
 from coopfuse import cli, pipeline as pipeline_module, training as training_module
 from coopfuse.pipeline import (ConfigError, MetricRecord, Pipeline,
                                PipelineConfig, TrainSpec, clean_reference, config_label,
-                               evaluate, occupancy_iou, simulate)
+                               evaluate, fork_map, occupancy_iou, simulate)
+from coopfuse.sweeps import ABLATION_COMBOS, variant_sweep
 from coopfuse.sync import Integrator
 from coopfuse.tensor import Tape, Tensor, active_tape, no_grad
 from coopfuse.training import Adam, DivergenceError, train
@@ -326,6 +329,24 @@ class TestSimulate:
             assert (arrive == -1) == (dropped == 1)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each process pool the caller starts while the test runs."""
+    started = []
+    original = futures_process.ProcessPoolExecutor.__init__
+
+    def spy(self, max_workers=None, *args, **kwargs):
+        started.append(max_workers)
+        original(self, max_workers, *args, **kwargs)
+    monkeypatch.setattr(futures_process.ProcessPoolExecutor, "__init__", spy)
+    return started
+
+
+def ablation_variants(cfg):
+    return [(label, replace(cfg, stsync=st, wtden=wt, adpsel=ad))
+            for label, st, wt, ad in ABLATION_COMBOS]
+
+
 def evaluate_in_worker(cfg):
     """An ``evaluate`` with its trace rows, for a pool worker to run."""
     rows = []
@@ -334,18 +355,6 @@ def evaluate_in_worker(cfg):
 
 class TestParallelEvaluate:
     """``evaluate`` runs its scenarios on forked workers, one per usable core."""
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The worker count of each process pool started while the test runs."""
-        started = []
-        original = futures_process.ProcessPoolExecutor.__init__
-
-        def spy(self, max_workers=None, *args, **kwargs):
-            started.append(max_workers)
-            original(self, max_workers, *args, **kwargs)
-        monkeypatch.setattr(futures_process.ProcessPoolExecutor, "__init__", spy)
-        return started
 
     @staticmethod
     def use_cores(monkeypatch, n):
@@ -431,23 +440,29 @@ class TestParallelEvaluate:
 
     def test_workers_exit_when_their_caller_is_killed(self):
         """A caller killed by SIGKILL shuts no pool down; its workers, which
-        hold its stdout, exit on their own and so close it."""
-        script = ("import multiprocessing, os, signal\n"
-                  "from coopfuse.pipeline import fork_pool\n"
-                  "with fork_pool(2) as pool:\n"
-                  "    pool.submit(os.getpid).result()\n"
-                  "    print(*[p.pid for p in multiprocessing.active_children()], flush=True)\n"
-                  "    os.kill(os.getpid(), signal.SIGKILL)\n")
+        hold its stdout, exit on their own and so close it. The caller is
+        killed only once both workers have reported their pids."""
+        script = ("import os, time\n"
+                  "from coopfuse.pipeline import fork_map\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  "def report(item):\n"
+                  "    os.write(1, b'%d\\n' % os.getpid())\n"    # PYTHONUNBUFFERED splits a print
+                  "    time.sleep(600)\n"
+                  "fork_map(report, [0, 1])\n")
         proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
                                 env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-        workers = [int(pid) for pid in proc.stdout.readline().split()]
+        workers = []
         try:
+            workers = [int(proc.stdout.readline()) for _ in range(2)]
+            os.kill(proc.pid, signal.SIGKILL)
             proc.communicate(timeout=20)          # the pipe closes once every worker has exited
-        except subprocess.TimeoutExpired:
+        except BaseException:
+            proc.kill()
             for pid in workers:
                 os.kill(pid, signal.SIGKILL)
             raise
-        assert proc.returncode == -signal.SIGKILL and len(workers) == 2
+        assert proc.returncode == -signal.SIGKILL
+        assert len(set(workers)) == 2 and proc.pid not in workers
 
     def test_cli_import_loads_no_pool_modules(self):
         # the exit-2 mapping of a killed worker must not import the pool
@@ -471,28 +486,34 @@ class TestParallelEvaluate:
         evaluate(pipe)
         assert pools == []
 
-    def test_calls_inside_an_evaluate_worker_start_no_process(self, monkeypatch):
-        """An ``evaluate`` or a ``train`` inside an ``evaluate`` worker forks
-        nothing. The pool's workers are not daemonic on Python 3.11, so a
-        daemon check let such an evaluate fork a pool of its own."""
+    def test_calls_inside_an_evaluate_worker_start_no_process(self, monkeypatch, tmp_path,
+                                                              pools):
+        """An ``evaluate`` or a ``train`` inside an ``evaluate`` worker, and the
+        ``evaluate`` each ``variant_sweep`` worker runs after its training,
+        fork nothing: every fork is made by the caller, two per pool. The
+        pool's workers are not daemonic on Python 3.11, so a daemon check let
+        such an evaluate fork a pool of its own."""
         cfg, inner = small_config(), small_config()
-        caller = os.getpid()
+        log, fork = tmp_path / "forks", os.fork
+
+        def logged_fork():                  # a worker's fork would log its own pid
+            with open(log, "a") as f:
+                print(os.getpid(), file=f)
+            return fork()
+        monkeypatch.setattr(os, "fork", logged_fork)
         original = pipeline_module._scenario_result
 
         def nested(pipe, scen):
-            rows, ious, mses = original(pipe, scen)
-            if os.getpid() != caller and pipe.cfg is cfg:
-                forks, fork = [], os.fork
-                os.fork = lambda: forks.append(1) or fork()      # this worker's own os
+            if pipe.cfg is cfg:
                 evaluate(Pipeline(inner))
                 train(inner)
-                rows = rows + [("forks", len(forks))]
-            return rows, ious, mses
+            return original(pipe, scen)
         monkeypatch.setattr(pipeline_module, "_scenario_result", nested)
         self.use_cores(monkeypatch, 2)
-        rows = []
-        evaluate(Pipeline(cfg), trace_rows=rows)
-        assert [row for row in rows if row[0] == "forks"] == [("forks", 0)] * 2
+        evaluate(Pipeline(cfg))
+        variant_sweep(ablation_variants(inner)[:3])
+        assert pools == [2, 2]
+        assert log.read_text().split() == [str(os.getpid())] * 4
 
     def test_call_inside_a_pool_worker_stays_serial(self, monkeypatch):
         """A ``multiprocessing.Pool`` worker is a daemon, which may not start
@@ -507,6 +528,63 @@ class TestParallelEvaluate:
             pool.join()
         self.use_cores(monkeypatch, 1)
         assert inner == evaluate_in_worker(cfg)
+
+
+class TestForkMap:
+    """``fork_map`` returns what a serial loop would, in item order, from one
+    pool of one forked worker per usable core."""
+
+    use_cores = staticmethod(TestParallelEvaluate.use_cores)
+
+    def test_two_cores_match_serial_bitwise_and_in_order(self, monkeypatch, pools):
+        caller = os.getpid()
+
+        def draw(seed):     # a closure: fn reaches the workers through the fork
+            return os.getpid() != caller, np.random.default_rng(seed).standard_normal(5).tobytes()
+        runs = []
+        for cores in (1, 2):
+            self.use_cores(monkeypatch, cores)
+            runs.append(fork_map(draw, range(6)))
+        assert pools == [2]
+        assert [x for _, x in runs[0]] == [x for _, x in runs[1]]
+        assert [forked for forked, _ in runs[0]] == [False] * 6
+        assert all(forked for forked, _ in runs[1])
+
+    def test_variant_sweep_on_two_cores_matches_one_core(self, monkeypatch, pools):
+        variants = ablation_variants(small_config())
+        runs = []
+        for cores in (1, 2):
+            self.use_cores(monkeypatch, cores)
+            runs.append(variant_sweep(variants))
+        assert pools == [2]
+        assert runs[0] == runs[1]
+
+    def test_diverging_variant_exits_3_in_one_line(self, tmp_path):
+        """``ablate`` on two usable cores whose +wtden variant diverges in a
+        worker: the ``DivergenceError`` reaches the caller, which exits 3."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config().to_json()))
+        script = ("import os, sys\n"
+                  "from dataclasses import replace\n"
+                  "from coopfuse import cli, sweeps\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                  "caller, original = os.getpid(), sweeps.train\n"
+                  "def train(cfg):\n"
+                  "    assert os.getpid() != caller, 'the variant trained in the caller'\n"
+                  "    if cfg.wtden and not (cfg.stsync or cfg.adpsel):\n"
+                  "        cfg = replace(cfg, training=replace(cfg.training, steps=30,\n"
+                  "                                            learning_rate=1e14))\n"
+                  "    return original(cfg)\n"
+                  "sweeps.train = train\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        out = tmp_path / "out"
+        r = subprocess.run([sys.executable, "-c", script, "ablate", "--config", str(cfg_path),
+                            "--out", str(out)], capture_output=True, text=True, timeout=300,
+                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert r.returncode == 3, r.stderr
+        assert len(r.stderr.splitlines()) == 1, r.stderr
+        assert r.stderr.startswith("divergence: loss diverged at step "), r.stderr
+        assert not (out / "metrics.csv").exists()
 
 
 class TestOneProcessTraining:
@@ -624,7 +702,8 @@ class TestInterrupt:
                 proc.communicate()
         return proc.returncode, err
 
-    @pytest.mark.parametrize("command,module,busy", [("run", "pipeline", "simulate")])
+    @pytest.mark.parametrize("command,module,busy", [("run", "pipeline", "simulate"),
+                                                     ("ablate", "training", "bce_with_logits")])
     def test_sigint_while_a_worker_is_busy(self, tmp_path, command, module, busy):
         """The command exits 130 in one line at once, its workers ended, not
         waited for."""
@@ -740,6 +819,13 @@ class TestTraining:
         with pytest.raises(DivergenceError) as e:
             train(cfg)
         assert e.value.step >= 1
+
+    def test_divergence_error_survives_pickle(self):
+        """As it must to leave a ``fork_map`` worker."""
+        error = pickle.loads(pickle.dumps(DivergenceError(3, math.nan)))
+        assert type(error) is DivergenceError
+        assert str(error) == "loss diverged at step 3: nan"
+        assert error.step == 3 and math.isnan(error.value)
 
     def test_loss_curve_is_recorded(self):
         cfg = small_config()

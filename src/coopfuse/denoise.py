@@ -23,9 +23,6 @@ from .ops import (SCAN_PARAMS, conv2d, haar2d, ihaar2d, reshape, selective_scan,
                   take_rows, transpose, tsum)
 from .tensor import ParamBlock, Tensor
 
-# band positions in the subband order LL, LH, HL, HH
-_PROGRESSIVE_BANDS = (3, 2, 1, 0)  # HH -> HL -> LH -> LL
-
 
 def subband_tokens(x: Tensor) -> Tensor:
     """4C x h2 x w2 subbands -> (h2*w2*4) x C token rows; row 4*p + b holds
@@ -39,35 +36,26 @@ def token_subbands(rows: Tensor, h2: int, w2: int) -> Tensor:
     return transpose(reshape(rows, (h2, w2, -1)), (2, 0, 1))
 
 
-def progressive_order(h2: int, w2: int, direction: str) -> np.ndarray:
+def progressive_order(h2: int, w2: int) -> np.ndarray:
     """Token order visiting whole subbands from high to low frequency."""
     pos = 4 * np.arange(h2 * w2)
-    return _directed(np.concatenate([pos + b for b in _PROGRESSIVE_BANDS]), direction)
+    return np.concatenate([pos + b for b in (3, 2, 1, 0)])     # HH, HL, LH, LL
 
 
-def interleaved_order(h2: int, w2: int, direction: str) -> np.ndarray:
+def interleaved_order(h2: int, w2: int) -> np.ndarray:
     """Token order emitting (LL, LH, HL, HH) at each raster position."""
-    return _directed(np.arange(4 * h2 * w2), direction)
+    return np.arange(4 * h2 * w2)
 
 
-def _directed(fwd: np.ndarray, direction: str) -> np.ndarray:
-    if direction == "forward":
-        return fwd
-    if direction == "reverse":
-        return fwd[::-1].copy()
-    raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")
-
-
-_SCAN_PATHS = (("prog", "forward"), ("prog", "reverse"),
-               ("inter", "forward"), ("inter", "reverse"))
-_ORDERS = {"prog": progressive_order, "inter": interleaved_order}
+SCAN_PATHS = 4      # progressive and interleaved, each forward and reversed
 
 
 @functools.cache
 def scan_orders(h2: int, w2: int) -> tuple[np.ndarray, np.ndarray]:
-    """The P x L token orders of the ``_SCAN_PATHS``, and the index into their
-    stacked P*L outputs that puts every path's tokens back in row order."""
-    orders = np.stack([_ORDERS[kind](h2, w2, direction) for kind, direction in _SCAN_PATHS])
+    """The SCAN_PATHS x L token orders, and the index into their stacked
+    SCAN_PATHS*L outputs that puts every path's tokens back in row order."""
+    prog, inter = progressive_order(h2, w2), interleaved_order(h2, w2)
+    orders = np.stack([prog, prog[::-1], inter, inter[::-1]])
     p, length = orders.shape
     return orders, (np.argsort(orders, axis=1) + length * np.arange(p)[:, None]).reshape(-1)
 
@@ -78,8 +66,8 @@ class WaveletDenoiser(ParamBlock):
     def __init__(self, c: int, state_dim: int, rng: np.random.Generator):
         super().__init__()
         self.c = c
-        p, n = len(_SCAN_PATHS), state_dim
-        # path p of each scan tensor scans along _SCAN_PATHS[p]; the output
+        p, n = SCAN_PATHS, state_dim
+        # path p of each scan tensor scans along scan_orders' row p; the output
         # projection starts at zero and skip at one, so every path is the
         # per-token identity, and decay = -exp(log_decay) runs -1..-N
         init = {"w_step": np.zeros((p, c, c)), "b_step": np.zeros((p, 1, c)),

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .denoise import _SCAN_PATHS, WaveletDenoiser
+from .denoise import SCAN_PATHS, WaveletDenoiser
 from .ops import _SCAN_BLOCK, conv2d
 from .select import IB_RATIO, FeatureSelector
 from .schema import ConfigError, check, entry, read, write
@@ -134,7 +134,7 @@ class PipelineConfig:
         """The pipeline's parameter count, from the fields alone: every block is
         built whichever stages are on."""
         c, m, n = self.channels, self.anchor_points, self.ssm_state_dim
-        paths, half = len(_SCAN_PATHS), max(1, c // 2)
+        paths, half = SCAN_PATHS, max(1, c // 2)
         integrate = 2 * c * c * 9 + c
         sync = ((2 * 2 * c * 9 + 2) + 2 * (c * c * 9 + c) + (2 * c * 9 + 2)     # offsets, warps
                 + (2 * c * 49 + 1) + c + 3 * m * (c + 1))                       # gate, anchor
@@ -171,9 +171,9 @@ class PipelineConfig:
             (4 * c * m * cells, f"{grid}, C={c}, anchor_points={m} (stsync's anchor corners)"),
             (9 * c * (h + 2) * (w + 2), f"{grid}, C={c} (the integrator's 3x3 conv)"),
             (49 * (h + 6) * (w + 6), f"{grid} (stsync's 7x7 gate conv)"),
-            (len(_SCAN_PATHS) * cells * n,
+            (SCAN_PATHS * cells * n,
              f"{grid}, ssm_state_dim={n} (wtden's scan gate gradients)"),
-            (len(_SCAN_PATHS) * min(cells, _SCAN_BLOCK) * c * n,
+            (SCAN_PATHS * min(cells, _SCAN_BLOCK) * c * n,
              f"C={c}, ssm_state_dim={n} (wtden's scan block states)"),
             (self.n_agents * c * cells, f"{grid}, C={c}, n_agents={self.n_agents} "
                                         f"(the integrator's agent stack)"),
@@ -438,6 +438,7 @@ def fork_workers(items: int) -> int:
 
 def _start_worker() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)      # an interrupt is the caller's to handle
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     threading.Thread(target=_exit_with_caller, daemon=True).start()
 
 
@@ -465,13 +466,14 @@ def fork_map(fn: Callable, items: Sequence) -> list:
     workers, made for the call and shut down before it returns.
 
     The workers fork at the first submit, before the pool starts its manager
-    thread (coopfuse runs no thread of its own in the caller), so they
-    inherit `fn` and `items` in memory; only results are pickled. They ignore
-    SIGINT, so a Ctrl-C reaches the caller alone, and exit if the caller
-    dies. A call that raises, a Ctrl-C included, ends its workers rather than
-    wait for their running tasks; an error `fn` raises keeps its type and
-    message, and a dead worker (say, to the out-of-memory killer) raises
-    ``BrokenProcessPool``. The pool's modules are imported only here.
+    thread (coopfuse runs no thread of its own in the caller), so they inherit
+    `fn` and `items` in memory; only results are pickled. They fork with SIGINT
+    blocked, then ignore and unblock it, so a Ctrl-C reaches the caller alone,
+    and exit if the caller dies. A call that raises, a Ctrl-C included, ends
+    its workers rather than wait for their running tasks; an error `fn` raises
+    keeps its type and message, and a dead worker (say, to the out-of-memory
+    killer) raises ``BrokenProcessPool``. The pool's modules are imported only
+    here.
     """
     global _mapped
     workers = fork_workers(len(items))
@@ -482,23 +484,26 @@ def fork_map(fn: Callable, items: Sequence) -> list:
 
     _mapped = (fn, items)
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _start_worker)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:    # not pool.map: on an error it cancels futures that the pool's thread then fails
         futures = [pool.submit(_map_item, i) for i in range(len(items))]
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         return [future.result() for future in futures]
     except BaseException:
         for worker in list(pool._processes.values()):     # as 3.14's terminate_workers
             worker.terminate()
         raise
     finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)      # also after a submit raised
         pool.shutdown(cancel_futures=True)
         _mapped = None
 
 
+def stages_on(cfg: PipelineConfig) -> list[str]:
+    """The names of the fusion stages `cfg` turns on, in pipeline order."""
+    return [name for name in ("stsync", "wtden", "adpsel") if getattr(cfg, name)]
+
+
 def config_label(cfg: PipelineConfig) -> str:
-    if cfg.stsync and cfg.wtden and cfg.adpsel:
-        return "full"
-    if not (cfg.stsync or cfg.wtden or cfg.adpsel):
-        return "baseline"
-    on = [name for name, flag in (("stsync", cfg.stsync), ("wtden", cfg.wtden),
-                                  ("adpsel", cfg.adpsel)) if flag]
-    return "+".join(on)
+    on = stages_on(cfg)
+    return "full" if len(on) == 3 else "+".join(on) or "baseline"

@@ -7,14 +7,14 @@ through a per-token inverted bottleneck. Windows discarded at a fine scale
 become ineligible at coarser scales. Per-scale outputs are fused by
 channel-wise split attention.
 
-Scoring and mask construction are plain numpy: the binary top-k mask of the
-partition carries no gradient, only the routed feature values do.
+Scoring and masking are plain numpy and carry no gradient, only the routed
+feature values do: eligibility is one bool H x W map, and ``eligible &= keep``
+drops each scale's discarded windows from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,86 +24,38 @@ from .sync import identity_kernel
 from .tensor import ParamBlock, Tensor
 
 
-class BlockGrid:
-    """Partition of an H x W plane into non-overlapping scale x scale windows."""
-
-    def __init__(self, height: int, width: int, scale: int):
-        if height % scale or width % scale:
-            raise ValueError(f"scale {scale} does not divide grid {height}x{width}")
-        self.height = height
-        self.width = width
-        self.scale = scale
-        self.n_rows = height // scale
-        self.n_cols = width // scale
-        self.n_blocks = self.n_rows * self.n_cols
-
-    def descriptors(self, feature: np.ndarray) -> np.ndarray:
-        """Mean-pool each window: returns n_blocks x C."""
-        c = feature.shape[0]
-        s = self.scale
-        r = feature.reshape(c, self.n_rows, s, self.n_cols, s)
-        return r.mean(axis=(2, 4)).reshape(c, self.n_blocks).T
-
-    def coverage(self, eligibility: np.ndarray) -> np.ndarray:
-        """Eligible-pixel count per window, flat n_blocks."""
-        s = self.scale
-        r = eligibility.reshape(self.n_rows, s, self.n_cols, s)
-        return r.sum(axis=(1, 3)).reshape(-1)
-
-    def to_pixels(self, block_values: np.ndarray) -> np.ndarray:
-        """Replicate per-block values to pixel resolution."""
-        grid = block_values.reshape(self.n_rows, self.n_cols)
-        return grid.repeat(self.scale, axis=0).repeat(self.scale, axis=1)
-
-
-@dataclass
-class SelectionMask:
-    block_mask: np.ndarray      # n_rows x n_cols, values in {0, 1}
-    pixel_mask: np.ndarray      # H x W materialization
-    retained_count: int
-    grid: BlockGrid
-
-
-def score_blocks(feature: np.ndarray, grid: BlockGrid, eligibility: np.ndarray) -> np.ndarray:
-    """Channel-mean saliency per window; zero-coverage windows score -inf."""
-    if eligibility.shape != (grid.height, grid.width):
-        raise ValueError(f"eligibility shape {eligibility.shape} does not match grid "
-                         f"{grid.height}x{grid.width}")
-    c = feature.shape[0]
-    scores = grid.descriptors(feature) @ np.full(c, 1.0 / c)
-    scores[grid.coverage(eligibility) == 0] = -np.inf
+def window_scores(feature: np.ndarray, scale: int, eligible: np.ndarray) -> np.ndarray:
+    """Channel-mean saliency of each scale x scale window of a C x H x W
+    feature, flat in raster order; -inf where a window has no eligible pixel."""
+    c, h, w = feature.shape
+    if h % scale or w % scale:
+        raise ValueError(f"scale {scale} does not divide grid {h}x{w}")
+    if eligible.shape != (h, w):
+        raise ValueError(f"eligibility shape {eligible.shape} does not match grid {h}x{w}")
+    rows, cols = h // scale, w // scale
+    means = feature.reshape(c, rows, scale, cols, scale).mean(axis=(2, 4))
+    scores = means.reshape(c, rows * cols).T @ np.full(c, 1.0 / c)
+    scores[~eligible.reshape(rows, scale, cols, scale).any(axis=(1, 3)).reshape(-1)] = -np.inf
     return scores
 
 
-def topk_select(scores: np.ndarray, k: float, grid: BlockGrid) -> SelectionMask:
-    """Retain the ceil(k * n_eligible) best-scoring eligible windows, at least one.
-
-    Ties break toward the lower flat block index.
-    """
+def retained_windows(scores: np.ndarray, k: float) -> np.ndarray:
+    """A bool per window: the ceil(k * n_eligible) best of the finite scores,
+    at least one. Ties break toward the lower flat window index."""
     if not 0.0 < k <= 1.0:
         raise ValueError(f"retention fraction must lie in (0, 1], got {k}")
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    eligible = np.isfinite(scores)
-    n_eligible = int(eligible.sum())
+    n_eligible = int(np.isfinite(scores).sum())
     if n_eligible == 0:
         raise ValueError("no eligible blocks to select from")
     retained = min(n_eligible, max(1, math.ceil(k * n_eligible - 1e-9)))
-    order = np.argsort(-scores, kind="stable")
-    chosen = order[:retained]
-    block_mask = np.zeros(grid.n_blocks)
-    block_mask[chosen] = 1.0
-    return SelectionMask(
-        block_mask=block_mask.reshape(grid.n_rows, grid.n_cols),
-        pixel_mask=grid.to_pixels(block_mask),
-        retained_count=retained,
-        grid=grid,
-    )
+    keep = np.zeros(scores.size, dtype=bool)
+    keep[np.argsort(-scores, kind="stable")[:retained]] = True
+    return keep
 
 
-def propagate_mask(mask_initial: np.ndarray, selection: SelectionMask) -> np.ndarray:
-    """Subtract the discarded-region pixels from the mask, clamped to [0, 1]."""
-    discarded = selection.grid.to_pixels(1.0 - selection.block_mask.reshape(-1))
-    return np.clip(mask_initial - discarded, 0.0, 1.0)
+def window_pixels(mask: np.ndarray, scale: int, h: int, w: int) -> np.ndarray:
+    """A flat per-window mask replicated to the h x w pixel plane."""
+    return mask.reshape(h // scale, w // scale).repeat(scale, axis=0).repeat(scale, axis=1)
 
 
 class LinearAttention(ParamBlock):
@@ -201,27 +153,25 @@ class FeatureSelector(ParamBlock):
 
     def __call__(self, feature: Tensor) -> Tensor:
         c, h, w = feature.data.shape
-        for s in self.scales:
-            if h % s or w % s:
-                raise ValueError(f"scale {s} does not divide grid {h}x{w}")
-        eligibility = np.ones((h, w))
+        eligible = np.ones((h, w), dtype=bool)
         flat = transpose(reshape(feature, (c, h * w)), (1, 0))       # HW x C
         outputs = []
         for s in self.scales:
-            grid = BlockGrid(h, w, s)
             # fixed saliency, not a learned scorer: no gradient crosses the
             # binary mask, so a scorer's weights could never train
-            scores = score_blocks(feature.data, grid, eligibility)
+            scores = window_scores(feature.data, s, eligible)
             if not np.any(np.isfinite(scores)):
-                outputs.append(feature)   # nothing eligible: passthrough
+                # a nonfinite feature scores every window NaN: passed on, it shows
+                # as a nonfinite loss or metric (exit 3), not a selection error
+                outputs.append(feature)
                 continue
-            selection = topk_select(scores, self.retention, grid)
-            sel_idx = np.flatnonzero(selection.pixel_mask.reshape(-1) > 0.5)
-            un_idx = np.flatnonzero(selection.pixel_mask.reshape(-1) <= 0.5)
+            keep = window_pixels(retained_windows(scores, self.retention), s, h, w)
+            sel_idx = np.flatnonzero(keep)
+            un_idx = np.flatnonzero(~keep)
             rows = concat([self.attention(take_rows(flat, sel_idx)),
                            self.bottleneck(take_rows(flat, un_idx))], axis=0)
             inv = np.argsort(np.concatenate([sel_idx, un_idx]))
             restored = reshape(transpose(take_rows(rows, inv), (1, 0)), (c, h, w))
             outputs.append(conv2d(restored, self.agg_kernel, self.agg_bias, pad=1))
-            eligibility = propagate_mask(eligibility, selection)
+            eligible &= keep
         return self.split(outputs)

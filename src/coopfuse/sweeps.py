@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import replace
 
-from .pipeline import MetricRecord, Pipeline, PipelineConfig, evaluate, fork_map
+from .pipeline import MetricRecord, Pipeline, PipelineConfig, evaluate, fork_map, stages_on
 from .training import train
 from .world import ChannelConfig
 
@@ -68,10 +68,13 @@ def write_loss_curve_csv(path, curve: list[tuple[int, float, float, float]]) -> 
 def variant_sweep(variants: list[tuple[str, PipelineConfig]]
                   ) -> tuple[list[MetricRecord], list[dict]]:
     """Train and evaluate one model per (label, config) variant, seeds shared;
-    the variants run on ``fork_map``, each training and evaluation in one worker."""
+    the variants run on ``fork_map``, each training and evaluation in one worker,
+    the costliest (most stages on) first. Records and rows keep the given order."""
     for _, sub in variants:
         sub.validate()
-    records = fork_map(lambda v: evaluate(train(v[1]).pipeline, config_id=v[0]), variants)
+    ranked = sorted(variants, key=lambda v: -len(stages_on(v[1])))    # stable among equals
+    done = fork_map(lambda v: evaluate(train(v[1]).pipeline, config_id=v[0]), ranked)
+    records = [done[ranked.index(v)] for v in variants]     # equal variants, equal records
     return records, [metric_row(rec, sub.channel, sub.retention)
                      for rec, (_, sub) in zip(records, variants)]
 

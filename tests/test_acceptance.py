@@ -15,10 +15,9 @@ import pytest
 
 from conftest import ACCEPTANCE_SEEDS
 from coopfuse import ops
-from coopfuse.denoise import (interleaved_order, progressive_order, subband_tokens,
-                              token_subbands)
+from coopfuse.denoise import scan_orders, subband_tokens, token_subbands
 from coopfuse.gradcheck import grad_check
-from coopfuse.select import BlockGrid, propagate_mask, score_blocks, topk_select
+from coopfuse.select import retained_windows, window_pixels, window_scores
 from coopfuse.sync import TemporalSync
 from coopfuse.tensor import Tensor
 from coopfuse.wavelet import haar_iwt2d, haar_wt2d
@@ -119,12 +118,10 @@ def test_03_scan_bijectivity():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         bands = Tensor(rng.normal(size=(12, 4, 4)))       # 4C x h2 x w2 subbands, C = 3
-        for order_fn in (progressive_order, interleaved_order):
-            for direction in ("forward", "reverse"):
-                order = order_fn(4, 4, direction)
-                seq = ops.take_rows(subband_tokens(bands), order)
-                back = token_subbands(ops.take_rows(seq, np.argsort(order)), 4, 4)
-                ok = ok and np.array_equal(back.data, bands.data)
+        for order in scan_orders(4, 4)[0]:
+            seq = ops.take_rows(subband_tokens(bands), order)
+            back = token_subbands(ops.take_rows(seq, np.argsort(order)), 4, 4)
+            ok = ok and np.array_equal(back.data, bands.data)
     report("scan bijectivity", ok, "4 orders x 100 subband sets, bitwise")
 
 
@@ -132,35 +129,35 @@ def test_04_mask_algebra():
     partition_ok = retention_ok = monotone_ok = scaling_ok = True
     for trial in range(1000):
         rng = np.random.default_rng(trial)
-        grid = BlockGrid(16, 16, int(rng.choice([2, 4, 8])))
-        scores = rng.normal(size=grid.n_blocks)
-        n_off = int(rng.integers(0, grid.n_blocks // 2 + 1))
+        scale = int(rng.choice([2, 4, 8]))
+        n_windows = (16 // scale) ** 2
+        scores = rng.normal(size=n_windows)
+        n_off = int(rng.integers(0, n_windows // 2 + 1))
         if n_off:
-            scores[rng.choice(grid.n_blocks, size=n_off, replace=False)] = -np.inf
+            scores[rng.choice(n_windows, size=n_off, replace=False)] = -np.inf
         k = float(rng.uniform(0.05, 1.0))
-        sel = topk_select(scores, k, grid)
+        keep = retained_windows(scores, k)
+        pixels = window_pixels(keep, scale, 16, 16)
         f = rng.normal(size=(2, 16, 16))
-        partition_ok = partition_ok and np.array_equal(
-            sel.pixel_mask * f + (1.0 - sel.pixel_mask) * f, f)
+        partition_ok = partition_ok and np.array_equal(pixels * f + ~pixels * f, f)
         n_eligible = int(np.isfinite(scores).sum())
         retention_ok = retention_ok and (
-            sel.retained_count == int(np.ceil(k * n_eligible - 1e-9)))
+            int(keep.sum()) == int(np.ceil(k * n_eligible - 1e-9)))
         finite = np.where(np.isfinite(scores), scores, 0.0)
         scaled = np.where(np.isfinite(scores), finite * float(rng.uniform(0.5, 10.0)),
                           -np.inf)
-        scaling_ok = scaling_ok and np.array_equal(
-            topk_select(scaled, k, grid).block_mask, sel.block_mask)
+        scaling_ok = scaling_ok and np.array_equal(retained_windows(scaled, k), keep)
     for trial in range(1000):
         rng = np.random.default_rng(5000 + trial)
         feat = rng.normal(size=(2, 16, 16))
-        elig = np.ones((16, 16))
+        elig = np.ones((16, 16), dtype=bool)
         for s in (2, 4, 8):
-            grid = BlockGrid(16, 16, s)
-            scores = score_blocks(feat, grid, elig)
+            scores = window_scores(feat, s, elig)
             if not np.any(np.isfinite(scores)):
                 break
-            nxt = propagate_mask(elig, topk_select(scores, 0.4, grid))
-            monotone_ok = monotone_ok and np.all(nxt <= elig + 1e-12)
+            # FeatureSelector's eligible &= keep
+            nxt = elig & window_pixels(retained_windows(scores, 0.4), s, 16, 16)
+            monotone_ok = monotone_ok and np.all(nxt <= elig)
             elig = nxt
     report("mask algebra",
            partition_ok and retention_ok and monotone_ok and scaling_ok,

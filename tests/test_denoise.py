@@ -7,8 +7,9 @@ import pytest
 
 from composed_ops import exp, index_axis, neg, softplus
 from coopfuse import ops
-from coopfuse.denoise import (_SCAN_PATHS, WaveletDenoiser, interleaved_order,
-                              progressive_order, subband_tokens, token_subbands)
+from coopfuse.denoise import (SCAN_PATHS, WaveletDenoiser, interleaved_order,
+                              progressive_order, scan_orders, subband_tokens,
+                              token_subbands)
 from coopfuse.gradcheck import grad_check
 from coopfuse.tensor import Tape, Tensor
 from coopfuse.world import stream
@@ -27,54 +28,56 @@ def tagged_bands(c=1, h2=2, w2=2):
     return Tensor(np.repeat(vals.reshape(4, 1, h2, w2), c, axis=1).reshape(4 * c, h2, w2))
 
 
-def scan_tokens(bands, order_fn, direction):
+def scan_tokens(bands, order):
     """The token sequence of one scan path, as scan_branch gathers it."""
+    return ops.take_rows(subband_tokens(bands), order)
+
+
+def path_order(bands, path):
+    """Row `path` of scan_orders for the bands' grid."""
     _, h2, w2 = bands.data.shape
-    return ops.take_rows(subband_tokens(bands), order_fn(h2, w2, direction))
+    return scan_orders(h2, w2)[0][path]
 
 
 class TestScanOrders:
     def test_progressive_starts_at_hh_origin(self):
-        seq = scan_tokens(tagged_bands(), progressive_order, "forward")
+        seq = scan_tokens(tagged_bands(), progressive_order(2, 2))
         assert seq.data[0, 0] == 300.0        # HH(0,0)
         # whole-band order: HH block, then HL, LH, LL
         assert list(seq.data[[0, 4, 8, 12], 0]) == [300.0, 200.0, 100.0, 0.0]
 
     def test_interleaved_first_four_tokens(self):
-        seq = scan_tokens(tagged_bands(), interleaved_order, "forward")
+        seq = scan_tokens(tagged_bands(), interleaved_order(2, 2))
         assert list(seq.data[:4, 0]) == [0.0, 100.0, 200.0, 300.0]
 
     def test_sequence_length(self):
-        seq = scan_tokens(random_bands(0, c=3, h2=4, w2=8), interleaved_order, "forward")
+        seq = scan_tokens(random_bands(0, c=3, h2=4, w2=8), interleaved_order(4, 8))
         assert seq.data.shape == (4 * 4 * 8, 3)
 
     def test_reverse_is_exact_reversal(self):
-        for order_fn in (progressive_order, interleaved_order):
-            fwd = scan_tokens(tagged_bands(c=2), order_fn, "forward")
-            rev = scan_tokens(tagged_bands(c=2), order_fn, "reverse")
+        """scan_orders' paths are progressive, interleaved, each then reversed."""
+        bands = tagged_bands(c=2)
+        assert len(scan_orders(2, 2)[0]) == SCAN_PATHS
+        for path, order_fn in ((0, progressive_order), (2, interleaved_order)):
+            assert np.array_equal(path_order(bands, path), order_fn(2, 2))
+            fwd = scan_tokens(bands, path_order(bands, path))
+            rev = scan_tokens(bands, path_order(bands, path + 1))
             assert np.array_equal(rev.data, fwd.data[::-1])
 
-    @pytest.mark.parametrize("order_fn", [progressive_order, interleaved_order],
-                             ids=["progressive_scan", "interleaved_scan"])
-    @pytest.mark.parametrize("direction", ["forward", "reverse"])
-    def test_bitwise_roundtrip(self, order_fn, direction):
+    @pytest.mark.parametrize("path", [0, 2], ids=["progressive_scan", "interleaved_scan"])
+    @pytest.mark.parametrize("reverse", [0, 1], ids=["forward", "reverse"])
+    def test_bitwise_roundtrip(self, path, reverse):
         for seed in range(25):
             bands = random_bands(seed)
             _, h2, w2 = bands.data.shape
-            order = order_fn(h2, w2, direction)
+            order = path_order(bands, path + reverse)
             seq = ops.take_rows(subband_tokens(bands), order)
             back = token_subbands(ops.take_rows(seq, np.argsort(order)), h2, w2)
             assert np.array_equal(back.data, bands.data)
 
     def test_orders_are_permutations(self):
-        for order_fn in (progressive_order, interleaved_order):
-            for direction in ("forward", "reverse"):
-                perm = order_fn(4, 8, direction)
-                assert np.array_equal(np.sort(perm), np.arange(4 * 4 * 8))
-
-    def test_bad_direction_rejected(self):
-        with pytest.raises(ValueError):
-            progressive_order(2, 2, "sideways")
+        for perm in scan_orders(4, 8)[0]:
+            assert np.array_equal(np.sort(perm), np.arange(4 * 4 * 8))
 
 
 def one_path(c, n, seed):
@@ -190,8 +193,7 @@ def composed_scan_branch(den, bands):
     _, h2, w2 = bands.data.shape
     rows = subband_tokens(bands)
     total = None
-    for p, (kind, direction) in enumerate(_SCAN_PATHS):
-        order = (progressive_order if kind == "prog" else interleaved_order)(h2, w2, direction)
+    for p, order in enumerate(scan_orders(h2, w2)[0]):
         y = composed_scan(denoiser_scan(den), ops.take_rows(rows, order), p)
         back = token_subbands(ops.take_rows(y, np.argsort(order)), h2, w2)
         total = back if total is None else total + back

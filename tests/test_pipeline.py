@@ -14,7 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coopfuse import cli, pipeline as pipeline_module, training as training_module
+from coopfuse import cli, pipeline as pipeline_module, sweeps as sweeps_module
+from coopfuse import training as training_module
 from coopfuse.pipeline import (ConfigError, MetricRecord, Pipeline,
                                PipelineConfig, TrainSpec, clean_reference, config_label,
                                evaluate, fork_map, occupancy_iou, simulate)
@@ -558,6 +559,63 @@ class TestForkMap:
             runs.append(variant_sweep(variants))
         assert pools == [2]
         assert runs[0] == runs[1]
+
+    def test_workers_start_with_sigint_blocked(self, monkeypatch, pools):
+        """A worker forks with SIGINT blocked, so no Ctrl-C reaches it before
+        ``_start_worker`` ignores SIGINT; its tasks run with SIGINT unblocked.
+        The caller's own mask comes back as it was, after a return or a raise,
+        a SIGINT it had blocked itself included."""
+        started = []
+        original = pipeline_module._start_worker
+
+        def start_worker():
+            started.append(signal.pthread_sigmask(signal.SIG_BLOCK, set()))
+            original()
+        monkeypatch.setattr(pipeline_module, "_start_worker", start_worker)
+
+        def masks(item):        # the worker's mask at its start and in this task
+            return started[0], signal.pthread_sigmask(signal.SIG_BLOCK, set())
+
+        def fail(item):
+            raise ValueError("item failed")
+        self.use_cores(monkeypatch, 2)
+        caller = signal.pthread_sigmask(signal.SIG_BLOCK, set())
+        assert signal.SIGINT not in caller
+        for at_start, in_task in fork_map(masks, range(4)):
+            assert signal.SIGINT in at_start
+            assert signal.SIGINT not in in_task
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, set()) == caller
+        with pytest.raises(ValueError, match="item failed"):
+            fork_map(fail, range(2))
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, set()) == caller
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            fork_map(masks, range(2))
+            assert signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, set())
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, caller)
+        assert pools == [2, 2, 2]
+        assert multiprocessing.active_children() == []
+
+    def test_variant_sweep_hands_out_costliest_first(self, monkeypatch):
+        """``variant_sweep`` maps the variants with the most stages on first,
+        stably, and returns records and rows in the order given."""
+        ran = []
+
+        def evaluate(pipe, config_id):
+            ran.append(config_id)
+            return MetricRecord(config_id, 0.0, 0.0)
+        monkeypatch.setattr(sweeps_module, "train",
+                            lambda cfg: training_module.TrainResult(cfg, []))
+        monkeypatch.setattr(sweeps_module, "evaluate", evaluate)
+        self.use_cores(monkeypatch, 1)
+        variants = ablation_variants(small_config())
+        records, rows = variant_sweep(variants)
+        assert ran == ["full", "+stsync+wtden", "+stsync+adpsel",
+                       "+stsync", "+wtden", "+adpsel", "baseline"]
+        labels = [label for label, _ in variants]
+        assert [rec.config_id for rec in records] == labels
+        assert [row["config_id"] for row in rows] == labels
 
     def test_diverging_variant_exits_3_in_one_line(self, tmp_path):
         """``ablate`` on two usable cores whose +wtden variant diverges in a

@@ -1,4 +1,4 @@
-"""Adaptive selector: block scoring, top-k masks, propagation, token paths."""
+"""Adaptive selector: window scoring, top-k masks, propagation, token paths."""
 
 import numpy as np
 import pytest
@@ -6,33 +6,45 @@ import pytest
 from composed_ops import index_axis
 from coopfuse import ops
 from coopfuse.gradcheck import grad_check
-from coopfuse.select import (BlockGrid, FeatureSelector, InvertedBottleneck,
-                             LinearAttention, SplitAttention, propagate_mask,
-                             score_blocks, topk_select)
+from coopfuse.select import (FeatureSelector, InvertedBottleneck, LinearAttention,
+                             SplitAttention, retained_windows, window_pixels, window_scores)
 from coopfuse.sync import identity_kernel
 from coopfuse.tensor import Tape, Tensor
 from coopfuse.world import stream
+from select_reference import (ReferenceGrid, reference_propagate, reference_scores,
+                              reference_selector, reference_topk)
 
 
-class TestBlockGrid:
+def all_eligible(h, w):
+    return np.ones((h, w), dtype=bool)
+
+
+def propagate(eligible, keep, scale):
+    """The next scale's eligibility, as ``FeatureSelector`` narrows it:
+    eligible AND the pixels of the kept windows."""
+    return eligible & window_pixels(keep, scale, *eligible.shape)
+
+
+class TestWindowGrid:
     def test_tiling_is_exact(self):
-        grid = BlockGrid(8, 12, 4)
-        assert grid.n_blocks == 2 * 3
-        pix = grid.to_pixels(np.arange(6, dtype=float))
+        assert window_scores(np.zeros((1, 8, 12)), 4, all_eligible(8, 12)).size == 2 * 3
+        pix = window_pixels(np.arange(6, dtype=float), 4, 8, 12)
         assert pix.shape == (8, 12)
-        # every pixel belongs to exactly one block
+        # every pixel belongs to exactly one window
         for b in range(6):
             assert (pix == b).sum() == 16
 
     def test_indivisible_scale_rejected(self):
-        with pytest.raises(ValueError):
-            BlockGrid(8, 12, 5)
+        with pytest.raises(ValueError, match="scale 5 does not divide grid 8x12"):
+            window_scores(np.zeros((1, 8, 12)), 5, all_eligible(8, 12))
+        with pytest.raises(ValueError, match="eligibility shape"):
+            window_scores(np.zeros((1, 8, 12)), 4, all_eligible(12, 8))
 
     def test_descriptors_are_window_means(self):
         rng = np.random.default_rng(0)
         f = rng.normal(size=(3, 8, 8))
-        grid = BlockGrid(8, 8, 4)
-        d = grid.descriptors(f)
+        # one channel's scores are its window means
+        d = np.stack([window_scores(f[[i]], 4, all_eligible(8, 8)) for i in range(3)], axis=1)
         assert d.shape == (4, 3)
         assert d[0] == pytest.approx(f[:, :4, :4].mean(axis=(1, 2)))
         assert d[3] == pytest.approx(f[:, 4:, 4:].mean(axis=(1, 2)))
@@ -41,15 +53,13 @@ class TestBlockGrid:
 class TestScoreBlocks:
     def test_identical_blocks_identical_scores(self):
         f = np.tile(np.arange(4.0).reshape(1, 2, 2), (2, 4, 4))
-        grid = BlockGrid(8, 8, 2)
-        s = score_blocks(f, grid, np.ones((8, 8)))
+        s = window_scores(f, 2, all_eligible(8, 8))
         assert np.allclose(s, s[0])
 
     def test_channel_mean_oracle(self):
         rng = np.random.default_rng(1)
         f = rng.normal(size=(3, 8, 8))
-        grid = BlockGrid(8, 8, 4)
-        s = score_blocks(f, grid, np.ones((8, 8)))
+        s = window_scores(f, 4, all_eligible(8, 8))
         want = [f[:, :4, :4].mean(), f[:, :4, 4:].mean(),
                 f[:, 4:, :4].mean(), f[:, 4:, 4:].mean()]
         assert np.allclose(s, want)
@@ -57,77 +67,69 @@ class TestScoreBlocks:
     def test_ineligible_block_scores_minus_inf(self):
         rng = np.random.default_rng(2)
         f = rng.normal(size=(2, 8, 8))
-        elig = np.ones((8, 8))
-        # fully ineligible top-left block
-        elig[:4, :4] = 0.0
-        grid = BlockGrid(8, 8, 4)
-        s = score_blocks(f, grid, elig)
+        elig = all_eligible(8, 8)
+        # fully ineligible top-left window
+        elig[:4, :4] = False
+        s = window_scores(f, 4, elig)
         assert s[0] == -np.inf and np.all(np.isfinite(s[1:]))
-        sel = topk_select(s, 1.0, grid)
-        assert sel.block_mask.reshape(-1)[0] == 0.0
+        assert not retained_windows(s, 1.0)[0]
 
 
 class TestTopK:
     def test_half_retention_picks_two_best(self):
-        grid = BlockGrid(4, 4, 2)
-        sel = topk_select(np.array([0.9, 0.1, 0.5, 0.7]), 0.5, grid)
-        assert sel.retained_count == 2
-        assert np.array_equal(sel.block_mask.reshape(-1), [1, 0, 0, 1])
+        keep = retained_windows(np.array([0.9, 0.1, 0.5, 0.7]), 0.5)
+        assert keep.dtype == bool and keep.sum() == 2
+        assert np.array_equal(keep, [1, 0, 0, 1])
 
     def test_full_retention_selects_all(self):
-        grid = BlockGrid(4, 4, 2)
-        sel = topk_select(np.array([0.2, -1.0, 0.4, 0.0]), 1.0, grid)
-        assert sel.retained_count == 4
-        assert np.all(sel.block_mask == 1.0)
+        keep = retained_windows(np.array([0.2, -1.0, 0.4, 0.0]), 1.0)
+        assert keep.sum() == 4
+        assert np.all(keep)
 
     def test_tie_breaks_to_lowest_index(self):
-        grid = BlockGrid(4, 4, 2)
-        sel = topk_select(np.zeros(4), 0.25, grid)
-        assert sel.retained_count == 1
-        assert np.array_equal(sel.block_mask.reshape(-1), [1, 0, 0, 0])
+        keep = retained_windows(np.zeros(4), 0.25)
+        assert keep.sum() == 1
+        assert np.array_equal(keep, [1, 0, 0, 0])
 
     def test_retained_count_formula(self):
-        grid = BlockGrid(16, 16, 2)      # 64 blocks
         rng = np.random.default_rng(3)
-        for k, n_inelig in [(0.3, 0), (0.1, 4), (0.62, 10), (1.0, 3), (1e-300, 5)]:
-            scores = rng.normal(size=64)
+        # 0.56 * 50 rounds to 28.000000000000004, which the 1e-9 slack keeps at 28
+        for k, n_inelig in [(0.3, 0), (0.1, 4), (0.62, 10), (1.0, 3), (1e-300, 5), (0.56, 14)]:
+            scores = rng.normal(size=64)       # a 16 x 16 grid of 2 x 2 windows
             scores[rng.choice(64, size=n_inelig, replace=False)] = -np.inf
-            sel = topk_select(scores, k, grid)
+            keep = retained_windows(scores, k)
             n_elig = 64 - n_inelig
-            assert sel.retained_count == max(1, int(np.ceil(k * n_elig - 1e-9)))
+            assert keep.sum() == max(1, int(np.ceil(k * n_elig - 1e-9)))
 
     def test_no_eligible_blocks_rejected(self):
-        grid = BlockGrid(4, 4, 2)
-        with pytest.raises(ValueError):
-            topk_select(np.full(4, -np.inf), 0.5, grid)
+        with pytest.raises(ValueError, match="no eligible blocks to select from"):
+            retained_windows(np.full(4, -np.inf), 0.5)
+        for k in (0.0, 1.5):
+            with pytest.raises(ValueError, match="retention fraction must lie in"):
+                retained_windows(np.zeros(4), k)
 
     def test_pixel_mask_replicates_blocks(self):
-        grid = BlockGrid(4, 4, 2)
-        sel = topk_select(np.array([1.0, 0.0, 0.0, 0.0]), 0.25, grid)
-        want = np.zeros((4, 4))
-        want[:2, :2] = 1.0
-        assert np.array_equal(sel.pixel_mask, want)
+        keep = retained_windows(np.array([1.0, 0.0, 0.0, 0.0]), 0.25)
+        want = np.zeros((4, 4), dtype=bool)
+        want[:2, :2] = True
+        assert np.array_equal(window_pixels(keep, 2, 4, 4), want)
 
 
 class TestPropagateMask:
     def test_nothing_discarded_keeps_mask(self):
-        grid = BlockGrid(4, 4, 2)
-        sel = topk_select(np.arange(4.0), 1.0, grid)
-        init = np.ones((4, 4))
-        assert np.array_equal(propagate_mask(init, sel), init)
+        keep = retained_windows(np.arange(4.0), 1.0)
+        init = all_eligible(4, 4)
+        assert np.array_equal(propagate(init, keep, 2), init)
 
     def test_everything_discarded_zeroes_mask(self):
-        grid = BlockGrid(4, 4, 2)
-        sel = topk_select(np.arange(4.0), 1.0, grid)
-        sel.block_mask[:] = 0.0       # force-discard all blocks
-        out = propagate_mask(np.ones((4, 4)), sel)
-        assert np.array_equal(out, np.zeros((4, 4)))
+        keep = np.zeros(4, dtype=bool)        # every window discarded
+        out = propagate(all_eligible(4, 4), keep, 2)
+        assert np.array_equal(out, np.zeros((4, 4), dtype=bool))
 
     def test_set_difference_oracle(self):
-        grid = BlockGrid(4, 4, 2)
-        sel = topk_select(np.array([3.0, 2.0, 1.0, 0.0]), 0.5, grid)
-        out = propagate_mask(np.ones((4, 4)), sel)
-        assert np.array_equal(out, sel.pixel_mask)
+        keep = retained_windows(np.array([3.0, 2.0, 1.0, 0.0]), 0.5)
+        out = propagate(all_eligible(4, 4), keep, 2)
+        assert np.array_equal(out, window_pixels(keep, 2, 4, 4))
 
 
 class TestLinearAttention:
@@ -299,40 +301,112 @@ class TestSplitAttentionMatchesLoop:
 
 class TestMaskAlgebraProperties:
     def test_partition_exactness(self):
-        rng = np.random.default_rng(12)
         for trial in range(100):
             r = np.random.default_rng(trial)
             f = r.normal(size=(2, 8, 8))
-            grid = BlockGrid(8, 8, 2)
-            scores = r.normal(size=grid.n_blocks)
+            scores = r.normal(size=16)         # an 8 x 8 grid of 2 x 2 windows
             k = float(r.uniform(0.05, 1.0))
-            sel = topk_select(scores, k, grid)
-            selected = sel.pixel_mask * f
-            unselected = (1.0 - sel.pixel_mask) * f
+            pixels = window_pixels(retained_windows(scores, k), 2, 8, 8)
+            selected = pixels * f
+            unselected = ~pixels * f
             assert np.array_equal(selected + unselected, f)
 
     def test_mask_monotone_across_scales(self):
         for trial in range(50):
             rng = np.random.default_rng(200 + trial)
             f = rng.normal(size=(2, 16, 16))
-            elig = np.ones((16, 16))
+            elig = all_eligible(16, 16)
             for s in (2, 4, 8):
-                grid = BlockGrid(16, 16, s)
-                scores = score_blocks(f, grid, elig)
+                scores = window_scores(f, s, elig)
                 if not np.any(np.isfinite(scores)):
                     break
-                sel = topk_select(scores, 0.4, grid)
-                nxt = propagate_mask(elig, sel)
-                assert np.all(nxt <= elig + 1e-12)
+                nxt = propagate(elig, retained_windows(scores, 0.4), s)
+                assert np.all(nxt <= elig)
                 elig = nxt
 
     def test_score_scaling_invariance(self):
-        rng = np.random.default_rng(13)
-        grid = BlockGrid(16, 16, 4)
         for trial in range(50):
             r = np.random.default_rng(300 + trial)
-            scores = r.normal(size=grid.n_blocks)
-            base = topk_select(scores, 0.3, grid).block_mask
+            scores = r.normal(size=16)         # a 16 x 16 grid of 4 x 4 windows
+            base = retained_windows(scores, 0.3)
             for c in (0.5, 2.0, 10.0):
-                scaled = topk_select(scores * c, 0.3, grid).block_mask
+                scaled = retained_windows(scores * c, 0.3)
                 assert np.array_equal(base, scaled)
+
+
+def reference_inputs():
+    """(C x H x W feature, scales, k) cases: random features over five scale
+    sets with k from 0.01 to 1.0, some with tied rows, then features with
+    some or every value NaN or infinite."""
+    scale_sets = [(4, 8), (8, 4), (2, 4, 8), (4,), (6, 4)]
+    ks = np.linspace(0.01, 1.0, 30)
+    cases = []
+    for i in range(30):
+        rng = np.random.default_rng(900 + i)
+        f = rng.normal(size=(3, 24, 24))
+        if i % 3 == 0:              # every row alike: the windows of one column tie
+            f = np.repeat(f[:, :1, :], 24, axis=1)
+        cases.append((f, scale_sets[i % 5], float(ks[i])))
+    for i in range(20):
+        rng = np.random.default_rng(950 + i)
+        f = rng.normal(size=(3, 24, 24))
+        bad = [np.nan, np.inf, -np.inf][i % 3]
+        if i % 4 == 0:
+            f[:] = bad
+        else:
+            f[rng.random(f.shape) < 0.1 * (i % 4)] = bad
+        cases.append((f, scale_sets[i % 5], float(ks[(7 * i) % 30])))
+    return cases
+
+
+def selector_run(sel, forward, feature, weights):
+    """forward(sel, x)'s output bytes and those of the gradients of
+    sum(output * weights) on x and on every selector parameter."""
+    x = Tensor(feature.copy(), requires_grad=True)
+    params = list(sel.parameters().values())
+    for t in params:
+        t.grad = None
+    with np.errstate(all="ignore"), Tape() as tape:
+        out = forward(sel, x)
+        tape.backward(ops.tsum(ops.mul(out, Tensor(weights))))
+    return [out.data.tobytes(), x.grad.tobytes(),
+            *(b"" if t.grad is None else t.grad.tobytes() for t in params)]
+
+
+class TestMatchesReference:
+    """Window scores, masks and ``FeatureSelector`` values and gradients equal
+    the reference mask code's (``select_reference``) bitwise, NaN and
+    infinite features included."""
+
+    def test_masks_match_bitwise(self):
+        for f, scales, k in reference_inputs():
+            _, h, w = f.shape
+            elig, ref_elig = all_eligible(h, w), np.ones((h, w))
+            for s in scales:
+                grid = ReferenceGrid(h, w, s)
+                with np.errstate(all="ignore"):
+                    scores = window_scores(f, s, elig)
+                    ref_scores = reference_scores(f, grid, ref_elig)
+                assert scores.tobytes() == ref_scores.tobytes()
+                if not np.any(np.isfinite(scores)):
+                    break
+                keep = retained_windows(scores, k)
+                ref = reference_topk(ref_scores, k, grid)
+                assert np.array_equal(keep, ref.block_mask.reshape(-1) == 1.0)
+                assert keep.sum() == ref.retained_count
+                assert np.array_equal(window_pixels(keep, s, h, w), ref.pixel_mask == 1.0)
+                elig = propagate(elig, keep, s)
+                ref_elig = reference_propagate(ref_elig, ref)
+                assert np.array_equal(elig, ref_elig == 1.0)
+
+    def test_selector_values_and_gradients_match_bitwise(self):
+        for i, (f, scales, k) in enumerate(reference_inputs()):
+            sel = FeatureSelector(3, scales, k, stream(i, "ref"))
+            rng = np.random.default_rng(i)
+            # move the zero-initialised gates and projections off zero
+            sel.attention.wg.data = 0.2 * rng.standard_normal(sel.attention.wg.data.shape)
+            sel.bottleneck.w2.data = 0.2 * rng.standard_normal(sel.bottleneck.w2.data.shape)
+            weights = rng.normal(size=f.shape)
+            got = selector_run(sel, FeatureSelector.__call__, f, weights)
+            want = selector_run(sel, reference_selector, f, weights)
+            assert got == want, (i, scales, k)

@@ -85,8 +85,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         args.out.mkdir(parents=True, exist_ok=True)
         if args.command == "run":
-            scenario = (cfg.check_scenario(load_scenario(args.scenario))
-                        if args.scenario else None)
+            scenario = load_scenario(args.scenario) if args.scenario else None
             pipe = Pipeline(cfg)
             if args.params:
                 pipe.load(args.params)

@@ -40,7 +40,7 @@ from .select import IB_RATIO, FeatureSelector
 from .schema import ConfigError, check, entry, read, write
 from .serialize import assign_params, load_params, save_params
 from .sync import Integrator, TemporalSync
-from .tensor import Parameter, Tensor, no_grad
+from .tensor import ParamBlock, Tensor, no_grad
 from .world import (LIMIT_M, SPEED_RANGE, Channel, ChannelConfig, FeaturePacket, Scenario,
                     make_scenario, perturb_pose, render_bev, step_scene, stream,
                     transform_to_ego)
@@ -227,11 +227,12 @@ class MetricRecord:
     occupancy_iou: float
 
 
-class Pipeline:
+class Pipeline(ParamBlock):
     """All learned blocks plus the per-tick stage wiring."""
 
     def __init__(self, cfg: PipelineConfig):
         cfg.validate()
+        super().__init__()
         self.cfg = cfg
         self.integrator = Integrator(cfg.channels, self._rng("integrate"))
         self.sync = TemporalSync(cfg.channels, self._rng("sync"),
@@ -240,21 +241,15 @@ class Pipeline:
                                         self._rng("denoise"))
         self.selector = FeatureSelector(cfg.channels, cfg.scales, cfg.retention,
                                         self._rng("select"))
+        for block in (self.integrator, self.sync, self.denoiser, self.selector):
+            self.params.update(block.params)
         dec = np.zeros((1, cfg.channels, 1, 1))
         dec[0, 0, 0, 0] = 4.0
-        self.decoder_kernel = Parameter(dec, "decoder.kernel")
-        self.decoder_bias = Parameter(np.full((1, 1, 1), -2.0), "decoder.bias")
+        self.decoder_kernel = self._p("decoder.kernel", dec)
+        self.decoder_bias = self._p("decoder.bias", np.full((1, 1, 1), -2.0))
 
     def _rng(self, label: str) -> np.random.Generator:
         return stream(self.cfg.seed, f"params.{label}")
-
-    def parameters(self) -> dict[str, Parameter]:
-        out: dict[str, Parameter] = {}
-        for block in (self.integrator, self.sync, self.denoiser, self.selector):
-            out.update(block.parameters())
-        out[self.decoder_kernel.name] = self.decoder_kernel
-        out[self.decoder_bias.name] = self.decoder_bias
-        return out
 
     # -- stages (disabled stages return their input object unchanged) ------
 
@@ -306,8 +301,8 @@ def simulate(pipe: Pipeline, scenario: Scenario, measure,
     """Run a scenario; produce StepOutputs at ticks where measure(tick) is true."""
     cfg = pipe.cfg
     scene = scenario.scene
-    channel = Channel(scenario.channel)
-    noise_rng = stream(scenario.channel.seed, "pose-noise")
+    channel = Channel(scenario.channel, scenario.seed)
+    noise_rng = stream(scenario.seed, "pose-noise")
     ego = scenario.agents[0]
     collaborators = scenario.agents[1:]
     latest: dict[str, FeaturePacket] = {}

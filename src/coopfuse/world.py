@@ -18,7 +18,7 @@ import functools
 import json
 import math
 import zlib
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -65,7 +65,6 @@ class Scene:
 
     objects: np.ndarray
     bounds: float
-    seed: int
 
     def __post_init__(self):
         self.objects = np.asarray(self.objects, dtype=np.float64).reshape(-1, 6)
@@ -89,8 +88,7 @@ def step_scene(scene: Scene) -> Scene:
     under = pos < -b
     pos = np.where(under, -2.0 * b - pos, pos)
     vel = np.where(over ^ under, -obj[:, 4:], obj[:, 4:])
-    return Scene(objects=np.concatenate([pos, obj[:, 2:4], vel], axis=1),
-                 bounds=scene.bounds, seed=scene.seed)
+    return Scene(objects=np.concatenate([pos, obj[:, 2:4], vel], axis=1), bounds=scene.bounds)
 
 
 # object speeds (m/tick) and box extents (m) are drawn uniformly from these
@@ -107,7 +105,7 @@ def make_scene(seed: int, n_objects: int = 5, bounds: float = 9.0) -> Scene:
     ang = rng.uniform(-math.pi, math.pi, size=n_objects)
     spd = rng.uniform(*SPEED_RANGE, size=n_objects)
     vel = np.stack([spd * np.cos(ang), spd * np.sin(ang)], axis=1)
-    return Scene(objects=np.hstack([pos, ext, vel]), bounds=bounds, seed=seed)
+    return Scene(objects=np.hstack([pos, ext, vel]), bounds=bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +221,6 @@ class ChannelConfig:
     drop_p: float = entry("drop_p", 0.0, ge=0.0, le=1.0)
     loc_sigma: float = entry("loc_sigma", 0.0, ge=0.0, le=LIMIT_M)
     head_sigma: float = entry("head_sigma", 0.0, ge=0.0, le=LIMIT_M)
-    seed: int = 0               # not a document key: a scenario's channel takes its seed
 
     def __post_init__(self):
         check(self, "channel", "channel.")
@@ -242,9 +239,9 @@ class FeaturePacket:
 class Channel:
     """Stateful per-scenario channel: independent drops, uniform latency."""
 
-    def __init__(self, cfg: ChannelConfig):
+    def __init__(self, cfg: ChannelConfig, seed: int):
         self.cfg = cfg
-        self.rng = stream(cfg.seed, "channel")
+        self.rng = stream(seed, "channel")
         self.pending: list[FeaturePacket] = []
 
     def send(self, sender: str, feature: Callable[[], Tensor], reported_pose: Pose2D,
@@ -302,7 +299,7 @@ def _read_scene(doc: dict) -> Scene:
         if max(abs(o.vx), abs(o.vy)) > 2.0 * bounds:
             raise ConfigError(f"objects[{i}] velocity ({o.vx}, {o.vy}) exceeds "
                               f"2 * bounds_m = {2.0 * bounds} per tick")
-    return Scene(objects=[astuple(o) for o in objects], bounds=bounds, seed=0)
+    return Scene(objects=[astuple(o) for o in objects], bounds=bounds)
 
 
 def _write_scene(scene: Scene) -> dict:
@@ -330,9 +327,7 @@ class Scenario:
     @staticmethod
     def from_json(doc) -> "Scenario":
         """Read a scenario document; every key but `bounds_m` is required."""
-        scenario = read(Scenario, doc, "scenario")
-        scenario.scene.seed = scenario.channel.seed = scenario.seed
-        return scenario
+        return read(Scenario, doc, "scenario")
 
 
 def load_scenario(path) -> Scenario:
@@ -360,5 +355,4 @@ def make_scenario(seed: int, channel: ChannelConfig, ticks: int,
                         rng.uniform(-math.pi, math.pi)),
             fov_m=fov_collab))
     scene = make_scene(seed, n_objects=n_objects, bounds=bounds)
-    return Scenario(seed=seed, ticks=ticks, agents=agents, scene=scene,
-                    channel=replace(channel, seed=seed))
+    return Scenario(seed=seed, ticks=ticks, agents=agents, scene=scene, channel=channel)

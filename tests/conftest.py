@@ -1,21 +1,14 @@
 """Shared fixtures: lazily trained desk-scale checkpoints, reused across tests."""
 
 import multiprocessing
-import os
 import tracemalloc
 from dataclasses import replace
 
 import pytest
 
-# numpy's BLAS gets one thread, before anything imports numpy (as in
-# perfbench/run.py): the small products here gain nothing from a second
-# OpenBLAS thread, which spins between calls and doubles the CPU time.
-# The CLI tests' subprocesses inherit the setting.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-from coopfuse.pipeline import Pipeline, PipelineConfig, evaluate, fork_map  # noqa: E402
-from coopfuse.training import train  # noqa: E402
-from coopfuse.world import ChannelConfig  # noqa: E402
+from coopfuse.pipeline import Pipeline, PipelineConfig, evaluate, fork_map
+from coopfuse.training import train
+from coopfuse.world import ChannelConfig
 
 # costliest training first, so the last items left to a pool's workers are short
 TOGGLES = {
@@ -27,6 +20,19 @@ TOGGLES = {
 }
 
 ACCEPTANCE_SEEDS = (1, 2, 3, 4, 5)
+
+
+def tiny_config(**kw) -> PipelineConfig:
+    """A 16 x 16, 4-channel config that trains in 2 steps; `kw` overrides its fields."""
+    cfg = PipelineConfig(height=16, width=16, channels=4, buffer_k=2,
+                         scales=(4,), ssm_state_dim=4, eval_scenarios=2,
+                         eval_measure_ticks=2, n_objects=4)
+    cfg.channel = ChannelConfig(max_latency_ticks=1, drop_p=0.0,
+                                loc_sigma=0.1, head_sigma=0.02)
+    cfg.training = replace(cfg.training, steps=2)
+    for k, v in kw.items():
+        setattr(cfg, k, v)
+    return cfg.validate()
 
 
 def desk_config(label: str, seed: int) -> PipelineConfig:

@@ -186,7 +186,7 @@ def test_05_convex_gate_bound():
 
 
 def test_06_channel_statistics():
-    channel = Channel(ChannelConfig(max_latency_ticks=5, drop_p=0.3))
+    channel = Channel(ChannelConfig(max_latency_ticks=5, drop_p=0.3), 0)
     channel.rng = stream(123, "stats")
     f = Tensor(np.zeros((1, 4, 4)))
     for i in range(10000):

@@ -3,19 +3,21 @@ either works or raises one one-line ConfigError."""
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopfuse import cli
 from coopfuse.pipeline import (SIZE_CAP_BYTES, TICK_CAP, ConfigError, Pipeline,
-                              PipelineConfig, evaluate)
-from coopfuse.world import ChannelConfig, Scenario, make_scenario
+                              PipelineConfig, TrainSpec, evaluate)
+from coopfuse.world import AgentSpec, ChannelConfig, Pose2D, Scenario, make_scenario
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -59,6 +61,15 @@ def config_documents(draw):
 
 def one_line(error: ConfigError) -> bool:
     return len(str(error).splitlines()) == 1
+
+
+@pytest.mark.parametrize("cls", [PipelineConfig, TrainSpec, ChannelConfig, Pose2D, AgentSpec,
+                                 Scenario])
+def test_every_input_field_has_a_document_key(cls):
+    """A field outside the document table is state that no document reads or
+    writes, so a value built in Python could differ from its round trip."""
+    assert [f.name for f in dataclasses.fields(cls)
+            if "key" not in f.metadata and "keys" not in f.metadata] == []
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import tiny_config
 from coopfuse import cli, pipeline as pipeline_module, sweeps as sweeps_module
 from coopfuse import training as training_module
 from coopfuse.pipeline import (ConfigError, MetricRecord, Pipeline,
@@ -23,19 +24,7 @@ from coopfuse.sweeps import ABLATION_COMBOS, variant_sweep
 from coopfuse.sync import Integrator
 from coopfuse.tensor import Tape, Tensor, active_tape, no_grad
 from coopfuse.training import Adam, DivergenceError, train
-from coopfuse.world import ChannelConfig, make_scenario
-
-
-def small_config(**kw):
-    cfg = PipelineConfig(height=16, width=16, channels=4, buffer_k=2,
-                         scales=(4,), ssm_state_dim=4, eval_scenarios=2,
-                         eval_measure_ticks=2, n_objects=4)
-    cfg.channel = ChannelConfig(max_latency_ticks=1, drop_p=0.0,
-                                loc_sigma=0.1, head_sigma=0.02)
-    cfg.training = replace(cfg.training, steps=2)
-    for k, v in kw.items():
-        setattr(cfg, k, v)
-    return cfg.validate()
+from coopfuse.world import ChannelConfig, Scenario, make_scenario
 
 
 def pin_passthrough(pipe):
@@ -77,7 +66,7 @@ class TestConfig:
             cfg.validate()
 
     def test_json_roundtrip(self):
-        cfg = small_config(retention=0.4, stsync=False)
+        cfg = tiny_config(retention=0.4, stsync=False)
         back = PipelineConfig.from_json(cfg.to_json())
         assert back.to_json() == cfg.to_json()
 
@@ -135,9 +124,9 @@ class TestConfig:
 
     def test_config_label(self):
         assert config_label(PipelineConfig()) == "full"
-        assert config_label(small_config(stsync=False, wtden=False,
-                                         adpsel=False)) == "baseline"
-        assert config_label(small_config(wtden=False, adpsel=False)) == "stsync"
+        assert config_label(tiny_config(stsync=False, wtden=False,
+                                        adpsel=False)) == "baseline"
+        assert config_label(tiny_config(wtden=False, adpsel=False)) == "stsync"
 
 
 class TestSizeEstimate:
@@ -210,7 +199,7 @@ class TestSizeEstimate:
     def test_largest_tick_array_is_allocated(self, traced_peak_mib, patch):
         """One evaluation tick's traced peak holds the estimated array and
         is within a few times of it, whichever term is the largest."""
-        cfg = replace(small_config(), **patch).validate()
+        cfg = replace(tiny_config(), **patch).validate()
         count, _ = cfg.largest_tick_array()
         scen = make_scenario(3, cfg.channel, cfg.warmup_ticks_for() + 1,
                              n_agents=cfg.n_agents, n_objects=cfg.n_objects)
@@ -222,7 +211,7 @@ class TestSizeEstimate:
 
 class TestStages:
     def test_disabled_stages_are_bitwise_identity(self):
-        cfg = small_config(stsync=False, wtden=False, adpsel=False)
+        cfg = tiny_config(stsync=False, wtden=False, adpsel=False)
         pipe = Pipeline(cfg)
         x = Tensor(np.random.default_rng(0).normal(size=(4, 16, 16)))
         assert pipe.sync_stage([lambda: x], x) is x
@@ -230,7 +219,7 @@ class TestStages:
         assert pipe.select_stage(x) is x
 
     def test_seed_isolation_for_disabled_module(self):
-        cfg = small_config(wtden=False)
+        cfg = tiny_config(wtden=False)
         pipe_a = Pipeline(cfg)
         pipe_b = Pipeline(cfg)
         # different parameters inside the disabled module must not matter
@@ -242,11 +231,11 @@ class TestStages:
         assert rec_a.mse_to_clean == rec_b.mse_to_clean
 
     def test_parameter_names_unique_and_serializable(self, tmp_path):
-        pipe = Pipeline(small_config())
+        pipe = Pipeline(tiny_config())
         params = pipe.parameters()
         assert len(params) == len({p.name for p in params.values()})
         pipe.save(tmp_path / "p.catp")
-        pipe2 = Pipeline(small_config())
+        pipe2 = Pipeline(tiny_config())
         for p in pipe2.parameters().values():
             p.data = p.data + 0.5
         pipe2.load(tmp_path / "p.catp")
@@ -259,8 +248,8 @@ class TestRunPipeline:
         # single agent, instant channel, no noise, all modules off, pinned
         # integration identity and copy decoder: decoded occupancy equals the
         # ground truth wherever the scene is fully inside the ego view
-        cfg = small_config(stsync=False, wtden=False, adpsel=False, n_agents=1,
-                           fov_ego_m=100.0)
+        cfg = tiny_config(stsync=False, wtden=False, adpsel=False, n_agents=1,
+                          fov_ego_m=100.0)
         cfg.channel = ChannelConfig(0, 0.0, 0.0, 0.0)
         pipe = Pipeline(cfg)
         pin_passthrough(pipe)
@@ -268,10 +257,10 @@ class TestRunPipeline:
         assert rec.occupancy_iou == 1.0
 
     def test_total_drop_equals_ego_only(self):
-        cfg_drop = small_config(stsync=False, wtden=False, adpsel=False)
+        cfg_drop = tiny_config(stsync=False, wtden=False, adpsel=False)
         cfg_drop.channel = ChannelConfig(2, 1.0, 0.1, 0.02)
-        cfg_solo = small_config(stsync=False, wtden=False, adpsel=False,
-                                n_agents=1)
+        cfg_solo = tiny_config(stsync=False, wtden=False, adpsel=False,
+                               n_agents=1)
         cfg_solo.channel = ChannelConfig(2, 1.0, 0.1, 0.02)
         rec_drop = evaluate(Pipeline(cfg_drop), config_id="drop")
         rec_solo = evaluate(Pipeline(cfg_solo), config_id="solo")
@@ -282,20 +271,20 @@ class TestRunPipeline:
         assert rec_drop.mse_to_clean > rec_solo.mse_to_clean
 
     def test_fixed_seed_bit_identical(self):
-        cfg = small_config()
+        cfg = tiny_config()
         a = evaluate(Pipeline(cfg))
         b = evaluate(Pipeline(cfg))
         assert a.occupancy_iou == b.occupancy_iou
         assert a.mse_to_clean == b.mse_to_clean
 
     def test_invalid_config_rejected_before_simulation(self):
-        cfg = small_config()
+        cfg = tiny_config()
         cfg.retention = 2.0
         with pytest.raises(ConfigError):
             evaluate(Pipeline(cfg))
 
     def test_metric_record_fields(self):
-        rec = evaluate(Pipeline(small_config()))
+        rec = evaluate(Pipeline(tiny_config()))
         assert isinstance(rec, MetricRecord)
         assert 0.0 <= rec.occupancy_iou <= 1.0
         assert rec.mse_to_clean >= 0.0
@@ -303,7 +292,7 @@ class TestRunPipeline:
 
 class TestSimulate:
     def test_step_outputs_at_requested_ticks(self):
-        cfg = small_config()
+        cfg = tiny_config()
         pipe = Pipeline(cfg)
         scen = make_scenario(3, cfg.channel, ticks=6, n_agents=cfg.n_agents,
                              n_objects=cfg.n_objects, bounds=cfg.bounds_m,
@@ -316,7 +305,7 @@ class TestSimulate:
             assert o.clean_reference.shape == (4, 16, 16)
 
     def test_trace_rows_cover_all_emissions(self):
-        cfg = small_config()
+        cfg = tiny_config()
         pipe = Pipeline(cfg)
         scen = make_scenario(4, cfg.channel, ticks=5, n_agents=3,
                              n_objects=cfg.n_objects, bounds=cfg.bounds_m,
@@ -328,6 +317,20 @@ class TestSimulate:
             assert emit == tick
             assert dropped in (0, 1)
             assert (arrive == -1) == (dropped == 1)
+
+    def test_python_scenario_evaluates_as_its_document(self):
+        """A Scenario built in Python draws its drops, latencies and pose noise
+        from its own seed, as the document it writes does."""
+        cfg = tiny_config()
+        drawn = cfg.scenario(5, cfg.channel, ticks=8)
+        built = Scenario(seed=5, ticks=8, agents=drawn.agents, scene=drawn.scene,
+                         channel=ChannelConfig(1, 0.3, 0.1, 0.02))
+        back = Scenario.from_json(built.to_json())
+        pipe = Pipeline(cfg)
+        rows_built, rows_back = [], []
+        assert (evaluate(pipe, scenario=built, trace_rows=rows_built)
+                == evaluate(pipe, scenario=back, trace_rows=rows_back))
+        assert rows_built == rows_back
 
 
 @pytest.fixture
@@ -363,7 +366,7 @@ class TestParallelEvaluate:
 
     @pytest.mark.parametrize("drop_p", [0.0, 0.4])
     def test_matches_serial_bitwise(self, monkeypatch, pools, drop_p):
-        cfg = small_config(eval_scenarios=3)
+        cfg = tiny_config(eval_scenarios=3)
         pipe = Pipeline(cfg)
         channel = replace(cfg.channel, drop_p=drop_p)
         results = []
@@ -380,7 +383,7 @@ class TestParallelEvaluate:
     @pytest.mark.parametrize("error", [ValueError("scenario 1 failed"),
                                        MemoryError("scenario 1 ran out")])
     def test_worker_error_surfaces_unchanged(self, monkeypatch, pools, error):
-        cfg = small_config(eval_scenarios=3)
+        cfg = tiny_config(eval_scenarios=3)
         pipe = Pipeline(cfg)
         failing = pipeline_module.eval_scenario_seed(cfg, 1)
         original = pipeline_module.simulate
@@ -419,7 +422,7 @@ class TestParallelEvaluate:
     def test_killed_worker_raises(self, monkeypatch, pools):
         """A worker that dies mid-scenario fails the call; a
         ``multiprocessing.Pool`` would wait for it forever."""
-        cfg = small_config(eval_scenarios=3)
+        cfg = tiny_config(eval_scenarios=3)
         self.kill_second_scenario(monkeypatch, cfg)
         with pytest.raises(futures_process.BrokenProcessPool):
             evaluate(Pipeline(cfg))
@@ -427,7 +430,7 @@ class TestParallelEvaluate:
         assert multiprocessing.active_children() == []
 
     def test_killed_worker_exits_2_in_one_line(self, monkeypatch, pools, tmp_path, capsys):
-        cfg = small_config(eval_scenarios=3)
+        cfg = tiny_config(eval_scenarios=3)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg.to_json()))
         self.kill_second_scenario(monkeypatch, cfg)
@@ -475,10 +478,10 @@ class TestParallelEvaluate:
         assert r.stdout.strip() == "[]"
 
     def test_one_scenario_or_one_core_starts_no_pool(self, monkeypatch, pools):
-        cfg = small_config()
+        cfg = tiny_config()
         pipe = Pipeline(cfg)
         self.use_cores(monkeypatch, 2)
-        evaluate(Pipeline(small_config(eval_scenarios=1)))
+        evaluate(Pipeline(tiny_config(eval_scenarios=1)))
         scen = make_scenario(3, cfg.channel, ticks=6, n_agents=cfg.n_agents,
                              n_objects=cfg.n_objects, bounds=cfg.bounds_m,
                              fov_ego=cfg.fov_ego_m, fov_collab=cfg.fov_collab_m)
@@ -494,7 +497,7 @@ class TestParallelEvaluate:
         fork nothing: every fork is made by the caller, two per pool. The
         pool's workers are not daemonic on Python 3.11, so a daemon check let
         such an evaluate fork a pool of its own."""
-        cfg, inner = small_config(), small_config()
+        cfg, inner = tiny_config(), tiny_config()
         log, fork = tmp_path / "forks", os.fork
 
         def logged_fork():                  # a worker's fork would log its own pid
@@ -519,7 +522,7 @@ class TestParallelEvaluate:
     def test_call_inside_a_pool_worker_stays_serial(self, monkeypatch):
         """A ``multiprocessing.Pool`` worker is a daemon, which may not start
         processes of its own."""
-        cfg = small_config()
+        cfg = tiny_config()
         self.use_cores(monkeypatch, 2)       # the worker inherits two cores
         pool = multiprocessing.get_context("fork").Pool(1)
         try:
@@ -552,7 +555,7 @@ class TestForkMap:
         assert all(forked for forked, _ in runs[1])
 
     def test_variant_sweep_on_two_cores_matches_one_core(self, monkeypatch, pools):
-        variants = ablation_variants(small_config())
+        variants = ablation_variants(tiny_config())
         runs = []
         for cores in (1, 2):
             self.use_cores(monkeypatch, cores)
@@ -609,7 +612,7 @@ class TestForkMap:
                             lambda cfg: training_module.TrainResult(cfg, []))
         monkeypatch.setattr(sweeps_module, "evaluate", evaluate)
         self.use_cores(monkeypatch, 1)
-        variants = ablation_variants(small_config())
+        variants = ablation_variants(tiny_config())
         records, rows = variant_sweep(variants)
         assert ran == ["full", "+stsync+wtden", "+stsync+adpsel",
                        "+stsync", "+wtden", "+adpsel", "baseline"]
@@ -621,7 +624,7 @@ class TestForkMap:
         """``ablate`` on two usable cores whose +wtden variant diverges in a
         worker: the ``DivergenceError`` reaches the caller, which exits 3."""
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(small_config().to_json()))
+        cfg_path.write_text(json.dumps(tiny_config().to_json()))
         script = ("import os, sys\n"
                   "from dataclasses import replace\n"
                   "from coopfuse import cli, sweeps\n"
@@ -706,12 +709,12 @@ class TestInterrupt:
             return original(*args)
         monkeypatch.setattr(training_module, "bce_with_logits", interrupt)
         self.use_cores(monkeypatch, 2)
-        self.run_interrupted(tmp_path, capsys, "train", small_config())
+        self.run_interrupted(tmp_path, capsys, "train", tiny_config())
 
     def test_evaluate_scenario(self, monkeypatch, tmp_path, capsys):
         """The worker checks that it ignores SIGINT, as every pool worker does,
         before it raises the interrupt its caller would have seen."""
-        cfg = small_config(eval_scenarios=3)
+        cfg = tiny_config(eval_scenarios=3)
         victim = pipeline_module.eval_scenario_seed(cfg, 1)
         caller = os.getpid()
         original = pipeline_module.simulate
@@ -733,7 +736,7 @@ class TestInterrupt:
         and sends SIGINT to its process group, as a terminal's Ctrl-C does,
         once that call has started; returns the exit code and stderr."""
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(small_config(eval_scenarios=3).to_json()))
+        cfg_path.write_text(json.dumps(tiny_config(eval_scenarios=3).to_json()))
         script = ("import os, sys, time\n"
                   f"from coopfuse import cli, {module} as module\n"
                   "os.sched_getaffinity = lambda pid: {0, 1}\n"
@@ -792,7 +795,7 @@ class TestLazyIntegration:
         st, wt, ad = stages
 
         def run():
-            cfg = small_config(buffer_k=4, stsync=st, wtden=wt, adpsel=ad)
+            cfg = tiny_config(buffer_k=4, stsync=st, wtden=wt, adpsel=ad)
             pipe = train(cfg).pipeline
             scen = make_scenario(5, cfg.channel, ticks=8, n_agents=cfg.n_agents,
                                  n_objects=cfg.n_objects, bounds=cfg.bounds_m,
@@ -820,7 +823,7 @@ class TestLazyIntegration:
             return original(self, stack)
 
         monkeypatch.setattr(Integrator, "__call__", counting)
-        cfg = small_config(buffer_k=4, stsync=False, wtden=False, adpsel=False)
+        cfg = tiny_config(buffer_k=4, stsync=False, wtden=False, adpsel=False)
         cfg.training = replace(cfg.training, steps=1)
         train(cfg)
         assert calls == {"simulate": 1, "clean_reference": 1}
@@ -853,7 +856,7 @@ class TestOccupancyIoU:
 
 class TestTraining:
     def test_single_step_changes_parameters(self):
-        cfg = small_config()
+        cfg = tiny_config()
         cfg.training = replace(cfg.training, steps=1)
         before = {n: p.data.copy() for n, p in Pipeline(cfg).parameters().items()}
         result = train(cfg)
@@ -863,7 +866,7 @@ class TestTraining:
         assert len(result.loss_curve) == 1
 
     def test_zero_learning_rate_keeps_parameters(self):
-        cfg = small_config()
+        cfg = tiny_config()
         cfg.training = replace(cfg.training, steps=2, learning_rate=0.0)
         before = {n: p.data.copy() for n, p in Pipeline(cfg).parameters().items()}
         result = train(cfg)
@@ -872,7 +875,7 @@ class TestTraining:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_step_index(self):
-        cfg = small_config()
+        cfg = tiny_config()
         cfg.training = replace(cfg.training, steps=30, learning_rate=1e14)
         with pytest.raises(DivergenceError) as e:
             train(cfg)
@@ -886,7 +889,7 @@ class TestTraining:
         assert error.step == 3 and math.isnan(error.value)
 
     def test_loss_curve_is_recorded(self):
-        cfg = small_config()
+        cfg = tiny_config()
         cfg.training = replace(cfg.training, steps=3)
         result = train(cfg)
         steps = [row[0] for row in result.loss_curve]
@@ -906,7 +909,7 @@ class TestTraining:
         assert still == []
 
     def test_training_deterministic(self):
-        cfg = small_config()
+        cfg = tiny_config()
         cfg.training = replace(cfg.training, steps=2)
         a = train(cfg).pipeline.parameters()
         b = train(cfg).pipeline.parameters()

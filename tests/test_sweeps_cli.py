@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import tiny_config
 from coopfuse import cli
 from coopfuse.pipeline import Pipeline, PipelineConfig, evaluate
 from coopfuse.serialize import save_params
@@ -21,18 +23,6 @@ from coopfuse.training import train
 from coopfuse.world import ChannelConfig
 
 GOLDEN = Path(__file__).parent / "data" / "golden_metrics.csv"
-
-
-def tiny_config(**kw):
-    cfg = PipelineConfig(height=16, width=16, channels=4, buffer_k=2,
-                         scales=(4,), ssm_state_dim=4, eval_scenarios=2,
-                         eval_measure_ticks=2, n_objects=4)
-    cfg.channel = ChannelConfig(max_latency_ticks=1, drop_p=0.0,
-                                loc_sigma=0.1, head_sigma=0.02)
-    cfg.training = replace(cfg.training, steps=2)
-    for k, v in kw.items():
-        setattr(cfg, k, v)
-    return cfg.validate()
 
 
 def read_csv(path):
@@ -273,6 +263,23 @@ class TestCli:
         rows = read_csv(out / "metrics.csv")
         assert len(rows) == 8
         assert [row[0] for row in rows[1:]] == [c[0] for c in ABLATION_COMBOS]
+
+    def test_ablate_metrics_do_not_depend_on_the_blas_setting(self, tmp_path):
+        """With OPENBLAS_NUM_THREADS unset the package's one-thread default
+        applies: OpenBLAS's sums, and so the metrics, depend on its thread count."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"training": {"steps": 2}, "eval_scenarios": 2,
+                                        "eval_measure_ticks": 1}))
+        unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        metrics = []
+        for env in (unset, {**unset, "OPENBLAS_NUM_THREADS": "1"}):
+            out = tmp_path / f"out{len(metrics)}"
+            r = subprocess.run([sys.executable, "-m", "coopfuse.cli", "ablate", "--config",
+                                str(cfg_path), "--out", str(out)],
+                               capture_output=True, text=True, env=env)
+            assert r.returncode == 0, r.stderr
+            metrics.append((out / "metrics.csv").read_bytes())
+        assert metrics[0] == metrics[1]
 
     def test_sweep_axes(self, tmp_path):
         # each axis's config_id labels and its swept column, as metrics.csv spells them

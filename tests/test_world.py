@@ -20,12 +20,12 @@ CHI2_99_DF5 = 15.086
 
 class TestScene:
     def test_zero_velocity_fixed_point(self):
-        s = Scene(objects=np.array([[1.0, 2.0, 2.0, 2.0, 0.0, 0.0]]), bounds=10, seed=0)
+        s = Scene(objects=np.array([[1.0, 2.0, 2.0, 2.0, 0.0, 0.0]]), bounds=10)
         s2 = step_scene(s)
         assert np.array_equal(s2.objects, s.objects)
 
     def test_linear_motion(self):
-        s = Scene(objects=np.array([[0.0, 0.0, 2.0, 2.0, 1.0, 0.0]]), bounds=10, seed=0)
+        s = Scene(objects=np.array([[0.0, 0.0, 2.0, 2.0, 1.0, 0.0]]), bounds=10)
         for _ in range(3):
             s = step_scene(s)
         assert s.objects[0, 0] == pytest.approx(3.0)
@@ -34,7 +34,7 @@ class TestScene:
     def test_reflection_at_boundary(self):
         # 1 m inside the +x wall moving +2 m/tick: reflects to 1 m inside,
         # velocity negated
-        s = Scene(objects=np.array([[9.0, 0.0, 1.0, 1.0, 2.0, 0.0]]), bounds=10, seed=0)
+        s = Scene(objects=np.array([[9.0, 0.0, 1.0, 1.0, 2.0, 0.0]]), bounds=10)
         s = step_scene(s)
         assert s.objects[0, 0] == pytest.approx(9.0)
         assert s.objects[0, 4] == pytest.approx(-2.0)
@@ -70,7 +70,7 @@ class TestArena:
     def test_object_outrunning_the_arena_is_rejected(self):
         # one reflection per wall per tick: an object at 100 m/tick in a 9 m
         # arena sits at x = 64, 128, 192 after three ticks
-        s = Scene(objects=[[0.0, 0.0, 2.0, 2.0, 100.0, 0.0]], bounds=9.0, seed=0)
+        s = Scene(objects=[[0.0, 0.0, 2.0, 2.0, 100.0, 0.0]], bounds=9.0)
         xs = []
         for _ in range(3):
             s = step_scene(s)
@@ -111,7 +111,7 @@ class TestArena:
 
 class TestRender:
     def test_empty_scene_zero_occupancy(self):
-        s = Scene(objects=np.zeros((0, 6)), bounds=10, seed=0)
+        s = Scene(objects=np.zeros((0, 6)), bounds=10)
         f = render_bev(s, Pose2D(0, 0, 0), 16, 16, 1.0)
         assert np.array_equal(f.data[0], np.zeros((16, 16)))
         assert f.data.shape == (8, 16, 16)
@@ -119,7 +119,7 @@ class TestRender:
     def test_object_at_agent_center(self):
         # 2x2 m box at the agent position with 1 m cells: occupancy marks the
         # central cells whose centers fall inside the box
-        s = Scene(objects=np.array([[0.0, 0.0, 2.0, 2.0, 0.0, 0.0]]), bounds=10, seed=0)
+        s = Scene(objects=np.array([[0.0, 0.0, 2.0, 2.0, 0.0, 0.0]]), bounds=10)
         f = render_bev(s, Pose2D(0, 0, 0), 16, 16, 1.0)
         occ = f.data[0]
         xs = (np.arange(16) - 7.5) * 1.0
@@ -135,7 +135,7 @@ class TestRender:
         assert np.array_equal(moved[:, :-2], base[:, 2:])
 
     def test_fov_limits_visibility(self):
-        s = Scene(objects=np.array([[6.0, 0.0, 2.0, 2.0, 0.0, 0.0]]), bounds=10, seed=0)
+        s = Scene(objects=np.array([[6.0, 0.0, 2.0, 2.0, 0.0, 0.0]]), bounds=10)
         near = render_bev(s, Pose2D(0, 0, 0), 32, 32, 1.0, fov_m=7.0).data[0]
         far = render_bev(s, Pose2D(0, 0, 0), 32, 32, 1.0, fov_m=5.0).data[0]
         assert near.sum() > 0
@@ -229,7 +229,7 @@ class TestChannel:
     def _deliver(self, cfg, n, now, rng):
         """Send n packets at tick 0 through a Channel drawing from rng; return
         those that have arrived by tick `now`."""
-        ch = Channel(cfg)
+        ch = Channel(cfg, 0)
         ch.rng = rng
         f = Tensor(np.zeros((1, 4, 4)))
         for i in range(n):
@@ -261,7 +261,7 @@ class TestChannel:
 
     def test_latency_bound_and_delivery_order(self):
         cfg = ChannelConfig(max_latency_ticks=4, drop_p=0.2)
-        ch = Channel(cfg)
+        ch = Channel(cfg, 0)
         f = Tensor(np.zeros((1, 4, 4)))
         for tick in range(30):
             for sender in ("b", "a"):
@@ -274,8 +274,8 @@ class TestChannel:
 
     def test_stream_determinism(self):
         def run():
-            cfg = ChannelConfig(max_latency_ticks=3, drop_p=0.4, seed=77)
-            ch = Channel(cfg)
+            cfg = ChannelConfig(max_latency_ticks=3, drop_p=0.4)
+            ch = Channel(cfg, 77)
             f = Tensor(np.zeros((1, 4, 4)))
             log = []
             for tick in range(40):

@@ -92,7 +92,8 @@ def main(argv=None) -> int:
             trace: list = []
             rec = evaluate(pipe, config_id=config_label(cfg), scenario=scenario,
                            trace_rows=trace)
-            rows = [metric_row(rec, cfg.channel, cfg.retention)]
+            channel = scenario.channel if scenario else cfg.channel
+            rows = [metric_row(rec, channel, cfg.retention)]
             write_trace_csv(args.out / "trace.csv", trace)
             summary = f"iou={rec.occupancy_iou:.4f} mse={rec.mse_to_clean:.6f}"
         elif args.command == "train":

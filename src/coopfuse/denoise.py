@@ -105,8 +105,5 @@ class WaveletDenoiser(ParamBlock):
         return ihaar2d(ihaar2d(inner) + skip)
 
     def __call__(self, feature: Tensor) -> Tensor:
-        _, h, w = feature.data.shape
-        if h % 4 or w % 4:
-            raise ValueError(f"denoiser needs H, W divisible by 4, got {h}x{w}")
         f_wt = haar2d(feature)
         return self.scan_branch(f_wt) + self.conv_branch(f_wt)

@@ -232,16 +232,16 @@ def transpose(a, axes):
     return a.transpose(axes), lambda g, needs: (g.transpose(tuple(np.argsort(axes))),)
 
 
+def _split(g: np.ndarray, parts: list[np.ndarray], needs, axis: int = 0) -> list:
+    """g cut along axis into one view per part, None where a part takes no gradient."""
+    bounds = np.cumsum([p.shape[axis] for p in parts])
+    return [d if need else None
+            for d, need in zip(np.split(g, bounds[:-1], axis=axis), needs)]
+
+
 @_op("*parts")
 def concat(parts, axis: int = 0):
-    def vjp(g, needs):
-        grads, start, sl = [], 0, [slice(None)] * g.ndim
-        for p, need in zip(parts, needs):
-            sl[axis] = slice(start, start + p.shape[axis])
-            grads.append(g[tuple(sl)] if need else None)
-            start += p.shape[axis]
-        return grads
-    return np.concatenate(parts, axis=axis), vjp
+    return np.concatenate(parts, axis=axis), lambda g, needs: _split(g, parts, needs, axis)
 
 
 @_op("a")
@@ -424,13 +424,6 @@ def _padded(x: list[np.ndarray], pad: int) -> np.ndarray:
     return np.ascontiguousarray(x[0]) if len(x) == 1 else np.concatenate(x)
 
 
-def _split_dx(dx: np.ndarray, x: list[np.ndarray], needs: list[bool]) -> list:
-    """dx, C_in x H x W, as one channel slice per block of x, None where a
-    block takes no gradient."""
-    bounds = np.cumsum([len(b) for b in x])
-    return [d if need else None for d, need in zip(np.split(dx, bounds[:-1]), needs)]
-
-
 def _conv2d_im2col(x: list[np.ndarray], kernel: np.ndarray, bias: np.ndarray, pad: int):
     """conv2d's ``(value, vjp)`` by one product with the im2col patch matrix.
 
@@ -458,7 +451,7 @@ def _conv2d_im2col(x: list[np.ndarray], kernel: np.ndarray, bias: np.ndarray, pa
             gcols = _patches(_zero_pad([g], k - 1), k, hp, wp)
             wrot = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             dx = (wrot.reshape(c_in, c_out * k * k) @ gcols).reshape(c_in, hp, wp)
-            dx = _split_dx(dx[:, pad:pad + h, pad:pad + w] if pad else dx, x, needs[2:])
+            dx = _split(dx[:, pad:pad + h, pad:pad + w] if pad else dx, x, needs[2:])
         return _unbroadcast(g, bias.shape) if needs[0] else None, dw, *dx
     return y, vjp
 
@@ -499,7 +492,7 @@ def _conv2d_taps(x: list[np.ndarray], kernel: np.ndarray, bias: np.ndarray, pad:
             dw = (gz @ rows.T).reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1)
         if any(needs[2:]):
             dx = (wtaps().T @ gz).reshape(c_in, hp, wp)
-            dx = _split_dx(dx[:, pad:pad + h, pad:pad + w] if pad else dx, x, needs[2:])
+            dx = _split(dx[:, pad:pad + h, pad:pad + w] if pad else dx, x, needs[2:])
         return _unbroadcast(g, bias.shape) if needs[0] else None, dw, *dx
     return y, vjp
 

@@ -320,7 +320,7 @@ def simulate(pipe: Pipeline, scenario: Scenario, measure,
             pkt = channel.send(a.id, views[a.id], reported, tick)
             if trace_rows is not None:
                 trace_rows.append((tick, a.id, pkt.emit_tick, pkt.arrive_tick,
-                                   int(pkt.dropped)))
+                                   int(pkt.arrive_tick < 0)))
         for pkt in channel.deliver(tick):
             cur = latest.get(pkt.sender)
             if cur is None or pkt.emit_tick > cur.emit_tick:

@@ -57,10 +57,7 @@ class Integrator(ParamBlock):
 
     def __init__(self, c: int, rng: np.random.Generator):
         super().__init__()
-        ker = np.zeros((c, 2 * c, 3, 3))
-        for i in range(c):
-            ker[i, i, 1, 1] = 0.5
-            ker[i, c + i, 1, 1] = 0.5
+        ker = 0.5 * np.concatenate([identity_kernel(c)] * 2, axis=1)
         ker += 0.01 * rng.standard_normal(ker.shape)
         self.kernel = self._p("integrate.kernel", ker)
         self.bias = self._p("integrate.bias", np.zeros((c, 1, 1)))
@@ -115,8 +112,6 @@ class TemporalSync(ParamBlock):
         return self._warp(feature, offsets, self.warp_kernel, self.warp_bias)
 
     def gate(self, hidden: Tensor, warped: Tensor) -> GateOutput:
-        if hidden.data.shape != warped.data.shape:
-            raise ValueError(f"gate inputs differ: {hidden.data.shape} vs {warped.data.shape}")
         spatial = conv2d([hidden, warped], self.gate_spatial_kernel, self.gate_spatial_bias,
                          pad=3)
         alpha = sigmoid(spatial + self.gate_channel_bias)

@@ -231,9 +231,8 @@ class FeaturePacket:
     feature: Callable[[], Tensor]     # the sender's view, computed on call
     sender: str
     emit_tick: int
-    arrive_tick: int            # -1 while undecided / dropped
+    arrive_tick: int            # -1 when dropped
     reported_pose: Pose2D
-    dropped: bool = False
 
 
 class Channel:
@@ -250,7 +249,7 @@ class Channel:
         latency = int(self.rng.integers(0, self.cfg.max_latency_ticks + 1))
         pkt = FeaturePacket(feature=feature, sender=sender, emit_tick=tick,
                             arrive_tick=-1 if dropped else tick + latency,
-                            reported_pose=reported_pose, dropped=dropped)
+                            reported_pose=reported_pose)
         if not dropped:
             self.pending.append(pkt)
         return pkt

@@ -307,7 +307,7 @@ class TestSimulate:
     def test_trace_rows_cover_all_emissions(self):
         cfg = tiny_config()
         pipe = Pipeline(cfg)
-        scen = make_scenario(4, cfg.channel, ticks=5, n_agents=3,
+        scen = make_scenario(4, replace(cfg.channel, drop_p=0.5), ticks=5, n_agents=3,
                              n_objects=cfg.n_objects, bounds=cfg.bounds_m,
                              fov_ego=cfg.fov_ego_m, fov_collab=cfg.fov_collab_m)
         rows = []
@@ -317,6 +317,7 @@ class TestSimulate:
             assert emit == tick
             assert dropped in (0, 1)
             assert (arrive == -1) == (dropped == 1)
+        assert any(dropped for *_, dropped in rows)
 
     def test_python_scenario_evaluates_as_its_document(self):
         """A Scenario built in Python draws its drops, latencies and pose noise

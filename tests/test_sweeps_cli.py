@@ -1,16 +1,22 @@
 """Sweep drivers, CSV schemas, and the command-line interface."""
 
 import csv
+import io
 import json
+import multiprocessing
 import os
 import struct
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tiny_config
 from coopfuse import cli
@@ -20,7 +26,7 @@ from coopfuse.sweeps import (ABLATION_COMBOS, METRICS_COLUMNS, channel_sweep,
                              latency_sweep, metric_row, variant_sweep)
 from coopfuse.tensor import Parameter
 from coopfuse.training import train
-from coopfuse.world import ChannelConfig
+from coopfuse.world import ChannelConfig, make_scenario, save_scenario
 
 GOLDEN = Path(__file__).parent / "data" / "golden_metrics.csv"
 
@@ -240,7 +246,6 @@ class TestCli:
         assert (out / "metrics.csv").exists()
 
     def test_run_with_trained_params_and_scenario(self, tmp_path):
-        from coopfuse.world import make_scenario, save_scenario
         cfg_path = self.write_config(tmp_path)
         out1 = tmp_path / "t"
         assert self.run_cli("train", "--config", str(cfg_path), "--out",
@@ -254,6 +259,22 @@ class TestCli:
                          "--params", str(out1 / "params.catp"),
                          "--scenario", str(scen_path))
         assert r.returncode == 0, r.stderr
+
+    def test_run_scenario_row_carries_the_scenario_channel(self, tmp_path):
+        """The row of `run --scenario` names the channel the scenario was
+        evaluated on, not the config's."""
+        cfg_path = self.write_config(tmp_path)
+        channel = ChannelConfig(max_latency_ticks=2, drop_p=0.3, loc_sigma=0.5,
+                                head_sigma=0.05)
+        scen_path = tmp_path / "scenario.json"
+        save_scenario(scen_path, make_scenario(11, channel, ticks=6, n_agents=3, n_objects=4))
+        out = tmp_path / "out"
+        r = self.run_cli("run", "--config", str(cfg_path), "--out", str(out),
+                         "--scenario", str(scen_path))
+        assert r.returncode == 0, r.stderr
+        header, row = read_csv(out / "metrics.csv")
+        assert [float(row[header.index(c)])
+                for c in ("L_ticks", "drop_p", "loc_sigma", "head_sigma")] == [2, 0.3, 0.5, 0.05]
 
     def test_ablate_writes_seven_rows(self, tmp_path):
         cfg_path = self.write_config(tmp_path)
@@ -534,3 +555,68 @@ class TestCli:
         MemoryError backstop reports it in one line."""
         stderr = self.run_under_address_limit(tmp_path, {"C": 500})
         assert stderr.startswith("out of memory"), stderr
+
+
+# argv words for the property below; relative paths name the files that
+# make_argv_inputs writes in each draw's own working directory
+ARGV_COMMANDS = ("run", "train", "ablate", "sweep", "walk", "", "\udcff")
+ARGV_FLAGS = ("--out", "--seed", "--scenario", "--params", "--axis")
+ARGV_JUNK_FLAGS = ("--bogus", "-x", "--seed=", "--", "-", "-h")
+ARGV_VALUES = ("x", "-1", "1.5", "99999999999999999999", "", "0",
+               "missing.json", "dir", "file.txt", "file.txt/sub", "latin1.json",
+               "\udcff.json", "array.json", "cfg.json", "scenario.json", "params.catp",
+               "out", "latency", "retention", "drop")
+
+
+def make_argv_inputs(root: Path) -> None:
+    """A tiny valid config (2 training steps, 1 evaluation scenario), a
+    scenario and a checkpoint that fit it, a JSON array, a non-UTF-8 file, a
+    directory and a regular file, under root."""
+    cfg = tiny_config(eval_scenarios=1, eval_measure_ticks=1)
+    (root / "cfg.json").write_text(json.dumps(cfg.to_json()))
+    save_scenario(root / "scenario.json",
+                  make_scenario(3, cfg.channel, ticks=4, n_agents=3, n_objects=4))
+    Pipeline(cfg).save(root / "params.catp")
+    (root / "array.json").write_text("[1, 2]")
+    (root / "latin1.json").write_bytes(b'{"H": "\xff"}')
+    (root / "dir").mkdir()
+    (root / "file.txt").write_text("x")
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand or a junk word, then --config, any of the parser's other
+    flags and up to two junk flags in any order, each followed by a value
+    from the pool. --config is always given: without it a draw would train
+    the 500-step default config; half of its values are the tiny config."""
+    flags = ["--config"] + [f for f in ARGV_FLAGS if draw(st.booleans())]
+    flags += draw(st.lists(st.sampled_from(ARGV_JUNK_FLAGS), max_size=2))
+    argv, pool = [draw(st.sampled_from(ARGV_COMMANDS))], st.sampled_from(ARGV_VALUES)
+    for flag in draw(st.permutations(flags)):
+        argv += [flag, draw(st.just("cfg.json") | pool if flag == "--config" else pool)]
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=argvs())
+def test_any_argv_exits_0_2_or_3_in_one_line(argv):
+    """cli.main, in-process, exits 0, 2 or 3 on any argv; a nonzero exit
+    prints one stderr line, no draw prints a traceback or leaves a child
+    process. A usage error leaves main as SystemExit(2). Each draw runs in a
+    temporary directory of its own, since `--out ""` writes into the cwd."""
+    cwd = os.getcwd()
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as root:
+        make_argv_inputs(Path(root))
+        os.chdir(root)
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), err.getvalue()
+    assert len(err.getvalue().splitlines()) == (1 if code else 0), err.getvalue()
+    assert multiprocessing.active_children() == []

@@ -7,7 +7,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import ops  # noqa: E402, F401  (attaches Tensor operator sugar)
-from .gradcheck import grad_check  # noqa: E402
 from .pipeline import ConfigError, MetricRecord, Pipeline, PipelineConfig, evaluate  # noqa: E402
 from .tensor import Parameter, Tape, Tensor, no_grad  # noqa: E402
 from .training import Adam, DivergenceError, TrainResult, train  # noqa: E402
@@ -19,8 +18,8 @@ __all__ = [
     "Adam", "ChannelConfig", "ConfigError", "DivergenceError", "FeaturePacket",
     "MetricRecord", "Parameter", "Pipeline", "PipelineConfig", "Pose2D",
     "Scenario", "Scene", "SubbandSet", "Tape", "Tensor", "TrainResult",
-    "evaluate", "grad_check", "haar_iwt2d", "haar_wt2d", "make_scenario",
-    "no_grad", "render_bev", "step_scene", "train", "transform_to_ego",
+    "evaluate", "haar_iwt2d", "haar_wt2d", "make_scenario", "no_grad",
+    "render_bev", "step_scene", "train", "transform_to_ego",
 ]
 
 __version__ = "0.1.0"

@@ -70,11 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else PipelineConfig().validate()
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.training.seed = args.seed
-    return cfg
+    cfg = load_config(args.config) if args.config else PipelineConfig()
+    if args.seed is None:
+        return cfg
+    return replace(cfg, seed=args.seed, training=replace(cfg.training, seed=args.seed))
 
 
 # overflow and NaN show up as a nonfinite loss or metric, reported in one line
@@ -92,8 +91,7 @@ def main(argv=None) -> int:
             trace: list = []
             rec = evaluate(pipe, config_id=config_label(cfg), scenario=scenario,
                            trace_rows=trace)
-            channel = scenario.channel if scenario else cfg.channel
-            rows = [metric_row(rec, channel, cfg.retention)]
+            rows = [metric_row(rec)]
             write_trace_csv(args.out / "trace.csv", trace)
             summary = f"iou={rec.occupancy_iou:.4f} mse={rec.mse_to_clean:.6f}"
         elif args.command == "train":
@@ -101,7 +99,7 @@ def main(argv=None) -> int:
             result.pipeline.save(args.out / "params.catp")
             write_loss_curve_csv(args.out / "loss_curve.csv", result.loss_curve)
             rec = evaluate(result.pipeline, config_id=config_label(cfg))
-            rows = [metric_row(rec, cfg.channel, cfg.retention)]
+            rows = [metric_row(rec)]
             first, last = result.loss_curve[0][1], result.loss_curve[-1][1]
             summary = (f"trained {cfg.training.steps} steps: loss {first:.4f} -> {last:.4f}; "
                        f"iou={rec.occupancy_iou:.4f}")

@@ -73,7 +73,7 @@ def _size(n_bytes: int) -> str:
     return "over 1024 EiB"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainSpec:
     steps: int = entry("steps", 500, ge=1)
     learning_rate: float = entry("learning_rate", 1e-3, ge=0.0)   # 0 keeps the parameters
@@ -81,7 +81,7 @@ class TrainSpec:
     seed: int = entry("seed", 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     height: int = entry("H", 32, ge=4)
     width: int = entry("W", 32, ge=4)
@@ -100,15 +100,15 @@ class PipelineConfig:
     fov_collab_m: float = entry("fov_collab_m", 9.0, gt=0.0)
     eval_scenarios: int = entry("eval_scenarios", 6, ge=1)
     eval_measure_ticks: int = entry("eval_measure_ticks", 8, ge=1)
-    channel: ChannelConfig = entry("channel", default_factory=lambda: ChannelConfig(
+    channel: ChannelConfig = entry("channel", ChannelConfig(
         max_latency_ticks=3, drop_p=0.0, loc_sigma=0.2, head_sigma=0.2 * np.pi / 18))
-    training: TrainSpec = entry("training", default_factory=TrainSpec)
+    training: TrainSpec = entry("training", TrainSpec())
     stsync: bool = entry("stsync", True)
     wtden: bool = entry("wtden", True)
     adpsel: bool = entry("adpsel", True)
     seed: int = entry("seed", 0)
 
-    def validate(self) -> "PipelineConfig":
+    def __post_init__(self):
         """Check every field against its table entry, then the rules that tie fields together."""
         check(self, "config")
         if self.height % 4 or self.width % 4:
@@ -128,7 +128,6 @@ class PipelineConfig:
             raise ConfigError(f"{what} needs {_size(8 * count)} in one array, over the "
                               f"{_size(SIZE_CAP_BYTES)} cap")
         self.check_ticks()
-        return self
 
     def parameter_count(self) -> int:
         """The pipeline's parameter count, from the fields alone: every block is
@@ -194,7 +193,7 @@ class PipelineConfig:
         if scenario.ticks > TICK_CAP:
             raise ConfigError(f"scenario needs {_ticks(scenario.ticks)} ticks, over the "
                               f"{_ticks(TICK_CAP)} cap")
-        replace(self, n_agents=len(scenario.agents)).validate()
+        replace(self, n_agents=len(scenario.agents))        # checked as it is made
         return scenario
 
     def scenario(self, seed: int, channel: ChannelConfig, ticks: int) -> Scenario:
@@ -213,7 +212,7 @@ class PipelineConfig:
     @staticmethod
     def from_json(doc) -> "PipelineConfig":
         """Read a config document; omitted keys, nested ones too, keep their defaults."""
-        return read(PipelineConfig, doc, "config", PipelineConfig()).validate()
+        return read(PipelineConfig, doc, "config", PipelineConfig())
 
 
 def load_config(path) -> PipelineConfig:
@@ -222,16 +221,18 @@ def load_config(path) -> PipelineConfig:
 
 @dataclass
 class MetricRecord:
+    """One `evaluate`'s metrics, and the channel and retention it ran at."""
     config_id: str
     mse_to_clean: float
     occupancy_iou: float
+    channel: ChannelConfig
+    retention: float
 
 
 class Pipeline(ParamBlock):
     """All learned blocks plus the per-tick stage wiring."""
 
     def __init__(self, cfg: PipelineConfig):
-        cfg.validate()
         super().__init__()
         self.cfg = cfg
         self.integrator = Integrator(cfg.channels, self._rng("integrate"))
@@ -377,18 +378,19 @@ def eval_scenario_seed(cfg: PipelineConfig, index: int) -> int:
 def evaluate(pipe: Pipeline, channel: ChannelConfig | None = None,
              config_id: str = "run", scenario: Scenario | None = None,
              trace_rows: list | None = None) -> MetricRecord:
-    """Average metrics over the paired evaluation scenario set (or one scenario).
+    """Average metrics over the paired evaluation scenario set on `channel`
+    (the config's own by default), or over one scenario on its own channel.
 
     The scenarios run on ``fork_map``, one forked worker per usable core,
     and their results are joined in scenario order, so the record and the
     trace rows are bitwise those of a serial run.
     """
     cfg = pipe.cfg
-    ch = channel if channel is not None else cfg.channel
-    ticks = cfg.warmup_ticks_for(ch) + cfg.eval_measure_ticks
     if scenario is not None:
-        scenarios = [cfg.check_scenario(scenario)]
+        ch, scenarios = scenario.channel, [cfg.check_scenario(scenario)]
     else:
+        ch = channel if channel is not None else cfg.channel
+        ticks = cfg.warmup_ticks_for(ch) + cfg.eval_measure_ticks
         scenarios = [cfg.scenario(eval_scenario_seed(cfg, i), ch, ticks)
                      for i in range(cfg.eval_scenarios)]
     ious, mses = [], []
@@ -398,7 +400,7 @@ def evaluate(pipe: Pipeline, channel: ChannelConfig | None = None,
         ious += scen_ious
         mses += scen_mses
     return MetricRecord(config_id=config_id, mse_to_clean=float(np.mean(mses)),
-                        occupancy_iou=float(np.mean(ious)))
+                        occupancy_iou=float(np.mean(ious)), channel=ch, retention=cfg.retention)
 
 
 def _scenario_result(pipe: Pipeline, scen: Scenario

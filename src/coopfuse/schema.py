@@ -35,10 +35,10 @@ class ConfigError(ValueError):
 _OPS = {"ge": (">=", operator.ge), "gt": (">", operator.gt), "le": ("<=", operator.le)}
 
 
-def entry(key: str, default=dataclasses.MISSING, *, ge=None, gt=None, le=None, **kw):
+def entry(key: str, default=dataclasses.MISSING, *, ge=None, gt=None, le=None):
     """A dataclass field stored under JSON `key`, bounded by ge <= v, gt < v, v <= le."""
     bounds = {name: b for name, b in (("ge", ge), ("gt", gt), ("le", le)) if b is not None}
-    return dataclasses.field(default=default, metadata={"key": key, "bounds": bounds}, **kw)
+    return dataclasses.field(default=default, metadata={"key": key, "bounds": bounds})
 
 
 @functools.cache

@@ -32,14 +32,15 @@ ABLATION_COMBOS = (
 )
 
 
-def metric_row(record: MetricRecord, channel: ChannelConfig, retention: float) -> dict:
+def metric_row(record: MetricRecord) -> dict:
+    channel = record.channel
     return {
         "config_id": record.config_id,
         "L_ticks": channel.max_latency_ticks,
         "drop_p": channel.drop_p,
         "loc_sigma": channel.loc_sigma,
         "head_sigma": channel.head_sigma,
-        "retention_k": retention,
+        "retention_k": record.retention,
         "occupancy_iou": record.occupancy_iou,
         "mse_to_clean": record.mse_to_clean,
     }
@@ -70,13 +71,10 @@ def variant_sweep(variants: list[tuple[str, PipelineConfig]]
     """Train and evaluate one model per (label, config) variant, seeds shared;
     the variants run on ``fork_map``, each training and evaluation in one worker,
     the costliest (most stages on) first. Records and rows keep the given order."""
-    for _, sub in variants:
-        sub.validate()
     ranked = sorted(variants, key=lambda v: -len(stages_on(v[1])))    # stable among equals
     done = fork_map(lambda v: evaluate(train(v[1]).pipeline, config_id=v[0]), ranked)
     records = [done[ranked.index(v)] for v in variants]     # equal variants, equal records
-    return records, [metric_row(rec, sub.channel, sub.retention)
-                     for rec, (_, sub) in zip(records, variants)]
+    return records, [metric_row(rec) for rec in records]
 
 
 def channel_sweep(cfg: PipelineConfig, points: list[tuple[str, ChannelConfig]],
@@ -84,17 +82,12 @@ def channel_sweep(cfg: PipelineConfig, points: list[tuple[str, ChannelConfig]],
                   ) -> tuple[list[MetricRecord], list[dict]]:
     """Evaluate one model (trained from cfg unless given) at each (label, channel)
     point; every point's evaluation is checked against the tick cap first."""
-    cfg.validate()
     for _, ch in points:
         cfg.check_ticks(ch)
     if pipe is None:
         pipe = train(cfg).pipeline
-    records, rows = [], []
-    for label, ch in points:
-        rec = evaluate(pipe, channel=ch, config_id=label)
-        records.append(rec)
-        rows.append(metric_row(rec, ch, cfg.retention))
-    return records, rows
+    records = [evaluate(pipe, channel=ch, config_id=label) for label, ch in points]
+    return records, [metric_row(rec) for rec in records]
 
 
 def latency_sweep(cfg: PipelineConfig, l_values: list[int], pipe: Pipeline | None = None

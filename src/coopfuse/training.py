@@ -86,7 +86,6 @@ def train_scenario_seed(cfg: PipelineConfig, step: int, index: int = 0) -> int:
 
 
 def train(cfg: PipelineConfig, pipe: Pipeline | None = None) -> TrainResult:
-    cfg.validate()
     if pipe is None:
         pipe = Pipeline(cfg)
     opt = Adam(pipe.parameters(), lr=cfg.training.learning_rate)

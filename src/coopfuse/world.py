@@ -215,7 +215,7 @@ def transform_to_ego(feature: Tensor, sender: Pose2D, ego: Pose2D,
 # the channel
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelConfig:
     max_latency_ticks: int = entry("L_ticks", 3, ge=0)
     drop_p: float = entry("drop_p", 0.0, ge=0.0, le=1.0)

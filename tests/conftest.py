@@ -1,12 +1,16 @@
 """Shared fixtures: lazily trained desk-scale checkpoints, reused across tests."""
 
+import json
 import multiprocessing
+import resource
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import pytest
 
-from coopfuse.pipeline import Pipeline, PipelineConfig, evaluate, fork_map
+from coopfuse.pipeline import Pipeline, PipelineConfig, TrainSpec, evaluate, fork_map
 from coopfuse.training import train
 from coopfuse.world import ChannelConfig
 
@@ -24,22 +28,41 @@ ACCEPTANCE_SEEDS = (1, 2, 3, 4, 5)
 
 def tiny_config(**kw) -> PipelineConfig:
     """A 16 x 16, 4-channel config that trains in 2 steps; `kw` overrides its fields."""
-    cfg = PipelineConfig(height=16, width=16, channels=4, buffer_k=2,
-                         scales=(4,), ssm_state_dim=4, eval_scenarios=2,
-                         eval_measure_ticks=2, n_objects=4)
-    cfg.channel = ChannelConfig(max_latency_ticks=1, drop_p=0.0,
-                                loc_sigma=0.1, head_sigma=0.02)
-    cfg.training = replace(cfg.training, steps=2)
-    for k, v in kw.items():
-        setattr(cfg, k, v)
-    return cfg.validate()
+    fields = dict(height=16, width=16, channels=4, buffer_k=2, scales=(4,), ssm_state_dim=4,
+                  eval_scenarios=2, eval_measure_ticks=2, n_objects=4,
+                  channel=ChannelConfig(max_latency_ticks=1, drop_p=0.0,
+                                        loc_sigma=0.1, head_sigma=0.02),
+                  training=TrainSpec(steps=2))
+    return PipelineConfig(**{**fields, **kw})
 
 
 def desk_config(label: str, seed: int) -> PipelineConfig:
     st, wt, ad = TOGGLES[label]
-    cfg = PipelineConfig(stsync=st, wtden=wt, adpsel=ad, seed=seed)
-    cfg.training = replace(cfg.training, seed=seed)
-    return cfg.validate()
+    return PipelineConfig(stsync=st, wtden=wt, adpsel=ad, seed=seed,
+                          training=TrainSpec(seed=seed))
+
+
+def run_under_address_limit(tmp_path, doc, limit: int = 3_000_000_000,
+                            timeout: float = 120.0) -> str:
+    """Run `coopfuse run` on config `doc` as a subprocess under an address-space
+    limit of `limit` bytes, set on the child alone, and a timeout in seconds.
+    Checks that it exits 2 in one stderr line, with no traceback and no
+    metrics, and returns that line."""
+    def limit_address_space():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (limit if hard == resource.RLIM_INFINITY else min(hard, limit), hard))
+
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    r = subprocess.run([sys.executable, "-m", "coopfuse.cli", "run", "--config",
+                        str(cfg_path), "--out", str(out)], capture_output=True, text=True,
+                       preexec_fn=limit_address_space, timeout=timeout)
+    assert r.returncode == 2, r.stderr
+    assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr, r.stderr
+    assert not (out / "metrics.csv").exists()
+    return r.stderr
 
 
 class ModelBank:

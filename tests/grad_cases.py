@@ -1,7 +1,7 @@
 """The finite-difference cases of the gradient suite, one per checked op.
 
 ``CASES`` maps a case name to ``build(seed) -> (scalar_fn, probe tensor)``,
-the arguments of ``coopfuse.gradcheck.grad_check``. Every case is made by
+the arguments of ``gradcheck.grad_check``. Every case is made by
 ``case``: it draws the case's arrays in order from ``default_rng(seed)``
 and sums ``f`` over them with the probe tensor in one slot. test_02 runs
 the whole table and fails if an op in ``ops.DIFFERENTIABLE_OPS`` has no

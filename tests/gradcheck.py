@@ -2,8 +2,8 @@
 
 ``grad_check`` compares the tape gradient of a scalar-valued function
 against central differences, element by element. The gradient suite's
-cases, one per op in ``ops.DIFFERENTIABLE_OPS``, live with the tests in
-``tests/grad_cases.py``.
+cases, one per op in ``ops.DIFFERENTIABLE_OPS``, live beside it in
+``grad_cases.py``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import Tape, Tensor
+from coopfuse.tensor import Tape, Tensor
 
 
 def grad_check(scalar_fn: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-4) -> float:

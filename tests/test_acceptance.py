@@ -16,13 +16,13 @@ import pytest
 from conftest import ACCEPTANCE_SEEDS
 from coopfuse import ops
 from coopfuse.denoise import scan_orders, subband_tokens, token_subbands
-from coopfuse.gradcheck import grad_check
 from coopfuse.select import retained_windows, window_pixels, window_scores
 from coopfuse.sync import TemporalSync
 from coopfuse.tensor import Tensor
 from coopfuse.wavelet import haar_iwt2d, haar_wt2d
 from coopfuse.world import Channel, ChannelConfig, Pose2D, stream, transform_to_ego
 from grad_cases import CASES
+from gradcheck import grad_check
 
 CHI2_99_DF5 = 15.086
 NOISE_02 = ChannelConfig(3, 0.0, 0.2, 0.2 * np.pi / 18)

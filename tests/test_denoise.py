@@ -10,9 +10,9 @@ from coopfuse import ops
 from coopfuse.denoise import (SCAN_PATHS, WaveletDenoiser, interleaved_order,
                               progressive_order, scan_orders, subband_tokens,
                               token_subbands)
-from coopfuse.gradcheck import grad_check
 from coopfuse.tensor import Tape, Tensor
 from coopfuse.world import stream
+from gradcheck import grad_check
 from test_tensor_ops import assert_rel_close
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_under_address_limit
 from coopfuse import cli
 from coopfuse.pipeline import (SIZE_CAP_BYTES, TICK_CAP, ConfigError, Pipeline,
                               PipelineConfig, TrainSpec, evaluate)
@@ -131,6 +132,26 @@ def test_sizes_are_capped_or_rejected(doc):
     assert all(ticks <= TICK_CAP for _, ticks in cfg.tick_counts())
     assert 8 * cfg.parameter_count() <= SIZE_CAP_BYTES
     assert 8 * cfg.largest_tick_array()[0] <= SIZE_CAP_BYTES
+
+
+def rejected(doc) -> bool:
+    try:
+        PipelineConfig.from_json(doc)
+    except ConfigError:
+        return True
+    return False
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(doc=sized_documents().filter(rejected))
+def test_rejected_sizes_exit_2_under_a_memory_limit(doc):
+    """A sample of the documents the property above rejects, each run as a
+    `coopfuse run` subprocess under a 3 GB address-space limit and a timeout,
+    exits 2 with from_json's one line."""
+    with pytest.raises(ConfigError) as e:
+        PipelineConfig.from_json(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run_under_address_limit(Path(tmp), doc) == f"config error: {e.value}\n"
 
 
 TINY = Pipeline(PipelineConfig(height=16, width=16, channels=4, buffer_k=2, scales=(4,),

@@ -9,10 +9,12 @@ import signal
 import subprocess
 import sys
 from concurrent.futures import process as futures_process
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tiny_config
 from coopfuse import cli, pipeline as pipeline_module, sweeps as sweeps_module
@@ -42,28 +44,60 @@ def pin_passthrough(pipe):
     pipe.decoder_bias.data = np.full((1, 1, 1), -2.0)
 
 
+# field patches that make the defaults and tiny_config() bad, and ones that keep them good
+BAD_PATCHES = [
+    {"height": 30}, {"scales": (5,)}, {"retention": 0.0},
+    {"retention": 1.5}, {"buffer_k": 0}, {"n_agents": 0}, {"channels": 0},
+    {"scales": (0,)}, {"scales": ()}, {"cell_size": np.inf}, {"bounds_m": 0.0},
+    {"fov_ego_m": -1.0}, {"fov_collab_m": np.nan}, {"channels": 1},
+]
+GOOD_PATCHES = [{}, {"channels": 2, "anchor_points": 1}, {"ssm_state_dim": 64},
+                {"anchor_points": 32}]
+
+
 class TestConfig:
     def test_defaults_validate(self):
-        PipelineConfig().validate()
+        assert PipelineConfig.from_json({}) == PipelineConfig()
 
-    @pytest.mark.parametrize("patch", [
-        {"height": 30}, {"scales": (5,)}, {"retention": 0.0},
-        {"retention": 1.5}, {"buffer_k": 0}, {"n_agents": 0}, {"channels": 0},
-        {"scales": (0,)}, {"scales": ()}, {"cell_size": np.inf}, {"bounds_m": 0.0},
-        {"fov_ego_m": -1.0}, {"fov_collab_m": np.nan}, {"channels": 1},
-    ])
+    @pytest.mark.parametrize("patch", BAD_PATCHES)
     def test_bad_configs_rejected(self, patch):
-        cfg = PipelineConfig()
-        for k, v in patch.items():
-            setattr(cfg, k, v)
         with pytest.raises(ConfigError):
-            cfg.validate()
+            replace(PipelineConfig(), **patch)
 
     def test_bad_training_steps_rejected(self):
-        cfg = PipelineConfig()
-        cfg.training = replace(cfg.training, steps=0)
         with pytest.raises(ConfigError):
-            cfg.validate()
+            replace(PipelineConfig(), training=TrainSpec(steps=0))
+
+    @pytest.mark.parametrize("kw,message", [
+        ({"retention": 2.0}, r"k must be > 0\.0 and <= 1\.0, got 2\.0"),
+        ({"channels": 700}, r"C=700, anchor_points=4, ssm_state_dim=16 need 9\.2 GiB of "
+                            r"parameters, over the 8\.0 GiB cap"),
+        ({"training": TrainSpec(steps=0)}, r"training\.steps must be >= 1, got 0"),
+    ], ids=["retention", "channels", "training.steps"])
+    def test_bad_config_is_rejected_when_made(self, kw, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            PipelineConfig(**kw)
+
+    @pytest.mark.parametrize("config,name", [(PipelineConfig(), "retention"),
+                                             (TrainSpec(), "steps"),
+                                             (ChannelConfig(), "drop_p")],
+                             ids=["PipelineConfig", "TrainSpec", "ChannelConfig"])
+    def test_configs_are_frozen(self, config, name):
+        """A config that was checked stays as it was checked."""
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, getattr(config, name))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(patches=st.lists(st.sampled_from(BAD_PATCHES + GOOD_PATCHES), max_size=3))
+    def test_replace_is_checked_or_round_trips(self, patches):
+        """Patches from both pools, merged into tiny_config(), either raise
+        from `replace` or give a config equal to its JSON round trip."""
+        patch = {k: v for p in patches for k, v in p.items()}
+        try:
+            cfg = replace(tiny_config(), **patch)
+        except ConfigError:
+            return
+        assert PipelineConfig.from_json(cfg.to_json()) == cfg
 
     def test_json_roundtrip(self):
         cfg = tiny_config(retention=0.4, stsync=False)
@@ -130,8 +164,8 @@ class TestConfig:
 
 
 class TestSizeEstimate:
-    """validate() sizes a config from its fields alone and rejects one whose
-    parameters or largest tick array exceed SIZE_CAP_BYTES."""
+    """A config is sized from its fields alone when it is made, and one whose
+    parameters or largest tick array exceed SIZE_CAP_BYTES is rejected."""
 
     @pytest.mark.parametrize("c", [2, 3, 8])
     @pytest.mark.parametrize("m,n", [(1, 1), (5, 3)])
@@ -143,37 +177,37 @@ class TestSizeEstimate:
 
     def test_cap_on_parameters(self):
         # about 2526 C^2 parameters: C=600 needs 6.8 GiB, C=700 9.2 GiB
-        assert 8 * PipelineConfig(channels=600).validate().parameter_count() \
+        assert 8 * PipelineConfig(channels=600).parameter_count() \
             < pipeline_module.SIZE_CAP_BYTES
         with pytest.raises(ConfigError, match=r"^C=700, anchor_points=4, ssm_state_dim=16 "
                                               r"need 9\.2 GiB of parameters, over the 8\.0 "
                                               r"GiB cap$"):
-            PipelineConfig(channels=700).validate()
+            PipelineConfig(channels=700)
 
     def test_cap_on_one_array(self):
         # the anchor's C x 4 x M*H x W corners: 8 x 4 x 4 x 2048^2 take 4 GiB
-        PipelineConfig(height=2048, width=2048).validate()
+        PipelineConfig(height=2048, width=2048)
         with pytest.raises(ConfigError, match=r"^H=4096, W=4096, C=8, anchor_points=4 "
                                               r"\(stsync's anchor corners\) needs 16\.0 GiB"):
-            PipelineConfig(height=4096, width=4096).validate()
+            PipelineConfig(height=4096, width=4096)
 
     def test_cap_on_ticks(self):
         # the desk config trains 500 x 1 x (4 + 3 + 1) = 4,000 ticks and
         # evaluates 6 x (4 + 3 + 8) = 90
-        cfg = PipelineConfig().validate()
+        cfg = PipelineConfig()
         assert cfg.tick_counts() == [("training", 4000), ("evaluation", 90)]
         # an evaluation counts the L_ticks of the channel it runs on, 6 x (4 + 5 + 8)
         assert cfg.tick_counts(replace(cfg.channel, max_latency_ticks=5)) \
             == [("training", 4000), ("evaluation", 102)]
         at_cap = replace(cfg, training=TrainSpec(steps=pipeline_module.TICK_CAP // 8))
-        assert at_cap.validate().tick_counts()[0] == ("training", pipeline_module.TICK_CAP)
+        assert at_cap.tick_counts()[0] == ("training", pipeline_module.TICK_CAP)
         with pytest.raises(ConfigError, match=r"^training needs 1\.1e7 ticks, over the "
                                               r"1\.0e7 cap$"):
-            replace(cfg, training=TrainSpec(steps=pipeline_module.TICK_CAP // 8 + 1)).validate()
+            replace(cfg, training=TrainSpec(steps=pipeline_module.TICK_CAP // 8 + 1))
         with pytest.raises(ConfigError, match=r"^training needs 2\.4e10 ticks"):
-            replace(cfg, training=TrainSpec(steps=10**9, batch_scenes=3)).validate()
+            replace(cfg, training=TrainSpec(steps=10**9, batch_scenes=3))
         with pytest.raises(ConfigError, match=r"^evaluation needs 1\.5e400 ticks"):
-            replace(cfg, eval_scenarios=10**399).validate()
+            replace(cfg, eval_scenarios=10**399)
         scen = cfg.scenario(1, cfg.channel, 20)
         assert cfg.check_scenario(replace(scen, ticks=pipeline_module.TICK_CAP)).ticks \
             == pipeline_module.TICK_CAP
@@ -184,7 +218,7 @@ class TestSizeEstimate:
     def test_cap_on_a_scenario_agent_stack(self, traced_peak_mib):
         """check_scenario sizes the stack of the scenario's own agents, which
         may outnumber n_agents, and allocates nothing to do so."""
-        cfg = PipelineConfig(height=2048, width=2048, channels=2).validate()
+        cfg = PipelineConfig(height=2048, width=2048, channels=2)
         few, many = (PipelineConfig(n_agents=n).scenario(1, cfg.channel, 20) for n in (3, 300))
         assert cfg.check_scenario(few) is few
 
@@ -194,12 +228,11 @@ class TestSizeEstimate:
                 cfg.check_scenario(many)
         assert traced_peak_mib(reject) < 1.0
 
-    @pytest.mark.parametrize("patch", [{}, {"channels": 2, "anchor_points": 1},
-                                       {"ssm_state_dim": 64}, {"anchor_points": 32}])
+    @pytest.mark.parametrize("patch", GOOD_PATCHES)
     def test_largest_tick_array_is_allocated(self, traced_peak_mib, patch):
         """One evaluation tick's traced peak holds the estimated array and
         is within a few times of it, whichever term is the largest."""
-        cfg = replace(tiny_config(), **patch).validate()
+        cfg = replace(tiny_config(), **patch)
         count, _ = cfg.largest_tick_array()
         scen = make_scenario(3, cfg.channel, cfg.warmup_ticks_for() + 1,
                              n_agents=cfg.n_agents, n_objects=cfg.n_objects)
@@ -249,19 +282,16 @@ class TestRunPipeline:
         # integration identity and copy decoder: decoded occupancy equals the
         # ground truth wherever the scene is fully inside the ego view
         cfg = tiny_config(stsync=False, wtden=False, adpsel=False, n_agents=1,
-                          fov_ego_m=100.0)
-        cfg.channel = ChannelConfig(0, 0.0, 0.0, 0.0)
+                          fov_ego_m=100.0, channel=ChannelConfig(0, 0.0, 0.0, 0.0))
         pipe = Pipeline(cfg)
         pin_passthrough(pipe)
         rec = evaluate(pipe, config_id="pinned")
         assert rec.occupancy_iou == 1.0
 
     def test_total_drop_equals_ego_only(self):
-        cfg_drop = tiny_config(stsync=False, wtden=False, adpsel=False)
-        cfg_drop.channel = ChannelConfig(2, 1.0, 0.1, 0.02)
-        cfg_solo = tiny_config(stsync=False, wtden=False, adpsel=False,
-                               n_agents=1)
-        cfg_solo.channel = ChannelConfig(2, 1.0, 0.1, 0.02)
+        cfg_drop = tiny_config(stsync=False, wtden=False, adpsel=False,
+                               channel=ChannelConfig(2, 1.0, 0.1, 0.02))
+        cfg_solo = replace(cfg_drop, n_agents=1)
         rec_drop = evaluate(Pipeline(cfg_drop), config_id="drop")
         rec_solo = evaluate(Pipeline(cfg_solo), config_id="solo")
         # the decoded-occupancy metric matches the no-fusion run exactly; the
@@ -278,10 +308,8 @@ class TestRunPipeline:
         assert a.mse_to_clean == b.mse_to_clean
 
     def test_invalid_config_rejected_before_simulation(self):
-        cfg = tiny_config()
-        cfg.retention = 2.0
         with pytest.raises(ConfigError):
-            evaluate(Pipeline(cfg))
+            replace(tiny_config(), retention=2.0)
 
     def test_metric_record_fields(self):
         rec = evaluate(Pipeline(tiny_config()))
@@ -606,9 +634,9 @@ class TestForkMap:
         stably, and returns records and rows in the order given."""
         ran = []
 
-        def evaluate(pipe, config_id):
+        def evaluate(cfg, config_id):       # the train below hands on its config
             ran.append(config_id)
-            return MetricRecord(config_id, 0.0, 0.0)
+            return MetricRecord(config_id, 0.0, 0.0, cfg.channel, cfg.retention)
         monkeypatch.setattr(sweeps_module, "train",
                             lambda cfg: training_module.TrainResult(cfg, []))
         monkeypatch.setattr(sweeps_module, "evaluate", evaluate)
@@ -824,8 +852,8 @@ class TestLazyIntegration:
             return original(self, stack)
 
         monkeypatch.setattr(Integrator, "__call__", counting)
-        cfg = tiny_config(buffer_k=4, stsync=False, wtden=False, adpsel=False)
-        cfg.training = replace(cfg.training, steps=1)
+        cfg = tiny_config(buffer_k=4, stsync=False, wtden=False, adpsel=False,
+                          training=TrainSpec(steps=1))
         train(cfg)
         assert calls == {"simulate": 1, "clean_reference": 1}
 
@@ -857,8 +885,7 @@ class TestOccupancyIoU:
 
 class TestTraining:
     def test_single_step_changes_parameters(self):
-        cfg = tiny_config()
-        cfg.training = replace(cfg.training, steps=1)
+        cfg = tiny_config(training=TrainSpec(steps=1))
         before = {n: p.data.copy() for n, p in Pipeline(cfg).parameters().items()}
         result = train(cfg)
         after = result.pipeline.parameters()
@@ -867,8 +894,7 @@ class TestTraining:
         assert len(result.loss_curve) == 1
 
     def test_zero_learning_rate_keeps_parameters(self):
-        cfg = tiny_config()
-        cfg.training = replace(cfg.training, steps=2, learning_rate=0.0)
+        cfg = tiny_config(training=TrainSpec(steps=2, learning_rate=0.0))
         before = {n: p.data.copy() for n, p in Pipeline(cfg).parameters().items()}
         result = train(cfg)
         for n, p in result.pipeline.parameters().items():
@@ -876,8 +902,7 @@ class TestTraining:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_step_index(self):
-        cfg = tiny_config()
-        cfg.training = replace(cfg.training, steps=30, learning_rate=1e14)
+        cfg = tiny_config(training=TrainSpec(steps=30, learning_rate=1e14))
         with pytest.raises(DivergenceError) as e:
             train(cfg)
         assert e.value.step >= 1
@@ -890,8 +915,7 @@ class TestTraining:
         assert error.step == 3 and math.isnan(error.value)
 
     def test_loss_curve_is_recorded(self):
-        cfg = tiny_config()
-        cfg.training = replace(cfg.training, steps=3)
+        cfg = tiny_config(training=TrainSpec(steps=3))
         result = train(cfg)
         steps = [row[0] for row in result.loss_curve]
         assert steps == [0, 1, 2]
@@ -910,8 +934,7 @@ class TestTraining:
         assert still == []
 
     def test_training_deterministic(self):
-        cfg = tiny_config()
-        cfg.training = replace(cfg.training, steps=2)
+        cfg = tiny_config(training=TrainSpec(steps=2))
         a = train(cfg).pipeline.parameters()
         b = train(cfg).pipeline.parameters()
         for n in a:

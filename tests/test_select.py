@@ -5,12 +5,12 @@ import pytest
 
 from composed_ops import index_axis
 from coopfuse import ops
-from coopfuse.gradcheck import grad_check
 from coopfuse.select import (FeatureSelector, InvertedBottleneck, LinearAttention,
                              SplitAttention, retained_windows, window_pixels, window_scores)
 from coopfuse.sync import identity_kernel
 from coopfuse.tensor import Tape, Tensor
 from coopfuse.world import stream
+from gradcheck import grad_check
 from select_reference import (ReferenceGrid, reference_propagate, reference_scores,
                               reference_selector, reference_topk)
 

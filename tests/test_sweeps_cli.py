@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tiny_config
+from conftest import run_under_address_limit, tiny_config
 from coopfuse import cli
-from coopfuse.pipeline import Pipeline, PipelineConfig, evaluate
+from coopfuse.pipeline import Pipeline, PipelineConfig, TrainSpec, evaluate
 from coopfuse.serialize import save_params
 from coopfuse.sweeps import (ABLATION_COMBOS, METRICS_COLUMNS, channel_sweep,
                              latency_sweep, metric_row, variant_sweep)
@@ -141,8 +141,7 @@ def pinned_analytic_baseline(cfg):
 class TestTrendOracles:
     def test_latency_degrades_pinned_baseline_monotonically(self):
         cfg = PipelineConfig(stsync=False, wtden=False, adpsel=False, seed=0,
-                             eval_scenarios=8)
-        cfg.channel = ChannelConfig(3, 0.0, 0.0, 0.0)
+                             eval_scenarios=8, channel=ChannelConfig(3, 0.0, 0.0, 0.0))
         pipe = pinned_analytic_baseline(cfg)
         _, rows = latency_sweep(cfg, [0, 1, 2, 3, 4, 5], pipe=pipe)
         ious = [r["occupancy_iou"] for r in rows]
@@ -152,8 +151,7 @@ class TestTrendOracles:
         # fusion must be net-positive for dropping it to hurt: mild latency,
         # no pose noise
         cfg = PipelineConfig(stsync=False, wtden=False, adpsel=False, seed=0,
-                             eval_scenarios=8)
-        cfg.channel = ChannelConfig(1, 0.0, 0.0, 0.0)
+                             eval_scenarios=8, channel=ChannelConfig(1, 0.0, 0.0, 0.0))
         pipe = pinned_analytic_baseline(cfg)
         _, rows = channel_sweep(cfg, drop_points(cfg, [0.0, 0.3, 0.6, 0.9]), pipe=pipe)
         ious = [r["occupancy_iou"] for r in rows]
@@ -169,7 +167,7 @@ class TestCsvSchema:
     def test_golden_file_pinned_seed(self):
         cfg = tiny_config()
         rec = evaluate(Pipeline(cfg), config_id="golden")
-        rows = [metric_row(rec, cfg.channel, cfg.retention)]
+        rows = [metric_row(rec)]
         got_header = list(METRICS_COLUMNS)
         golden_rows = read_csv(GOLDEN)
         assert golden_rows[0] == got_header
@@ -432,8 +430,7 @@ class TestCli:
         assert r.stderr == "config error: scenario needs 1.0e9 ticks, over the 1.0e7 cap\n"
 
     def test_divergence_exit_code(self, tmp_path):
-        cfg = tiny_config()
-        cfg.training = replace(cfg.training, steps=30, learning_rate=1e14)
+        cfg = tiny_config(training=TrainSpec(steps=30, learning_rate=1e14))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg.to_json()))
         r = self.run_cli("train", "--config", str(cfg_path),
@@ -513,28 +510,6 @@ class TestCli:
         assert r.stderr.startswith("divergence") and "occupancy_iou=nan" in r.stderr
         assert not (out / "metrics.csv").exists()
 
-    @staticmethod
-    def run_under_address_limit(tmp_path, doc):
-        """`coopfuse run` on config `doc` under a 3 GB address-space limit on
-        the subprocess alone."""
-        import resource
-
-        def limit_address_space():
-            _, hard = resource.getrlimit(resource.RLIMIT_AS)
-            soft = 3_000_000_000 if hard == resource.RLIM_INFINITY else min(hard, 3_000_000_000)
-            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-
-        cfg_path = tmp_path / "huge.json"
-        cfg_path.write_text(json.dumps(doc))
-        out = tmp_path / "o"
-        r = subprocess.run([sys.executable, "-m", "coopfuse.cli", "run", "--config",
-                            str(cfg_path), "--out", str(out)],
-                           capture_output=True, text=True, preexec_fn=limit_address_space)
-        assert r.returncode == 2, r.stderr
-        assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr, r.stderr
-        assert not (out / "metrics.csv").exists()
-        return r.stderr
-
     @pytest.mark.parametrize("doc,needs", [
         ({"C": 100000}, "183.8 TiB of parameters"),
         ({"ssm_state_dim": 1000000000}, "566.2 GiB of parameters"),
@@ -543,9 +518,9 @@ class TestCli:
     ], ids=["C", "ssm_state_dim", "HW", "anchor_points"])
     def test_out_of_memory_exit_code(self, tmp_path, doc, needs):
         """A config whose size estimate is over the cap (C=100000 asks for
-        184 TiB of parameters) stops in validate with one config error line,
-        before anything is allocated."""
-        stderr = self.run_under_address_limit(tmp_path, doc)
+        184 TiB of parameters) is rejected when it is made, with one config
+        error line, before anything is allocated."""
+        stderr = run_under_address_limit(tmp_path, doc)
         assert stderr.startswith("config error") and needs in stderr, stderr
         assert "over the 8.0 GiB cap" in stderr
 
@@ -553,7 +528,17 @@ class TestCli:
         """C=500 passes the estimate (4.7 GiB of parameters, under the cap) but
         cannot allocate its 4.6 GB inner kernel under the limit: the
         MemoryError backstop reports it in one line."""
-        stderr = self.run_under_address_limit(tmp_path, {"C": 500})
+        stderr = run_under_address_limit(tmp_path, {"C": 500})
+        assert stderr.startswith("out of memory"), stderr
+
+    def test_memory_error_in_a_worker_exits_2(self, tmp_path):
+        """anchor_points=4096 passes the estimate (stsync's anchor corners take
+        1 GiB, under the cap) but not a 1 GB limit. On two or more cores the
+        two evaluation scenarios run on fork_map workers, where the anchor's
+        MemoryError rises; it reaches the caller, which reports it in one line."""
+        doc = {"anchor_points": 4096, "eval_scenarios": 2, "eval_measure_ticks": 1}
+        PipelineConfig.from_json(doc)
+        stderr = run_under_address_limit(tmp_path, doc, limit=1_000_000_000)
         assert stderr.startswith("out of memory"), stderr
 
 

@@ -5,12 +5,12 @@ import pytest
 
 from composed_ops import index_axis
 from coopfuse import ops, pipeline as pipeline_module, sync as sync_module
-from coopfuse.gradcheck import grad_check
 from coopfuse.ops import _op
 from coopfuse.pipeline import Pipeline, PipelineConfig
 from coopfuse.sync import Integrator, TemporalSync, base_grid, identity_kernel
 from coopfuse.tensor import Tape, Tensor
 from coopfuse.world import make_scenario, perturb_pose, render_bev, stream, transform_to_ego
+from gradcheck import grad_check
 
 C, H, W = 4, 8, 8
 

@@ -11,13 +11,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from composed_ops import exp, softplus
 from coopfuse import ops
-from coopfuse.gradcheck import grad_check
-from coopfuse.pipeline import PipelineConfig
+from coopfuse.pipeline import PipelineConfig, TrainSpec
 from coopfuse.serialize import assign_params, load_params, save_params
 from coopfuse.sync import Integrator
 from coopfuse.tensor import Parameter, Tape, Tensor, no_grad
 from coopfuse.training import train
 from grad_cases import CASES
+from gradcheck import grad_check
 
 HERE = Path(__file__).parent
 
@@ -631,9 +631,7 @@ class TestConv2dContractions:
     def test_model_convs_that_take_taps(self, tap_calls):
         # one taped desk training step: the four channel-reducing convs and
         # the 8 -> 8 warp and aggregation convs on 32 x 32 maps
-        cfg = PipelineConfig()
-        cfg.training.steps = 1
-        train(cfg)
+        train(PipelineConfig(training=TrainSpec(steps=1)))
         assert sorted(set(tap_calls)) == [(1, 16, 7, 7), (2, 8, 3, 3), (2, 16, 3, 3),
                                           (8, 8, 3, 3), (8, 16, 3, 3)]
 

@@ -6,9 +6,9 @@ import pytest
 
 from composed_ops import index_axis
 from coopfuse import ops
-from coopfuse.gradcheck import grad_check
 from coopfuse.tensor import Tape, Tensor
 from coopfuse.wavelet import SubbandSet, haar_iwt2d, haar_wt2d
+from gradcheck import grad_check
 
 
 def block_tensor(a, b, c, d):

@@ -100,8 +100,8 @@ class WaveletDenoiser(ParamBlock):
 
     def conv_branch(self, f_wt: Tensor) -> Tensor:
         """4C x h2 x w2 subbands -> C x 2h2 x 2w2: ihaar2d(ihaar2d(conv(haar2d(f))) + skip(f))."""
-        inner = conv2d(haar2d(f_wt), self.inner_kernel, self.inner_bias, pad=1)
-        skip = conv2d(f_wt, self.skip_kernel, self.skip_bias, pad=1)
+        inner = conv2d(haar2d(f_wt), self.inner_kernel, self.inner_bias)
+        skip = conv2d(f_wt, self.skip_kernel, self.skip_bias)
         return ihaar2d(ihaar2d(inner) + skip)
 
     def __call__(self, feature: Tensor) -> Tensor:

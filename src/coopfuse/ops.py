@@ -189,14 +189,8 @@ def tsum(a, axis=None, keepdims: bool = False):
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     """Mean over `axis`: a ``tsum`` then a ``scale``, two tape records."""
-    a = as_tensor(a)
-    if axis is None:
-        n = a.data.size
-    elif isinstance(axis, tuple):
-        n = int(np.prod([a.data.shape[ax] for ax in axis]))
-    else:
-        n = a.data.shape[axis]
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    total = tsum(a, axis=axis, keepdims=keepdims)
+    return scale(total, 1.0 / (as_tensor(a).data.size // total.data.size))
 
 
 def scale(a, s: float) -> Tensor:
@@ -245,16 +239,13 @@ def concat(parts, axis: int = 0):
 
 
 @_op("a")
-def narrow(a, axis: int, start: int, length: int):
-    sl = [slice(None)] * a.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-
+def narrow(a, start: int, length: int):
+    """Rows start to start + length of the leading axis."""
     def vjp(g, needs):
         full = np.zeros_like(a)
-        full[sl] = g
+        full[start:start + length] = g
         return full,
-    return a[sl], vjp
+    return a[start:start + length], vjp
 
 
 @_op("a")
@@ -327,21 +318,23 @@ def ihaar2d(y):
 # ---------------------------------------------------------------------------
 
 @_op("a")
-def softmax(a, axis: int):
-    e = np.exp(a - np.max(a, axis=axis, keepdims=True))
-    y = e / e.sum(axis=axis, keepdims=True)
-    return y, lambda g, needs: (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+def softmax(a):
+    """Softmax over the leading axis."""
+    e = np.exp(a - np.max(a, axis=0, keepdims=True))
+    y = e / e.sum(axis=0, keepdims=True)
+    return y, lambda g, needs: (y * (g - (g * y).sum(axis=0, keepdims=True)),)
 
 
-def _patches(xp: np.ndarray, k: int, h_out: int, w_out: int) -> np.ndarray:
-    """The (C*k*k) x (h_out*w_out) im2col matrix of a C-contiguous C x H x W array.
+def _patches(xp: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
+    """The (C*k*k) x (h*w) im2col matrix of a C-contiguous C x (h+k-1) x (w+k-1)
+    array.
 
     One strided view indexes every window tap in (c, ki, kj, i, j) order;
     ``reshape`` copies it once into a C-contiguous matrix.
     """
     c, s1, s2 = xp.shape[0], xp.strides[1], xp.strides[2]
-    win = np.ndarray((c, k, k, h_out, w_out), xp.dtype, xp, 0, (xp.strides[0], s1, s2, s1, s2))
-    return win.reshape(c * k * k, h_out * w_out)
+    win = np.ndarray((c, k, k, h, w), xp.dtype, xp, 0, (xp.strides[0], s1, s2, s1, s2))
+    return win.reshape(c * k * k, h * w)
 
 
 def _tap_shifts(z: np.ndarray, wp: int, length: int) -> np.ndarray:
@@ -350,8 +343,8 @@ def _tap_shifts(z: np.ndarray, wp: int, length: int) -> np.ndarray:
 
     Element m of every row is output position (c, i, j) = m as a C_out x Hp x
     Wp index, so summed over its first two axes it is the convolution whose
-    per-tap products z holds, at every position with i < H_out and j < W_out
-    (the rest is unused). Distinct taps never share an element.
+    per-tap products z holds, at every position with i < H and j < W (the
+    rest is unused). Distinct taps never share an element.
     """
     s0, s1, e = z.strides[0], z.strides[1], z.itemsize
     return np.ndarray((*z.shape[:2], length), z.dtype, z, 0, (s0 + wp * e, s1 + e, e))
@@ -370,9 +363,10 @@ def _zero_pad(blocks: list[np.ndarray], pad: int) -> np.ndarray:
 
 
 @_op("bias", "kernel", "*x")
-def conv2d(x, kernel, bias, pad: int = 0):
-    """2D cross-correlation of a C_in x H x W input with C_out x C_in x k x k
-    weights, plus a C_out x 1 x 1 bias added to the product in the same record.
+def conv2d(x, kernel, bias):
+    """Same 2D cross-correlation of a C_in x H x W input with C_out x C_in x k x k
+    weights: the input is zero-padded by k // 2, so the output is C_out x H x W.
+    A C_out x 1 x 1 bias is added to the product in the same record.
 
     x is one tensor or a list of C_i x H x W channel blocks, read as their
     concatenation along channels: the blocks are written into the padded
@@ -382,18 +376,18 @@ def conv2d(x, kernel, bias, pad: int = 0):
     and no joined copy is kept.
 
     Two contractions, chosen from the shapes alone. By default (im2col) the
-    (C_in*k*k) x (H_out*W_out) patch matrix is built from one strided view
-    of the zero-padded input (a plain reshape for a 1x1 kernel) and
-    multiplied by the kernel matrix in one BLAS call. With k > 1, when
-    5*C_out*Hp*Wp < 6*C_in*H_out*W_out for the Hp x Wp padded input (the
-    per-tap product matrix is less than 6/5 of the patch matrix, as in a
-    channel-reducing conv or a "same" conv on a map much wider than k), it
-    accumulates kernel to rows instead: one BLAS call multiplies the
-    (k*k*C_out) x C_in tap matrix by the padded input, and the output sums
-    the k*k shifted windows of that product. Only the tap form rounds
-    differently from im2col, by about 1e-15 relative; every other shape
-    gives the im2col values bit for bit. Neither keeps a patch matrix or a
-    padded copy for the backward: each rebuilds what it needs from x.
+    (C_in*k*k) x (H*W) patch matrix is built from one strided view of the
+    zero-padded input (a plain reshape for a 1x1 kernel) and multiplied by
+    the kernel matrix in one BLAS call. With k > 1, when 5*C_out*Hp*Wp <
+    6*C_in*H*W for the (H+k-1) x (W+k-1) padded input (the per-tap product
+    matrix is less than 6/5 of the patch matrix, as in a channel-reducing
+    conv or a conv on a map much wider than k), it accumulates kernel to
+    rows instead: one BLAS call multiplies the (k*k*C_out) x C_in tap matrix by
+    the padded input, and the output sums the k*k shifted windows of that
+    product. Only the tap form rounds differently from im2col, by about
+    1e-15 relative; every other shape gives the im2col values bit for bit.
+    Neither keeps a patch matrix or a padded copy for the backward: each
+    rebuilds what it needs from x.
     """
     shapes = [b.shape for b in x]
     if any(len(s) != 3 or s[1:] != shapes[0][1:] for s in shapes) or kernel.ndim != 4:
@@ -406,14 +400,11 @@ def conv2d(x, kernel, bias, pad: int = 0):
     if kc_in != c_in:
         raise ValueError(f"conv2d channel mismatch: input has shape {(c_in, h, w)} "
                          f"(C_in={c_in}) but kernel has shape {kernel.shape} (C_in={kc_in})")
-    if h + 2 * pad < k or w + 2 * pad < k:
-        raise ValueError(f"conv2d spatial extent too small: input {h}x{w}, pad {pad}, kernel {k}")
     if bias.shape != (c_out, 1, 1):
         raise ValueError(f"conv2d bias must have shape {(c_out, 1, 1)}, got {bias.shape}")
-    hp, wp = h + 2 * pad, w + 2 * pad
-    if k > 1 and 5 * c_out * hp * wp < 6 * c_in * (hp - k + 1) * (wp - k + 1):
-        return _conv2d_taps(x, kernel, bias, pad)
-    return _conv2d_im2col(x, kernel, bias, pad)
+    if k > 1 and 5 * c_out * (h + k - 1) * (w + k - 1) < 6 * c_in * h * w:
+        return _conv2d_taps(x, kernel, bias)
+    return _conv2d_im2col(x, kernel, bias)
 
 
 def _padded(x: list[np.ndarray], pad: int) -> np.ndarray:
@@ -424,52 +415,51 @@ def _padded(x: list[np.ndarray], pad: int) -> np.ndarray:
     return np.ascontiguousarray(x[0]) if len(x) == 1 else np.concatenate(x)
 
 
-def _conv2d_im2col(x: list[np.ndarray], kernel: np.ndarray, bias: np.ndarray, pad: int):
+def _conv2d_im2col(x: list[np.ndarray], kernel: np.ndarray, bias: np.ndarray):
     """conv2d's ``(value, vjp)`` by one product with the im2col patch matrix.
 
     The backward rebuilds the patch matrix from x only when the kernel
-    takes a gradient; dx correlates g with the flipped kernel.
+    takes a gradient; dx correlates g, zero-padded like x, with the flipped
+    kernel.
     """
     h, w = x[0].shape[1:]
     c_out, c_in, k, _ = kernel.shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    h_out, w_out = hp - k + 1, wp - k + 1
+    pad = k // 2
 
-    def patches():
-        xp = _padded(x, pad)
-        return xp.reshape(c_in, hp * wp) if k == 1 else _patches(xp, k, h_out, w_out)
+    def patches(blocks):
+        xp = _padded(blocks, pad)
+        return xp.reshape(len(xp), h * w) if k == 1 else _patches(xp, k, h, w)
 
-    y = (kernel.reshape(c_out, c_in * k * k) @ patches()).reshape(c_out, h_out, w_out)
+    y = (kernel.reshape(c_out, c_in * k * k) @ patches(x)).reshape(c_out, h, w)
     y += bias
 
     def vjp(g, needs):
         dw, dx = None, [None] * len(x)
         if needs[1]:
-            dw = (g.reshape(c_out, h_out * w_out) @ patches().T).reshape(kernel.shape)
+            dw = (g.reshape(c_out, h * w) @ patches(x).T).reshape(kernel.shape)
         if any(needs[2:]):
             # dx = correlation of g with the in/out-swapped, 180-rotated kernel
-            gcols = _patches(_zero_pad([g], k - 1), k, hp, wp)
             wrot = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            dx = (wrot.reshape(c_in, c_out * k * k) @ gcols).reshape(c_in, hp, wp)
-            dx = _split(dx[:, pad:pad + h, pad:pad + w] if pad else dx, x, needs[2:])
+            dx = (wrot.reshape(c_in, c_out * k * k) @ patches([g])).reshape(c_in, h, w)
+            dx = _split(dx, x, needs[2:])
         return _unbroadcast(g, bias.shape) if needs[0] else None, dw, *dx
     return y, vjp
 
 
-def _conv2d_taps(x: list[np.ndarray], kernel: np.ndarray, bias: np.ndarray, pad: int):
+def _conv2d_taps(x: list[np.ndarray], kernel: np.ndarray, bias: np.ndarray):
     """conv2d's ``(value, vjp)`` by kernel-to-row accumulation on the padded input.
 
     Z = W_taps @ Xpad holds every tap's product with the whole padded
     input; the output sums the k*k shifted windows of Z, each read as one
     contiguous run of the flattened product. The backward writes g into the
     same windows of a zero gZ, so that dW = gZ @ Xpad^T, on Xpad padded
-    again from x, and dXpad = W_taps^T @ gZ. No patch matrix, padded input
-    or tap matrix is kept.
+    again from x, and dXpad = W_taps^T @ gZ, cropped to x. No patch matrix,
+    padded input or tap matrix is kept.
     """
     h, w = x[0].shape[1:]
     c_out, c_in, k, _ = kernel.shape
+    pad = k // 2
     hp, wp = h + 2 * pad, w + 2 * pad
-    h_out, w_out = hp - k + 1, wp - k + 1
     # the last output position is element n - 1 of the shifted rows
     n = c_out * hp * wp - (k - 1) * (wp + 1)
 
@@ -478,11 +468,11 @@ def _conv2d_taps(x: list[np.ndarray], kernel: np.ndarray, bias: np.ndarray, pad:
     z = (wtaps() @ _padded(x, pad).reshape(c_in, hp * wp)).reshape(k, k, c_out, hp, wp)
     acc = np.empty((c_out, hp, wp))
     np.sum(_tap_shifts(z, wp, n), axis=(0, 1), out=acc.reshape(-1)[:n])
-    y = acc[:, :h_out, :w_out] + bias
+    y = acc[:, :h, :w] + bias
 
     def vjp(g, needs):
         gw = np.zeros((c_out, hp, wp))
-        gw[:, :h_out, :w_out] = g
+        gw[:, :h, :w] = g
         gz = np.zeros((k, k, c_out, hp, wp))
         _tap_shifts(gz, wp, n)[...] = gw.reshape(-1)[:n]
         gz = gz.reshape(k * k * c_out, hp * wp)
@@ -492,7 +482,7 @@ def _conv2d_taps(x: list[np.ndarray], kernel: np.ndarray, bias: np.ndarray, pad:
             dw = (gz @ rows.T).reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1)
         if any(needs[2:]):
             dx = (wtaps().T @ gz).reshape(c_in, hp, wp)
-            dx = _split(dx[:, pad:pad + h, pad:pad + w] if pad else dx, x, needs[2:])
+            dx = _split(dx[:, pad:pad + h, pad:pad + w], x, needs[2:])
         return _unbroadcast(g, bias.shape) if needs[0] else None, dw, *dx
     return y, vjp
 
@@ -760,14 +750,7 @@ def selective_scan(x, params):
 # ---------------------------------------------------------------------------
 
 Tensor.__add__ = lambda self, o: add(self, o)
-Tensor.__radd__ = lambda self, o: add(o, self)
 Tensor.__sub__ = lambda self, o: sub(self, o)
-Tensor.__rsub__ = lambda self, o: sub(o, self)
 Tensor.__mul__ = lambda self, o: mul(self, o)
 Tensor.__rmul__ = lambda self, o: mul(o, self)
 Tensor.__truediv__ = lambda self, o: div(self, o)
-Tensor.__rtruediv__ = lambda self, o: div(o, self)
-Tensor.__matmul__ = lambda self, o: matmul(self, o)
-Tensor.reshape = lambda self, shape: reshape(self, shape)
-Tensor.sum = lambda self, axis=None, keepdims=False: tsum(self, axis, keepdims)
-Tensor.mean = lambda self, axis=None, keepdims=False: tmean(self, axis, keepdims)

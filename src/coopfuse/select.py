@@ -125,7 +125,7 @@ class SplitAttention(ParamBlock):
     def weights(self, stacked: Tensor) -> Tensor:
         """S x C softmax weights over the scales of an S x C x H x W stack."""
         z = relu(matmul(tmean(stacked, axis=(2, 3)), self.w1, self.b1))
-        return softmax(matmul(z, self.w2), axis=0)
+        return softmax(matmul(z, self.w2))
 
     def __call__(self, scale_outputs: list[Tensor]) -> Tensor:
         c, h, w = scale_outputs[0].data.shape
@@ -172,6 +172,6 @@ class FeatureSelector(ParamBlock):
                            self.bottleneck(take_rows(flat, un_idx))], axis=0)
             inv = np.argsort(np.concatenate([sel_idx, un_idx]))
             restored = reshape(transpose(take_rows(rows, inv), (1, 0)), (c, h, w))
-            outputs.append(conv2d(restored, self.agg_kernel, self.agg_bias, pad=1))
+            outputs.append(conv2d(restored, self.agg_kernel, self.agg_bias))
             eligible &= keep
         return self.split(outputs)

@@ -87,4 +87,4 @@ def assign_params(params: dict[str, Parameter], values: dict[str, np.ndarray]) -
         v = values[name]
         if v.shape != p.data.shape:
             raise ValueError(f"shape mismatch for {name}: file {v.shape} vs model {p.data.shape}")
-        p.data = v.astype(np.float64).copy()
+        p.data = np.array(v, dtype=np.float64, order="C")

@@ -66,7 +66,7 @@ class Integrator(ParamBlock):
         if stack.ndim != 4 or stack.shape[0] < 1:
             raise ValueError(f"integrator needs a nonempty NxCxHxW stack, got {stack.shape}")
         pooled = np.concatenate([stack.max(axis=0), stack.sum(axis=0) * (1.0 / len(stack))])
-        return conv2d(pooled, self.kernel, self.bias, pad=1)
+        return conv2d(pooled, self.kernel, self.bias)
 
 
 class TemporalSync(ParamBlock):
@@ -99,27 +99,26 @@ class TemporalSync(ParamBlock):
         if b_prev2.data.shape != b_prev1.data.shape:
             raise ValueError(f"offset inputs differ: {b_prev2.data.shape} vs "
                              f"{b_prev1.data.shape}")
-        return conv2d([b_prev2, b_prev1], self.offset_kernel, self.offset_bias, pad=1)
+        return conv2d([b_prev2, b_prev1], self.offset_kernel, self.offset_bias)
 
     def _warp(self, feature: Tensor, offsets: Tensor, kernel: Parameter,
               bias: Parameter) -> Tensor:
         _, h, w = feature.data.shape
         coords = Tensor(base_grid(h, w)) + offsets
         sampled = bilinear_sample(feature, coords)
-        return conv2d(sampled, kernel, bias, pad=1)
+        return conv2d(sampled, kernel, bias)
 
     def deform_warp(self, feature: Tensor, offsets: Tensor) -> Tensor:
         return self._warp(feature, offsets, self.warp_kernel, self.warp_bias)
 
     def gate(self, hidden: Tensor, warped: Tensor) -> GateOutput:
-        spatial = conv2d([hidden, warped], self.gate_spatial_kernel, self.gate_spatial_bias,
-                         pad=3)
+        spatial = conv2d([hidden, warped], self.gate_spatial_kernel, self.gate_spatial_bias)
         alpha = sigmoid(spatial + self.gate_channel_bias)
         fused = blend(alpha, hidden, warped)
         return GateOutput(alpha=alpha, fused=fused)
 
     def update(self, state: Tensor) -> Tensor:
-        offs = conv2d(state, self.update_offset_kernel, self.update_offset_bias, pad=1)
+        offs = conv2d(state, self.update_offset_kernel, self.update_offset_bias)
         return self._warp(state, offs, self.update_warp_kernel, self.update_warp_bias)
 
     # -- module forwards ---------------------------------------------------
@@ -155,10 +154,10 @@ class TemporalSync(ParamBlock):
         m = self.m
         fields = conv2d(predicted, self.anchor_kernel, self.anchor_bias)
         # the M (row, col) offset pairs -> 2 x M*h x w coordinates, point m in rows m*h..
-        offsets = transpose(reshape(narrow(fields, 0, 0, 2 * m), (m, 2, h, w)), (1, 0, 2, 3))
+        offsets = transpose(reshape(narrow(fields, 0, 2 * m), (m, 2, h, w)), (1, 0, 2, 3))
         coords = reshape(offsets, (2, m * h, w)) + np.tile(base_grid(h, w), (1, m, 1))
         sampled = reshape(bilinear_sample(ego, coords), (c, m, h, w))
-        weights = reshape(softmax(narrow(fields, 0, 2 * m, m), axis=0), (1, m, h, w))
+        weights = reshape(softmax(narrow(fields, 2 * m, m)), (1, m, h, w))
         return predicted + tsum(weights * sampled, axis=1)
 
     def __call__(self, entries: Sequence[Callable[[], Tensor]], ego: Tensor) -> Tensor:

@@ -42,7 +42,7 @@ class SubbandSet:
 def haar_wt2d(x: Tensor) -> SubbandSet:
     stacked = haar2d(x)
     c = stacked.data.shape[0] // 4
-    return SubbandSet(*(narrow(stacked, 0, i * c, c) for i in range(4)))
+    return SubbandSet(*(narrow(stacked, i * c, c) for i in range(4)))
 
 
 def haar_iwt2d(bands: SubbandSet) -> Tensor:

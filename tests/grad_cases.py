@@ -77,7 +77,7 @@ def conv2d(probe, taps=False):
     case maps 2 channels to 3 with a 3x3 kernel; the tap form reduces 8
     channels to 3 (k = 3) or to one (k = 7) by seed."""
     def shaped(c_in, c_out, k):
-        return case(lambda x, w, b: square(ops.conv2d(x, w, b, pad=k // 2)),
+        return case(lambda x, w, b: square(ops.conv2d(x, w, b)),
                     uniform(-1.5, 1.5, (c_in, 5, 5)), uniform(-0.8, 0.8, (c_out, c_in, k, k)),
                     uniform(-1.0, 1.0, (c_out, 1, 1)), probe=probe)
     if not taps:
@@ -91,7 +91,7 @@ def conv2d_blocks(taps=False):
     so the probe's gradient sums both blocks' slices of dx: 4 -> 3 channels
     with a 3x3 kernel on im2col, 8 -> 1 with a 7x7 kernel in the tap form."""
     c_in, c_out, k = (8, 1, 7) if taps else (4, 3, 3)
-    return case(lambda t, w, b: square(ops.conv2d([t, ops.scale(t, 0.5)], w, b, pad=k // 2)),
+    return case(lambda t, w, b: square(ops.conv2d([t, ops.scale(t, 0.5)], w, b)),
                 uniform(-1.5, 1.5, (c_in // 2, 5, 5)), uniform(-0.8, 0.8, (c_out, c_in, k, k)),
                 uniform(-1.0, 1.0, (c_out, 1, 1)))
 
@@ -146,11 +146,11 @@ CASES = {
     "transpose": unary(lambda t: ops.transpose(t, (2, 0, 1)), uniform(-1.5, 1.5, (2, 3, 4))),
     "concat": case(lambda o, t: square(ops.concat([t, Tensor(o), ops.scale(t, 0.5)], axis=0)),
                    uniform(-1.0, 1.0, (2, 4)), uniform(-1.5, 1.5, (3, 4)), probe=1),
-    "narrow": unary(lambda t: ops.narrow(t, 1, 1, 3), uniform(-1.5, 1.5, (3, 5))),
+    "narrow": unary(lambda t: ops.narrow(t, 1, 3), uniform(-1.5, 1.5, (5, 3))),
     "haar2d": weighted(lambda t: ops.haar2d(t), (2, 4, 6), (8, 2, 3)),
     "ihaar2d": weighted(lambda t: ops.ihaar2d(t), (8, 2, 3), (2, 4, 6)),
     "take_rows": unary(lambda t: ops.take_rows(t, np.array([2, 0, 1, 0]))),
-    "softmax": unary(lambda t: ops.softmax(t, 1)),
+    "softmax": unary(lambda t: ops.softmax(t)),
     "conv2d": conv2d(0),
     "conv2d_kernel": conv2d(1),
     "conv2d_bias": conv2d(2),

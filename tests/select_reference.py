@@ -118,6 +118,6 @@ def reference_selector(sel, feature):
                        sel.bottleneck(take_rows(flat, un_idx))], axis=0)
         inv = np.argsort(np.concatenate([sel_idx, un_idx]))
         restored = reshape(transpose(take_rows(rows, inv), (1, 0)), (c, h, w))
-        outputs.append(conv2d(restored, sel.agg_kernel, sel.agg_bias, pad=1))
+        outputs.append(conv2d(restored, sel.agg_kernel, sel.agg_bias))
         eligibility = reference_propagate(eligibility, selection)
     return sel.split(outputs)

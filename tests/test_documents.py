@@ -8,17 +8,19 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_under_address_limit
+from conftest import run_under_address_limit, tiny_config
 from coopfuse import cli
 from coopfuse.pipeline import (SIZE_CAP_BYTES, TICK_CAP, ConfigError, Pipeline,
                               PipelineConfig, TrainSpec, evaluate)
-from coopfuse.world import AgentSpec, ChannelConfig, Pose2D, Scenario, make_scenario
+from coopfuse.world import (AgentSpec, ChannelConfig, Pose2D, Scenario, make_scenario,
+                            save_scenario)
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -222,6 +224,46 @@ def test_scenario_document_evaluates_or_is_rejected(doc):
         assert one_line(e), str(e)
         return
     assert math.isfinite(rec.occupancy_iou) and math.isfinite(rec.mse_to_clean)
+
+
+# the fields that size a checkpoint's parameters
+MODEL_FIELDS = st.fixed_dictionaries({"channels": st.sampled_from([2, 4]),
+                                      "anchor_points": st.integers(1, 2),
+                                      "ssm_state_dim": st.sampled_from([2, 4])})
+
+
+@st.composite
+def document_triples(draw):
+    """A run config on a 16 x 16 grid; a scenario drawn for a second config,
+    whose agent count and fields of view differ from it; and a third config,
+    whose C, anchor_points and ssm_state_dim may differ, for the checkpoint."""
+    cfg = tiny_config(eval_measure_ticks=1, **draw(MODEL_FIELDS))
+    other = replace(cfg, n_agents=draw(st.integers(1, 4)), fov_ego_m=draw(st.floats(0.5, 12.0)),
+                    fov_collab_m=draw(st.floats(0.5, 12.0)))
+    ticks = cfg.warmup_ticks_for() + draw(st.integers(0, 2))      # 0 measures no tick
+    scenario = other.scenario(draw(st.integers(0, 99)), cfg.channel, ticks)
+    third = cfg if draw(st.booleans()) else replace(cfg, **draw(MODEL_FIELDS))
+    return cfg, scenario, third
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(triple=document_triples())
+def test_run_on_documents_of_three_configs(triple):
+    """`coopfuse run --config --scenario --params` on a config, a scenario and
+    an untrained checkpoint made for three configs exits 0, or 2 or 3 with
+    one stderr line; it raises nothing, so it prints no traceback."""
+    cfg, scenario, third = triple
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "cfg.json").write_text(json.dumps(cfg.to_json()))
+        save_scenario(tmp / "scenario.json", scenario)
+        Pipeline(third).save(tmp / "params.catp")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", "--config", str(tmp / "cfg.json"),
+                             "--scenario", str(tmp / "scenario.json"),
+                             "--params", str(tmp / "params.catp"), "--out", str(tmp / "out")])
+    assert code in (0, 2, 3) and len(err.getvalue().splitlines()) == (code != 0), err.getvalue()
 
 
 def test_readme_config_block_lists_every_key():

@@ -264,7 +264,7 @@ def split_attention_loop(sp, scale_outputs):
         pooled = ops.reshape(ops.tmean(ops.tmean(f, axis=2), axis=1), (1, -1))
         z = ops.relu(ops.matmul(pooled, sp.w1, sp.b1))
         logits.append(ops.matmul(z, sp.w2))
-    w = ops.softmax(ops.concat(logits, axis=0), axis=0)
+    w = ops.softmax(ops.concat(logits, axis=0))
     out = None
     for i, f in enumerate(scale_outputs):
         term = ops.reshape(index_axis(w, 0, i), (c, 1, 1)) * f

@@ -52,7 +52,7 @@ def fuse_taped(pipe, ego_view, pairs, ego_pose):
         parts.append(ops.reshape(transform_to_ego(view(), pose, ego_pose, cfg.cell_size), shape))
     stack = parts[0] if len(parts) == 1 else ops.concat(parts, axis=0)
     pooled = ops.concat([max_reduce(stack, 0), ops.tmean(stack, axis=0)], axis=0)
-    return ops.conv2d(pooled, integ.kernel, integ.bias, pad=1)
+    return ops.conv2d(pooled, integ.kernel, integ.bias)
 
 
 def pooled_streams(integ, stack, monkeypatch):
@@ -251,7 +251,7 @@ class TestGate:
                 loss = ops.tsum(out * g) + ops.tsum(hidden * g_other)
             tape.backward(loss)
             return [t.tobytes() for t in (out.data, alpha.grad, hidden.grad, warped.grad)]
-        assert run(ops.blend) == run(lambda a, h, w: (1.0 - a) * h + a * w)
+        assert run(ops.blend) == run(lambda a, h, w: ops.sub(1.0, a) * h + a * w)
 
 
 class TestRollout:
@@ -329,11 +329,11 @@ def anchor_loop(sync, predicted, ego):
     point, weighted by its softmax slice and added to the running output."""
     _, h, w = predicted.data.shape
     fields = ops.conv2d(predicted, sync.anchor_kernel, sync.anchor_bias)
-    weights = ops.softmax(ops.narrow(fields, 0, 2 * sync.m, sync.m), axis=0)
+    weights = ops.softmax(ops.narrow(fields, 2 * sync.m, sync.m))
     grid = Tensor(base_grid(h, w))
     out = predicted
     for m in range(sync.m):
-        val = ops.bilinear_sample(ego, grid + ops.narrow(fields, 0, 2 * m, 2))
+        val = ops.bilinear_sample(ego, grid + ops.narrow(fields, 2 * m, 2))
         out = out + ops.reshape(index_axis(weights, 0, m), (1, h, w)) * val
     return out
 

@@ -22,17 +22,17 @@ from gradcheck import grad_check
 HERE = Path(__file__).parent
 
 
-def conv2d_reference(x, w, b, pad=0):
-    """Direct six-nested-loop convolution plus bias, the oracle conv2d is checked against."""
+def conv2d_reference(x, w, b):
+    """Direct six-nested-loop same convolution plus bias, the oracle conv2d is
+    checked against."""
     c_in, h, wdt = x.shape
     c_out, _, k, _ = w.shape
+    pad = k // 2
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    h_out = h + 2 * pad - k + 1
-    w_out = wdt + 2 * pad - k + 1
-    out = np.zeros((c_out, h_out, w_out))
+    out = np.zeros((c_out, h, wdt))
     for o in range(c_out):
-        for i in range(h_out):
-            for j in range(w_out):
+        for i in range(h):
+            for j in range(wdt):
                 acc = b[o, 0, 0]
                 for c in range(c_in):
                     for ki in range(k):
@@ -44,10 +44,10 @@ def conv2d_reference(x, w, b, pad=0):
 
 class TestConv2d:
     def test_sum_of_ones(self):
+        # each output counts the input cells its zero-padded 3x3 window covers
         out = ops.conv2d(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 1, 3, 3))),
                          np.zeros((1, 1, 1)))
-        assert out.data.shape == (1, 1, 1)
-        assert out.data[0, 0, 0] == 9.0
+        assert np.array_equal(out.data, [[[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]]])
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -58,15 +58,15 @@ class TestConv2d:
         out = ops.conv2d(Tensor(x), Tensor(k), np.zeros((3, 1, 1)))
         assert np.array_equal(out.data, x)
 
-    # each id's leading 1 is the stride these cases were written for
-    @pytest.mark.parametrize("pad", [0, 1], ids=["1-0", "1-1"])
-    def test_matches_loop_oracle(self, pad):
-        rng = np.random.default_rng(52 + pad)
+    # each id is the stride these cases were written for and the padding, k // 2
+    @pytest.mark.parametrize("k", [1, 3], ids=["1-0", "1-1"])
+    def test_matches_loop_oracle(self, k):
+        rng = np.random.default_rng(52 + k // 2)
         x = rng.normal(size=(2, 5, 5))
-        w = rng.normal(size=(3, 2, 3, 3))
+        w = rng.normal(size=(3, 2, k, k))
         b = rng.normal(size=(3, 1, 1))
-        got = ops.conv2d(Tensor(x), Tensor(w), b, pad=pad).data
-        want = conv2d_reference(x, w, b, pad=pad)
+        got = ops.conv2d(Tensor(x), Tensor(w), b).data
+        want = conv2d_reference(x, w, b)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -81,15 +81,16 @@ class TestConv2d:
             ops.conv2d(Tensor(np.ones((1, 5, 5))), Tensor(np.ones((1, 1, 2, 2))),
                        np.zeros((1, 1, 1)))
 
-    def test_too_small_input_rejected(self):
-        with pytest.raises(ValueError):
-            ops.conv2d(Tensor(np.ones((1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))),
-                       np.zeros((1, 1, 1)))
+    def test_map_smaller_than_kernel(self):
+        rng = np.random.default_rng(53)
+        x, w, b = rng.normal(size=(2, 2, 1)), rng.normal(size=(3, 2, 5, 5)), np.zeros((3, 1, 1))
+        assert np.max(np.abs(ops.conv2d(x, w, b).data - conv2d_reference(x, w, b))) < 1e-10
 
     def test_output_shape_formula(self):
+        # a same convolution: the output keeps the input's H x W
         out = ops.conv2d(Tensor(np.ones((1, 10, 8))), Tensor(np.ones((1, 1, 5, 5))),
-                         np.zeros((1, 1, 1)), pad=1)
-        assert out.data.shape == (1, 8, 6)
+                         np.zeros((1, 1, 1)))
+        assert out.data.shape == (1, 10, 8)
 
     @pytest.mark.parametrize("shape", [(2,), (2, 1), (1, 1, 1), (2, 1, 2), (1, 2)])
     def test_bad_bias_shape_rejected(self, shape):
@@ -185,7 +186,8 @@ class TestScatterBackward:
 
 def conv2d_im2col_reference(x, w, b, g, pad):
     """conv2d by np.pad + sliding_window_view im2col, plus bias: output, dx, dw
-    and db for output gradient g."""
+    and db for output gradient g. dx correlates g, zero-padded by pad, with the
+    flipped kernel over the H x W input positions."""
     c_in, h, wd = x.shape
     c_out, _, k, _ = w.shape
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
@@ -197,13 +199,29 @@ def conv2d_im2col_reference(x, w, b, g, pad):
     y = (wmat @ cols).reshape(c_out, h_out, w_out) + b
     gm = g.reshape(c_out, h_out * w_out)
     dw = (gm @ cols.T).reshape(w.shape)
+    gp = np.pad(g, ((0, 0), (pad, pad), (pad, pad)))
+    gwin = sliding_window_view(gp, (k, k), axis=(1, 2))
+    gcols = gwin.transpose(0, 3, 4, 1, 2).reshape(c_out * k * k, h * wd)
+    wrot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    dx = (wrot.reshape(c_in, c_out * k * k) @ gcols).reshape(x.shape)
+    db = g.sum(axis=1, keepdims=True).sum(axis=2, keepdims=True)
+    return y, dx, dw, db
+
+
+def dx_full_correlation_then_crop(w, g):
+    """conv2d's input gradient as its im2col backward made it before it took
+    only the H x W input positions: g zero-padded by k - 1, correlated with the
+    flipped kernel over every position of the input padded by k // 2, then
+    cropped to the input."""
+    c_out, c_in, k, _ = w.shape
+    _, h, wd = g.shape
+    pad = k // 2
     gp = np.pad(g, ((0, 0), (k - 1, k - 1), (k - 1, k - 1)))
     gwin = sliding_window_view(gp, (k, k), axis=(1, 2))
     gcols = gwin.transpose(0, 3, 4, 1, 2).reshape(c_out * k * k, (h + 2 * pad) * (wd + 2 * pad))
     wrot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    dxp = (wrot.reshape(c_in, c_out * k * k) @ gcols).reshape(xp.shape)
-    db = g.sum(axis=1, keepdims=True).sum(axis=2, keepdims=True)
-    return y, (dxp[:, pad:pad + h, pad:pad + wd] if pad else dxp), dw, db
+    dxp = (wrot.reshape(c_in, c_out * k * k) @ gcols).reshape(c_in, h + 2 * pad, wd + 2 * pad)
+    return dxp[:, pad:pad + h, pad:pad + wd]
 
 
 def bilinear_sample_reference(x, coords, g):
@@ -348,8 +366,8 @@ class TestKernelsMatchPreviousAlgorithms:
     which values move by rounding."""
 
     # each id's trailing 1 is the stride these cases were written for
-    @pytest.mark.parametrize("k,pad", [pytest.param(k, pad, id=f"{k}-{pad}-1")
-                                       for k in (1, 3, 7) for pad in (0, 1, 3)])
+    @pytest.mark.parametrize("k,pad", [pytest.param(k, k // 2, id=f"{k}-{k // 2}-1")
+                                       for k in (1, 3, 7)])
     def test_conv2d(self, k, pad):
         rng = np.random.default_rng(100 * k + 10 * pad + 1)
         x = rng.normal(size=(3, 9, 13))
@@ -357,7 +375,7 @@ class TestKernelsMatchPreviousAlgorithms:
         g = rng.normal(size=(4, 9 + 2 * pad - k + 1, 13 + 2 * pad - k + 1))
         b = rng.normal(size=(4, 1, 1))
         inputs = [Tensor(a, requires_grad=True) for a in (x, w, b)]
-        y, grads = run_with_output_grad(lambda: ops.conv2d(*inputs, pad=pad), inputs, g)
+        y, grads = run_with_output_grad(lambda: ops.conv2d(*inputs), inputs, g)
         for have, want in zip([y, *grads], conv2d_im2col_reference(x, w, b, g, pad)):
             assert np.array_equal(have, want)
 
@@ -372,7 +390,7 @@ class TestKernelsMatchPreviousAlgorithms:
         g = rng.normal(size=(2, 6, 7))
         b = rng.normal(size=(2, 1, 1))
         wt = Tensor(w, requires_grad=True)
-        y, (dw,) = run_with_output_grad(lambda: ops.conv2d(x, wt, b, pad=pad), [wt], g)
+        y, (dw,) = run_with_output_grad(lambda: ops.conv2d(x, wt, b), [wt], g)
         if k == 1:
             y_ref, _, dw_ref, _ = conv2d_im2col_reference(x, w, b, g, pad)
             assert tap_calls == []
@@ -394,7 +412,7 @@ class TestKernelsMatchPreviousAlgorithms:
         g = rng.normal(size=(c_out, 6, 7))
         b = rng.normal(size=(c_out, 1, 1))
         inputs = [Tensor(a, requires_grad=True) for a in (x, w, b)]
-        y, grads = run_with_output_grad(lambda: ops.conv2d(*inputs, pad=pad), inputs, g)
+        y, grads = run_with_output_grad(lambda: ops.conv2d(*inputs), inputs, g)
         assert tap_calls == []
         for have, want in zip([y, *grads], conv2d_im2col_reference(x, w, b, g, pad)):
             assert np.array_equal(have, want)
@@ -418,7 +436,7 @@ class TestKernelsMatchPreviousAlgorithms:
             inputs = [Tensor(a, requires_grad=True) for a in (*parts, w, b)]
             *xs, wt, bt = inputs
             runs.append(run_with_output_grad(
-                lambda: ops.conv2d(ops.concat(xs, axis=0) if joined else xs, wt, bt, pad=pad),
+                lambda: ops.conv2d(ops.concat(xs, axis=0) if joined else xs, wt, bt),
                 inputs, g))
         (y, grads), (y_ref, grads_ref) = runs
         assert len(tap_calls) == 2 * taps
@@ -574,7 +592,7 @@ class TestConv2dContractions:
         g = rng.normal(size=(c_out, h + 2 * pad - k + 1, h + 2 + 2 * pad - k))
         b = rng.normal(size=(c_out, 1, 1))
         inputs = [Tensor(a, requires_grad=True) for a in (x, w, b)]
-        y, grads = run_with_output_grad(lambda: ops.conv2d(*inputs, pad=pad), inputs, g)
+        y, grads = run_with_output_grad(lambda: ops.conv2d(*inputs), inputs, g)
         return (x, w, b, g), (y, *grads)
 
     @pytest.mark.parametrize("c_in,c_out,k,pad,h", TAP_SHAPES)
@@ -601,7 +619,7 @@ class TestConv2dContractions:
         runs = []
         for data in (x, np.ascontiguousarray(x)):
             inputs = [Tensor(a, requires_grad=True) for a in (data, w, b)]
-            y, grads = run_with_output_grad(lambda: ops.conv2d(*inputs, pad=1), inputs, g)
+            y, grads = run_with_output_grad(lambda: ops.conv2d(*inputs), inputs, g)
             runs.append((y, *grads))
         assert tap_calls == [w.shape, w.shape]
         for strided, contiguous, exact in zip(*runs, conv2d_longdouble_reference(x, w, b, g, 1)):
@@ -627,6 +645,35 @@ class TestConv2dContractions:
                 fn, x = CASES[name](seed)
                 fn(x)
         assert tap_calls == [] and im2col_calls == [(3, 2, 3, 3)] * 6
+
+    # (C_in, C_out, k, H) on an H x H map: the desk model's im2col convs,
+    # wtden's inner, skip and projection convs, the stsync anchor conv and
+    # the decoder
+    MODEL_IM2COL_SHAPES = [(128, 128, 3, 8), (32, 32, 3, 16), (32, 32, 1, 16), (8, 12, 1, 32),
+                           (8, 1, 1, 32)]
+
+    @pytest.mark.parametrize("c_in,c_out,k,h", MODEL_IM2COL_SHAPES)
+    def test_model_shapes_keep_the_cropped_input_gradient(self, tap_calls, c_in, c_out, k, h):
+        """On the model's im2col shapes, the input gradient over the H x W
+        positions is bitwise the full correlation cropped to them."""
+        rng = np.random.default_rng(c_in + k)
+        x, w, b, g = (rng.normal(size=s) for s in [(c_in, h, h), (c_out, c_in, k, k),
+                                                   (c_out, 1, 1), (c_out, h, h)])
+        xt = Tensor(x, requires_grad=True)
+        _, (dx,) = run_with_output_grad(lambda: ops.conv2d(xt, w, b), [xt], g)
+        assert tap_calls == []
+        assert np.array_equal(dx, dx_full_correlation_then_crop(w, g))
+
+    def test_model_im2col_shapes(self, monkeypatch):
+        # one taped desk training step runs exactly the shapes listed above
+        calls, im2col = set(), ops._conv2d_im2col
+
+        def spy(x, kernel, bias):
+            calls.add((kernel.shape[1], kernel.shape[0], kernel.shape[2], x[0].shape[1]))
+            return im2col(x, kernel, bias)
+        monkeypatch.setattr(ops, "_conv2d_im2col", spy)
+        train(PipelineConfig(training=TrainSpec(steps=1)))
+        assert sorted(calls) == sorted(self.MODEL_IM2COL_SHAPES)
 
     def test_model_convs_that_take_taps(self, tap_calls):
         # one taped desk training step: the four channel-reducing convs and
@@ -698,7 +745,7 @@ class TestRecordsKeepOnlyInputs:
         rng = np.random.default_rng(c_in)
         x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
                    for s in [(c_in, h, h), (c_out, c_in, k, k), (c_out, 1, 1)])
-        [(_, _, kept, _)] = self.kept(monkeypatch, lambda: ops.conv2d(x, w, b, pad=pad))
+        [(_, _, kept, _)] = self.kept(monkeypatch, lambda: ops.conv2d(x, w, b))
         assert len(tap_calls) == taps
         assert kept <= 0
 
@@ -801,7 +848,7 @@ class TestGradCheck:
         rng = np.random.default_rng(5)
         k = rng.normal(size=(2, 2, 3, 3))
         x = Tensor(rng.uniform(-1.5, 1.5, size=(2, 5, 5)))
-        err = grad_check(lambda t: ops.tsum(ops.conv2d(t, k, np.zeros((2, 1, 1)), pad=1)), x)
+        err = grad_check(lambda t: ops.tsum(ops.conv2d(t, k, np.zeros((2, 1, 1)))), x)
         assert err < 1e-4
 
     def test_bilinear_scalar_fn(self):
@@ -931,8 +978,8 @@ class TestShapes:
         rng = np.random.default_rng(8)
         a, b = rng.normal(size=(2, 3)), rng.normal(size=(4, 3))
         cat = ops.concat([Tensor(a), Tensor(b)], axis=0)
-        assert np.array_equal(ops.narrow(cat, 0, 0, 2).data, a)
-        assert np.array_equal(ops.narrow(cat, 0, 2, 4).data, b)
+        assert np.array_equal(ops.narrow(cat, 0, 2).data, a)
+        assert np.array_equal(ops.narrow(cat, 2, 4).data, b)
 
     def test_broadcasting_add_grad(self):
         x = Tensor(np.ones((3, 1)), requires_grad=True)
@@ -948,7 +995,7 @@ class TestDeterminismAndFiniteness:
             rng = np.random.default_rng(99)
             x = Tensor(rng.normal(size=(4, 8, 8)))
             k = Tensor(rng.normal(size=(4, 4, 3, 3)))
-            return ops.sigmoid(ops.conv2d(x, k, np.zeros((4, 1, 1)), pad=1)).data.tobytes()
+            return ops.sigmoid(ops.conv2d(x, k, np.zeros((4, 1, 1)))).data.tobytes()
         assert build() == build()
 
     def test_forward_ops_stay_finite(self):
@@ -956,7 +1003,7 @@ class TestDeterminismAndFiniteness:
         x = Tensor(rng.uniform(-2, 2, size=(3, 4, 4)))
         results = [
             exp(x), ops.sigmoid(x), softplus(x), ops.relu(x),
-            ops.elu_plus_one(x), ops.softmax(x, 0),
+            ops.elu_plus_one(x), ops.softmax(x),
             ops.tmean(x),
         ]
         for r in results:
@@ -1020,6 +1067,18 @@ class TestSerialization:
                           load_params(path))
         with pytest.raises(ValueError):
             assign_params({"w": Parameter(np.zeros((3,)), "w")}, load_params(path))
+
+    def test_assign_copies_into_arrays_of_its_own(self):
+        # Adam writes parameters in place, so each gets a C-contiguous float64
+        # array that shares no memory with the value it was given
+        p = {"w": Parameter(np.zeros((2, 3)), "w")}
+        for value in (np.arange(6.0).reshape(2, 3), np.arange(6.0).reshape(3, 2).T,
+                      np.arange(6, dtype=np.float32).reshape(2, 3)):
+            assign_params(p, {"w": value})
+            data = p["w"].data
+            assert data.dtype == np.float64 and data.flags.c_contiguous
+            assert not np.may_share_memory(data, value)
+            assert np.array_equal(data, value)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.catp"

@@ -112,7 +112,7 @@ def composed_ihaar2d(y):
     """Haar synthesis as a chain of narrow, add/sub, scale, reshape and concat records."""
     c4, h2, w2 = y.data.shape
     c = c4 // 4
-    ll, lh, hl, hh = (ops.narrow(y, 0, i * c, c) for i in range(4))
+    ll, lh, hl, hh = (ops.narrow(y, i * c, c) for i in range(4))
     a = ops.scale(ll + lh + hl + hh, 0.5)
     b = ops.scale(ll - lh + hl - hh, 0.5)
     cc = ops.scale(ll + lh - hl - hh, 0.5)

@@ -100,8 +100,7 @@ class PipelineConfig:
     fov_collab_m: float = entry("fov_collab_m", 9.0, gt=0.0)
     eval_scenarios: int = entry("eval_scenarios", 6, ge=1)
     eval_measure_ticks: int = entry("eval_measure_ticks", 8, ge=1)
-    channel: ChannelConfig = entry("channel", ChannelConfig(
-        max_latency_ticks=3, drop_p=0.0, loc_sigma=0.2, head_sigma=0.2 * np.pi / 18))
+    channel: ChannelConfig = entry("channel", ChannelConfig())
     training: TrainSpec = entry("training", TrainSpec())
     stsync: bool = entry("stsync", True)
     wtden: bool = entry("wtden", True)
@@ -356,7 +355,7 @@ def clean_reference(pipe: Pipeline, scenario: Scenario, views) -> np.ndarray:
     ego = scenario.agents[0]
     with no_grad():
         pairs = [(views[a.id], a.pose) for a in scenario.agents[1:]]
-        return fuse(pipe, views[ego.id], pairs, ego.pose).data.copy()
+        return fuse(pipe, views[ego.id], pairs, ego.pose).data
 
 
 def occupancy_iou(logits: np.ndarray, gt: np.ndarray) -> float:

@@ -30,13 +30,13 @@ def save_params(path, params: dict[str, Parameter]) -> None:
         arr = np.ascontiguousarray(p.data, dtype="<f8")
         out += struct.pack("<B", arr.ndim)
         out += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
-        out += arr.tobytes()
-    Path(path).write_bytes(bytes(out))
+        out += arr.data
+    Path(path).write_bytes(out)
 
 
 def load_params(path) -> dict[str, np.ndarray]:
-    """Read a parameter file; a malformed, truncated or nonfinite file, or one that
-    names a parameter twice, raises ValueError."""
+    """Read a parameter file as read-only views of its bytes; a malformed, truncated
+    or nonfinite file, or one that names a parameter twice, raises ValueError."""
     buf = Path(path).read_bytes()
     if buf[:4] != MAGIC:
         raise ValueError(f"bad parameter file magic {buf[:4]!r}, expected {MAGIC!r}")
@@ -71,7 +71,7 @@ def _decode(buf: bytes) -> dict[str, np.ndarray]:
         if not np.isfinite(arr).all():
             raise ValueError(f"nonfinite value in parameter {name!r}")
         off += 8 * n
-        out[name] = arr.astype(np.float64)
+        out[name] = arr
     if off != len(buf):
         raise ValueError(f"trailing bytes in parameter file: {len(buf) - off}")
     return out

@@ -51,7 +51,7 @@ class Integrator(ParamBlock):
     The agents' views are constants, so they are pooled as plain arrays and
     the tape starts at the conv, where the first parameter enters. The
     depth-2 3D convolution over the stacked pooled maps is realized as a
-    2D convolution on their channel concatenation (identical arithmetic).
+    2D convolution on the two maps as channel blocks (identical arithmetic).
     Initialized near the stream-averaging identity.
     """
 
@@ -65,14 +65,14 @@ class Integrator(ParamBlock):
     def __call__(self, stack: np.ndarray) -> Tensor:
         if stack.ndim != 4 or stack.shape[0] < 1:
             raise ValueError(f"integrator needs a nonempty NxCxHxW stack, got {stack.shape}")
-        pooled = np.concatenate([stack.max(axis=0), stack.sum(axis=0) * (1.0 / len(stack))])
-        return conv2d(pooled, self.kernel, self.bias)
+        return conv2d([stack.max(axis=0), stack.sum(axis=0) * (1.0 / len(stack))],
+                      self.kernel, self.bias)
 
 
 class TemporalSync(ParamBlock):
     """Recurrent rollout over the feature buffer plus ego anchoring."""
 
-    def __init__(self, c: int, rng: np.random.Generator, n_anchor_points: int = 4):
+    def __init__(self, c: int, rng: np.random.Generator, n_anchor_points: int):
         super().__init__()
         self.m = n_anchor_points
         # offset predictors start at zero so the rollout starts as a fixed

@@ -41,7 +41,7 @@ class Adam:
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, Parameter], lr: float = 1e-3):
+    def __init__(self, params: dict[str, Parameter], lr: float):
         self.params = params
         self.lr = lr
         self.t = 0

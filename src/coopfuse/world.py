@@ -96,7 +96,7 @@ SPEED_RANGE = (1.2, 2.2)
 EXTENT_RANGE = (1.8, 3.0)
 
 
-def make_scene(seed: int, n_objects: int = 5, bounds: float = 9.0) -> Scene:
+def make_scene(seed: int, n_objects: int, bounds: float) -> Scene:
     """Objects within 0.8 * bounds of the center at SPEED_RANGE speeds; with
     bounds >= SPEED_RANGE[1] / 2 they stay in the arena."""
     rng = stream(seed, "scene")
@@ -149,7 +149,7 @@ _BOX_CELLS = 1 << 20
 
 
 def render_bev(scene: Scene, pose: Pose2D, h: int, w: int, cell_size: float,
-               fov_m: float | None = None, channels: int = 8) -> Tensor:
+               fov_m: float | None = None, *, channels: int) -> Tensor:
     """Occupancy plus positional channels in the agent's local frame.
 
     Only objects whose center lies within fov_m of the agent are drawn;
@@ -217,10 +217,11 @@ def transform_to_ego(feature: Tensor, sender: Pose2D, ego: Pose2D,
 
 @dataclass(frozen=True)
 class ChannelConfig:
+    """A channel's latency, drops and pose noise; the defaults are the desk channel."""
     max_latency_ticks: int = entry("L_ticks", 3, ge=0)
     drop_p: float = entry("drop_p", 0.0, ge=0.0, le=1.0)
-    loc_sigma: float = entry("loc_sigma", 0.0, ge=0.0, le=LIMIT_M)
-    head_sigma: float = entry("head_sigma", 0.0, ge=0.0, le=LIMIT_M)
+    loc_sigma: float = entry("loc_sigma", 0.2, ge=0.0, le=LIMIT_M)
+    head_sigma: float = entry("head_sigma", 0.2 * math.pi / 18, ge=0.0, le=LIMIT_M)  # 2 deg
 
     def __post_init__(self):
         check(self, "channel", "channel.")
@@ -337,9 +338,8 @@ def save_scenario(path, scenario: Scenario) -> None:
     Path(path).write_text(json.dumps(scenario.to_json(), indent=2) + "\n")
 
 
-def make_scenario(seed: int, channel: ChannelConfig, ticks: int,
-                  n_agents: int = 3, n_objects: int = 5, bounds: float = 9.0,
-                  fov_ego: float = 8.0, fov_collab: float = 9.0) -> Scenario:
+def make_scenario(seed: int, channel: ChannelConfig, ticks: int, n_agents: int,
+                  n_objects: int, bounds: float, fov_ego: float, fov_collab: float) -> Scenario:
     """Random stationary agents around the origin watching moving objects."""
     rng = stream(seed, "agents")
     agents = [AgentSpec(id="ego",

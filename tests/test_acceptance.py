@@ -54,7 +54,7 @@ def test_01_wavelet_correctness():
 
 def _sync_case(seed):
     rng = np.random.default_rng(seed)
-    sync = TemporalSync(2, stream(seed, "gs"))
+    sync = TemporalSync(2, stream(seed, "gs"), n_anchor_points=4)
     sync.offset_kernel.data = 0.05 * rng.standard_normal(sync.offset_kernel.data.shape)
     sync.update_offset_kernel.data = 0.05 * rng.standard_normal(
         sync.update_offset_kernel.data.shape)
@@ -170,7 +170,7 @@ def test_05_convex_gate_bound():
     for trial in range(1000):
         rng = np.random.default_rng(trial)
         if trial % 50 == 0:
-            sync = TemporalSync(3, stream(trial, "cg"))
+            sync = TemporalSync(3, stream(trial, "cg"), n_anchor_points=4)
             sync.gate_spatial_kernel.data = 0.3 * rng.standard_normal(
                 sync.gate_spatial_kernel.data.shape)
             sync.gate_spatial_bias.data = rng.standard_normal((1, 1, 1))

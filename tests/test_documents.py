@@ -159,7 +159,7 @@ def test_rejected_sizes_exit_2_under_a_memory_limit(doc):
 TINY = Pipeline(PipelineConfig(height=16, width=16, channels=4, buffer_k=2, scales=(4,),
                                ssm_state_dim=4, n_objects=2,
                                channel=ChannelConfig(1, 0.0, 0.1, 0.02)))
-BASE = make_scenario(11, TINY.cfg.channel, ticks=8, n_agents=3, n_objects=2).to_json()
+BASE = TINY.cfg.scenario(11, TINY.cfg.channel, 8).to_json()
 DELETE = object()
 
 

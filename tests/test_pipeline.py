@@ -1,5 +1,7 @@
 """Pipeline assembly: config validation, stage toggles, end-to-end runs."""
 
+import dataclasses
+import inspect
 import json
 import math
 import multiprocessing
@@ -23,10 +25,10 @@ from coopfuse.pipeline import (ConfigError, MetricRecord, Pipeline,
                                PipelineConfig, TrainSpec, clean_reference, config_label,
                                evaluate, fork_map, occupancy_iou, simulate)
 from coopfuse.sweeps import ABLATION_COMBOS, variant_sweep
-from coopfuse.sync import Integrator
+from coopfuse.sync import Integrator, TemporalSync
 from coopfuse.tensor import Tape, Tensor, active_tape, no_grad
 from coopfuse.training import Adam, DivergenceError, train
-from coopfuse.world import ChannelConfig, Scenario, make_scenario
+from coopfuse.world import ChannelConfig, Scenario, make_scenario, make_scene, render_bev
 
 
 def pin_passthrough(pipe):
@@ -133,6 +135,30 @@ class TestConfig:
         assert cfg.channel == replace(default, max_latency_ticks=2)
         assert cfg.channel.loc_sigma == 0.2
 
+    def test_the_desk_channel_is_the_channel_default(self):
+        """`ChannelConfig()` is the desk channel, and the config table's
+        `channel` defaults to it, as `training` defaults to `TrainSpec()`."""
+        desk = ChannelConfig(3, 0.0, 0.2, 0.2 * math.pi / 18)
+        defaults = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+        assert defaults["channel"] == ChannelConfig() == desk
+        assert defaults["training"] == TrainSpec()
+        assert PipelineConfig().channel == ChannelConfig()
+        partial = PipelineConfig.from_json({"channel": {"L_ticks": 2}}).channel
+        assert partial == replace(desk, max_latency_ticks=2)
+
+    @pytest.mark.parametrize("helper,names", [
+        (make_scenario, ("n_agents", "n_objects", "bounds", "fov_ego", "fov_collab")),
+        (make_scene, ("n_objects", "bounds")),
+        (render_bev, ("channels",)),
+        (TemporalSync, ("n_anchor_points",)),
+        (Adam, ("lr",)),
+    ], ids=["make_scenario", "make_scene", "render_bev", "TemporalSync", "Adam"])
+    def test_helpers_take_config_sizes_from_the_caller(self, helper, names):
+        """A size the config owns has no second default in the helpers it reaches."""
+        params = inspect.signature(helper).parameters
+        empty = inspect.Parameter.empty
+        assert {n: params[n].default for n in names} == dict.fromkeys(names, empty)
+
     def test_omitted_training_keys_keep_defaults(self):
         cfg = PipelineConfig.from_json({"training": {"steps": 3}})
         assert cfg.training == replace(TrainSpec(), steps=3)
@@ -235,7 +261,8 @@ class TestSizeEstimate:
         cfg = replace(tiny_config(), **patch)
         count, _ = cfg.largest_tick_array()
         scen = make_scenario(3, cfg.channel, cfg.warmup_ticks_for() + 1,
-                             n_agents=cfg.n_agents, n_objects=cfg.n_objects)
+                             n_agents=cfg.n_agents, n_objects=cfg.n_objects, bounds=9.0,
+                             fov_ego=8.0, fov_collab=9.0)
         pipe = Pipeline(cfg)
         with no_grad():
             peak = traced_peak_mib(lambda: simulate(pipe, scen, lambda t: t == scen.ticks - 1))

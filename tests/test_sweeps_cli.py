@@ -249,7 +249,7 @@ class TestCli:
         assert self.run_cli("train", "--config", str(cfg_path), "--out",
                             str(out1)).returncode == 0
         cfg = tiny_config()
-        scen = make_scenario(11, cfg.channel, ticks=6, n_agents=3, n_objects=4)
+        scen = cfg.scenario(11, cfg.channel, 6)
         scen_path = tmp_path / "scenario.json"
         save_scenario(scen_path, scen)
         out2 = tmp_path / "r"
@@ -265,7 +265,7 @@ class TestCli:
         channel = ChannelConfig(max_latency_ticks=2, drop_p=0.3, loc_sigma=0.5,
                                 head_sigma=0.05)
         scen_path = tmp_path / "scenario.json"
-        save_scenario(scen_path, make_scenario(11, channel, ticks=6, n_agents=3, n_objects=4))
+        save_scenario(scen_path, tiny_config().scenario(11, channel, 6))
         out = tmp_path / "out"
         r = self.run_cli("run", "--config", str(cfg_path), "--out", str(out),
                          "--scenario", str(scen_path))
@@ -375,9 +375,7 @@ class TestCli:
 
     @pytest.mark.parametrize("defect", sorted(SCENARIO_DEFECTS))
     def test_rejected_scenario_exit_code(self, tmp_path, defect):
-        from coopfuse.world import make_scenario
-        doc = make_scenario(11, tiny_config().channel, ticks=6, n_agents=3,
-                            n_objects=4).to_json()
+        doc = tiny_config().scenario(11, tiny_config().channel, 6).to_json()
         SCENARIO_DEFECTS[defect](doc)
         scen_path = tmp_path / "scenario.json"
         scen_path.write_text(json.dumps(doc))
@@ -388,11 +386,10 @@ class TestCli:
 
     def test_scenario_agent_stack_over_the_cap(self, tmp_path):
         # the config's own 3-agent stack takes 96 MiB, the scenario's 300 agents 18.8 GiB
-        from coopfuse.world import make_scenario, save_scenario
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"H": 2048, "W": 2048, "C": 2}))
         save_scenario(tmp_path / "scenario.json",
-                      make_scenario(11, tiny_config().channel, ticks=6, n_agents=300))
+                      make_scenario(11, tiny_config().channel, 6, 300, 5, 9.0, 8.0, 9.0))
         r = self.run_cli("run", "--config", str(cfg_path), "--scenario",
                          str(tmp_path / "scenario.json"), "--out", str(tmp_path / "o"))
         assert r.returncode == 2, r.stderr
@@ -419,8 +416,7 @@ class TestCli:
         assert r.stderr == "config error: evaluation needs 1.1e7 ticks, over the 1.0e7 cap\n"
 
     def test_scenario_over_the_tick_cap(self, tmp_path):
-        from coopfuse.world import make_scenario
-        doc = make_scenario(11, tiny_config().channel, ticks=6, n_agents=3).to_json()
+        doc = make_scenario(11, tiny_config().channel, 6, 3, 5, 9.0, 8.0, 9.0).to_json()
         doc["ticks"] = 1000000000
         scen_path = tmp_path / "scenario.json"
         scen_path.write_text(json.dumps(doc))
@@ -560,7 +556,7 @@ def make_argv_inputs(root: Path) -> None:
     cfg = tiny_config(eval_scenarios=1, eval_measure_ticks=1)
     (root / "cfg.json").write_text(json.dumps(cfg.to_json()))
     save_scenario(root / "scenario.json",
-                  make_scenario(3, cfg.channel, ticks=4, n_agents=3, n_objects=4))
+                  cfg.scenario(3, cfg.channel, 4))
     Pipeline(cfg).save(root / "params.catp")
     (root / "array.json").write_text("[1, 2]")
     (root / "latin1.json").write_bytes(b'{"H": "\xff"}')

@@ -56,13 +56,15 @@ def fuse_taped(pipe, ego_view, pairs, ego_pose):
 
 
 def pooled_streams(integ, stack, monkeypatch):
-    """The max and mean maps the integrator hands its conv for `stack`."""
+    """The max and mean maps the integrator hands its conv for `stack`, as
+    two channel blocks."""
     seen, conv = [], sync_module.conv2d
     monkeypatch.setattr(sync_module, "conv2d",
                         lambda x, *a, **kw: seen.append(x) or conv(x, *a, **kw))
     out = integ(stack)
     assert out.data.shape == stack.shape[1:]
-    return np.split(seen[0], 2)
+    mx, av = seen[0]
+    return mx, av
 
 
 class TestIntegrator:
@@ -113,7 +115,8 @@ class TestIntegrator:
         are bitwise those of the taped form it replaced."""
         cfg = PipelineConfig(height=16, width=16, channels=4, scales=(4,), seed=n_pairs)
         pipe = Pipeline(cfg)
-        scen = make_scenario(n_pairs, cfg.channel, 1, n_agents=n_pairs + 1, n_objects=6)
+        scen = make_scenario(n_pairs, cfg.channel, 1, n_agents=n_pairs + 1, n_objects=6,
+                             bounds=9.0, fov_ego=8.0, fov_collab=9.0)
         rng = np.random.default_rng(n_pairs)
         views = [render_bev(scen.scene, a.pose, 16, 16, cfg.cell_size, fov_m=a.fov_m,
                             channels=4) for a in scen.agents]
@@ -152,7 +155,7 @@ class TestOffsetPredictor:
         assert np.max(np.abs(out.data)) < 1e-12
 
     def test_output_shape(self):
-        sync = TemporalSync(16, stream(2, "t"))
+        sync = TemporalSync(16, stream(2, "t"), n_anchor_points=4)
         rng = np.random.default_rng(2)
         a = Tensor(rng.normal(size=(16, 32, 32)))
         b = Tensor(rng.normal(size=(16, 32, 32)))
@@ -378,7 +381,7 @@ class TestAnchorMatchesLoop:
 class TestModuleGradient:
     def test_rollout_plus_anchor_grad_per_entry(self):
         c, h, w = 2, 8, 8
-        sync = TemporalSync(c, stream(5, "t"))
+        sync = TemporalSync(c, stream(5, "t"), n_anchor_points=4)
         rng = np.random.default_rng(14)
         sync.offset_kernel.data = 0.05 * rng.normal(size=sync.offset_kernel.data.shape)
         sync.anchor_kernel.data = 0.05 * rng.normal(size=sync.anchor_kernel.data.shape)

@@ -63,7 +63,7 @@ class TestArena:
     accepted one keeps its objects inside."""
 
     def scenario_doc(self, **obj):
-        doc = make_scenario(2, ChannelConfig(), ticks=8).to_json()
+        doc = make_scenario(2, ChannelConfig(), 8, 3, 5, 9.0, 8.0, 9.0).to_json()
         doc["objects"][0].update(obj)
         return doc
 
@@ -112,7 +112,7 @@ class TestArena:
 class TestRender:
     def test_empty_scene_zero_occupancy(self):
         s = Scene(objects=np.zeros((0, 6)), bounds=10)
-        f = render_bev(s, Pose2D(0, 0, 0), 16, 16, 1.0)
+        f = render_bev(s, Pose2D(0, 0, 0), 16, 16, 1.0, channels=8)
         assert np.array_equal(f.data[0], np.zeros((16, 16)))
         assert f.data.shape == (8, 16, 16)
 
@@ -120,7 +120,7 @@ class TestRender:
         # 2x2 m box at the agent position with 1 m cells: occupancy marks the
         # central cells whose centers fall inside the box
         s = Scene(objects=np.array([[0.0, 0.0, 2.0, 2.0, 0.0, 0.0]]), bounds=10)
-        f = render_bev(s, Pose2D(0, 0, 0), 16, 16, 1.0)
+        f = render_bev(s, Pose2D(0, 0, 0), 16, 16, 1.0, channels=8)
         occ = f.data[0]
         xs = (np.arange(16) - 7.5) * 1.0
         inside = np.abs(xs) <= 1.0
@@ -129,27 +129,27 @@ class TestRender:
 
     def test_translation_shifts_raster(self):
         s = make_scene(3, n_objects=4, bounds=8.0)
-        base = render_bev(s, Pose2D(0, 0, 0), 32, 32, 1.0).data[0]
-        moved = render_bev(s, Pose2D(2.0, 0, 0), 32, 32, 1.0).data[0]
+        base = render_bev(s, Pose2D(0, 0, 0), 32, 32, 1.0, channels=8).data[0]
+        moved = render_bev(s, Pose2D(2.0, 0, 0), 32, 32, 1.0, channels=8).data[0]
         # shifting the agent +2 m in x moves content 2 columns left
         assert np.array_equal(moved[:, :-2], base[:, 2:])
 
     def test_fov_limits_visibility(self):
         s = Scene(objects=np.array([[6.0, 0.0, 2.0, 2.0, 0.0, 0.0]]), bounds=10)
-        near = render_bev(s, Pose2D(0, 0, 0), 32, 32, 1.0, fov_m=7.0).data[0]
-        far = render_bev(s, Pose2D(0, 0, 0), 32, 32, 1.0, fov_m=5.0).data[0]
+        near = render_bev(s, Pose2D(0, 0, 0), 32, 32, 1.0, fov_m=7.0, channels=8).data[0]
+        far = render_bev(s, Pose2D(0, 0, 0), 32, 32, 1.0, fov_m=5.0, channels=8).data[0]
         assert near.sum() > 0
         assert far.sum() == 0
 
     def test_occupancy_in_unit_range(self):
         s = make_scene(5, n_objects=8, bounds=10.0)
-        f = render_bev(s, Pose2D(1.0, -2.0, 0.7), 32, 32, 0.75)
+        f = render_bev(s, Pose2D(1.0, -2.0, 0.7), 32, 32, 0.75, channels=8)
         assert f.data[0].min() >= 0.0 and f.data[0].max() <= 1.0
 
     def test_indivisible_grid_rejected(self):
-        s = make_scene(5)
+        s = make_scene(5, 5, 9.0)
         with pytest.raises(ValueError):
-            render_bev(s, Pose2D(0, 0, 0), 30, 32, 1.0)
+            render_bev(s, Pose2D(0, 0, 0), 30, 32, 1.0, channels=8)
 
 
 class TestPoseNoise:
@@ -296,7 +296,7 @@ class TestChannel:
 
 class TestScenarioIO:
     def test_json_roundtrip(self, tmp_path):
-        scen = make_scenario(5, ChannelConfig(3, 0.1, 0.2, 0.05), ticks=12)
+        scen = make_scenario(5, ChannelConfig(3, 0.1, 0.2, 0.05), 12, 3, 5, 9.0, 8.0, 9.0)
         doc = scen.to_json()
         back = Scenario.from_json(doc)
         assert back.seed == scen.seed and back.ticks == scen.ticks
@@ -306,7 +306,7 @@ class TestScenarioIO:
         assert back.channel.drop_p == pytest.approx(0.1)
 
     def test_scene_determinism(self):
-        a = make_scenario(9, ChannelConfig(), ticks=5)
-        b = make_scenario(9, ChannelConfig(), ticks=5)
+        a = make_scenario(9, ChannelConfig(), 5, 3, 5, 9.0, 8.0, 9.0)
+        b = make_scenario(9, ChannelConfig(), 5, 3, 5, 9.0, 8.0, 9.0)
         assert np.array_equal(a.scene.objects, b.scene.objects)
         assert a.agents[1].pose == b.agents[1].pose

@@ -165,7 +165,7 @@ class TestRenderBev:
         scene = Scene(objects=np.array([[4.0, 6.0, 2.0, 2.0, 0.0, 0.0]]), bounds=9.0)
         pose = Pose2D(1.0, 2.0, 0.0)
         for fov_m in (5.0, math.nextafter(5.0, 0.0)):
-            have = render_bev(scene, pose, 16, 16, 1.0, fov_m=fov_m).data
+            have = render_bev(scene, pose, 16, 16, 1.0, fov_m=fov_m, channels=8).data
             assert_same_bits(have, render_bev_per_object(scene, pose, 16, 16, 1.0, fov_m))
             assert have[0].any() == (fov_m == 5.0)
 
@@ -177,10 +177,11 @@ class TestRenderBev:
                             [-6.0, 5.0, 1.0, 3.0, 0.0, 0.0]])
         scene = Scene(objects=objects, bounds=9.0)
         for pose in (Pose2D(0.0, 0.0, 0.0), Pose2D(0.0, 0.0, math.pi / 2)):
-            have = render_bev(scene, pose, 16, 16, 1.0).data
+            have = render_bev(scene, pose, 16, 16, 1.0, channels=8).data
             assert_same_bits(have, render_bev_per_object(scene, pose, 16, 16, 1.0))
         # edge cells included: 4 x 2, 6 x 8 and 2 x 4 cells, the first two sharing 2
-        assert render_bev(scene, Pose2D(0.0, 0.0, 0.0), 16, 16, 1.0).data[0].sum() == 62
+        origin = Pose2D(0.0, 0.0, 0.0)
+        assert render_bev(scene, origin, 16, 16, 1.0, channels=8).data[0].sum() == 62
 
     def test_many_objects_take_several_box_tests(self, monkeypatch):
         import coopfuse.world as world
@@ -188,7 +189,7 @@ class TestRenderBev:
         monkeypatch.setattr(world, "_BOX_CELLS", 3 * 16 * 16)
         scene = make_scene(4, 10, 9.0)
         pose = Pose2D(0.5, -1.0, 0.3)
-        assert_same_bits(render_bev(scene, pose, 16, 16, 1.0).data,
+        assert_same_bits(render_bev(scene, pose, 16, 16, 1.0, channels=8).data,
                          render_bev_per_object(scene, pose, 16, 16, 1.0))
 
 

@@ -389,6 +389,7 @@ def evaluate(pipe: Pipeline, channel: ChannelConfig | None = None,
         ch, scenarios = scenario.channel, [cfg.check_scenario(scenario)]
     else:
         ch = channel if channel is not None else cfg.channel
+        cfg.check_ticks(ch)
         ticks = cfg.warmup_ticks_for(ch) + cfg.eval_measure_ticks
         scenarios = [cfg.scenario(eval_scenario_seed(cfg, i), ch, ticks)
                      for i in range(cfg.eval_scenarios)]

@@ -28,10 +28,6 @@ def window_scores(feature: np.ndarray, scale: int, eligible: np.ndarray) -> np.n
     """Channel-mean saliency of each scale x scale window of a C x H x W
     feature, flat in raster order; -inf where a window has no eligible pixel."""
     c, h, w = feature.shape
-    if h % scale or w % scale:
-        raise ValueError(f"scale {scale} does not divide grid {h}x{w}")
-    if eligible.shape != (h, w):
-        raise ValueError(f"eligibility shape {eligible.shape} does not match grid {h}x{w}")
     rows, cols = h // scale, w // scale
     means = feature.reshape(c, rows, scale, cols, scale).mean(axis=(2, 4))
     scores = means.reshape(c, rows * cols).T @ np.full(c, 1.0 / c)
@@ -42,11 +38,7 @@ def window_scores(feature: np.ndarray, scale: int, eligible: np.ndarray) -> np.n
 def retained_windows(scores: np.ndarray, k: float) -> np.ndarray:
     """A bool per window: the ceil(k * n_eligible) best of the finite scores,
     at least one. Ties break toward the lower flat window index."""
-    if not 0.0 < k <= 1.0:
-        raise ValueError(f"retention fraction must lie in (0, 1], got {k}")
     n_eligible = int(np.isfinite(scores).sum())
-    if n_eligible == 0:
-        raise ValueError("no eligible blocks to select from")
     retained = min(n_eligible, max(1, math.ceil(k * n_eligible - 1e-9)))
     keep = np.zeros(scores.size, dtype=bool)
     keep[np.argsort(-scores, kind="stable")[:retained]] = True
@@ -75,9 +67,6 @@ class LinearAttention(ParamBlock):
         self.bg = self._p("select.attn.bg", np.zeros((1, c)))
 
     def __call__(self, tokens: Tensor) -> Tensor:
-        if tokens.data.ndim != 2 or tokens.data.shape[0] == 0:
-            raise ValueError(f"attention needs a nonempty TxC token set, "
-                             f"got {tokens.data.shape}")
         fq = elu_plus_one(matmul(tokens, self.wq))
         fk = elu_plus_one(matmul(tokens, self.wk))
         v = matmul(tokens, self.wv)

@@ -63,8 +63,6 @@ class Integrator(ParamBlock):
         self.bias = self._p("integrate.bias", np.zeros((c, 1, 1)))
 
     def __call__(self, stack: np.ndarray) -> Tensor:
-        if stack.ndim != 4 or stack.shape[0] < 1:
-            raise ValueError(f"integrator needs a nonempty NxCxHxW stack, got {stack.shape}")
         return conv2d([stack.max(axis=0), stack.sum(axis=0) * (1.0 / len(stack))],
                       self.kernel, self.bias)
 
@@ -96,9 +94,6 @@ class TemporalSync(ParamBlock):
     # -- sub-operations ----------------------------------------------------
 
     def predict_offset(self, b_prev2: Tensor, b_prev1: Tensor) -> Tensor:
-        if b_prev2.data.shape != b_prev1.data.shape:
-            raise ValueError(f"offset inputs differ: {b_prev2.data.shape} vs "
-                             f"{b_prev1.data.shape}")
         return conv2d([b_prev2, b_prev1], self.offset_kernel, self.offset_bias)
 
     def _warp(self, feature: Tensor, offsets: Tensor, kernel: Parameter,
@@ -132,8 +127,6 @@ class TemporalSync(ParamBlock):
         map is never computed: a known off-by-one against the paper's
         recurrent synchronization (ROADMAP, "Not this round").
         """
-        if len(entries) == 0:
-            raise ValueError("rollout requires a nonempty buffer")
         hidden = entries[0]()
         zero = Tensor(np.zeros_like(hidden.data))
         for j in range(1, len(entries)):
@@ -147,9 +140,6 @@ class TemporalSync(ParamBlock):
 
     def anchor(self, predicted: Tensor, ego: Tensor) -> Tensor:
         """Deformable cross-attention onto the ego feature, residual form."""
-        if predicted.data.shape != ego.data.shape:
-            raise ValueError(f"anchor inputs differ: {predicted.data.shape} vs "
-                             f"{ego.data.shape}")
         c, h, w = predicted.data.shape
         m = self.m
         fields = conv2d(predicted, self.anchor_kernel, self.anchor_bias)

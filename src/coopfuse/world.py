@@ -158,8 +158,6 @@ def render_bev(scene: Scene, pose: Pose2D, h: int, w: int, cell_size: float,
     reduced by `any`, and the planes are written into one preallocated
     C x H x W array.
     """
-    if h % 4 or w % 4:
-        raise ValueError(f"grid dims must be divisible by 4, got {h}x{w}")
     world_x, world_y = cell_world(pose, h, w, cell_size)
     objects = scene.objects
     if fov_m is not None:

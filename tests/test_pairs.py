@@ -1,4 +1,5 @@
-"""tools/pairs.py: the bitwise comparison of two checkouts' CLI outputs."""
+"""tools/pairs.py: the bitwise comparison of two checkouts' CLI outputs and
+traced record counts."""
 
 import importlib.util
 import shutil
@@ -29,10 +30,21 @@ def test_unknown_revision_exits_2(capsys):
     assert capsys.readouterr().err.startswith("pairs: no commit 'no-such-revision'")
 
 
+def test_traced_run_not_correct_fails(tmp_path):
+    """A side whose traced perfbench run does not read "correct": true is a
+    failure (exit 2), not a count to compare."""
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        'import json\nprint(json.dumps({"correct": False, "metrics": {}}))\n')
+    with pytest.raises(pairs.Failed, match='traced train-full run exited 0'):
+        pairs.records(tmp_path)
+
+
 @pytest.mark.slow
 def test_head_against_head_is_bitwise(tmp_path):
     """Two exports of HEAD, run from paths of different lengths, give every
-    output of every command the same sha256."""
+    output of every command the same sha256, and their traced runs the same
+    record counts: 148 per train-full step and 9 per train-baseline step."""
     if shutil.which("git") is None or subprocess.run(
             ["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"],
             capture_output=True).returncode:
@@ -41,9 +53,13 @@ def test_head_against_head_is_bitwise(tmp_path):
     found = []
     for side in sides:
         pairs.export("HEAD", side / "tree")
-        found.append(pairs.digests(side / "tree", side / "out"))
+        found.append(pairs.digests(side / "tree", side / "out") + pairs.records(side / "tree"))
     base, change = found
     assert [item for item, _ in base] == [
-        f"{name}/{f}" for name, _, files in pairs.COMMANDS for f in ("stdout", *files)]
+        f"{name}/{f}" for name, _, files in pairs.COMMANDS for f in ("stdout", *files)] + [
+        f"{w}/{key}" for w in pairs.TRACED for key in pairs.RECORDS]
+    counts = dict(base)
+    assert counts["train-full/tensor.records_per_step"] == "148"
+    assert counts["train-baseline/tensor.records_per_step"] == "9"
     assert pairs.first_difference(base, change) is None
     assert base == change

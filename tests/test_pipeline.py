@@ -10,6 +10,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import process as futures_process
 from dataclasses import FrozenInstanceError, replace
 
@@ -240,6 +241,16 @@ class TestSizeEstimate:
         with pytest.raises(ConfigError, match=r"^scenario needs 1\.0e9 ticks, over the "
                                               r"1\.0e7 cap$"):
             cfg.check_scenario(replace(scen, ticks=10**9))
+
+    def test_evaluate_checks_the_channel_it_is_handed(self):
+        """A channel whose evaluation would pass the tick cap is rejected before
+        any scenario is drawn, not run for hours."""
+        pipe = Pipeline(PipelineConfig(eval_scenarios=1))
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=r"^evaluation needs 1\.1e9 ticks, over the "
+                                              r"1\.0e7 cap$"):
+            evaluate(pipe, channel=ChannelConfig(max_latency_ticks=10**9))
+        assert time.perf_counter() - start < 1.0
 
     def test_cap_on_a_scenario_agent_stack(self, traced_peak_mib):
         """check_scenario sizes the stack of the scenario's own agents, which

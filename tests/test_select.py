@@ -1,7 +1,12 @@
 """Adaptive selector: window scoring, top-k masks, propagation, token paths."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from composed_ops import index_axis
 from coopfuse import ops
@@ -33,12 +38,6 @@ class TestWindowGrid:
         # every pixel belongs to exactly one window
         for b in range(6):
             assert (pix == b).sum() == 16
-
-    def test_indivisible_scale_rejected(self):
-        with pytest.raises(ValueError, match="scale 5 does not divide grid 8x12"):
-            window_scores(np.zeros((1, 8, 12)), 5, all_eligible(8, 12))
-        with pytest.raises(ValueError, match="eligibility shape"):
-            window_scores(np.zeros((1, 8, 12)), 4, all_eligible(12, 8))
 
     def test_descriptors_are_window_means(self):
         rng = np.random.default_rng(0)
@@ -101,13 +100,6 @@ class TestTopK:
             n_elig = 64 - n_inelig
             assert keep.sum() == max(1, int(np.ceil(k * n_elig - 1e-9)))
 
-    def test_no_eligible_blocks_rejected(self):
-        with pytest.raises(ValueError, match="no eligible blocks to select from"):
-            retained_windows(np.full(4, -np.inf), 0.5)
-        for k in (0.0, 1.5):
-            with pytest.raises(ValueError, match="retention fraction must lie in"):
-                retained_windows(np.zeros(4), k)
-
     def test_pixel_mask_replicates_blocks(self):
         keep = retained_windows(np.array([1.0, 0.0, 0.0, 0.0]), 0.25)
         want = np.zeros((4, 4), dtype=bool)
@@ -168,12 +160,6 @@ class TestLinearAttention:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(7, 4))
         assert np.array_equal(att(Tensor(x)).data, x)
-
-    def test_empty_tokens_rejected(self):
-        att = LinearAttention(2, stream(4, "a"))
-        with pytest.raises(ValueError):
-            att(Tensor(np.zeros((0, 2))))
-
 
 class TestInvertedBottleneck:
     def test_zero_weights_identity(self):
@@ -243,6 +229,36 @@ class TestSelectorForward:
         sel = self.make(scales=(3,))
         with pytest.raises(ValueError):
             sel(Tensor(np.zeros((2, 8, 8))))
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(st.data())
+    def test_every_scale_routes_a_token(self, data):
+        """On a grid the config allows (a multiple of 4, every scale dividing
+        it), any retention in (0, 1] and a finite feature, every scale hands
+        attention at least one token and the output is finite: the facts the
+        stage no longer checks at run time."""
+        c = 2
+        h, w = (data.draw(st.sampled_from((4, 8, 12, 16))) for _ in range(2))
+        divisors = [s for s in range(1, math.gcd(h, w) + 1) if h % s == 0 and w % s == 0]
+        scales = data.draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=3))
+        k = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+        x = data.draw(hnp.arrays(np.float64, (c, h, w),
+                                 elements=st.floats(-10.0, 10.0, allow_nan=False)))
+        sel = self.make(c=c, scales=tuple(scales), k=k, seed=5)
+        rng = np.random.default_rng(5)
+        sel.attention.wg.data = 0.2 * rng.standard_normal((c, c))
+        sel.bottleneck.w2.data = 0.2 * rng.standard_normal(sel.bottleneck.w2.data.shape)
+        attention, tokens_seen = sel.attention, []
+
+        def spy(tokens):
+            tokens_seen.append(tokens.data.shape[0])
+            return attention(tokens)
+
+        sel.attention = spy
+        out = sel(Tensor(x))
+        assert len(tokens_seen) == len(scales)
+        assert min(tokens_seen) >= 1
+        assert np.all(np.isfinite(out.data))
 
     def test_grad_check(self):
         c = 2

@@ -103,12 +103,6 @@ class TestIntegrator:
         assert np.allclose(out.data[0], 4.0)
         assert np.allclose(out.data[1], 2.0)
 
-    def test_empty_stack_rejected(self):
-        integ = Integrator(C, stream(3, "i"))
-        for stack in (np.zeros((0, C, H, W)), np.zeros((C, H, W))):
-            with pytest.raises(ValueError, match="nonempty NxCxHxW stack"):
-                integ(stack)
-
     @pytest.mark.parametrize("n_pairs", [0, 2, 4])
     def test_fuse_matches_the_taped_form(self, n_pairs):
         """Values, tape records and the kernel and bias gradients of ``fuse``
@@ -294,12 +288,6 @@ class TestRollout:
 
         out = sync.rollout([lambda e=e: e for e in entries])
         assert np.max(np.abs(out.data - hidden.data)) < 1e-12
-
-    def test_empty_buffer_rejected(self):
-        sync = make_sync(3)
-        with pytest.raises(ValueError):
-            sync.rollout([])
-
 
 class TestAnchor:
     def test_zero_weights_add_ego(self):

@@ -146,12 +146,6 @@ class TestRender:
         f = render_bev(s, Pose2D(1.0, -2.0, 0.7), 32, 32, 0.75, channels=8)
         assert f.data[0].min() >= 0.0 and f.data[0].max() <= 1.0
 
-    def test_indivisible_grid_rejected(self):
-        s = make_scene(5, 5, 9.0)
-        with pytest.raises(ValueError):
-            render_bev(s, Pose2D(0, 0, 0), 30, 32, 1.0, channels=8)
-
-
 class TestPoseNoise:
     def test_zero_sigma_identity(self):
         rng = stream(0, "t")

@@ -8,9 +8,13 @@ and runs the ``coopfuse`` CLI of each side, imported from that side's
 ``run --scenario --params`` (the side's own checkpoint and a fixed scenario
 document), ``run --seed 3``, ``ablate`` and ``sweep --axis`` latency,
 retention and drop. It prints the sha256 digest of every output file and of
-each command's standard output, base then change, and names the first that
-differs. Exit status: 0 when every digest is equal, 1 when one differs, 2
-when the revision cannot be exported or a command fails.
+each command's standard output, base then change. It then runs each side's
+own ``perfbench/run.py`` traced (``--seed 1 --seconds 1 --trace 1``) on the
+``train-full`` and ``train-baseline`` workloads and prints the tape records
+per training step, in all and per stage. It names the first digest or count
+that differs. Exit status: 0 when every digest and count is equal, 1 when
+one differs, 2 when the revision cannot be exported, a command fails or a
+traced run's summary does not read ``"correct": true``.
 """
 
 from __future__ import annotations
@@ -59,6 +63,12 @@ COMMANDS = (
     ("sweep-drop", ["sweep", "--axis", "drop"], ("metrics.csv",)),
 )
 
+# the perfbench workloads run traced, and the record counts compared per workload
+TRACED = ("train-full", "train-baseline")
+RECORDS = ("tensor.records_per_step",
+           *(f"tensor.records.{stage}"
+             for stage in ("integrate", "stsync", "wtden", "adpsel", "decode", "loss")))
+
 
 class Failed(Exception):
     """A revision that cannot be exported, or a command that fails (exit 2)."""
@@ -80,11 +90,16 @@ def export(rev: str, dest: Path) -> str:
     return commit.stdout.strip()
 
 
+def side_env(side: Path) -> dict[str, str]:
+    """The environment every command of the checkout at `side` runs in."""
+    return {**os.environ, "PYTHONPATH": str(side / "src"), "OPENBLAS_NUM_THREADS": "1"}
+
+
 def digests(side: Path, work: Path) -> list[tuple[str, str]]:
     """(item, sha256) for every output of COMMANDS run by the checkout at `side`,
     writing under the new directory `work`."""
     work.mkdir(parents=True)
-    env = {**os.environ, "PYTHONPATH": str(side / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    env = side_env(side)
     config, scenario = work / "config.json", work / "scenario.json"
     config.write_text(json.dumps(CONFIG))
     scenario.write_text(json.dumps(SCENARIO))
@@ -103,9 +118,32 @@ def digests(side: Path, work: Path) -> list[tuple[str, str]]:
     return out
 
 
+def records(side: Path) -> list[tuple[str, str]]:
+    """(item, count) for every RECORDS value of a traced one-second perfbench
+    run of each TRACED workload by the checkout at `side`."""
+    out = []
+    for workload in TRACED:
+        argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+                "--seed", "1", "--seconds", "1", "--trace", "1"]
+        done = subprocess.run(argv, cwd=side, env=side_env(side), capture_output=True,
+                              text=True)
+        try:
+            summary = json.loads(done.stdout.splitlines()[-1])
+        except (IndexError, ValueError):
+            summary = {}
+        if done.returncode or summary.get("correct") is not True:
+            failed = [line for line in done.stdout.splitlines() if "FAILED" in line]
+            raise Failed(f"{side}: traced {workload} run exited {done.returncode} and did "
+                         f"not read \"correct\": true: "
+                         f"{'; '.join(failed) or done.stderr.strip()[-300:]}")
+        out += [(f"{workload}/{key}", f"{summary['metrics'][key]['value']:g}")
+                for key in RECORDS]
+    return out
+
+
 def first_difference(base: list[tuple[str, str]], change: list[tuple[str, str]]
                      ) -> str | None:
-    """The first item whose digest differs between the sides, or None."""
+    """The first item whose digest or count differs between the sides, or None."""
     for (item, a), (_, b) in zip(base, change):
         if a != b:
             return item
@@ -116,13 +154,13 @@ def bitwise(rev: str) -> int:
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         commit = export(rev, Path(tmp) / "base")
         print(f"base {rev} ({commit[:12]}) against the working tree {ROOT}", flush=True)
-        base = digests(Path(tmp) / "base", Path(tmp) / "base-out")
-        change = digests(ROOT, Path(tmp) / "change-out")
+        base = digests(Path(tmp) / "base", Path(tmp) / "base-out") + records(Path(tmp) / "base")
+        change = digests(ROOT, Path(tmp) / "change-out") + records(ROOT)
     for (item, a), (_, b) in zip(base, change):
-        print(f"{'same' if a == b else 'DIFFERS':8} {a[:16]} {b[:16]}  {item}")
+        print(f"{'same' if a == b else 'DIFFERS':8} {a[:16]:16} {b[:16]:16}  {item}")
     differs = first_difference(base, change)
     if differs is None:
-        print(f"every digest equal: {len(base)} items")
+        print(f"every digest and record count equal: {len(base)} items")
         return 0
     print(f"first difference: {differs}")
     return 1
@@ -132,7 +170,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="the revision to compare against")
     ap.add_argument("--bitwise", action="store_true", required=True,
-                    help="compare sha256 digests of the CLI outputs")
+                    help="compare sha256 digests of the CLI outputs and traced "
+                         "record counts")
     args = ap.parse_args(argv)
     try:
         return bitwise(args.base)

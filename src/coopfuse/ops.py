@@ -8,8 +8,11 @@ maps the output gradient g to one gradient per tensor input, in the
 declared order, with None wherever ``needs`` says that input takes none.
 The decorator is the one place that touches the tape: it wraps the inputs
 as Tensors, makes the output Tensor (requiring grad if any input does) and,
-under an active Tape, records the single entry whose backward accumulates
-vjp's gradients. With no active tape an op is a plain numpy forward pass.
+under an active Tape, records the single entry: the output's gradient slot
+and a backward that accumulates vjp's gradients into the input slots. The
+entry holds no tensor, so vjp keeps an array alive only by reading it: a
+rule that needs an input's shape keeps the shape. With no active tape an op
+is a plain numpy forward pass.
 
 ``DIFFERENTIABLE_OPS`` lists every op defined here; an op without a
 finite-difference case of its own name in ``tests/grad_cases.py`` fails
@@ -62,13 +65,14 @@ def _op(*inputs: str):
             out = Tensor(value, requires_grad)
             tape = active_tape()
             if tape is not None and requires_grad:
-                needs = [t is not None and t.requires_grad for t in ts]
+                in_slots = [None if t is None else t.slot for t in ts]
+                needs = [s is not None for s in in_slots]
 
                 def backward(g):
-                    for t, gt in zip(ts, vjp(g, needs)):
-                        if gt is not None:
-                            t.accumulate_grad(gt)
-                tape.record(out, backward)
+                    for s, gs in zip(in_slots, vjp(g, needs)):
+                        if gs is not None:
+                            s.accumulate_grad(gs)
+                tape.record(out.slot, backward)
             return out
 
         if fn.__module__ == __name__:
@@ -105,14 +109,16 @@ def _scatter_add(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
 
 @_op("a", "b")
 def add(a, b):
-    return a + b, lambda g, needs: (_unbroadcast(g, a.shape) if needs[0] else None,
-                                    _unbroadcast(g, b.shape) if needs[1] else None)
+    sa, sb = a.shape, b.shape
+    return a + b, lambda g, needs: (_unbroadcast(g, sa) if needs[0] else None,
+                                    _unbroadcast(g, sb) if needs[1] else None)
 
 
 @_op("a", "b")
 def sub(a, b):
-    return a - b, lambda g, needs: (_unbroadcast(g, a.shape) if needs[0] else None,
-                                    _unbroadcast(-g, b.shape) if needs[1] else None)
+    sa, sb = a.shape, b.shape
+    return a - b, lambda g, needs: (_unbroadcast(g, sa) if needs[0] else None,
+                                    _unbroadcast(-g, sb) if needs[1] else None)
 
 
 @_op("a", "b")
@@ -180,10 +186,12 @@ def elu_plus_one(a):
 
 @_op("a")
 def tsum(a, axis=None, keepdims: bool = False):
+    shape = a.shape
+
     def vjp(g, needs):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.shape),
+        return np.broadcast_to(g, shape),
     return a.sum(axis=axis, keepdims=keepdims), vjp
 
 
@@ -217,7 +225,8 @@ def matmul(a, b, bias=None):
 
 @_op("a")
 def reshape(a, shape):
-    return a.reshape(shape), lambda g, needs: (g.reshape(a.shape),)
+    shape_a = a.shape
+    return a.reshape(shape), lambda g, needs: (g.reshape(shape_a),)
 
 
 @_op("a")
@@ -226,23 +235,27 @@ def transpose(a, axes):
     return a.transpose(axes), lambda g, needs: (g.transpose(tuple(np.argsort(axes))),)
 
 
-def _split(g: np.ndarray, parts: list[np.ndarray], needs, axis: int = 0) -> list:
-    """g cut along axis into one view per part, None where a part takes no gradient."""
-    bounds = np.cumsum([p.shape[axis] for p in parts])
+def _split(g: np.ndarray, lengths: list[int], needs, axis: int = 0) -> list:
+    """g cut along axis into one view per part of the given lengths, None
+    where a part takes no gradient."""
+    bounds = np.cumsum(lengths)
     return [d if need else None
             for d, need in zip(np.split(g, bounds[:-1], axis=axis), needs)]
 
 
 @_op("*parts")
 def concat(parts, axis: int = 0):
-    return np.concatenate(parts, axis=axis), lambda g, needs: _split(g, parts, needs, axis)
+    lengths = [p.shape[axis] for p in parts]
+    return np.concatenate(parts, axis=axis), lambda g, needs: _split(g, lengths, needs, axis)
 
 
 @_op("a")
 def narrow(a, start: int, length: int):
     """Rows start to start + length of the leading axis."""
+    shape = a.shape
+
     def vjp(g, needs):
-        full = np.zeros_like(a)
+        full = np.zeros(shape)
         full[start:start + length] = g
         return full,
     return a[start:start + length], vjp
@@ -254,9 +267,9 @@ def take_rows(a, idx: np.ndarray):
     if a.ndim != 2:
         raise ValueError(f"take_rows expects a rank-2 tensor, got {a.shape}")
     idx = np.asarray(idx, dtype=np.intp)
+    n, c = a.shape
 
     def vjp(g, needs):
-        n, c = a.shape
         keys = (idx % n)[..., None] * c + np.arange(c)
         return _scatter_add(keys, g, n * c).reshape(n, c),
     return a[idx], vjp
@@ -420,7 +433,8 @@ def _conv2d_im2col(x: list[np.ndarray], kernel: np.ndarray, bias: np.ndarray):
 
     The backward rebuilds the patch matrix from x only when the kernel
     takes a gradient; dx correlates g, zero-padded like x, with the flipped
-    kernel.
+    kernel. dx comes first, so that the flipped kernel and g's patch matrix
+    are freed before the kernel gradient's patch matrix is built.
     """
     h, w = x[0].shape[1:]
     c_out, c_in, k, _ = kernel.shape
@@ -435,13 +449,13 @@ def _conv2d_im2col(x: list[np.ndarray], kernel: np.ndarray, bias: np.ndarray):
 
     def vjp(g, needs):
         dw, dx = None, [None] * len(x)
-        if needs[1]:
-            dw = (g.reshape(c_out, h * w) @ patches(x).T).reshape(kernel.shape)
         if any(needs[2:]):
             # dx = correlation of g with the in/out-swapped, 180-rotated kernel
             wrot = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             dx = (wrot.reshape(c_in, c_out * k * k) @ patches([g])).reshape(c_in, h, w)
-            dx = _split(dx, x, needs[2:])
+            dx = _split(dx, [len(b) for b in x], needs[2:])
+        if needs[1]:
+            dw = (g.reshape(c_out, h * w) @ patches(x).T).reshape(kernel.shape)
         return _unbroadcast(g, bias.shape) if needs[0] else None, dw, *dx
     return y, vjp
 
@@ -482,7 +496,7 @@ def _conv2d_taps(x: list[np.ndarray], kernel: np.ndarray, bias: np.ndarray):
             dw = (gz @ rows.T).reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1)
         if any(needs[2:]):
             dx = (wtaps().T @ gz).reshape(c_in, hp, wp)
-            dx = _split(dx[:, pad:pad + h, pad:pad + w], x, needs[2:])
+            dx = _split(dx[:, pad:pad + h, pad:pad + w], [len(b) for b in x], needs[2:])
         return _unbroadcast(g, bias.shape) if needs[0] else None, dw, *dx
     return y, vjp
 

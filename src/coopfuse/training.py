@@ -36,8 +36,15 @@ class DivergenceError(RuntimeError):
         return DivergenceError, (self.step, self.value)
 
 
+ADAM_CHUNK = 16_384     # values per slice of an Adam update
+
+
 class Adam:
-    """First-order adaptive-moment optimizer with bias correction."""
+    """First-order adaptive-moment optimizer with bias correction.
+
+    Each parameter is updated in place, ADAM_CHUNK values at a time, so its
+    two temporaries are at most chunk-sized, however large the parameter.
+    """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -55,23 +62,27 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            # in place, in the operation order of m = B1*m + (1-B1)*g,
-            # v = B2*v + ((1-B2)*g)*g and p = p - lr * (m/b1c) / (sqrt(v/b2c) + eps);
-            # g may be shared with other tensors, so it is only read
-            g, m, v = p.grad, self.m[name], self.v[name]
-            num, den = np.multiply(g, 1.0 - self.BETA1), np.multiply(g, 1.0 - self.BETA2)
-            m *= self.BETA1
-            m += num
-            den *= g
-            v *= self.BETA2
-            v += den
-            np.divide(v, b2c, out=den)
-            np.sqrt(den, out=den)
-            den += self.EPS
-            np.divide(m, b1c, out=num)
-            num /= den
-            num *= self.lr
-            p.data -= num
+            # flat views of the C-contiguous parameter and moments; the
+            # gradient's is a copy only when the gradient is strided
+            flat = [a.reshape(-1) for a in (p.data, p.grad, self.m[name], self.v[name])]
+            for i in range(0, p.data.size, ADAM_CHUNK):
+                # in place, in the operation order of m = B1*m + (1-B1)*g,
+                # v = B2*v + ((1-B2)*g)*g and p = p - lr * (m/b1c) / (sqrt(v/b2c) + eps);
+                # g may be shared with other tensors, so it is only read
+                data, g, m, v = (a[i:i + ADAM_CHUNK] for a in flat)
+                num, den = np.multiply(g, 1.0 - self.BETA1), np.multiply(g, 1.0 - self.BETA2)
+                m *= self.BETA1
+                m += num
+                den *= g
+                v *= self.BETA2
+                v += den
+                np.divide(v, b2c, out=den)
+                np.sqrt(den, out=den)
+                den += self.EPS
+                np.divide(m, b1c, out=num)
+                num /= den
+                num *= self.lr
+                data -= num
             p.grad = None
 
 

@@ -28,7 +28,7 @@ from coopfuse.pipeline import (ConfigError, MetricRecord, Pipeline,
 from coopfuse.sweeps import ABLATION_COMBOS, variant_sweep
 from coopfuse.sync import Integrator, TemporalSync
 from coopfuse.tensor import Tape, Tensor, active_tape, no_grad
-from coopfuse.training import Adam, DivergenceError, train
+from coopfuse.training import ADAM_CHUNK, Adam, DivergenceError, train
 from coopfuse.world import ChannelConfig, Scenario, make_scenario, make_scene, render_bev
 
 
@@ -992,11 +992,13 @@ class TestAdam:
     def test_in_place_update_is_bitwise_the_out_of_place_one(self):
         """Five steps on random gradients: each parameter keeps its array, its
         gradient is only read, and parameters and moments equal bitwise the
-        update written out of place."""
+        update written out of place. "large" spans two whole update chunks
+        and part of a third, so each chunk boundary falls inside it."""
         from coopfuse.tensor import Parameter
         b1, b2, eps, lr = Adam.BETA1, Adam.BETA2, Adam.EPS, 0.01
         rng = np.random.default_rng(21)
-        shapes = {"kernel": (4, 3, 3, 3), "bias": (4, 1, 1), "scalar": (1,)}
+        shapes = {"kernel": (4, 3, 3, 3), "bias": (4, 1, 1), "scalar": (1,),
+                  "large": (3, ADAM_CHUNK * 5 // 6 + 1)}
         params = {k: Parameter(rng.normal(size=s), k) for k, s in shapes.items()}
         buffers = {k: p.data for k, p in params.items()}
         want = {k: p.data.copy() for k, p in params.items()}
@@ -1049,21 +1051,22 @@ class TestAdam:
 
 class TestMemoryBudget:
     def test_desk_training_step(self, traced_peak_mib, monkeypatch):
-        """One desk training step with every stage on peaks below 13.3 MiB of
-        traced allocations: it peaks at 11.8 MiB, and the bound leaves about
-        1.5 MiB of margin. It runs on one usable core, so that the whole step,
-        both halves of the scan included, runs in the traced process. It
+        """One desk training step with every stage on peaks below 10.8 MiB of
+        traced allocations: it peaks at about 10.0 MiB, and the bound leaves
+        about 0.8 MiB of margin. It runs on one usable core, so that the whole
+        step, both halves of the scan included, runs in the traced process. It
         peaked at 44.0 MiB while the scan kept whole
         L x P x C x N states and the tape held every record until the step
         ended, at 25.6 MiB while conv2d records kept their patch matrices or
-        padded inputs and bilinear_sample records their gathered corners, and
-        at 15.8 MiB while the scan record kept its whole-sequence projections,
+        padded inputs and bilinear_sample records their gathered corners, at
+        15.8 MiB while the scan record kept its whole-sequence projections,
         stsync's two convs read concat records and bilinear_sample records
-        kept their corner plans."""
+        kept their corner plans, and at 11.8 MiB while tape records held
+        their output tensors and Adam made whole-parameter temporaries."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         cfg = PipelineConfig(training=TrainSpec(steps=1))
         pipe = Pipeline(cfg)
-        assert traced_peak_mib(lambda: train(cfg, pipe)) < 13.3
+        assert traced_peak_mib(lambda: train(cfg, pipe)) < 10.8
 
 
 class TestRenderBudget:

@@ -3,6 +3,7 @@
 import ast
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -776,6 +777,50 @@ class TestRecordsKeepOnlyInputs:
         [(_, size, kept, may_keep)] = self.kept(monkeypatch, lambda: ops.selective_scan(t, ps))
         assert may_keep == 15 * 4096 and size == 256 * 1024
         assert kept <= may_keep
+
+
+class TestTapeKeepsOnlyWhatRulesRead:
+    """A tape record holds the output's gradient slot, not the output, and a
+    rule that reads no array keeps none: once the caller drops an op's
+    tensors, its output array and its input arrays are freed while the tape
+    still waits for backward, which gives the gradients of a run that kept
+    them all."""
+
+    # op name -> (input shapes, the call on the input tensors)
+    OPS = {
+        "add": ([(3, 4), (4,)], lambda a, b: ops.add(a, b)),
+        "sub": ([(3, 4), (3, 1)], lambda a, b: ops.sub(a, b)),
+        "tsum": ([(3, 4)], lambda a: ops.tsum(a, axis=1)),
+        "reshape": ([(3, 4)], lambda a: ops.reshape(a, (4, 3))),
+        "transpose": ([(2, 3, 4)], lambda a: ops.transpose(a, (2, 0, 1))),
+        "concat": ([(2, 3), (4, 3)], lambda a, b: ops.concat([a, b], axis=0)),
+        "narrow": ([(6, 3)], lambda a: ops.narrow(a, 1, 3)),
+        "take_rows": ([(5, 3)], lambda a: ops.take_rows(a, np.array([0, 2, 2, 4]))),
+        "haar2d": ([(2, 4, 6)], lambda x: ops.haar2d(x)),
+        "ihaar2d": ([(8, 2, 3)], lambda y: ops.ihaar2d(y)),
+    }
+
+    @classmethod
+    def gradients(cls, name, drop: bool):
+        shapes, call = cls.OPS[name]
+        rng = np.random.default_rng(len(name))
+        inputs = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        slots = [t.slot for t in inputs]
+        with Tape() as tape:
+            out = call(*inputs)
+            root = ops.tsum(out)
+        arrays = [weakref.ref(t.data) for t in (out, *inputs)]
+        if drop:
+            del out, inputs
+            assert [ref() is None for ref in arrays] == [True] * len(arrays)
+        tape.backward(root)
+        return [s.grad for s in slots]
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_dropped_arrays_are_freed(self, name):
+        kept, dropped = self.gradients(name, drop=False), self.gradients(name, drop=True)
+        assert all(g is not None for g in dropped)
+        assert [g.tobytes() for g in dropped] == [g.tobytes() for g in kept]
 
 
 def sigmoid_masked(x):

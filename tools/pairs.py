@@ -1,6 +1,8 @@
 """Compare a base revision of coopfuse with the working tree.
 
     python3 tools/pairs.py --base <rev> --bitwise
+    python3 tools/pairs.py --base <rev> --label <name> --workload <w> --seeds <a-b>
+                           [--seconds s] [--aa]
 
 ``--bitwise`` exports <rev> with ``git archive`` into a temporary directory
 and runs the ``coopfuse`` CLI of each side, imported from that side's
@@ -15,6 +17,24 @@ per training step, in all and per stage. It names the first digest or count
 that differs. Exit status: 0 when every digest and count is equal, 1 when
 one differs, 2 when the revision cannot be exported, a command fails or a
 traced run's summary does not read ``"correct": true``.
+
+``--label`` runs alternating pairs of the benchmark, untraced: for each
+seed of the inclusive range a-b, ``perfbench/run.py --workload <w> --seed
+<seed> --seconds <s> --trace 0`` of the base and of the change, the base
+first in even-numbered pairs (counting from 0) and the change first in the
+others. <s> defaults to ``run_seconds`` of BENCHMARK.json. The base is
+exported as for ``--bitwise``; the change is a copy of the working tree (its
+tracked and untracked, not ignored, files) beside it, so the two sides run
+from new directories whose paths have the same length. With ``--aa`` the
+change is a second export of the base. Each pair's end-to-end metrics and
+the run's raw and probe medians go into the workload's entry of
+``BENCH_<label>.json`` at the repository root (other workloads already in
+the file stay). For every metric it prints each side's median and
+quartiles, the change's wins, whether the median stays within
+BENCHMARK.json's bound, and the claim verdict: at least 10 pairs, the
+change better in at least 9 of every 10 (ties count for neither) and a gap
+between the medians larger than the base's IQR. Exit status: 0 when every
+run read ``"correct": true``, 2 when one did not or a run failed.
 """
 
 from __future__ import annotations
@@ -23,9 +43,15 @@ import argparse
 import hashlib
 import json
 import os
+import platform
+import re
+import shutil
+import signal
+import statistics
 import subprocess
 import sys
 import tempfile
+from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -166,19 +192,211 @@ def bitwise(rev: str) -> int:
     return 1
 
 
+CLAIM_RULE = ">= 10 pairs, change better in >= 9/10 of pairs (ties count for neither), " \
+    "median gap > parent IQR (q3 - q1)"
+# the medians perfbench/run.py prints on its "timed operations" line
+MEDIANS = re.compile(r"raw median ([0-9.]+) ms, median probe ([0-9.]+) ms")
+
+
+def copy_tree(dest: Path) -> None:
+    """Copy the working tree's tracked and untracked, not ignored, files into
+    the new directory `dest`."""
+    listed = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], capture_output=True)
+    if listed.returncode:
+        raise Failed(f"cannot list the files of the working tree {ROOT}")
+    for name in sorted(set(listed.stdout.decode().split("\0")) - {""}):
+        src = ROOT / name
+        if src.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
+
+
+def bench_run(side: Path, workload: str, seed: int, seconds: float,
+              metrics: list[str]) -> dict:
+    """One untraced perfbench run of the checkout at `side`: its end-to-end
+    `metrics`, raw and probe medians, and the correct, attempted and failed
+    fields of its summary."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", f"{seconds:g}", "--trace", "0"]
+    done = subprocess.run(argv, cwd=side, capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    try:
+        summary = json.loads(lines[-1])
+        values = {m: summary["metrics"][m]["value"] for m in metrics}
+        raw, probe = [m for m in map(MEDIANS.search, lines) if m][-1].groups()
+    except (IndexError, KeyError, ValueError):
+        raise Failed(f"{side}: {workload} seed {seed} exited {done.returncode} without a "
+                     f"summary: {done.stderr.strip()[-300:]}") from None
+    return {**values, "raw_median_ms": float(raw), "probe_median_ms": float(probe),
+            "correct": summary.get("correct") is True,
+            "attempted": summary.get("attempted", 0), "failed": summary.get("failed", 0)}
+
+
+def spread(xs: list[float]) -> dict[str, float]:
+    """Quartiles (numpy's default, linear interpolation), median, min and max."""
+    q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 \
+        else xs * 3
+    return {"q1": q1, "median": median, "q3": q3, "min": min(xs), "max": max(xs)}
+
+
+def verdict(pairs: list[tuple[float, float]], better: str) -> dict:
+    """The claim rule on one metric's (base, change) values, one tuple per
+    pair: at least 10 pairs, the change better in at least 9 of every 10
+    (ties count for neither), and its median better than the base's by more
+    than the base's IQR."""
+    sign = 1.0 if better == "lower" else -1.0
+    base, change = spread([b for b, _ in pairs]), spread([c for _, c in pairs])
+    wins = sum(sign * (b - c) > 0 for b, c in pairs)
+    gap = sign * (base["median"] - change["median"])
+    iqr = base["q3"] - base["q1"]
+    return {"parent": base, "change": change, "wins": wins, "pairs": len(pairs), "gap": gap,
+            "parent_iqr": iqr,
+            "met": len(pairs) >= 10 and 10 * wins >= 9 * len(pairs) and gap > iqr}
+
+
+def summarize(runs: list[dict], spec: dict[str, dict]) -> dict:
+    """Per metric of `spec` (name -> its BENCHMARK.json end_to_end entry, or
+    just "better" and "unit" for a median without a bound), each side's
+    spread over `runs`, the change's wins and the verdicts."""
+    out = {}
+    for name, entry in spec.items():
+        v = verdict([(r["parent"][name], r["change"][name]) for r in runs], entry["better"])
+        base, change = v["parent"], v["change"]
+        row = {**{k: entry[k] for k in ("better", "bound", "unit") if k in entry},
+               "parent": base, "change": change,
+               "median_change_pct": round(100.0 * (change["median"] / base["median"] - 1.0), 2),
+               "change_wins": f"{v['wins']}/{v['pairs']}", "claim_met": v["met"]}
+        if "bound" in entry:
+            row["within_bound"] = -v["gap"] <= entry["bound"] * abs(base["median"])
+        out[name] = row
+    return out
+
+
+def pair_runs(sides: dict[str, Path], workload: str, seeds: list[int], seconds: float,
+              metrics: list[str]) -> list[dict]:
+    """Run `sides` ("parent" and "change" checkouts) on each seed in turn, the
+    parent first when the pair's index is even; one dict per pair."""
+    runs = []
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        run = {"seed": seed, "first": order[0]}
+        for name in order:
+            run[name] = bench_run(sides[name], workload, seed, seconds, metrics)
+        print(f"pair {i + 1}/{len(seeds)} seed {seed} ({order[0]} first): "
+              + "; ".join(f"{m} {run['parent'][m]:.4g} -> {run['change'][m]:.4g}"
+                          for m in (*metrics, "raw_median_ms")), flush=True)
+        runs.append(run)
+    return runs
+
+
+def bench(rev: str, label: str, workload: str, seeds: list[int], seconds: float | None,
+          aa: bool) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if workload not in [w["name"] for w in spec["workloads"]]:
+        raise Failed(f"unknown workload {workload!r}")
+    seconds = spec["run_seconds"] if seconds is None else seconds
+    end_to_end = {m["name"]: m for m in spec["end_to_end"]}
+    path = ROOT / f"BENCH_{label}.json"
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        sides = {"parent": Path(tmp) / "base", "change": Path(tmp) / "work"}
+        commit = export(rev, sides["parent"])
+        if doc.get("base", {}).get("commit", commit) != commit:
+            raise Failed(f"{path.name} holds pairs against {doc['base']['commit'][:12]}, "
+                         f"not {commit[:12]}; choose another label")
+        if aa:
+            export(rev, sides["change"])
+        else:
+            copy_tree(sides["change"])
+        print(f"{workload}: base {rev} ({commit[:12]}) against "
+              f"{'a second export of it' if aa else 'the working tree'}, "
+              f"{len(seeds)} pairs of {seconds:g} s", flush=True)
+        runs = pair_runs(sides, workload, seeds, seconds, list(end_to_end))
+    medians = {"raw_median_ms": {"better": "lower", "unit": "ms"},
+               "probe_median_ms": {"better": "lower", "unit": "ms"}}
+    entry = {"seeds": seeds, "run_order": [{"seed": r["seed"], "first": r["first"]} for r in runs],
+             "pairs": len(runs),
+             "all_correct": all(r[s]["correct"] for r in runs for s in ("parent", "change")),
+             **{f"{key}_ops": {s: sum(r[s][key] for r in runs) for s in ("parent", "change")}
+                for key in ("failed", "attempted")},
+             "metrics": summarize(runs, {**end_to_end, **medians}),
+             "runs": [{"seed": r["seed"], "first": r["first"],
+                       **{s: {k: r[s][k] for k in (*end_to_end, *medians)}
+                          for s in ("parent", "change")}} for r in runs]}
+    doc.update({
+        "label": label, "base": {"rev": rev, "commit": commit},
+        "change": f"a second export of {rev}" if aa else "the working tree",
+        "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {seconds:g} "
+                   "--trace 0, one subprocess per run, cwd at the side's root",
+        "pairing": "parent and change alternate which runs first; pair i runs the parent "
+                   "first when i is even; both sides sit in sibling directories whose paths "
+                   "have the same length",
+        "claim_rule": CLAIM_RULE,
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": metadata.version("numpy")}})
+    doc.setdefault("workloads", {})[workload] = entry
+    doc["regressions"] = {w: sorted(m for m, row in e["metrics"].items()
+                                    if row.get("within_bound") is False)
+                          for w, e in doc["workloads"].items()}
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    for name, row in entry["metrics"].items():
+        p, c = row["parent"], row["change"]
+        bound = {True: "; within bound", False: "; OUTSIDE BOUND"}.get(row.get("within_bound"), "")
+        print(f"{name:16} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}], change "
+              f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], "
+              f"{row['median_change_pct']:+.2f} %, wins {row['change_wins']}; "
+              f"claim {'met' if row['claim_met'] else 'not met'}{bound}")
+    print(f"wrote {path}")
+    return 0 if entry["all_correct"] else 2
+
+
+def seed_range(text: str) -> list[int]:
+    """The seeds of an inclusive range "a-b", or of a single seed "a"."""
+    lo, _, hi = text.partition("-")
+    try:
+        seeds = list(range(int(lo), int(hi or lo) + 1))
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"not a seed range a-b with a <= b: {text!r}")
+    return seeds
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="the revision to compare against")
-    ap.add_argument("--bitwise", action="store_true", required=True,
-                    help="compare sha256 digests of the CLI outputs and traced "
-                         "record counts")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--bitwise", action="store_true",
+                      help="compare sha256 digests of the CLI outputs and traced "
+                           "record counts")
+    mode.add_argument("--label", help="run alternating benchmark pairs and write "
+                                      "BENCH_<label>.json")
+    ap.add_argument("--workload", help="the perfbench workload of the pairs")
+    ap.add_argument("--seeds", type=seed_range, help="the inclusive seed range a-b, one pair "
+                                                     "per seed")
+    ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
+    ap.add_argument("--aa", action="store_true", help="pair the base with a second export "
+                                                      "of itself")
     args = ap.parse_args(argv)
+    if args.label is None and (args.workload or args.seeds or args.seconds is not None
+                               or args.aa):
+        ap.error("--workload, --seeds, --seconds and --aa go with --label")
+    if args.label is not None and not (args.workload and args.seeds):
+        ap.error("--label needs --workload and --seeds")
+    if args.label is not None and not re.fullmatch(r"[A-Za-z0-9_.-]+", args.label):
+        ap.error(f"--label must be letters, digits, '_', '.' or '-': {args.label!r}")
     try:
-        return bitwise(args.base)
+        if args.bitwise:
+            return bitwise(args.base)
+        return bench(args.base, args.label, args.workload, args.seeds, args.seconds, args.aa)
     except Failed as e:
         print(f"pairs: {e}", file=sys.stderr)
         return 2
 
 
 if __name__ == "__main__":
+    # a terminated run still stops the command it waits on and removes its
+    # temporary checkouts
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     sys.exit(main())

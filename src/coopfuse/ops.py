@@ -185,24 +185,20 @@ def elu_plus_one(a):
 # ---------------------------------------------------------------------------
 
 @_op("a")
-def tsum(a, axis=None, keepdims: bool = False):
+def tsum(a, axis=None):
     shape = a.shape
 
     def vjp(g, needs):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, shape),
-    return a.sum(axis=axis, keepdims=keepdims), vjp
+    return a.sum(axis=axis), vjp
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    """Mean over `axis`: a ``tsum`` then a ``scale``, two tape records."""
-    total = tsum(a, axis=axis, keepdims=keepdims)
-    return scale(total, 1.0 / (as_tensor(a).data.size // total.data.size))
-
-
-def scale(a, s: float) -> Tensor:
-    return mul(a, float(s))
+def tmean(a, axis=None) -> Tensor:
+    """Mean over `axis`: a ``tsum`` then a ``mul``, two tape records."""
+    total = tsum(a, axis=axis)
+    return mul(total, 1.0 / (as_tensor(a).data.size // total.data.size))
 
 
 @_op("bias", "a", "b")
@@ -343,7 +339,8 @@ def _patches(xp: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
     array.
 
     One strided view indexes every window tap in (c, ki, kj, i, j) order;
-    ``reshape`` copies it once into a C-contiguous matrix.
+    ``reshape`` copies it once into a C-contiguous matrix, or, for a 1x1
+    kernel, returns a view of xp itself.
     """
     c, s1, s2 = xp.shape[0], xp.strides[1], xp.strides[2]
     win = np.ndarray((c, k, k, h, w), xp.dtype, xp, 0, (xp.strides[0], s1, s2, s1, s2))
@@ -363,18 +360,6 @@ def _tap_shifts(z: np.ndarray, wp: int, length: int) -> np.ndarray:
     return np.ndarray((*z.shape[:2], length), z.dtype, z, 0, (s0 + wp * e, s1 + e, e))
 
 
-def _zero_pad(blocks: list[np.ndarray], pad: int) -> np.ndarray:
-    """The C_i x H x W `blocks` joined along channels into one C-contiguous
-    array, with `pad` zeros around the last two axes."""
-    h, w = blocks[0].shape[1:]
-    out = np.zeros((sum(len(b) for b in blocks), h + 2 * pad, w + 2 * pad))
-    start = 0
-    for b in blocks:
-        out[start:start + len(b), pad:pad + h, pad:pad + w] = b
-        start += len(b)
-    return out
-
-
 @_op("bias", "kernel", "*x")
 def conv2d(x, kernel, bias):
     """Same 2D cross-correlation of a C_in x H x W input with C_out x C_in x k x k
@@ -390,7 +375,7 @@ def conv2d(x, kernel, bias):
 
     Two contractions, chosen from the shapes alone. By default (im2col) the
     (C_in*k*k) x (H*W) patch matrix is built from one strided view of the
-    zero-padded input (a plain reshape for a 1x1 kernel) and multiplied by
+    zero-padded input (a view of it for a 1x1 kernel) and multiplied by
     the kernel matrix in one BLAS call. With k > 1, when 5*C_out*Hp*Wp <
     6*C_in*H*W for the (H+k-1) x (W+k-1) padded input (the per-tap product
     matrix is less than 6/5 of the patch matrix, as in a channel-reducing
@@ -421,11 +406,18 @@ def conv2d(x, kernel, bias):
 
 
 def _padded(x: list[np.ndarray], pad: int) -> np.ndarray:
-    """The channel blocks x joined and zero-padded by `pad`, C-contiguous (a
-    lone block itself when it already is and pad is 0)."""
-    if pad:
-        return _zero_pad(x, pad)
-    return np.ascontiguousarray(x[0]) if len(x) == 1 else np.concatenate(x)
+    """The C_i x H x W channel blocks x joined along channels into one
+    C-contiguous array, with `pad` zeros around the last two axes (a lone
+    block itself when it already is C-contiguous and pad is 0)."""
+    if not pad:
+        return np.ascontiguousarray(x[0]) if len(x) == 1 else np.concatenate(x)
+    h, w = x[0].shape[1:]
+    out = np.zeros((sum(len(b) for b in x), h + 2 * pad, w + 2 * pad))
+    start = 0
+    for b in x:
+        out[start:start + len(b), pad:pad + h, pad:pad + w] = b
+        start += len(b)
+    return out
 
 
 def _conv2d_im2col(x: list[np.ndarray], kernel: np.ndarray, bias: np.ndarray):
@@ -441,8 +433,7 @@ def _conv2d_im2col(x: list[np.ndarray], kernel: np.ndarray, bias: np.ndarray):
     pad = k // 2
 
     def patches(blocks):
-        xp = _padded(blocks, pad)
-        return xp.reshape(len(xp), h * w) if k == 1 else _patches(xp, k, h, w)
+        return _patches(_padded(blocks, pad), k, h, w)
 
     y = (kernel.reshape(c_out, c_in * k * k) @ patches(x)).reshape(c_out, h, w)
     y += bias

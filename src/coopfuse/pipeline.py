@@ -19,7 +19,6 @@ features with true poses, same weights).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import signal
@@ -29,7 +28,6 @@ from collections import deque
 from dataclasses import dataclass, replace
 from decimal import ROUND_UP, Decimal, localcontext
 from functools import partial
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,7 +35,7 @@ import numpy as np
 from .denoise import SCAN_PATHS, WaveletDenoiser
 from .ops import _SCAN_BLOCK, conv2d
 from .select import IB_RATIO, FeatureSelector
-from .schema import ConfigError, check, entry, read, write
+from .schema import ConfigError, check, entry, load, read, write
 from .serialize import assign_params, load_params, save_params
 from .sync import Integrator, TemporalSync
 from .tensor import ParamBlock, Tensor, no_grad
@@ -215,7 +213,7 @@ class PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    return PipelineConfig.from_json(json.loads(Path(path).read_text()))
+    return load(path, PipelineConfig.from_json)
 
 
 @dataclass

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import numbers
 import operator
 import sys
 import typing
+from pathlib import Path
 
 
 class ConfigError(ValueError):
@@ -69,6 +71,16 @@ def read(cls, doc, label: str, base=None, prefix: str = ""):
     """
     values = _values(cls, doc, label, base, prefix)
     return cls(**values) if base is None else dataclasses.replace(base, **values)
+
+
+def load(path, from_json):
+    """`from_json` of the JSON document in the file at `path`; a document
+    nested deeper than Python's recursion limit is a ConfigError as well."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ConfigError(f"{path} is nested too deeply to read") from None
+    return from_json(doc)
 
 
 def check(obj, label: str, prefix: str = "") -> None:

@@ -72,7 +72,7 @@ class LinearAttention(ParamBlock):
         v = matmul(tokens, self.wv)
         kv = matmul(transpose(fk, (1, 0)), v)                    # C x C
         num = matmul(fq, kv)                                     # T x C
-        den = matmul(fq, transpose(tsum(fk, axis=0, keepdims=True), (1, 0)))  # T x 1
+        den = matmul(fq, reshape(tsum(fk, axis=0), (-1, 1)))     # T x 1
         gate = matmul(tokens, self.wg, self.bg)
         return tokens + gate * (num / den)
 

@@ -74,10 +74,6 @@ class Tensor:
     def requires_grad(self) -> bool:
         return self.slot is not None
 
-    @requires_grad.setter
-    def requires_grad(self, flag: bool) -> None:
-        self.slot = (self.slot or GradSlot()) if flag else None
-
     @property
     def grad(self) -> Optional[np.ndarray]:
         return None if self.slot is None else self.slot.grad

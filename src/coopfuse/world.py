@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .ops import bilinear_sample
-from .schema import ConfigError, check, entry, parse, read, write
+from .schema import ConfigError, check, entry, load, parse, read, write
 from .tensor import Tensor
 
 
@@ -329,7 +329,7 @@ class Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    return Scenario.from_json(json.loads(Path(path).read_text()))
+    return load(path, Scenario.from_json)
 
 
 def save_scenario(path, scenario: Scenario) -> None:

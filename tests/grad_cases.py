@@ -91,7 +91,7 @@ def conv2d_blocks(taps=False):
     so the probe's gradient sums both blocks' slices of dx: 4 -> 3 channels
     with a 3x3 kernel on im2col, 8 -> 1 with a 7x7 kernel in the tap form."""
     c_in, c_out, k = (8, 1, 7) if taps else (4, 3, 3)
-    return case(lambda t, w, b: square(ops.conv2d([t, ops.scale(t, 0.5)], w, b)),
+    return case(lambda t, w, b: square(ops.conv2d([t, ops.mul(t, 0.5)], w, b)),
                 uniform(-1.5, 1.5, (c_in // 2, 5, 5)), uniform(-0.8, 0.8, (c_out, c_in, k, k)),
                 uniform(-1.0, 1.0, (c_out, 1, 1)))
 
@@ -136,7 +136,7 @@ CASES = {
     "sigmoid": unary(lambda t: ops.sigmoid(t)),
     "relu": unary(lambda t: ops.relu(t), away_from_zero((3, 4))),
     "elu_plus_one": unary(lambda t: ops.elu_plus_one(t), away_from_zero((3, 4))),
-    "tsum": unary(lambda t: ops.tsum(t, axis=0, keepdims=True)),
+    "tsum": unary(lambda t: ops.tsum(t, axis=0)),
     "tmean": unary(lambda t: ops.tmean(t, axis=1)),
     "matmul": case(lambda w, t: square(ops.matmul(t, w)),
                    uniform(-1.0, 1.0, (4, 2)), uniform(-1.5, 1.5, (3, 4)), probe=1),
@@ -144,7 +144,7 @@ CASES = {
                         uniform(-1.5, 1.5, (3, 4)), uniform(-1.0, 1.0, (1, 2)), probe=2),
     "reshape": unary(lambda t: ops.reshape(t, (2, 6))),
     "transpose": unary(lambda t: ops.transpose(t, (2, 0, 1)), uniform(-1.5, 1.5, (2, 3, 4))),
-    "concat": case(lambda o, t: square(ops.concat([t, Tensor(o), ops.scale(t, 0.5)], axis=0)),
+    "concat": case(lambda o, t: square(ops.concat([t, Tensor(o), ops.mul(t, 0.5)], axis=0)),
                    uniform(-1.0, 1.0, (2, 4)), uniform(-1.5, 1.5, (3, 4)), probe=1),
     "narrow": unary(lambda t: ops.narrow(t, 1, 3), uniform(-1.5, 1.5, (5, 3))),
     "haar2d": weighted(lambda t: ops.haar2d(t), (2, 4, 6), (8, 2, 3)),
@@ -182,7 +182,7 @@ CASES = {
         name, length=2 * ops._SCAN_BLOCK + 3, c=1, n=1, log_decay_mean=-4.0)
        for name in ("x", "log_decay")},
     "neg": unary(neg),
-    "exp": unary(lambda t: exp(ops.scale(t, 0.5))),
+    "exp": unary(lambda t: exp(ops.mul(t, 0.5))),
     "log": unary(lambda t: log(ops.add(square(t), 0.5)), uniform(0.5, 2.0, (3, 4))),
     "softplus": unary(softplus),
     "index_axis": unary(lambda t: index_axis(t, 0, 1)),

@@ -26,6 +26,12 @@ class TestCheckpointBytes:
         assert sorted(load_params(path)) == ["decoder.bias", "decoder.kernel",
                                              "integrate.bias", "integrate.kernel"]
 
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "p.catp"
+        path.write_bytes(small_checkpoint() + b"\0")
+        with pytest.raises(ValueError, match="^trailing bytes in parameter file: 1$"):
+            load_params(path)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.one_of(
         st.binary(max_size=64),

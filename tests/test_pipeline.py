@@ -29,7 +29,8 @@ from coopfuse.sweeps import ABLATION_COMBOS, variant_sweep
 from coopfuse.sync import Integrator, TemporalSync
 from coopfuse.tensor import Tape, Tensor, active_tape, no_grad
 from coopfuse.training import ADAM_CHUNK, Adam, DivergenceError, train
-from coopfuse.world import ChannelConfig, Scenario, make_scenario, make_scene, render_bev
+from coopfuse.world import (Channel, ChannelConfig, Scenario, make_scenario, make_scene,
+                            render_bev)
 
 
 def pin_passthrough(pipe):
@@ -384,6 +385,42 @@ class TestSimulate:
             assert dropped in (0, 1)
             assert (arrive == -1) == (dropped == 1)
         assert any(dropped for *_, dropped in rows)
+
+    def test_forward_fill_keeps_newest_emitted_packet(self, monkeypatch):
+        """On a channel that drops nothing and delays packets by 0 to 3 ticks,
+        a sender's later packet can arrive before its earlier one. At every
+        tick the ego fuses, per sender, the newest-emitted packet delivered so
+        far, never an older one that arrived after it."""
+        cfg = tiny_config(n_agents=3)
+        scen = cfg.scenario(2, ChannelConfig(3, 0.0, 0.1, 0.02), ticks=12)
+        sent, fused = [], []       # (feature, sender, emit tick); per tick, the fused features
+        send, once = Channel.send, pipeline_module.once
+
+        def recording_send(self, sender, feature, reported_pose, tick):
+            sent.append((feature, sender, tick))
+            return send(self, sender, feature, reported_pose, tick)
+
+        def recording_once(fn, *args, **kwargs):
+            if fn is pipeline_module.fuse:       # fuse(pipe, ego_view, arrived, ego_pose)
+                fused.append([feature for feature, _ in args[2]])
+            return once(fn, *args, **kwargs)
+        monkeypatch.setattr(Channel, "send", recording_send)
+        monkeypatch.setattr(pipeline_module, "once", recording_once)
+        rows = []
+        simulate(Pipeline(cfg), scen, measure=lambda t: False, trace_rows=rows)
+
+        # the scenario has a packet that an earlier-emitted one arrives after
+        assert any(s1 == s2 and e1 < e2 and a1 > a2
+                   for _, s1, e1, a1, _ in rows for _, s2, e2, a2, _ in rows)
+        assert len(fused) == scen.ticks
+        for tick, features in enumerate(fused):
+            newest = {}
+            for _, sender, emit, arrive, _ in rows:
+                if 0 <= arrive <= tick:
+                    newest[sender] = max(emit, newest.get(sender, emit))
+            got = {sender: emit for f in features
+                   for feature, sender, emit in sent if feature is f}
+            assert got == newest, tick
 
     def test_python_scenario_evaluates_as_its_document(self):
         """A Scenario built in Python draws its drops, latencies and pose noise

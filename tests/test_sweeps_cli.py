@@ -243,6 +243,22 @@ class TestCli:
         assert len(curve) == 3            # header + 2 steps
         assert (out / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("batch_scenes", [1, 2])
+    def test_loss_curve_row_rule(self, tmp_path, batch_scenes):
+        """Every loss_curve.csv row reads loss = bce + 0.1 * aux: per scene the
+        BCE plus 0.1 times the auxiliary MSE, each averaged over the batch."""
+        cfg_path = self.write_config(tmp_path,
+                                     training=TrainSpec(steps=2, batch_scenes=batch_scenes))
+        out = tmp_path / "out"
+        r = self.run_cli("train", "--config", str(cfg_path), "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        rows = read_csv(out / "loss_curve.csv")[1:]
+        assert len(rows) == 2
+        for step, loss, bce, aux in rows:
+            loss, bce, aux = float(loss), float(bce), float(aux)
+            assert aux > 0.0
+            assert loss == pytest.approx(bce + 0.1 * aux, rel=1e-12, abs=0.0), step
+
     def test_run_with_trained_params_and_scenario(self, tmp_path):
         cfg_path = self.write_config(tmp_path)
         out1 = tmp_path / "t"
@@ -444,6 +460,30 @@ class TestCli:
                          "--params", str(params))
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("config error") and len(r.stderr.splitlines()) == 1
+
+    def test_trailing_params_byte_exit_code(self, tmp_path):
+        cfg_path = self.write_config(tmp_path)
+        params = tmp_path / "p.catp"
+        Pipeline(tiny_config()).save(params)
+        params.write_bytes(params.read_bytes() + b"\0")
+        out = tmp_path / "o"
+        r = self.run_cli("run", "--config", str(cfg_path), "--out", str(out),
+                         "--params", str(params))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr == "config error: trailing bytes in parameter file: 1\n"
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--scenario"])
+    def test_deeply_nested_document_exit_code(self, tmp_path, flag):
+        """A document of 200,000 nested arrays, past Python's recursion limit,
+        is rejected in one config error line, not with a traceback."""
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        out = tmp_path / "o"
+        r = self.run_cli("run", flag, str(deep), "--out", str(out))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr == f"config error: {deep} is nested too deeply to read\n"
+        assert not (out / "metrics.csv").exists()
 
     def test_nonfinite_metric_exit_code(self, tmp_path):
         cfg_path = self.write_config(tmp_path)

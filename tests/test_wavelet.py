@@ -104,8 +104,8 @@ def composed_haar2d(x):
     even_col, odd_col = index_axis(r, 4, 0), index_axis(r, 4, 1)
     a, b = index_axis(even_col, 2, 0), index_axis(odd_col, 2, 0)
     cc, d = index_axis(even_col, 2, 1), index_axis(odd_col, 2, 1)
-    return ops.concat([ops.scale(a + b + cc + d, 0.5), ops.scale(a - b + cc - d, 0.5),
-                       ops.scale(a + b - cc - d, 0.5), ops.scale(a - b - cc + d, 0.5)], axis=0)
+    return ops.concat([ops.mul(a + b + cc + d, 0.5), ops.mul(a - b + cc - d, 0.5),
+                       ops.mul(a + b - cc - d, 0.5), ops.mul(a - b - cc + d, 0.5)], axis=0)
 
 
 def composed_ihaar2d(y):
@@ -113,10 +113,10 @@ def composed_ihaar2d(y):
     c4, h2, w2 = y.data.shape
     c = c4 // 4
     ll, lh, hl, hh = (ops.narrow(y, i * c, c) for i in range(4))
-    a = ops.scale(ll + lh + hl + hh, 0.5)
-    b = ops.scale(ll - lh + hl - hh, 0.5)
-    cc = ops.scale(ll + lh - hl - hh, 0.5)
-    d = ops.scale(ll - lh - hl + hh, 0.5)
+    a = ops.mul(ll + lh + hl + hh, 0.5)
+    b = ops.mul(ll - lh + hl - hh, 0.5)
+    cc = ops.mul(ll + lh - hl - hh, 0.5)
+    d = ops.mul(ll - lh - hl + hh, 0.5)
     col5 = (c, h2, 1, w2, 1)
     top = ops.concat([ops.reshape(a, col5), ops.reshape(b, col5)], axis=4)
     bot = ops.concat([ops.reshape(cc, col5), ops.reshape(d, col5)], axis=4)

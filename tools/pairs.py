@@ -9,8 +9,10 @@ and runs the ``coopfuse`` CLI of each side, imported from that side's
 ``src/`` with ``OPENBLAS_NUM_THREADS=1``, on one small config: ``train``,
 ``run --scenario --params`` (the side's own checkpoint and a fixed scenario
 document), ``run --seed 3``, ``ablate`` and ``sweep --axis`` latency,
-retention and drop. It prints the sha256 digest of every output file and of
-each command's standard output, base then change. It then runs each side's
+retention and drop; and ``train`` again on the same config with
+``training.batch_scenes`` 2, the batched loss. It prints the sha256 digest
+of every output file and of each command's standard output, base then
+change. It then runs each side's
 own ``perfbench/run.py`` traced (``--seed 1 --seconds 1 --trace 1``) on the
 ``train-full`` and ``train-baseline`` workloads and prints the tape records
 per training step, in all and per stage. It names the first digest or count
@@ -57,6 +59,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 CONFIG = {"training": {"steps": 3}, "eval_scenarios": 2, "eval_measure_ticks": 1}
+BATCHED = {**CONFIG, "training": {**CONFIG["training"], "batch_scenes": 2}}
 
 # three agents, three objects and a channel that drops and delays packets,
 # with ticks > K + L_ticks at the config's K = 4
@@ -76,17 +79,24 @@ SCENARIO = {
     "channel": {"L_ticks": 2, "drop_p": 0.2, "loc_sigma": 0.3, "head_sigma": 0.05},
 }
 
-# (output directory, CLI arguments after the config, files the command writes);
-# "{train}" is the side's train output directory, "{scenario}" the scenario file
+# (output directory, CLI arguments, files the command writes); "{config}" and
+# "{batched}" are the CONFIG and BATCHED files, "{train}" is the side's train
+# output directory and "{scenario}" the scenario file
 COMMANDS = (
-    ("train", ["train"], ("params.catp", "loss_curve.csv", "metrics.csv")),
-    ("run-scenario", ["run", "--scenario", "{scenario}", "--params", "{train}/params.catp"],
+    ("train", ["train", "--config", "{config}"],
+     ("params.catp", "loss_curve.csv", "metrics.csv")),
+    ("train-batch-2", ["train", "--config", "{batched}"],
+     ("params.catp", "loss_curve.csv", "metrics.csv")),
+    ("run-scenario", ["run", "--config", "{config}", "--scenario", "{scenario}",
+                      "--params", "{train}/params.catp"], ("trace.csv", "metrics.csv")),
+    ("run-seed-3", ["run", "--config", "{config}", "--seed", "3"],
      ("trace.csv", "metrics.csv")),
-    ("run-seed-3", ["run", "--seed", "3"], ("trace.csv", "metrics.csv")),
-    ("ablate", ["ablate"], ("metrics.csv",)),
-    ("sweep-latency", ["sweep", "--axis", "latency"], ("metrics.csv",)),
-    ("sweep-retention", ["sweep", "--axis", "retention"], ("metrics.csv",)),
-    ("sweep-drop", ["sweep", "--axis", "drop"], ("metrics.csv",)),
+    ("ablate", ["ablate", "--config", "{config}"], ("metrics.csv",)),
+    ("sweep-latency", ["sweep", "--axis", "latency", "--config", "{config}"],
+     ("metrics.csv",)),
+    ("sweep-retention", ["sweep", "--axis", "retention", "--config", "{config}"],
+     ("metrics.csv",)),
+    ("sweep-drop", ["sweep", "--axis", "drop", "--config", "{config}"], ("metrics.csv",)),
 )
 
 # the perfbench workloads run traced, and the record counts compared per workload
@@ -126,14 +136,14 @@ def digests(side: Path, work: Path) -> list[tuple[str, str]]:
     writing under the new directory `work`."""
     work.mkdir(parents=True)
     env = side_env(side)
-    config, scenario = work / "config.json", work / "scenario.json"
-    config.write_text(json.dumps(CONFIG))
-    scenario.write_text(json.dumps(SCENARIO))
+    inputs = {"config": CONFIG, "batched": BATCHED, "scenario": SCENARIO}
+    paths = {key: work / f"{key}.json" for key in inputs}
+    for key, doc in inputs.items():
+        paths[key].write_text(json.dumps(doc))
     out = []
     for name, args, files in COMMANDS:
-        args = [a.format(train=work / "train", scenario=scenario) for a in args]
-        argv = [sys.executable, "-m", "coopfuse.cli", *args, "--config", str(config),
-                "--out", str(work / name)]
+        args = [a.format(train=work / "train", **paths) for a in args]
+        argv = [sys.executable, "-m", "coopfuse.cli", *args, "--out", str(work / name)]
         done = subprocess.run(argv, cwd=side, env=env, capture_output=True)
         if done.returncode:
             raise Failed(f"{side}: {' '.join(args)} exited {done.returncode}: "
